@@ -7,7 +7,7 @@
     mcfl bench <dir>             sweep a directory, print a result table
 
 Exit status: 0 safe/no fault, 1 faults found, 2 inconclusive,
-3 resource budget exhausted, 4 usage or parse error.
+3 resource budget exhausted, 4 usage, parse or model error.
 """
 
 from __future__ import annotations
@@ -23,9 +23,16 @@ from .instrumenter import NothingToInstrument, instrument, \
     instrumented_to_json
 from .localizer import localize, report_to_json
 from .parser import ParseError, parse
-from .sequentializer import line_map_to_json, sequentialize
+from .sequentializer import (
+    GuardPlacementError,
+    RuleGapError,
+    line_map_to_json,
+    sequentialize,
+)
 from .syntax import pretty_print
 from .verifier import (
+    ModelError,
+    TraceMismatch,
     UnsupportedScheduleError,
     VerifierConfig,
     counterexample_to_json,
@@ -194,11 +201,6 @@ def run(config: CliConfig) -> int:
                 return EXIT_SAFE
             cex = result.counterexample
             deadlock = cex.violation.kind == "deadlock"
-            if not deadlock:
-                second = verify(program, replace(vcfg,
-                                                 deadlock_check=False))
-                if second.outcome == "violation":
-                    cex = second.counterexample
             schedule = extract_schedule(cex)
             seq = sequentialize(program, schedule, deadlock)
             if config.emit_intermediates:
@@ -247,6 +249,12 @@ def run(config: CliConfig) -> int:
     except (UnsupportedScheduleError, NothingToInstrument) as exc:
         print(f"mcfl: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except (ModelError, RuleGapError, GuardPlacementError,
+            TraceMismatch) as exc:
+        # the program leaves the modelled semantics or the transformation
+        # rules: an input error, not a verdict
+        print(f"mcfl: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     print(f"mcfl: unknown command {config.command!r}", file=sys.stderr)
     return EXIT_USAGE

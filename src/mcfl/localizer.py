@@ -77,18 +77,10 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     if first.outcome == "safe-within-bounds":
         return DiagnosisReport("no-counterexample", [], 0, None, timings)
 
+    # deadlock detection only adds violations to the same search, so a
+    # first violation that is no deadlock is also the first without it
     cex = first.counterexample
     deadlock = cex.violation.kind == "deadlock"
-    if not deadlock:
-        # assertion-style faults are re-checked without deadlock detection;
-        # that run's counterexample drives the transformation
-        t0 = time.perf_counter()
-        second = verify(program, replace(config, deadlock_check=False))
-        timings["verify"] += time.perf_counter() - t0
-        if second.outcome == "resource-exhausted":
-            return DiagnosisReport("resource-exhausted", [], 0, cex, timings)
-        if second.outcome == "violation":
-            cex = second.counterexample
 
     t0 = time.perf_counter()
     schedule = extract_schedule(cex)
@@ -145,7 +137,7 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
         timings["validate"] += time.perf_counter() - t0
         diagnoses.append(Diagnosis(
             seq_line=d,
-            original_line=_original_line(seq, d),
+            original_line=seq.original_line(d),
             witness_value=witness,
             iteration=iteration,
             oracle_validated=validated,
@@ -164,17 +156,6 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
         sequential=seq,
         instrumented=instr,
     )
-
-
-def _original_line(seq: SequentialProgram, seq_line: int) -> int | None:
-    entry = seq.line_map.get(seq_line)
-    if entry is None:
-        return None
-    if entry.kind == "original":
-        return entry.value
-    if entry.value == "unwind-copy":
-        return entry.origin
-    return None
 
 
 def _substitute(seq: SequentialProgram, seq_line: int,

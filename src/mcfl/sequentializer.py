@@ -109,17 +109,6 @@ class MapEntry:
     origin: int | None = None  # callee line for unwind-copy entries
 
 
-SYNTHETIC_REASONS = (
-    "framework",
-    "order-control",
-    "loopcounter",
-    "mutex-model",
-    "cond-model",
-    "unwind-copy",
-    "nondet-pin",
-)
-
-
 def original_entry(line: int) -> MapEntry:
     return MapEntry("original", line)
 
@@ -139,10 +128,14 @@ class SequentialProgram:
     injected: bool = False
 
     def original_line(self, seq_line: int) -> int | None:
+        """The source line a sequential line stands for: its original, or
+        the callee line an unwound copy was made from."""
         entry = self.line_map.get(seq_line)
-        if entry is not None and entry.kind == "original":
+        if entry is None:
+            return None
+        if entry.kind == "original":
             return entry.value
-        return None
+        return entry.origin
 
 
 def line_map_to_json(line_map: dict[int, MapEntry]) -> str:
@@ -159,20 +152,6 @@ def line_map_to_json(line_map: dict[int, MapEntry]) -> str:
         else:
             doc[str(line)] = {"kind": "synthetic", "value": entry.value}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def line_map_from_json(text: str) -> dict[int, MapEntry]:
-    doc = json.loads(text)
-    result: dict[int, MapEntry] = {}
-    for key, obj in doc.items():
-        if obj["kind"] == "original":
-            result[int(key)] = original_entry(obj["value"])
-        elif isinstance(obj["value"], dict):
-            result[int(key)] = synthetic_entry("unwind-copy",
-                                               obj["value"]["line"])
-        else:
-            result[int(key)] = synthetic_entry(obj["value"])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +341,7 @@ def _copy_pthread(s: Stmt) -> Stmt:
 def unwind_calls(program: Program) -> Program:
     """Replaces every call-assignment with an inlined block and drops the
     callable function definitions."""
-    fns = {fn.name: fn for fn in program.functions}
-    pool = _NamePool(_taken_names(program, include_callable_locals=False))
-    new_fns = []
-    for fn in program.functions:
-        if fn.return_type == "int":
-            continue
-        new_fns.append(FunctionDef(
-            fn.name, fn.return_type, list(fn.params),
-            Block(_unwind_stmts(fn.body.stmts, fns, pool))))
-    new_main = FunctionDef(
-        "main", "int", [],
-        Block(_unwind_stmts(program.main.body.stmts, fns, pool)))
-    out = Program(
-        globals=[_mark(_copy_global(g), original_entry(g.line), g.line)
-                 for g in program.globals],
-        functions=new_fns,
-        main=new_main,
-        threads=[],
-    )
-    out.threads = [type(t)(t.ordinal, t.function) for t in program.threads]
-    return renumber(out)
+    return renumber(_unwind_annotated(program))
 
 
 def _copy_global(g: Stmt) -> Stmt:
@@ -673,8 +632,8 @@ def _build_skeleton(program: Program, schedule: Schedule,
 
 
 def _unwind_annotated(program: Program) -> Program:
-    """Like unwind_calls but keeps provenance annotations and skips
-    renumbering (anchor keys stay in the original numbering)."""
+    """unwind_calls without the renumbering, so that anchor keys stay in
+    the original numbering; statements carry provenance annotations."""
     fns = {fn.name: fn for fn in program.functions}
     pool = _NamePool(_taken_names(program, include_callable_locals=False))
     new_fns = []

@@ -275,8 +275,6 @@ PTHREAD_KINDS = (
     CondSignal,
 )
 
-FRAMEWORK_KINDS = (For, Switch, CaseLabel, DefaultLabel, Break, ArrayDecl)
-
 
 # ---------------------------------------------------------------------------
 # Program structure

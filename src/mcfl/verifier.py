@@ -53,6 +53,8 @@ from .syntax import (
     Var,
     While,
     enclosing_loops,
+    iter_stmts,
+    program_stmts,
 )
 
 
@@ -178,9 +180,15 @@ class Instr:
 
 
 class Code:
-    def __init__(self, fname: str):
-        self.fname = fname
+    def __init__(self, fn: FunctionDef):
+        self.fname = fn.name
+        self.params = list(fn.params)
         self.instrs: list[Instr] = []
+        # a fresh frame: every parameter and local of the function, zeroed
+        self.locals = {p: 0 for p in fn.params}
+        for s in iter_stmts(fn.body.stmts):
+            if isinstance(s, Decl):
+                self.locals[s.name] = 0
 
     def emit(self, instr: Instr) -> int:
         self.instrs.append(instr)
@@ -291,8 +299,6 @@ class CompiledProgram:
         self.enclosing = enclosing_loops(program)
         self.loop_lines: set[int] = set()
 
-        from .syntax import program_stmts
-
         for stmt in program_stmts(program):
             if isinstance(stmt, MutexDecl):
                 self.mutex_names.add(stmt.name)
@@ -328,7 +334,7 @@ class CompiledProgram:
                 self.callee_codes[fn.name] = self._compile_fn(fn)
 
     def _compile_fn(self, fn: FunctionDef) -> Code:
-        code = Code(fn.name)
+        code = Code(fn)
         _compile_body(code, fn.body.stmts, [], [])
         code.emit(Instr("thread_end", 0))
         return code
@@ -344,20 +350,15 @@ _DIV0 = object()
 class _Ctx:
     """Evaluation context: variable lookup plus nondet handling."""
 
-    def __init__(self, machine: "_Machine", state: "_State", tid: int,
-                 frame: dict[str, int] | None, line: int):
+    def __init__(self, machine: "_Machine", frame: dict[str, int],
+                 line: int):
         self.machine = machine
-        self.state = state
-        self.tid = tid
-        self.frame = frame
+        self.frame = frame  # locals of the running thread or callee
         self.line = line
 
     def lookup(self, name: str, globals_view: dict[str, int]) -> int:
-        if self.frame is not None and name in self.frame:
+        if name in self.frame:
             return self.frame[name]
-        thread = self.state.threads[self.tid]
-        if self.frame is None and name in thread.locals:
-            return thread.locals[name]
         if name in globals_view:
             return globals_view[name]
         raise ModelError(f"read of unknown variable {name!r}")
@@ -446,6 +447,24 @@ def _eval(expr: Expr, ctx: _Ctx, globals_view: dict[str, int]):
     raise ModelError(f"cannot evaluate {expr!r}")
 
 
+def _eval_args(exprs, ctx: _Ctx, globals_view: dict[str, int]):
+    """Forks of a call's argument list, evaluated left to right, in the
+    format of _eval: (values, choices), or (_DIV0, choices) ending at the
+    first argument that divides by zero."""
+    forks = [((), [])]
+    for expr in exprs:
+        extended = []
+        for values, ch in forks:
+            if values is _DIV0:
+                extended.append((values, ch))
+                continue
+            for v, vch in _eval(expr, ctx, globals_view):
+                extended.append((_DIV0 if v is _DIV0 else values + (v,),
+                                 ch + vch))
+        forks = extended
+    return forks
+
+
 def _apply(op: str, a: int, b: int):
     if op == "+":
         return wrap64(a + b)
@@ -530,24 +549,36 @@ class _TraceEntry:
     wait_resume: bool = False
 
 
+class _Frame:
+    """A running callee: its code, pc and locals. Frames live only inside
+    the step that makes the call, which runs the callee to its return."""
+
+    __slots__ = ("code", "pc", "locals")
+
+    def __init__(self, code: Code, pc: int, locals: dict[str, int]):
+        self.code = code
+        self.pc = pc
+        self.locals = locals
+
+    def clone(self) -> "_Frame":
+        return _Frame(self.code, self.pc, dict(self.locals))
+
+
 class _Machine:
     def __init__(self, compiled: CompiledProgram, config: VerifierConfig,
                  feeder=None):
         self.compiled = compiled
         self.config = config
         self.feeder = feeder
+        # set by the search when it reaches a path cut at the loop bound
         self.bound_hit = False
 
     # -- state construction ---------------------------------------------
 
     def initial_state(self) -> _State:
-        threads = [_Thread(0, {}, "ready")]
-        self._zero_locals(threads[0], self.compiled.program.main)
-        for td in self.compiled.program.threads:
-            t = _Thread(0, {}, "new")
-            self._zero_locals(
-                t, self.compiled.fn_by_name[td.function])
-            threads.append(t)
+        threads = [_Thread(0, dict(code.locals), "new")
+                   for code in self.compiled.thread_codes]
+        threads[0].status = "ready"
         state = _State(
             globals=dict(self.compiled.global_init),
             threads=threads,
@@ -563,15 +594,6 @@ class _Machine:
         )
         self._normalize(state, 0)
         return state
-
-    def _zero_locals(self, thread: _Thread, fn: FunctionDef) -> None:
-        from .syntax import iter_stmts
-
-        for p in fn.params:
-            thread.locals[p] = 0
-        for s in iter_stmts(fn.body.stmts):
-            if isinstance(s, Decl):
-                thread.locals[s.name] = 0
 
     def code_of(self, tid: int) -> Code:
         return self.compiled.thread_codes[tid]
@@ -600,34 +622,50 @@ class _Machine:
         return [i for i, t in enumerate(state.threads)
                 if t.status not in ("new", "exited")]
 
-    # -- normalization ----------------------------------------------------
+    # -- frames -----------------------------------------------------------
 
-    def _normalize(self, state: _State, tid: int) -> None:
-        """Advances through micro instructions to the next steppable one."""
-        thread = state.threads[tid]
-        code = self.code_of(tid)
-        while thread.status == "ready":
-            instr = code.instrs[thread.pc]
-            if instr.op == "jump":
-                thread.pc = instr.target
-            elif instr.op == "label":
-                thread.pc += 1
-            elif instr.op == "loop_enter":
+    def _frame(self, state: _State, tid: int, frames: tuple):
+        """The running frame: the innermost callee, else the thread itself.
+        Both carry pc and locals."""
+        return frames[-1] if frames else state.threads[tid]
+
+    def _code(self, tid: int, frames: tuple) -> Code:
+        return frames[-1].code if frames else self.code_of(tid)
+
+    def _normalize(self, state: _State, tid: int, frames: tuple = ()) -> None:
+        """Advances the running frame through micro instructions to the next
+        steppable one."""
+        frame = self._frame(state, tid, frames)
+        code = self._code(tid, frames)
+        while True:
+            instr = code.instrs[frame.pc]
+            op = instr.op
+            if op == "jump":
+                frame.pc = instr.target
+            elif op == "label":
+                frame.pc += 1
+            elif op == "loop_enter":
                 state.per_entry[instr.line] = 0
-                thread.pc += 1
-            elif instr.op == "loop_iter":
+                frame.pc += 1
+            elif op == "loop_iter":
                 state.cum_iters[instr.line] = \
                     state.cum_iters.get(instr.line, 0) + 1
-                thread.pc += 1
-            elif instr.op == "thread_end":
-                thread.status = "exited"
+                frame.pc += 1
+            elif op == "thread_end":
+                if frames:
+                    raise ModelError(
+                        f"function {code.fname!r} finished without return")
+                frame.status = "exited"
+                return
             else:
                 return
 
     # -- stepping ---------------------------------------------------------
 
     def step(self, state: _State, tid: int):
-        """Executes one statement of thread tid.
+        """Executes one statement of thread tid. A call runs its callee to
+        the return inside this step, depth first, so the callee's own
+        statements add no trace entry, context switch or state.
 
         Returns a list of outcomes in deterministic order:
         ('state', s) | ('violation', Violation, s) | ('kill', reason).
@@ -650,383 +688,205 @@ class _Machine:
             thread.pc += 1
             return [self._finish_step(base, tid, line, wait_resume=True)]
 
-        code = self.code_of(tid)
-        instr = code.instrs[thread.pc]
+        outcomes = []
+        work = self._exec(base, tid, ())[::-1]
+        while work:
+            outcome = work.pop()
+            if outcome[0] == "frame":
+                work.extend(self._exec(outcome[1], tid, outcome[2])[::-1])
+            else:
+                outcomes.append(outcome)
+        return outcomes
+
+    def _exec(self, state: _State, tid: int, frames: tuple):
+        """Executes the instruction at the running frame of thread tid,
+        taking ownership of state and frames. Returns outcomes as step does,
+        plus ('frame', s, frames) for each path still inside a callee."""
+        frame = self._frame(state, tid, frames)
+        instr = self._code(tid, frames).instrs[frame.pc]
         op = instr.op
         line = instr.line
+        ctx = _Ctx(self, frame.locals, line)
 
         if op in ("assign", "decl", "for_assign"):
+            def assign(s, f, v):
+                top = self._frame(s, tid, f)
+                self._write(s, top, instr.name, v)
+                top.pc += 1
+                return self._next(s, tid, f, line)
             init = instr.expr if instr.expr is not None else IntLit(0)
-            return self._forked(base, tid, line, init,
-                                lambda s, v: self._set_var(s, tid, instr.name,
-                                                           v))
-        if op == "nopstep":
-            thread.pc += 1
-            return [self._finish_step(base, tid, line)]
-        if op == "assume":
-            return self._forked_cond(
-                base, tid, line, instr.expr,
-                on_true=lambda s: self._advance(s, tid),
-                on_false=None)
-        if op == "assert":
-            return self._forked_cond(
-                base, tid, line, instr.expr,
-                on_true=lambda s: self._advance(s, tid),
-                on_false=Violation("assertion", line))
+            return self._fork(state, tid, frames, line,
+                              _eval(init, ctx, state.globals), assign)
+        if op in ("assume", "assert"):
+            def check(s, f, v):
+                if v != 0:
+                    self._frame(s, tid, f).pc += 1
+                    return self._next(s, tid, f, line)
+                if op == "assume":
+                    return ("kill", "assume")
+                return self._violate(s, tid, line,
+                                     Violation("assertion", line))
+            return self._fork(state, tid, frames, line,
+                              _eval(instr.expr, ctx, state.globals), check)
         if op == "branch":
             loop_line = int(instr.name) if instr.name else None
-            outcomes = []
-            ctx = _Ctx(self, base, tid, None, line)
-            for v, ch in _eval(instr.expr, ctx, base.globals):
-                s = base.clone()
-                self._record_choices(s, ch)
-                if v is _DIV0:
-                    outcomes.append(self._violate(
-                        s, tid, line, Violation("division-by-zero", line)))
-                    continue
-                st = s.threads[tid]
-                if v != 0:
-                    if loop_line is not None:
-                        started = s.per_entry.get(loop_line, 0) + 1
-                        if started > self.config.loop_bound:
-                            self.bound_hit = True
-                            outcomes.append(("kill", "bound"))
-                            continue
-                        s.per_entry[loop_line] = started
-                    st.pc += 1
-                else:
-                    st.pc = instr.target
-                outcomes.append(self._finish_step(s, tid, line))
-            return outcomes
+
+            def branch(s, f, v):
+                top = self._frame(s, tid, f)
+                if v == 0:
+                    top.pc = instr.target
+                    return self._next(s, tid, f, line)
+                if loop_line is not None:
+                    started = s.per_entry.get(loop_line, 0) + 1
+                    if started > self.config.loop_bound:
+                        return ("kill", "bound")
+                    s.per_entry[loop_line] = started
+                top.pc += 1
+                return self._next(s, tid, f, line)
+            return self._fork(state, tid, frames, line,
+                              _eval(instr.expr, ctx, state.globals), branch)
         if op == "switch":
-            outcomes = []
-            ctx = _Ctx(self, base, tid, None, line)
-            for v, ch in _eval(instr.expr, ctx, base.globals):
-                s = base.clone()
-                self._record_choices(s, ch)
-                if v is _DIV0:
-                    outcomes.append(self._violate(
-                        s, tid, line, Violation("division-by-zero", line)))
-                    continue
-                frame = instr.aux
-                target = frame["labels"].get(v)
+            table = instr.aux
+
+            def switch(s, f, v):
+                target = table["labels"].get(v)
                 if target is None:
-                    target = frame["default"]
+                    target = table["default"]
                 if target is None:
-                    target = frame["end"]
-                s.threads[tid].pc = target
-                outcomes.append(self._finish_step(s, tid, line))
-            return outcomes
+                    target = table["end"]
+                self._frame(s, tid, f).pc = target
+                return self._next(s, tid, f, line)
+            return self._fork(state, tid, frames, line,
+                              _eval(instr.expr, ctx, state.globals), switch)
         if op == "break":
-            thread.pc = code.instrs[instr.target].aux["end"]
-            return [self._finish_step(base, tid, line)]
+            frame.pc = self._code(tid, frames).instrs[instr.target].aux["end"]
+            return [self._next(state, tid, frames, line)]
+        if op == "call":
+            callee = self.compiled.callee_codes[instr.args[0]]
+
+            def call(s, f, args):
+                env = dict(callee.locals)
+                env.update(zip(callee.params, args))
+                f = f + (_Frame(callee, 0, env),)
+                self._normalize(s, tid, f)
+                return ("frame", s, f)
+            return self._fork(state, tid, frames, line,
+                              _eval_args(instr.args[1], ctx, state.globals),
+                              call)
         if op == "return":
-            # value is irrelevant at thread level; evaluate for effects only
-            outcomes = []
-            ctx = _Ctx(self, base, tid, None, line)
-            for v, ch in _eval(instr.expr, ctx, base.globals):
-                s = base.clone()
-                self._record_choices(s, ch)
-                if v is _DIV0:
-                    outcomes.append(self._violate(
-                        s, tid, line, Violation("division-by-zero", line)))
-                    continue
-                s.threads[tid].status = "exited"
-                outcomes.append(self._finish_step(s, tid, line,
-                                                  normalize=False))
-            return outcomes
+            if frames:
+                def ret(s, f, v):
+                    f = f[:-1]
+                    caller = self._frame(s, tid, f)
+                    site = self._code(tid, f).instrs[caller.pc]
+                    self._write(s, caller, site.name, v)
+                    caller.pc += 1
+                    return self._next(s, tid, f, site.line)
+            else:
+                # a thread's return value is irrelevant; evaluate for
+                # effects only
+                def ret(s, f, v):
+                    s.threads[tid].status = "exited"
+                    return self._finish_step(s, tid, line, normalize=False)
+            return self._fork(state, tid, frames, line,
+                              _eval(instr.expr, ctx, state.globals), ret)
+
+        if frames:
+            raise ModelError(
+                f"unsupported statement inside callable function: {op!r}")
+        thread = frame
+        if op == "nopstep":
+            thread.pc += 1
+            return [self._finish_step(state, tid, line)]
         if op == "exit":
             thread.status = "exited"
-            return [self._finish_step(base, tid, line, normalize=False)]
+            return [self._finish_step(state, tid, line, normalize=False)]
         if op == "create":
             fname = instr.args[0]
             ordinal = self.compiled.thread_of_fn[fname]
-            target = base.threads[ordinal]
+            target = state.threads[ordinal]
             if target.status != "new":
                 raise ModelError(
                     f"thread function {fname!r} created twice")
             target.status = "ready"
-            base.handles[instr.name] = ordinal
-            self._normalize(base, ordinal)
+            state.handles[instr.name] = ordinal
+            self._normalize(state, ordinal)
             thread.pc += 1
-            return [self._finish_step(base, tid, line)]
+            return [self._finish_step(state, tid, line)]
         if op == "join":
-            target = base.handles.get(instr.name)
-            if target is None or base.threads[target].status != "exited":
+            target = state.handles.get(instr.name)
+            if target is None or state.threads[target].status != "exited":
                 raise ModelError("join scheduled while target is running")
             thread.pc += 1
-            return [self._finish_step(base, tid, line)]
+            return [self._finish_step(state, tid, line)]
         if op == "lock":
-            if base.mutexes[instr.name] is not None:
+            if state.mutexes[instr.name] is not None:
                 raise ModelError("lock scheduled while mutex held")
-            base.mutexes[instr.name] = tid
+            state.mutexes[instr.name] = tid
             thread.pc += 1
-            return [self._finish_step(base, tid, line)]
+            return [self._finish_step(state, tid, line)]
         if op == "unlock":
-            base.mutexes[instr.name] = None
+            state.mutexes[instr.name] = None
             thread.pc += 1
-            return [self._finish_step(base, tid, line)]
+            return [self._finish_step(state, tid, line)]
         if op == "wait":
             # releases the mutex and blocks; pc stays on the wait until the
             # reacquisition step completes it
-            base.mutexes[instr.args[0]] = None
+            state.mutexes[instr.args[0]] = None
             thread.status = "cond"
             thread.wait_cond = instr.name
             thread.wait_mutex = instr.args[0]
-            return [self._finish_step(base, tid, line, normalize=False)]
+            return [self._finish_step(state, tid, line, normalize=False)]
         if op == "signal":
-            waiters = [i for i, t in enumerate(base.threads)
+            waiters = [i for i, t in enumerate(state.threads)
                        if t.status == "cond" and t.wait_cond == instr.name]
             if waiters:
-                woken = base.threads[min(waiters)]
+                woken = state.threads[min(waiters)]
                 woken.status = "reacquire"
                 woken.wait_cond = ""
             thread.pc += 1
-            return [self._finish_step(base, tid, line)]
-        if op == "call":
-            return self._step_call(base, tid, line, instr)
+            return [self._finish_step(state, tid, line)]
         raise ModelError(f"unexpected instruction {op!r}")
 
     # -- step helpers -----------------------------------------------------
 
-    def _advance(self, state: _State, tid: int) -> None:
-        state.threads[tid].pc += 1
+    def _fork(self, state: _State, tid: int, frames: tuple, line: int,
+              forks, apply):
+        """One outcome per fork of an evaluated expression, in fork order:
+        a division-by-zero violation, or apply(s, f, value) on the fork's
+        own state and frames. The last fork takes state and frames as they
+        are."""
+        outcomes = []
+        last = len(forks) - 1
+        for i, (v, ch) in enumerate(forks):
+            if i < last:
+                s = state.clone()
+                f = tuple(fr.clone() for fr in frames) if frames else ()
+            else:
+                s, f = state, frames
+            for pair in ch:
+                s.choices = (s.choices, pair)
+            if v is _DIV0:
+                outcomes.append(self._violate(
+                    s, tid, line, Violation("division-by-zero", line)))
+            else:
+                outcomes.append(apply(s, f, v))
+        return outcomes
 
-    def _set_var(self, state: _State, tid: int, name: str, value: int):
-        thread = state.threads[tid]
-        if name in thread.locals:
-            thread.locals[name] = value
+    def _next(self, state: _State, tid: int, frames: tuple, line: int):
+        """Ends an instruction: a callee runs on, a thread's step is done."""
+        if frames:
+            self._normalize(state, tid, frames)
+            return ("frame", state, frames)
+        return self._finish_step(state, tid, line)
+
+    def _write(self, state: _State, frame, name: str, value: int) -> None:
+        if name in frame.locals:
+            frame.locals[name] = value
         elif name in state.globals:
             state.globals[name] = value
         else:
             raise ModelError(f"write to unknown variable {name!r}")
-        thread.pc += 1
-
-    def _forked(self, base: _State, tid: int, line: int, expr: Expr, apply):
-        outcomes = []
-        ctx = _Ctx(self, base, tid, None, line)
-        for v, ch in _eval(expr, ctx, base.globals):
-            s = base.clone()
-            self._record_choices(s, ch)
-            if v is _DIV0:
-                outcomes.append(self._violate(
-                    s, tid, line, Violation("division-by-zero", line)))
-                continue
-            apply(s, v)
-            outcomes.append(self._finish_step(s, tid, line))
-        return outcomes
-
-    def _forked_cond(self, base: _State, tid: int, line: int, expr: Expr,
-                     on_true, on_false):
-        outcomes = []
-        ctx = _Ctx(self, base, tid, None, line)
-        for v, ch in _eval(expr, ctx, base.globals):
-            s = base.clone()
-            self._record_choices(s, ch)
-            if v is _DIV0:
-                outcomes.append(self._violate(
-                    s, tid, line, Violation("division-by-zero", line)))
-                continue
-            if v != 0:
-                on_true(s)
-                outcomes.append(self._finish_step(s, tid, line))
-            elif on_false is None:
-                outcomes.append(("kill", "assume"))
-            else:
-                outcomes.append(self._violate(s, tid, line, on_false))
-        return outcomes
-
-    def _step_call(self, base: _State, tid: int, line: int, instr: Instr):
-        fname, arg_exprs = instr.args
-        fn = self.compiled.fn_by_name[fname]
-        code = self.compiled.callee_codes[fname]
-        outcomes = []
-        ctx = _Ctx(self, base, tid, None, line)
-        arg_forks = [(list(), list())]  # (values, choices)
-        for a in arg_exprs:
-            new_forks = []
-            for values, choices in arg_forks:
-                for v, ch in _eval(a, ctx, base.globals):
-                    if v is _DIV0:
-                        new_forks.append((values + [_DIV0], choices + ch))
-                    else:
-                        new_forks.append((values + [v], choices + ch))
-            arg_forks = new_forks
-        for values, choices in arg_forks:
-            s = base.clone()
-            self._record_choices(s, choices)
-            if any(v is _DIV0 for v in values):
-                outcomes.append(self._violate(
-                    s, tid, line, Violation("division-by-zero", line)))
-                continue
-            for result in self._run_callee(s, tid, fn, code, values, line):
-                if result[0] == "retval":
-                    _, ret_state, ret_value = result
-                    self._set_var(ret_state, tid, instr.name, ret_value)
-                    outcomes.append(self._finish_step(ret_state, tid, line))
-                else:
-                    outcomes.append(result)
-        return outcomes
-
-    def _run_callee(self, entry_state: _State, tid: int, fn: FunctionDef,
-                    code: Code, args: list[int], call_line: int):
-        """Runs a callee atomically, forking on its nondets. Yields step
-        outcomes plus ('retval', state, value) completions."""
-        from .syntax import iter_stmts
-
-        frame = {p: v for p, v in zip(fn.params, args)}
-        for s in iter_stmts(fn.body.stmts):
-            if isinstance(s, Decl):
-                frame[s.name] = 0
-        results = []
-        # worklist of (state, frame, pc)
-        work = [(entry_state, frame, 0)]
-        while work:
-            state, env, pc = work.pop()
-            while True:
-                instr = code.instrs[pc]
-                op = instr.op
-                if op == "jump":
-                    pc = instr.target
-                    continue
-                if op == "label":
-                    pc += 1
-                    continue
-                if op == "loop_enter":
-                    state.per_entry[instr.line] = 0
-                    pc += 1
-                    continue
-                if op == "loop_iter":
-                    state.cum_iters[instr.line] = \
-                        state.cum_iters.get(instr.line, 0) + 1
-                    pc += 1
-                    continue
-                if op == "thread_end":
-                    raise ModelError(
-                        f"function {fn.name!r} finished without return")
-                break
-            ctx = _Ctx(self, state, tid, env, instr.line)
-            if instr.op in ("assign", "decl"):
-                expr = instr.expr if instr.expr is not None else IntLit(0)
-                forks = _eval(expr, ctx, state.globals)
-                pending = []
-                for v, ch in forks:
-                    s = state.clone()
-                    e = dict(env)
-                    self._record_choices(s, ch)
-                    if v is _DIV0:
-                        results.append(self._violate(
-                            s, tid, instr.line,
-                            Violation("division-by-zero", instr.line)))
-                        continue
-                    if instr.name in e:
-                        e[instr.name] = v
-                    elif instr.name in s.globals:
-                        s.globals[instr.name] = v
-                    else:
-                        raise ModelError(
-                            f"write to unknown variable {instr.name!r}")
-                    pending.append((s, e, pc + 1))
-                work.extend(reversed(pending))
-                continue
-            if instr.op in ("assume", "assert", "branch"):
-                pending = []
-                for v, ch in _eval(instr.expr, ctx, state.globals):
-                    s = state.clone()
-                    e = dict(env)
-                    self._record_choices(s, ch)
-                    if v is _DIV0:
-                        results.append(self._violate(
-                            s, tid, instr.line,
-                            Violation("division-by-zero", instr.line)))
-                        continue
-                    if instr.op == "assume":
-                        if v != 0:
-                            pending.append((s, e, pc + 1))
-                        else:
-                            results.append(("kill", "assume"))
-                    elif instr.op == "assert":
-                        if v != 0:
-                            pending.append((s, e, pc + 1))
-                        else:
-                            results.append(self._violate(
-                                s, tid, instr.line,
-                                Violation("assertion", instr.line)))
-                    else:
-                        loop_line = int(instr.name) if instr.name else None
-                        if v != 0:
-                            if loop_line is not None:
-                                started = s.per_entry.get(loop_line, 0) + 1
-                                if started > self.config.loop_bound:
-                                    self.bound_hit = True
-                                    results.append(("kill", "bound"))
-                                    continue
-                                s.per_entry[loop_line] = started
-                            pending.append((s, e, pc + 1))
-                        else:
-                            pending.append((s, e, instr.target))
-                work.extend(reversed(pending))
-                continue
-            if instr.op == "call":
-                inner_name, inner_args = instr.args
-                inner_fn = self.compiled.fn_by_name[inner_name]
-                inner_code = self.compiled.callee_codes[inner_name]
-                arg_forks = [(list(), list())]
-                for a in inner_args:
-                    new_forks = []
-                    for values, choices in arg_forks:
-                        for v, ch in _eval(a, ctx, state.globals):
-                            new_forks.append((values + [v], choices + ch))
-                    arg_forks = new_forks
-                pending = []
-                for values, choices in arg_forks:
-                    if any(v is _DIV0 for v in values):
-                        s = state.clone()
-                        self._record_choices(s, choices)
-                        results.append(self._violate(
-                            s, tid, instr.line,
-                            Violation("division-by-zero", instr.line)))
-                        continue
-                    s = state.clone()
-                    self._record_choices(s, choices)
-                    for outcome in self._run_callee(
-                            s, tid, inner_fn, inner_code, values,
-                            instr.line):
-                        if outcome[0] == "retval":
-                            _, ret_state, ret_value = outcome
-                            e = dict(env)
-                            if instr.name in e:
-                                e[instr.name] = ret_value
-                            elif instr.name in ret_state.globals:
-                                ret_state.globals[instr.name] = ret_value
-                            else:
-                                raise ModelError(
-                                    f"write to unknown variable "
-                                    f"{instr.name!r}")
-                            pending.append((ret_state, e, pc + 1))
-                        else:
-                            results.append(outcome)
-                work.extend(reversed(pending))
-                continue
-            if instr.op == "return":
-                for v, ch in _eval(instr.expr, ctx, state.globals):
-                    s = state.clone()
-                    self._record_choices(s, ch)
-                    if v is _DIV0:
-                        results.append(self._violate(
-                            s, tid, instr.line,
-                            Violation("division-by-zero", instr.line)))
-                        continue
-                    results.append(("retval", s, v))
-                continue
-            raise ModelError(
-                f"unsupported statement inside callable function: "
-                f"{instr.op!r}")
-        return results
-
-    def _record_choices(self, state: _State, choices) -> None:
-        for pair in choices:
-            state.choices = (state.choices, pair)
 
     def _violate(self, state: _State, tid: int, line: int,
                  violation: Violation):
@@ -1136,6 +996,9 @@ def _explore(machine: _Machine, first_leaf: bool = False):
         if kind[0] == "violation":
             return ("violation", kind[1], kind[2])
         if kind[0] == "cut":
+            # a loop-bound kill counts once the search reaches it, in the
+            # same order whether or not it happened inside a callee
+            machine.bound_hit = True
             if first_leaf:
                 return ("leaf", "cut", kind[1])
             continue
@@ -1173,7 +1036,7 @@ def _explore(machine: _Machine, first_leaf: bool = False):
         for tid in schedulable:
             for outcome in machine.step(state, tid):
                 if outcome[0] == "kill":
-                    if first_leaf and outcome[1] == "bound":
+                    if outcome[1] == "bound":
                         pushes.append(("cut", state))
                     continue
                 pushes.append(outcome)

@@ -114,3 +114,49 @@ class ProgramGen:
 
 def generate_source(seed: int, **kwargs) -> str:
     return ProgramGen(random.Random(seed), **kwargs).source()
+
+
+def generate_callee_source(seed: int) -> str:
+    """A single-thread program whose int functions each hold a nondet read,
+    a while loop that may run past the unwind bound, an assert and a
+    division that may be by zero; a function may call earlier ones, so some
+    calls nest. Arguments may read nondet or divide too."""
+    rng = random.Random(seed)
+    lines = [f"int g = {rng.randint(0, 3)};"]
+    arity = []
+    for k in range(rng.randint(1, 3)):
+        params = ["a", "b"][:rng.randint(1, 2)]
+        stmts = [
+            f"t = t + nondet(0, {rng.randint(1, 3)});",
+            "while (i < t) {\n    g = g + 1;\n    i = i + 1;\n  }",
+            f"assert(t != {rng.randint(0, 9)});",
+            f"t = {rng.randint(1, 6)} / (t - {params[-1]} + "
+            f"{rng.randint(0, 3)});",
+        ]
+        if k > 0:
+            stmts.append(f"t = {_call(rng, arity, 't')};")
+        rng.shuffle(stmts)
+        lines.append(f"int f{k}({', '.join(f'int {p}' for p in params)}) {{")
+        lines.append("  int t = a;")
+        lines.append("  int i = 0;")
+        lines.extend(f"  {s}" for s in stmts)
+        lines.append(f"  return t + {rng.randint(0, 2)};")
+        lines.append("}")
+        arity.append(len(params))
+    lines.append("int main() {")
+    lines.append("  int x = 0;")
+    for _ in range(rng.randint(1, 2)):
+        lines.append(f"  x = {_call(rng, arity, 'x')};")
+        lines.append("  g = g + x;")
+    lines.append(f"  assert(x != {rng.randint(-2, 4)});")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _call(rng: random.Random, arity: list[int], var: str) -> str:
+    k = rng.randrange(len(arity))
+    choices = [var, "g", f"{var} + {rng.randint(1, 2)}",
+               f"nondet(0, {rng.randint(1, 2)})",
+               f"{rng.randint(2, 6)} / (nondet(0, 2) - 1)"]
+    args = [rng.choice(choices) for _ in range(arity[k])]
+    return f"f{k}({', '.join(args)})"

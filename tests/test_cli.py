@@ -57,6 +57,24 @@ class TestExitStatuses:
         assert main(["verify", str(fault_file)]) == 1
         assert "violation: assertion" in capsys.readouterr().out
 
+    def test_model_error_is_four(self, tmp_path, capsys):
+        # one create statement passes the parser, but the loop runs it twice
+        path = tmp_path / "recreate.mc"
+        path.write_text("""pthread_t h;
+void w() {
+}
+int main() {
+  int i = 0;
+  while (i < 2) {
+    pthread_create(h, w);
+    i = i + 1;
+  }
+}
+""")
+        assert main(["verify", str(path)]) == 4
+        assert "mcfl: thread function 'w' created twice" in \
+            capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_emit_intermediates(self, fault_file, capsys):

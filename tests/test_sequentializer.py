@@ -41,6 +41,7 @@ from mcfl.syntax import (
 )
 from mcfl.verifier import (
     VerifierConfig,
+    Violation,
     extract_schedule,
     first_path,
     verify,
@@ -331,6 +332,33 @@ int main() {
         for entry in seq.line_map.values():
             if entry.kind == "original":
                 assert entry.value in orig_lines
+
+    def test_unwound_copy_maps_to_callee_line(self):
+        src = """int x = 0;
+pthread_t h;
+int f(int m) {
+  int t = m + x;
+  assert(t != 3);
+  return t;
+}
+void w() {
+  x = 2;
+}
+int main() {
+  pthread_create(h, w);
+  x = f(1);
+  return 0;
+}
+"""
+        p = parse(src)
+        result = verify(p, VerifierConfig(context_bound=2))
+        cex = result.counterexample
+        assert cex.violation == Violation("assertion", 4)
+        seq = sequentialize(p, extract_schedule(cex), False)
+        seq_result = verify(seq.program, VerifierConfig(context_bound=0))
+        seq_line = seq_result.counterexample.violation.line
+        assert seq.line_map[seq_line].value == "unwind-copy"
+        assert seq.original_line(seq_line) == cex.violation.line
 
 
 class TestOrderControl:

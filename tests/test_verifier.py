@@ -3,6 +3,7 @@
 import pytest
 
 from mcfl.parser import parse
+from mcfl.sequentializer import unwind_calls
 from mcfl.verifier import (
     ContextSwitchRecord,
     Counterexample,
@@ -19,7 +20,7 @@ from mcfl.verifier import (
 )
 
 from oracles import naive_violates
-from randprog import generate_source
+from randprog import generate_callee_source, generate_source
 
 ABBA = """pthread_mutex_t ma;
 pthread_mutex_t mb;
@@ -250,6 +251,53 @@ class TestOracleAgreement:
             if mine != theirs:
                 disagreements.append(seed)
         assert disagreements == []
+
+
+class TestCallees:
+    """A call runs atomically in one step, but must explore its callee like
+    the inlined body: same verdict, same first violation, same nondet
+    values. Single-thread programs only, since inlining gives up the
+    atomicity other threads could observe."""
+
+    CONFIG = VerifierConfig(context_bound=0, loop_bound=2,
+                            nondet_domain=(0, 3))
+
+    @staticmethod
+    def _summary(result):
+        cex = result.counterexample
+        return (result.outcome,
+                cex.violation.kind if cex else None,
+                result.bound_hit,
+                [value for _, value in cex.nondet_choices] if cex else None)
+
+    def _summaries(self, program):
+        return (self._summary(verify(program, self.CONFIG)),
+                self._summary(verify(unwind_calls(program), self.CONFIG)))
+
+    def test_callee_forks_in_ascending_order(self):
+        # nondet 0 passes the division and reaches main's assert first;
+        # nondet 1 divides by zero, later in the search order
+        p = parse("""int x = 0;
+int f(int m) {
+  int t = 6 / (nondet() - m);
+  return t;
+}
+int main() {
+  x = f(1);
+  assert(x != -6);
+}
+""")
+        cex = verify(p, self.CONFIG).counterexample
+        assert cex.violation == Violation("assertion", 5)
+        assert cex.nondet_choices == [(2, 0)]
+        mine, unwound = self._summaries(p)
+        assert mine == unwound
+
+    def test_generated_callees_match_unwound(self):
+        for seed in range(150):
+            mine, unwound = self._summaries(
+                parse(generate_callee_source(seed)))
+            assert mine == unwound, seed
 
 
 class TestCounterexampleJson:
