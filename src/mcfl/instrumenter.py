@@ -21,6 +21,7 @@ from .syntax import (
     Binary,
     Block,
     Decl,
+    Expr,
     If,
     IntLit,
     Nondet,
@@ -85,7 +86,10 @@ def instrument(seq: SequentialProgram) -> InstrumentedProgram:
 
 
 def block_diag(instr: InstrumentedProgram, value: int) -> InstrumentedProgram:
-    """Adds assume(diag != value); repeated values change nothing."""
+    """Adds assume(diag != value); repeated values change nothing.
+
+    Kept as public API for block-and-reverify enumeration; localize no
+    longer uses it, since one grouped search finds every diag value."""
     if value in instr.blocked:
         return instr
     return _instrument_core(instr.seq, instr.blocked | {value})
@@ -134,11 +138,8 @@ def _instrument_core(seq: SequentialProgram,
     ]
     for b in sorted(blocked):
         header.append(Assume(Binary("!=", Var(diag), IntLit(b))))
-    domain_expr = Binary("==", Var(diag), IntLit(0))
-    for line in sorted(domain):
-        domain_expr = Binary("||", domain_expr,
-                             Binary("==", Var(diag), IntLit(line)))
-    header.append(Assume(domain_expr))
+    header.append(Assume(_any_of(
+        [Binary("==", Var(diag), IntLit(v)) for v in [0] + sorted(domain)])))
     program.main.body.stmts = header + body
 
     renumber(program)
@@ -166,6 +167,15 @@ def _instrument_core(seq: SequentialProgram,
         wrap_sites=wrap_sites,
         assert_false_line=final_assert.line,
     )
+
+
+def _any_of(terms: list[Expr]) -> Expr:
+    """A balanced || tree over terms, so its depth, and the recursion depth
+    of printing and evaluating it, grows with log(len(terms))."""
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return Binary("||", _any_of(terms[:mid]), _any_of(terms[mid:]))
 
 
 def _asserts_to_assumes(block: Block) -> None:

@@ -298,8 +298,11 @@ def _unwind_stmts(stmts: list[Stmt], fns: dict[str, FunctionDef],
                     "threading statement inside a callable function")
             copied = _copy_pthread(s)
             out.append(_mark(copied, prov, orig))
-        elif isinstance(s, (For, Switch, CaseLabel, DefaultLabel, Break,
-                            ArrayDecl)):
+        elif isinstance(s, (For, Switch, CaseLabel, DefaultLabel, Break)):
+            raise RuleGapError(
+                f"line {s.line}: {type(s).__name__} has no transformation "
+                "rule; for and switch are supported by verify only")
+        elif isinstance(s, ArrayDecl):
             raise RuleGapError(
                 f"framework statement {type(s).__name__} has no "
                 "transformation rule")

@@ -133,11 +133,24 @@ class Counterexample:
 
 
 @dataclass
+class GroupedViolation:
+    """One violation of a grouped search: the group value (the grouping
+    local of main, None if main has no such local) and the nondet choices
+    of the path that reached it."""
+
+    value: int | None
+    violation: Violation
+    nondet_choices: list[tuple[int, int]]
+
+
+@dataclass
 class VerificationResult:
     outcome: str  # 'safe-within-bounds' | 'violation' | 'resource-exhausted'
     counterexample: Counterexample | None = None
     bound_hit: bool = False
     states: int = 0
+    # grouped search only, in discovery order
+    groups: list[GroupedViolation] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -981,12 +994,23 @@ def _build_counterexample(compiled: CompiledProgram, state: _State,
 # ---------------------------------------------------------------------------
 
 
-def _explore(machine: _Machine, first_leaf: bool = False):
+def _group_value(state: _State, group_by: str) -> int | None:
+    return state.threads[0].locals.get(group_by)
+
+
+def _explore(machine: _Machine, first_leaf: bool = False,
+             group_by: str | None = None,
+             groups: list[GroupedViolation] | None = None):
     """DFS over interleavings and nondet values.
 
     Returns ('violation', Violation, state) | ('exhausted', states)
     | ('safe', states) and, in first_leaf mode, ('leaf', kind, state) for
     the first completed/cut path.
+
+    With group_by, a violation where that local of main is nonzero is
+    appended to groups and does not end the search: the rest of that
+    value's subtree, which sits on top of the stack, is dropped and the
+    search goes on. The value must stay fixed once drawn.
     """
     config = machine.config
     stack: list[tuple] = [("state", machine.initial_state())]
@@ -994,6 +1018,16 @@ def _explore(machine: _Machine, first_leaf: bool = False):
     while stack:
         kind = stack.pop()
         if kind[0] == "violation":
+            if group_by is not None:
+                value = _group_value(kind[2], group_by)
+                groups.append(GroupedViolation(
+                    value, kind[1], _materialize_choices(kind[2])))
+                if value:
+                    # every entry holds its state last
+                    while stack and \
+                            _group_value(stack[-1][-1], group_by) == value:
+                        stack.pop()
+                    continue
             return ("violation", kind[1], kind[2])
         if kind[0] == "cut":
             # a loop-bound kill counts once the search reaches it, in the
@@ -1044,22 +1078,34 @@ def _explore(machine: _Machine, first_leaf: bool = False):
     return ("safe", visited)
 
 
-def verify(program: Program, config: VerifierConfig) -> VerificationResult:
+def verify(program: Program, config: VerifierConfig, *,
+           group_by: str | None = None) -> VerificationResult:
     """Explores all interleavings within bounds; returns the first violation
-    in the fixed exploration order, or safe-within-bounds."""
+    in the fixed exploration order, or safe-within-bounds.
+
+    With group_by, the name of a local of main, one search collects the
+    first violation of every nonzero value of that local into `groups`,
+    in discovery order. A violation where it is 0 (or missing) ends the
+    search as outcome 'violation' and is the last group; the search
+    otherwise ends 'safe-within-bounds' or, past max_states in total,
+    'resource-exhausted'. No counterexample is built in this mode.
+    """
     compiled = CompiledProgram(program)
     machine = _Machine(compiled, config)
-    result = _explore(machine)
+    groups: list[GroupedViolation] = []
+    result = _explore(machine, group_by=group_by, groups=groups)
     if result[0] == "violation":
-        cex = _build_counterexample(compiled, result[2], result[1])
+        cex = None if group_by is not None else \
+            _build_counterexample(compiled, result[2], result[1])
         return VerificationResult("violation", cex,
-                                  bound_hit=machine.bound_hit)
+                                  bound_hit=machine.bound_hit, groups=groups)
     if result[0] == "exhausted":
         return VerificationResult("resource-exhausted", None,
                                   bound_hit=machine.bound_hit,
-                                  states=result[1])
+                                  states=result[1], groups=groups)
     return VerificationResult("safe-within-bounds", None,
-                              bound_hit=machine.bound_hit, states=result[1])
+                              bound_hit=machine.bound_hit, states=result[1],
+                              groups=groups)
 
 
 def first_path(program: Program, config: VerifierConfig):

@@ -29,3 +29,15 @@ def single_fault_program(single_fault_source):
 
 def bench_source(name: str) -> str:
     return (BENCH_DIR / f"{name}.mc").read_text()
+
+
+def bign_source(n: int) -> str:
+    """bigN: one racer adds to x once, main adds to it n times, then asserts
+    the total is not reached. Every increment is a repair, so the diagnosis
+    model has n + 1 eligible lines and n + 1 diagnoses."""
+    lines = ["int x = 0;", "pthread_t h;", "", "void racer() {",
+             "  x = x + 1;", "}", "", "int main() {",
+             "  pthread_create(h, racer);"]
+    lines += ["  x = x + 1;"] * n
+    lines += [f"  assert(x != {n + 1});", "}"]
+    return "\n".join(lines) + "\n"

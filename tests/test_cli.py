@@ -76,6 +76,30 @@ int main() {
             capsys.readouterr().err
 
 
+    def test_user_for_loop_is_verify_only(self, tmp_path, capsys):
+        path = tmp_path / "callee_for.mc"
+        path.write_text("""int x = 0;
+int f(int m) {
+  int t = 0;
+  int i;
+  for (i = 0; i < m; i = i + 1) {
+    t = t + 2;
+  }
+  return t;
+}
+int main() {
+  x = f(3);
+  assert(x != 6);
+}
+""")
+        assert main(["localize", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "mcfl: line 4: For has no transformation rule; for and switch "
+            "are supported by verify only\n")
+        assert main(["verify", str(path)]) == 1
+        assert "violation: assertion" in capsys.readouterr().out
+
+
 class TestArtifacts:
     def test_emit_intermediates(self, fault_file, capsys):
         code = main(["localize", str(fault_file), "--emit-intermediates"])
@@ -84,6 +108,14 @@ class TestArtifacts:
         for suffix in (".counterexample.json", ".seq.mc",
                        ".instrumented.mc", ".linemap.json"):
             assert base.with_suffix(suffix).exists(), suffix
+
+    def test_emitted_model_is_the_instrument_output(self, fault_file,
+                                                   capsys):
+        main(["localize", str(fault_file), "--emit-intermediates"])
+        capsys.readouterr()
+        assert main(["instrument", str(fault_file)]) == 1
+        assert fault_file.with_suffix(".instrumented.mc").read_text() == \
+            capsys.readouterr().out
 
     def test_counterexample_json_round_trips(self, fault_file, capsys):
         main(["verify", str(fault_file), "--emit-intermediates"])

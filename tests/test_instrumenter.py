@@ -18,7 +18,14 @@ from mcfl.syntax import (
     pretty_print,
     program_stmts,
 )
-from mcfl.verifier import VerifierConfig, extract_schedule, verify
+from mcfl.verifier import (
+    VerifierConfig,
+    extract_schedule,
+    first_path,
+    verify,
+)
+
+from conftest import bign_source
 
 
 def _sequentialized(program, config):
@@ -102,6 +109,21 @@ int main() {
             p, Schedule([Segment(0, 1, 1, {}, 11)], [11], {}), False)
         with pytest.raises(NothingToInstrument):
             instrument(seq)
+
+
+class TestLargeDomain:
+    def test_two_thousand_eligible_lines(self, default_config):
+        # the domain assumption is a balanced || tree; a chain this long
+        # overflowed the recursion of evaluation and printing
+        instr = instrument(_sequentialized(parse(bign_source(2000)),
+                                           default_config))
+        assert len(instr.diag_domain) == 2001
+        kind, steps, valuation = first_path(
+            instr.program, VerifierConfig(context_bound=0))
+        assert kind == "violation"
+        assert valuation[instr.diag_var] in instr.diag_domain
+        text = pretty_print(instr.program)
+        assert pretty_print(parse(text)) == text
 
 
 class TestBlockDiag:

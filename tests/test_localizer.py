@@ -1,8 +1,12 @@
-"""Pipeline driver, validation oracle and blocking-loop discipline."""
+"""Pipeline driver, validation oracle and diagnosis-loop discipline."""
+
+from dataclasses import replace
 
 import pytest
 
+from mcfl.instrumenter import NothingToInstrument, block_diag, instrument
 from mcfl.localizer import (
+    _substitute,
     brute_force_diagnoses,
     localize,
     report_from_json,
@@ -11,9 +15,10 @@ from mcfl.localizer import (
 )
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize
+from mcfl.syntax import Assign, IntLit, line_table, pretty_print
 from mcfl.verifier import VerifierConfig, extract_schedule, verify
 
-from conftest import bench_source
+from conftest import BENCH_DIR, bench_source, bign_source
 from randprog import generate_source
 
 
@@ -145,6 +150,135 @@ class TestLoopDiscipline:
         assert report.found_error_count == len(report.diagnoses)
         assert report.status == "faults-found"
         assert report.diagnoses
+
+
+def _reparse_validates(seq, d, witness, config):
+    """validate_diag with the substituted program built by printing and
+    parsing the sequential program back, independently of localize."""
+    program = parse(pretty_print(seq.program))
+    stmt = line_table(program)[d]
+    if isinstance(stmt, Assign):
+        stmt.expr = IntLit(witness)
+    else:
+        stmt.cond = IntLit(witness)
+    result = verify(program, replace(config, context_bound=0,
+                                     deadlock_check=False))
+    return result.outcome == "safe-within-bounds" and not result.bound_hit
+
+
+def _block_and_reverify(program, config):
+    """Reference enumeration: verify the diagnosis model, block the diag
+    value found, and verify again until the model passes, one run per
+    diagnosis. Returns (status, diagnosis tuples) comparable to localize."""
+    first = verify(program, replace(config, deadlock_check=True))
+    if first.outcome == "resource-exhausted":
+        return "resource-exhausted", []
+    if first.outcome == "safe-within-bounds":
+        return "no-counterexample", []
+    cex = first.counterexample
+    seq = sequentialize(program, extract_schedule(cex),
+                        cex.violation.kind == "deadlock")
+    try:
+        instr = instrument(seq)
+    except NothingToInstrument:
+        return "inconclusive", []
+    run_cfg = replace(config, context_bound=0, deadlock_check=False)
+    found = []
+    for iteration in range(1, len(instr.diag_domain) + 2):
+        result = verify(instr.program, run_cfg)
+        if result.outcome == "resource-exhausted":
+            return "resource-exhausted", found
+        if result.outcome == "safe-within-bounds":
+            break
+        path = result.counterexample
+        d = path.final_valuation.get(instr.diag_var)
+        if d is None or d not in instr.diag_domain:
+            found.append((d or 0, None, None, iteration, False))
+            return "inconclusive", found
+        site = instr.wrap_sites[d]
+        witness = None
+        for line, value in path.nondet_choices:
+            if line == site:
+                witness = value
+        validated = witness is not None and _reparse_validates(
+            seq, d, witness, config)
+        found.append((d, seq.original_line(d), witness, iteration,
+                      validated))
+        instr = block_diag(instr, d)
+    return ("faults-found" if found else "inconclusive"), found
+
+
+def _localized(program, config):
+    report = localize(program, config)
+    return report.status, [
+        (d.seq_line, d.original_line, d.witness_value, d.iteration,
+         d.oracle_validated) for d in report.diagnoses]
+
+
+class TestOneSearchMatchesBlocking:
+    """localize's single grouped search reports what block-and-reverify
+    does, iteration numbers and validation included."""
+
+    @pytest.mark.parametrize("path", sorted(BENCH_DIR.glob("*.mc")),
+                             ids=lambda p: p.stem)
+    def test_ports(self, path, default_config):
+        program = parse(path.read_text())
+        assert _localized(program, default_config) == \
+            _block_and_reverify(program, default_config)
+
+    def test_bign(self, default_config):
+        for n in range(5, 13):
+            program = parse(bign_source(n))
+            status, found = _localized(program, default_config)
+            assert status == "faults-found" and len(found) == n + 1, n
+            assert (status, found) == \
+                _block_and_reverify(program, default_config), n
+
+    def test_random_programs_with_division(self, default_config):
+        statuses = set()
+        for seed in range(150):
+            program = parse(generate_source(seed, with_div=True))
+            status, found = _localized(program, default_config)
+            assert (status, found) == \
+                _block_and_reverify(program, default_config), seed
+            statuses.add(status)
+        assert statuses == {"faults-found", "inconclusive",
+                            "no-counterexample"}
+
+
+class TestSearchBudget:
+    def test_exhausted_search_keeps_diagnoses_found(self):
+        program = parse(bign_source(8))
+        full = localize(program, VerifierConfig())
+        assert full.status == "faults-found" and len(full.diagnoses) == 9
+        # max_states bounds the one diagnosis search as a whole, so it
+        # runs out after the first few diag values
+        cut = localize(program, VerifierConfig(max_states=150))
+        assert cut.status == "resource-exhausted"
+        assert 0 < len(cut.diagnoses) < len(full.diagnoses)
+        assert cut.diagnoses == full.diagnoses[:len(cut.diagnoses)]
+        assert cut.found_error_count == len(cut.diagnoses)
+
+
+class TestSubstitute:
+    def test_path_copy_matches_reparse_and_shares_the_rest(self, seq):
+        before = pretty_print(seq.program)
+        for line, stmt in line_table(seq.program).items():
+            if not isinstance(stmt, Assign):
+                continue
+            program = _substitute(seq, line, 7)
+            expected = parse(before)
+            line_table(expected)[line].expr = IntLit(7)
+            assert pretty_print(program) == pretty_print(expected)
+            assert pretty_print(seq.program) == before
+            assert program.globals is seq.program.globals
+            assert line_table(program)[line] is not stmt
+
+    def test_rejects_unsubstitutable_lines(self, seq):
+        with pytest.raises(ValueError, match="not substitutable"):
+            _substitute(seq, 1, 0)
+        with pytest.raises(ValueError, match="does not exist"):
+            _substitute(seq, 10**6, 0)
 
 
 class TestReportJson:

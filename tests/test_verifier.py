@@ -106,6 +106,49 @@ class TestVerify:
         assert verify(p, VerifierConfig()).outcome == "safe-within-bounds"
 
 
+GROUPED = """int main() {
+  int g;
+  int v;
+  g = nondet(1, 3);
+  assume(g != 2);
+  v = nondet(0, 2);
+  assume(v >= g - 1);
+  assert(v == 9);
+}
+"""
+
+
+class TestGroupedSearch:
+    def test_first_violation_of_each_group_value(self, default_config):
+        result = verify(parse(GROUPED), default_config, group_by="g")
+        assert result.outcome == "safe-within-bounds"
+        assert result.counterexample is None
+        assert result.states > 0
+        # g = 2 never gets past its assume; the later violations of g = 1
+        # (v = 1 and v = 2) are skipped with the rest of its subtree
+        assert [(f.value, f.violation, f.nondet_choices)
+                for f in result.groups] == [
+            (1, Violation("assertion", 7), [(3, 1), (5, 0)]),
+            (3, Violation("assertion", 7), [(3, 3), (5, 2)]),
+        ]
+        plain = verify(parse(GROUPED), default_config)
+        assert plain.counterexample.nondet_choices == \
+            result.groups[0].nondet_choices
+
+    def test_zero_group_value_ends_the_search(self, default_config):
+        p = parse(GROUPED.replace("nondet(1, 3)", "nondet(0, 3)"))
+        result = verify(p, default_config, group_by="g")
+        assert result.outcome == "violation"
+        assert [(f.value, f.nondet_choices) for f in result.groups] == \
+            [(0, [(3, 0), (5, 0)])]
+
+    def test_budget_bounds_the_whole_search(self, default_config):
+        cfg = VerifierConfig(max_states=9)
+        result = verify(parse(GROUPED), cfg, group_by="g")
+        assert result.outcome == "resource-exhausted"
+        assert [f.value for f in result.groups] == [1]
+
+
 class TestReplay:
     def test_replay_reproduces_violation(self, single_fault_program,
                                          default_config):
