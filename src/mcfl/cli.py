@@ -60,16 +60,28 @@ class CliConfig:
     deadlock_check: bool = False
     output: str = "text"  # 'text' | 'json'
     emit_intermediates: bool = False
-    max_states: int = _DEFAULT_MAX_STATES
+    max_states: int | None = None  # None: MCFL_MAX_STATES, else 200000
     csv_path: str = "mcfl_bench.csv"
 
     def verifier_config(self) -> VerifierConfig:
+        """Raises ValueError on a bound out of range or a malformed
+        MCFL_MAX_STATES."""
+        max_states = self.max_states
+        if max_states is None:
+            text = os.environ.get("MCFL_MAX_STATES")
+            try:
+                max_states = _DEFAULT_MAX_STATES if text is None \
+                    else int(text)
+            except ValueError:
+                raise ValueError(
+                    f"MCFL_MAX_STATES must be an integer, not {text!r}"
+                ) from None
         return VerifierConfig(
             context_bound=self.context_bound,
             loop_bound=self.unwind,
             nondet_domain=(self.nondet_lo, self.nondet_hi),
             deadlock_check=self.deadlock_check,
-            max_states=self.max_states,
+            max_states=max_states,
         )
 
 
@@ -125,10 +137,6 @@ def build_cli() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> CliConfig:
-    max_states = args.max_states
-    if max_states is None:
-        max_states = int(os.environ.get("MCFL_MAX_STATES",
-                                        _DEFAULT_MAX_STATES))
     return CliConfig(
         command=args.command,
         input_path=args.input,
@@ -139,7 +147,7 @@ def config_from_args(args: argparse.Namespace) -> CliConfig:
         deadlock_check=args.deadlock_check,
         output="json" if args.json else "text",
         emit_intermediates=args.emit_intermediates,
-        max_states=max_states,
+        max_states=args.max_states,
         csv_path=getattr(args, "csv", "mcfl_bench.csv"),
     )
 
@@ -157,14 +165,14 @@ def _emit(path: Path, text: str) -> None:
 def run(config: CliConfig) -> int:
     """Dispatches one command; returns the documented exit status."""
     try:
+        vcfg = config.verifier_config()
         if config.command == "bench":
-            return _run_bench(config)
+            return _run_bench(config, vcfg)
         program = _load_program(config.input_path)
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, ValueError) as exc:
         print(f"mcfl: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    vcfg = config.verifier_config()
     base = Path(config.input_path)
     try:
         if config.command == "verify":
@@ -275,12 +283,12 @@ def _print_report(report) -> None:
     print(f"time: {total:.3f}s ({stages})")
 
 
-def _run_bench(config: CliConfig) -> int:
+def _run_bench(config: CliConfig, vcfg: VerifierConfig) -> int:
     directory = Path(config.input_path)
     if not directory.is_dir():
         print(f"mcfl: {directory} is not a directory", file=sys.stderr)
         return EXIT_USAGE
-    rows = run_bench(directory, config.verifier_config())
+    rows = run_bench(directory, vcfg)
     print(rows_to_table(rows), end="")
     csv_path = Path(config.csv_path)
     csv_path.write_text(rows_to_csv(rows))

@@ -10,9 +10,8 @@ has found a diag value whose line, when changed, lets the program pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
-from .parser import parse
 from .sequentializer import SequentialProgram
 from .syntax import (
     Assert,
@@ -32,10 +31,13 @@ from .syntax import (
     Var,
     While,
     child_blocks,
-    pretty_print,
     program_stmts,
     renumber,
 )
+
+# unused here; the benchmark's span tracer wraps these module attributes
+from .parser import parse  # noqa: F401
+from .syntax import pretty_print  # noqa: F401
 
 
 class NothingToInstrument(Exception):
@@ -77,8 +79,20 @@ def eligible_lines(seq: SequentialProgram) -> dict[int, str]:
     return result
 
 
-def _clone(program: Program) -> Program:
-    return parse(pretty_print(program))
+def _clone(node):
+    """A deep copy of an AST built from its dataclass fields only. Unlike
+    copy.deepcopy it leaves out the provenance attributes that the
+    sequentializer sets on statements, which the model does not need and
+    which would make every copied node larger."""
+    if isinstance(node, list):
+        return [_clone(item) for item in node]
+    if not is_dataclass(node):
+        return node
+    new = type(node)(**{f.name: _clone(getattr(node, f.name))
+                        for f in fields(node) if f.init})
+    if isinstance(node, Stmt):
+        new.line = node.line  # an init=False field
+    return new
 
 
 def instrument(seq: SequentialProgram) -> InstrumentedProgram:

@@ -532,8 +532,7 @@ class _State:
     cum_iters: dict[int, int]  # loop line -> completed iterations, total
     switches: int
     last_thread: int | None
-    steps: int
-    trace: tuple | None  # linked list: (parent, entry)
+    trace: tuple | None  # linked list: (parent, (thread, line))
     choices: tuple | None  # linked list: (parent, (line, value))
 
     def clone(self) -> "_State":
@@ -546,20 +545,9 @@ class _State:
             dict(self.cum_iters),
             self.switches,
             self.last_thread,
-            self.steps,
             self.trace,
             self.choices,
         )
-
-
-@dataclass
-class _TraceEntry:
-    index: int
-    thread: int
-    line: int
-    valuation: dict[str, int]
-    counters: dict[int, int]
-    wait_resume: bool = False
 
 
 class _Frame:
@@ -601,7 +589,6 @@ class _Machine:
             cum_iters={},
             switches=0,
             last_thread=None,
-            steps=0,
             trace=None,
             choices=None,
         )
@@ -699,7 +686,7 @@ class _Machine:
             thread.wait_mutex = ""
             line = self.code_of(tid).instrs[thread.pc].line
             thread.pc += 1
-            return [self._finish_step(base, tid, line, wait_resume=True)]
+            return [self._finish_step(base, tid, line)]
 
         outcomes = []
         work = self._exec(base, tid, ())[::-1]
@@ -903,64 +890,117 @@ class _Machine:
 
     def _violate(self, state: _State, tid: int, line: int,
                  violation: Violation):
-        entry = self._make_entry(state, tid, line)
-        state.trace = (state.trace, entry)
-        state.steps += 1
+        state.trace = (state.trace, (tid, line))
         state.last_thread = tid
         return ("violation", violation, state)
 
     def _finish_step(self, state: _State, tid: int, line: int,
-                     normalize: bool = True, wait_resume: bool = False):
+                     normalize: bool = True):
         if normalize:
             self._normalize(state, tid)
-        entry = self._make_entry(state, tid, line, wait_resume)
-        state.trace = (state.trace, entry)
-        state.steps += 1
+        state.trace = (state.trace, (tid, line))
         state.last_thread = tid
         return ("state", state)
 
-    def _make_entry(self, state: _State, tid: int, line: int,
-                    wait_resume: bool = False) -> _TraceEntry:
+
+# ---------------------------------------------------------------------------
+# Counterexample construction
+# ---------------------------------------------------------------------------
+
+
+def _unlink(node: tuple | None) -> list:
+    """The items of a (parent, item) linked list, oldest first."""
+    items = []
+    while node is not None:
+        node, item = node
+        items.append(item)
+    items.reverse()
+    return items
+
+
+def _run_schedule(compiled: CompiledProgram, schedule, choices):
+    """Re-executes a schedule of (thread, line) steps, feeding the recorded
+    nondet choices in order. This is the one place that builds TraceSteps.
+
+    Returns (steps, counters, wait_resumes, machine, state, violation):
+    the completed-iteration counts after each step, the indices of steps
+    that complete a condition wait, the final state and the violation of
+    the last step, if any. Raises TraceMismatch where the schedule does not
+    fit the program."""
+    queue = list(choices)
+    pos = [0]
+
+    def feeder(line: int):
+        if pos[0] >= len(queue):
+            raise TraceMismatch("nondet choice list exhausted")
+        exp_line, value = queue[pos[0]]
+        if exp_line != line:
+            raise TraceMismatch(
+                f"nondet at line {line}, choice recorded for {exp_line}")
+        pos[0] += 1
+        return exp_line, value
+
+    # a schedule is checked against the program, not the search bounds, so
+    # the replay never cuts it at the loop bound
+    machine = _Machine(compiled, VerifierConfig(loop_bound=10 ** 9),
+                       feeder=feeder)
+    state = machine.initial_state()
+    steps: list[TraceStep] = []
+    counters: list[dict[int, int]] = []
+    wait_resumes: set[int] = set()
+    violation: Violation | None = None
+    for i, (tid, line) in enumerate(schedule):
+        if violation is not None:
+            raise TraceMismatch("violation before the end of the trace")
+        if not 0 <= tid < len(state.threads):
+            raise TraceMismatch(f"step references unknown thread {tid}")
+        if state.threads[tid].status in ("new", "exited"):
+            raise TraceMismatch(f"step {i} schedules a dead thread {tid}")
+        if machine.classify(state, tid) != "eligible":
+            raise TraceMismatch(f"step {i}: thread {tid} is blocked")
+        if state.threads[tid].status == "reacquire":
+            wait_resumes.add(i)
+        outcomes = machine.step(state, tid)
+        if len(outcomes) != 1:
+            raise TraceMismatch("replay produced a nondeterministic fork")
+        outcome = outcomes[0]
+        if outcome[0] == "kill":
+            raise TraceMismatch(f"step {i} became infeasible on replay")
+        if outcome[0] == "violation":
+            violation = outcome[1]
+        state = outcome[-1]
+        executed = state.trace[1][1]
+        if executed != line:
+            raise TraceMismatch(
+                f"step {i} executed line {executed}, trace says {line}")
         valuation = dict(state.globals)
         valuation.update(state.threads[tid].locals)
-        return _TraceEntry(state.steps, tid, line, valuation,
-                           dict(state.cum_iters), wait_resume)
+        steps.append(TraceStep(i, tid, line, valuation))
+        counters.append(dict(state.cum_iters))
+    return steps, counters, wait_resumes, machine, state, violation
 
 
-# ---------------------------------------------------------------------------
-# Trace materialization
-# ---------------------------------------------------------------------------
-
-
-def _materialize_trace(state: _State) -> list[_TraceEntry]:
-    entries = []
-    node = state.trace
-    while node is not None:
-        node, entry = node
-        entries.append(entry)
-    entries.reverse()
-    return entries
-
-
-def _materialize_choices(state: _State) -> list[tuple[int, int]]:
-    choices = []
-    node = state.choices
-    while node is not None:
-        node, pair = node
-        choices.append(pair)
-    choices.reverse()
-    return choices
-
-
-def _build_counterexample(compiled: CompiledProgram, state: _State,
-                          violation: Violation) -> Counterexample:
-    entries = _materialize_trace(state)
-    steps = [TraceStep(e.index, e.thread, e.line, e.valuation)
-             for e in entries]
+def _build_counterexample(compiled: CompiledProgram, schedule, choices,
+                          expected: Violation) -> Counterexample:
+    """Replays a schedule and its nondet choices, checks that it ends in
+    the expected violation, and records its switches."""
+    steps, counters, wait_resumes, machine, state, violation = \
+        _run_schedule(compiled, schedule, choices)
+    if expected.kind == "deadlock":
+        live = machine.live_threads(state)
+        if not live or any(
+                machine.classify(state, tid) != "sync" for tid in live):
+            raise TraceMismatch("deadlock does not reproduce")
+        violation = Violation("deadlock", None, tuple(sorted(live)))
+    elif violation is None:
+        raise TraceMismatch("trace ends without the recorded violation")
+    if violation != expected:
+        raise TraceMismatch(
+            f"violation mismatch: {violation} != {expected}")
     switches: list[ContextSwitchRecord] = []
     switch_counters: list[dict[int, int]] = []
     per_thread: dict[int, int] = {}
-    for prev, nxt in zip(entries, entries[1:]):
+    for prev, nxt, after in zip(steps, steps[1:], counters):
         if prev.thread == nxt.thread:
             continue
         per_thread[prev.thread] = per_thread.get(prev.thread, 0) + 1
@@ -976,14 +1016,12 @@ def _build_counterexample(compiled: CompiledProgram, state: _State,
             # a switch after a loop-header evaluation may resume inside the
             # loop body, so the loop's own count is needed for the guard
             enclosing.append(prev.line)
-        switch_counters.append(
-            {ln: prev.counters.get(ln, 0) for ln in enclosing})
-    wait_resumes = {e.index for e in entries if e.wait_resume}
+        switch_counters.append({ln: after.get(ln, 0) for ln in enclosing})
     return Counterexample(
         steps=steps,
         switches=switches,
         violation=violation,
-        nondet_choices=_materialize_choices(state),
+        nondet_choices=_unlink(state.choices),
         switch_loop_counters=switch_counters,
         wait_resume_steps=wait_resumes,
     )
@@ -1021,7 +1059,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if group_by is not None:
                 value = _group_value(kind[2], group_by)
                 groups.append(GroupedViolation(
-                    value, kind[1], _materialize_choices(kind[2])))
+                    value, kind[1], _unlink(kind[2].choices)))
                 if value:
                     # every entry holds its state last
                     while stack and \
@@ -1095,8 +1133,10 @@ def verify(program: Program, config: VerifierConfig, *,
     groups: list[GroupedViolation] = []
     result = _explore(machine, group_by=group_by, groups=groups)
     if result[0] == "violation":
-        cex = None if group_by is not None else \
-            _build_counterexample(compiled, result[2], result[1])
+        state = result[2]
+        cex = None if group_by is not None else _build_counterexample(
+            compiled, _unlink(state.trace), _unlink(state.choices),
+            result[1])
         return VerificationResult("violation", cex,
                                   bound_hit=machine.bound_hit, groups=groups)
     if result[0] == "exhausted":
@@ -1117,88 +1157,27 @@ def first_path(program: Program, config: VerifierConfig):
     compiled = CompiledProgram(program)
     machine = _Machine(compiled, config)
     result = _explore(machine, first_leaf=True)
-    if result[0] == "violation":
-        cex = _build_counterexample(compiled, result[2], result[1])
-        return ("violation", cex.steps, cex.final_valuation)
     if result[0] == "exhausted":
         raise ModelError("state budget exhausted while tracing a path")
     if result[0] == "safe":
         raise ModelError("program has no executable path")
-    _, kind, state = result
-    entries = _materialize_trace(state)
-    steps = [TraceStep(e.index, e.thread, e.line, e.valuation)
-             for e in entries]
-    valuation = steps[-1].valuation if steps else {}
-    return (kind, steps, valuation)
+    state = result[2]
+    schedule, choices = _unlink(state.trace), _unlink(state.choices)
+    if result[0] == "violation":
+        cex = _build_counterexample(compiled, schedule, choices, result[1])
+        return ("violation", cex.steps, cex.final_valuation)
+    steps = _run_schedule(compiled, schedule, choices)[0]
+    return (result[1], steps, steps[-1].valuation if steps else {})
 
 
 def replay(program: Program, counterexample: Counterexample
            ) -> VerificationResult:
     """Re-executes the exact schedule and nondet choices of a counterexample.
     Raises TraceMismatch if it does not fit the program."""
-    compiled = CompiledProgram(program)
-    queue = list(counterexample.nondet_choices)
-    pos = [0]
-
-    def feeder(line: int):
-        if pos[0] >= len(queue):
-            raise TraceMismatch("nondet choice list exhausted")
-        exp_line, value = queue[pos[0]]
-        if exp_line != line:
-            raise TraceMismatch(
-                f"nondet at line {line}, choice recorded for {exp_line}")
-        pos[0] += 1
-        return exp_line, value
-
-    machine = _Machine(compiled, VerifierConfig(
-        context_bound=max(1, len(counterexample.switches)),
-        loop_bound=10 ** 9,
-        nondet_domain=(0, 0),
-        max_states=10 ** 9,
-    ), feeder=feeder)
-    state = machine.initial_state()
-    violation_seen: Violation | None = None
-    for i, step in enumerate(counterexample.steps):
-        if violation_seen is not None:
-            raise TraceMismatch("violation before the end of the trace")
-        tid = step.thread
-        if tid >= len(state.threads):
-            raise TraceMismatch(f"step references unknown thread {tid}")
-        if state.threads[tid].status in ("new", "exited"):
-            raise TraceMismatch(f"step {i} schedules a dead thread {tid}")
-        if machine.classify(state, tid) != "eligible":
-            raise TraceMismatch(f"step {i}: thread {tid} is blocked")
-        outcomes = machine.step(state, tid)
-        if len(outcomes) != 1:
-            raise TraceMismatch("replay produced a nondeterministic fork")
-        outcome = outcomes[0]
-        if outcome[0] == "kill":
-            raise TraceMismatch(f"step {i} became infeasible on replay")
-        if outcome[0] == "violation":
-            violation_seen = outcome[1]
-            state = outcome[2]
-        else:
-            state = outcome[1]
-        last = _materialize_trace(state)[-1]
-        if last.line != step.line:
-            raise TraceMismatch(
-                f"step {i} executed line {last.line}, trace says "
-                f"{step.line}")
-    expected = counterexample.violation
-    if expected.kind == "deadlock":
-        live = machine.live_threads(state)
-        if not live or any(
-                machine.classify(state, tid) != "sync" for tid in live):
-            raise TraceMismatch("deadlock does not reproduce")
-        violation = Violation("deadlock", None, tuple(sorted(live)))
-    else:
-        if violation_seen is None:
-            raise TraceMismatch("trace ends without the recorded violation")
-        violation = violation_seen
-    if violation != expected:
-        raise TraceMismatch(
-            f"violation mismatch: {violation} != {expected}")
-    cex = _build_counterexample(compiled, state, violation)
+    cex = _build_counterexample(
+        CompiledProgram(program),
+        [(step.thread, step.line) for step in counterexample.steps],
+        counterexample.nondet_choices, counterexample.violation)
     return VerificationResult("violation", cex)
 
 

@@ -53,6 +53,22 @@ class TestExitStatuses:
     def test_usage_error_is_four(self, capsys):
         assert main(["frobnicate", "x"]) == 4
 
+    @pytest.mark.parametrize("argv, env", [
+        (["verify", "account.mc", "--unwind", "0"], None),
+        (["verify", "account.mc", "--max-states", "0"], None),
+        (["verify", "account.mc", "--nondet", "5..1"], None),
+        (["verify", "account.mc", "--context-bound", "-1"], None),
+        (["verify", "account.mc"], "abc"),
+        (["bench", ".", "--unwind", "0"], None),
+    ])
+    def test_bad_bound_is_four(self, argv, env, monkeypatch, capsys):
+        monkeypatch.delenv("MCFL_MAX_STATES", raising=False)
+        if env is not None:
+            monkeypatch.setenv("MCFL_MAX_STATES", env)
+        command, target, *flags = argv
+        assert main([command, str(BENCH_DIR / target)] + flags) == 4
+        assert capsys.readouterr().err.startswith("mcfl: ")
+
     def test_verify_violation_is_one(self, fault_file, capsys):
         assert main(["verify", str(fault_file)]) == 1
         assert "violation: assertion" in capsys.readouterr().out

@@ -15,10 +15,12 @@ from mcfl.verifier import (
     counterexample_from_json,
     counterexample_to_json,
     extract_schedule,
+    first_path,
     replay,
     verify,
 )
 
+from conftest import BENCH_DIR
 from oracles import naive_violates
 from randprog import generate_callee_source, generate_source
 
@@ -149,6 +151,12 @@ class TestGroupedSearch:
         assert [f.value for f in result.groups] == [1]
 
 
+def _replays_byte_for_byte(program, cex: Counterexample) -> bool:
+    text = counterexample_to_json(cex)
+    again = replay(program, counterexample_from_json(text))
+    return counterexample_to_json(again.counterexample) == text
+
+
 class TestReplay:
     def test_replay_reproduces_violation(self, single_fault_program,
                                          default_config):
@@ -191,11 +199,34 @@ class TestReplay:
             result = verify(p, cfg)
             if result.outcome != "violation":
                 continue
-            again = replay(p, result.counterexample)
-            assert again.counterexample.violation == \
-                result.counterexample.violation
+            assert _replays_byte_for_byte(p, result.counterexample)
             checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize("port", sorted(
+        path.stem for path in BENCH_DIR.glob("*.mc")))
+    def test_replayed_port(self, port):
+        p = parse((BENCH_DIR / f"{port}.mc").read_text())
+        cfg = VerifierConfig(deadlock_check=True)
+        result = verify(p, cfg)
+        assert result.outcome == "violation"
+        assert _replays_byte_for_byte(p, result.counterexample)
+
+    def test_changed_line_names_the_step(self, single_fault_program,
+                                         default_config):
+        cex = verify(single_fault_program, default_config).counterexample
+        cex.steps[3].line += 100
+        with pytest.raises(TraceMismatch, match=r"^step 3 executed line"):
+            replay(single_fault_program, cex)
+
+    @pytest.mark.parametrize("port", ["account", "circular_buffer",
+                                      "sync02"])
+    def test_first_path_matches_counterexample(self, port):
+        p = parse((BENCH_DIR / f"{port}.mc").read_text())
+        cfg = VerifierConfig(deadlock_check=True)
+        cex = verify(p, cfg).counterexample
+        assert first_path(p, cfg) == ("violation", cex.steps,
+                                      cex.final_valuation)
 
 
 def _hand_trace(threads: list[int]) -> Counterexample:
