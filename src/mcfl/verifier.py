@@ -5,6 +5,13 @@ statement granularity under a context-switch budget, loops unwind up to a
 bound, and every nondet() branches over its value domain. Exploration is
 depth-first with a fixed order (ascending thread ordinal, ascending nondet
 value), so "first violation found" is deterministic and reproducible.
+
+The search caches finished states: once the whole subtree below a state with
+two or more live threads has been explored without ending the search, a
+later state equal to it apart from its path (schedule and nondet choices)
+is skipped. Its subtree is the same, so it could only repeat work that found
+nothing; the first violation, its schedule and choices, the grouped records
+and the loop-bound flag are those of the search without the cache.
 """
 
 from __future__ import annotations
@@ -149,6 +156,8 @@ class VerificationResult:
     counterexample: Counterexample | None = None
     bound_hit: bool = False
     states: int = 0
+    # states skipped as equal to one whose subtree was already finished
+    pruned: int = 0
     # grouped search only, in discovery order
     groups: list[GroupedViolation] = field(default_factory=list)
 
@@ -573,6 +582,8 @@ class _Machine:
         self.feeder = feeder
         # set by the search when it reaches a path cut at the loop bound
         self.bound_hit = False
+        # states the search skipped as duplicates of finished subtrees
+        self.pruned = 0
 
     # -- state construction ---------------------------------------------
 
@@ -926,7 +937,7 @@ def _run_schedule(compiled: CompiledProgram, schedule, choices):
     the completed-iteration counts after each step, the indices of steps
     that complete a condition wait, the final state and the violation of
     the last step, if any. Raises TraceMismatch where the schedule does not
-    fit the program."""
+    fit the program or leaves recorded choices unused."""
     queue = list(choices)
     pos = [0]
 
@@ -977,6 +988,9 @@ def _run_schedule(compiled: CompiledProgram, schedule, choices):
         valuation.update(state.threads[tid].locals)
         steps.append(TraceStep(i, tid, line, valuation))
         counters.append(dict(state.cum_iters))
+    if pos[0] < len(queue):
+        raise TraceMismatch(
+            f"{len(queue) - pos[0]} recorded nondet choices left unused")
     return steps, counters, wait_resumes, machine, state, violation
 
 
@@ -1036,6 +1050,31 @@ def _group_value(state: _State, group_by: str) -> int | None:
     return state.threads[0].locals.get(group_by)
 
 
+def _intern(parts: dict, value) -> int:
+    return parts.setdefault(value, len(parts))
+
+
+def _state_key(state: _State, parts: dict) -> tuple[int, int, int]:
+    """Everything about a state that steers its successors: all but its
+    trace and choices. Globals and locals keep their keys' order, so their
+    values suffice; the path decides the order of the small dicts, so those
+    are sorted. Every part is interned in parts, one dict per search: each
+    thread and each small dict, then the globals, the thread list and the
+    control part. A thread or small dict takes few values in a search, so
+    a stored key is three small ints over little interned data."""
+    threads = tuple(
+        _intern(parts, (t.pc, tuple(t.locals.values()), t.status,
+                        t.wait_cond, t.wait_mutex))
+        for t in state.threads)
+    control = (_intern(parts, tuple(sorted(state.handles.items()))),
+               _intern(parts, tuple(state.mutexes.values())),
+               _intern(parts, tuple(sorted(state.per_entry.items()))),
+               _intern(parts, tuple(sorted(state.cum_iters.items()))),
+               state.switches, state.last_thread)
+    return (_intern(parts, tuple(state.globals.values())),
+            _intern(parts, threads), _intern(parts, control))
+
+
 def _explore(machine: _Machine, first_leaf: bool = False,
              group_by: str | None = None,
              groups: list[GroupedViolation] | None = None):
@@ -1049,12 +1088,30 @@ def _explore(machine: _Machine, first_leaf: bool = False,
     appended to groups and does not end the search: the rest of that
     value's subtree, which sits on top of the stack, is dropped and the
     search goes on. The value must stay fixed once drawn.
+
+    A state with two or more live threads, where interleavings meet again,
+    is keyed by _state_key; the sequential models of diagnosis and
+    validation have none and pay nothing. Expanding such a state pushes a
+    ('done', key, groups recorded, state) marker under its children; when
+    the marker is popped, its subtree is finished, and the key enters `done`
+    unless the subtree recorded a group. A popped state whose key is in
+    `done` is skipped and not counted toward max_states (machine.pruned
+    counts it): its subtree would reach no violation and no leaf, and any
+    cut in it has already set bound_hit. A state equal to one of its own
+    ancestors is never skipped, since that subtree is not finished.
     """
     config = machine.config
+    groups = [] if groups is None else groups
     stack: list[tuple] = [("state", machine.initial_state())]
     visited = 0
+    done: set[tuple[int, int, int]] = set()
+    parts: dict = {}
     while stack:
         kind = stack.pop()
+        if kind[0] == "done":
+            if kind[2] == len(groups):
+                done.add(kind[1])
+            continue
         if kind[0] == "violation":
             if group_by is not None:
                 value = _group_value(kind[2], group_by)
@@ -1075,10 +1132,17 @@ def _explore(machine: _Machine, first_leaf: bool = False,
                 return ("leaf", "cut", kind[1])
             continue
         state = kind[1]
+        live = machine.live_threads(state)
+        if len(live) > 1:
+            key = _state_key(state, parts)
+            if key in done:
+                machine.pruned += 1
+                continue
+            # every entry holds its state last, for the group drop
+            stack.append(("done", key, len(groups), state))
         visited += 1
         if visited > config.max_states:
             return ("exhausted", visited)
-        live = machine.live_threads(state)
         if not live:
             if first_leaf:
                 return ("leaf", "completed", state)
@@ -1138,13 +1202,12 @@ def verify(program: Program, config: VerifierConfig, *,
             compiled, _unlink(state.trace), _unlink(state.choices),
             result[1])
         return VerificationResult("violation", cex,
-                                  bound_hit=machine.bound_hit, groups=groups)
-    if result[0] == "exhausted":
-        return VerificationResult("resource-exhausted", None,
                                   bound_hit=machine.bound_hit,
-                                  states=result[1], groups=groups)
-    return VerificationResult("safe-within-bounds", None,
-                              bound_hit=machine.bound_hit, states=result[1],
+                                  pruned=machine.pruned, groups=groups)
+    outcome = "resource-exhausted" if result[0] == "exhausted" \
+        else "safe-within-bounds"
+    return VerificationResult(outcome, None, bound_hit=machine.bound_hit,
+                              states=result[1], pruned=machine.pruned,
                               groups=groups)
 
 
@@ -1173,11 +1236,26 @@ def first_path(program: Program, config: VerifierConfig):
 def replay(program: Program, counterexample: Counterexample
            ) -> VerificationResult:
     """Re-executes the exact schedule and nondet choices of a counterexample.
-    Raises TraceMismatch if it does not fit the program."""
+    Raises TraceMismatch if it does not fit the program, or if the
+    counterexample it rebuilds differs from the given one."""
     cex = _build_counterexample(
         CompiledProgram(program),
         [(step.thread, step.line) for step in counterexample.steps],
         counterexample.nondet_choices, counterexample.violation)
+    for got, given in zip(cex.steps, counterexample.steps):
+        if got.step_index != given.step_index:
+            raise TraceMismatch(
+                f"step {got.step_index} has step_index {given.step_index}")
+        if got.valuation != given.valuation:
+            name = next(n for n in sorted({*got.valuation, *given.valuation})
+                        if got.valuation.get(n) != given.valuation.get(n))
+            raise TraceMismatch(
+                f"step {got.step_index}: valuation of {name!r} is "
+                f"{given.valuation.get(name)}, replay gives "
+                f"{got.valuation.get(name)}")
+    for name in ("switches", "switch_loop_counters", "wait_resume_steps"):
+        if getattr(cex, name) != getattr(counterexample, name):
+            raise TraceMismatch(f"{name} differ from the replayed trace")
     return VerificationResult("violation", cex)
 
 

@@ -1,10 +1,14 @@
 """Bounded exploration, replay and schedule extraction."""
 
+from dataclasses import replace
+
 import pytest
 
+from mcfl.instrumenter import instrument
 from mcfl.parser import parse
-from mcfl.sequentializer import unwind_calls
+from mcfl.sequentializer import sequentialize, unwind_calls
 from mcfl.verifier import (
+    CompiledProgram,
     ContextSwitchRecord,
     Counterexample,
     TraceMismatch,
@@ -12,6 +16,9 @@ from mcfl.verifier import (
     UnsupportedScheduleError,
     VerifierConfig,
     Violation,
+    _build_counterexample,
+    _Machine,
+    _unlink,
     counterexample_from_json,
     counterexample_to_json,
     extract_schedule,
@@ -219,6 +226,21 @@ class TestReplay:
         with pytest.raises(TraceMismatch, match=r"^step 3 executed line"):
             replay(single_fault_program, cex)
 
+    def test_unused_choice_is_rejected(self, single_fault_program,
+                                       default_config):
+        cex = verify(single_fault_program, default_config).counterexample
+        cex.nondet_choices.append(cex.nondet_choices[-1])
+        with pytest.raises(TraceMismatch, match="left unused"):
+            replay(single_fault_program, cex)
+
+    def test_wrong_valuation_names_the_step(self, single_fault_program,
+                                            default_config):
+        cex = verify(single_fault_program, default_config).counterexample
+        cex.steps[2].valuation["a"] += 1
+        with pytest.raises(TraceMismatch,
+                           match=r"^step 2: valuation of 'a' is"):
+            replay(single_fault_program, cex)
+
     @pytest.mark.parametrize("port", ["account", "circular_buffer",
                                       "sync02"])
     def test_first_path_matches_counterexample(self, port):
@@ -381,3 +403,251 @@ class TestCounterexampleJson:
         loaded = counterexample_from_json(text)
         assert loaded == cex
         assert counterexample_to_json(loaded) == text
+
+
+def _uncached(program, config, group_by=None):
+    """Reference search without the finished-state cache: the DFS loop the
+    verifier ran before it had one, kept only here. Returns the summary
+    _cached returns."""
+    compiled = CompiledProgram(program)
+    machine = _Machine(compiled, config)
+    groups = []
+    stack = [("state", machine.initial_state())]
+    visited = 0
+
+    def group_value(state):
+        return state.threads[0].locals.get(group_by)
+
+    def violated(violation, state):
+        cex = None
+        if group_by is None:
+            cex = counterexample_to_json(_build_counterexample(
+                compiled, _unlink(state.trace), _unlink(state.choices),
+                violation))
+        return ("violation", cex, machine.bound_hit, groups, 0)
+
+    while stack:
+        kind = stack.pop()
+        if kind[0] == "violation":
+            if group_by is not None:
+                value = group_value(kind[2])
+                groups.append((value, kind[1], _unlink(kind[2].choices)))
+                if value:
+                    while stack and group_value(stack[-1][-1]) == value:
+                        stack.pop()
+                    continue
+            return violated(kind[1], kind[2])
+        if kind[0] == "cut":
+            machine.bound_hit = True
+            continue
+        state = kind[1]
+        visited += 1
+        if visited > config.max_states:
+            return ("resource-exhausted", None, machine.bound_hit, groups,
+                    visited)
+        live = machine.live_threads(state)
+        classes = {tid: machine.classify(state, tid) for tid in live}
+        eligible = [tid for tid in live if classes[tid] == "eligible"]
+        if live and not eligible:
+            if config.deadlock_check and all(
+                    c == "sync" for c in classes.values()):
+                return violated(
+                    Violation("deadlock", None, tuple(sorted(live))), state)
+            continue
+        pushes = []
+        for tid in eligible:
+            if state.last_thread not in (None, tid) and \
+                    state.switches >= config.context_bound:
+                continue
+            for outcome in machine.step(state, tid):
+                if outcome[0] == "kill":
+                    if outcome[1] == "bound":
+                        pushes.append(("cut", state))
+                    continue
+                pushes.append(outcome)
+        stack.extend(reversed(pushes))
+    return ("safe-within-bounds", None, machine.bound_hit, groups, visited)
+
+
+def _cached(program, config, group_by=None):
+    """(outcome, counterexample JSON, bound_hit, groups, states)."""
+    result = verify(program, config, group_by=group_by)
+    cex = result.counterexample
+    return (result.outcome, counterexample_to_json(cex) if cex else None,
+            result.bound_hit,
+            [(g.value, g.violation, g.nondet_choices) for g in result.groups],
+            result.states)
+
+
+def _locked_workers(n_threads: int, trips: int) -> str:
+    """n_threads workers each add 1 to c under a lock, trips times; main
+    joins them and asserts the total. Safe at any schedule."""
+    lines = ["int c = 0;", "pthread_mutex_t m;"]
+    lines += [f"pthread_t h{i};" for i in range(n_threads)]
+    for i in range(n_threads):
+        lines += [f"void w{i}() {{", "  int k;", "  k = 0;",
+                  f"  while (k < {trips}) {{", "    pthread_mutex_lock(m);",
+                  "    c = c + 1;", "    pthread_mutex_unlock(m);",
+                  "    k = k + 1;", "  }", "}"]
+    lines += ["int main() {"]
+    lines += [f"  pthread_create(h{i}, w{i});" for i in range(n_threads)]
+    lines += [f"  pthread_join(h{i});" for i in range(n_threads)]
+    lines += [f"  assert(c == {n_threads * trips});", "}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestStateCache:
+    """The finished-state cache skips only repeats of subtrees that found
+    nothing, so every observable result equals the uncached search's."""
+
+    @staticmethod
+    def _agree(program, config, group_by=None, label=None):
+        """The cached and the uncached summary, checked to agree."""
+        mine = _cached(program, config, group_by)
+        theirs = _uncached(program, config, group_by)
+        assert mine[:4] == theirs[:4], label
+        assert mine[4] <= theirs[4], label
+        return mine, theirs
+
+    @pytest.mark.parametrize("port", sorted(
+        path.stem for path in BENCH_DIR.glob("*.mc")))
+    def test_ports(self, port):
+        p = parse((BENCH_DIR / f"{port}.mc").read_text())
+        for deadlock in (False, True):
+            self._agree(p, VerifierConfig(deadlock_check=deadlock))
+
+    @pytest.mark.parametrize("deadlock", [False, True])
+    @pytest.mark.parametrize("context_bound", [3, 4])
+    def test_generated_programs(self, deadlock, context_bound):
+        cfg = VerifierConfig(context_bound=context_bound,
+                             deadlock_check=deadlock)
+        for seed in range(150):
+            self._agree(parse(generate_source(seed, with_div=True)), cfg,
+                        label=seed)
+
+    @pytest.mark.parametrize("trips,context_bound",
+                             [(1, 4), (1, 3), (2, 3)])
+    def test_three_locked_threads(self, trips, context_bound):
+        p = parse(_locked_workers(3, trips))
+        mine, theirs = self._agree(
+            p, VerifierConfig(context_bound=context_bound))
+        assert mine[0] == "safe-within-bounds"
+        assert mine[4] < theirs[4]
+
+    @pytest.mark.parametrize("port", ["account", "circular_buffer",
+                                      "single_fault"])
+    def test_grouped_diagnosis_models(self, port):
+        p = parse((BENCH_DIR / f"{port}.mc").read_text())
+        cfg = VerifierConfig(deadlock_check=True)
+        cex = verify(p, cfg).counterexample
+        model = instrument(sequentialize(
+            p, extract_schedule(cex), cex.violation.kind == "deadlock"))
+        seq_cfg = replace(cfg, context_bound=0, deadlock_check=False)
+        self._agree(model.program, seq_cfg, group_by=model.diag_var)
+        # one thread: no state is keyed, so nothing is skipped
+        assert verify(model.program, seq_cfg,
+                      group_by=model.diag_var).pruned == 0
+
+    def test_subtree_that_recorded_a_group_is_not_cached(self):
+        # both orders of the workers' first statements reach the same state
+        # before main draws g; the first order's subtree records g = 1, so
+        # the second must be searched and record it again
+        p = parse("""int x = 0;
+int y = 0;
+pthread_t h1;
+pthread_t h2;
+void w1() {
+  x = 1;
+  x = 2;
+}
+void w2() {
+  y = 1;
+  y = 2;
+}
+int main() {
+  int g;
+  pthread_create(h1, w1);
+  pthread_create(h2, w2);
+  g = nondet(1, 1);
+  assert(g == 0);
+}
+""")
+        groups = self._agree(p, VerifierConfig(), group_by="g")[0][3]
+        assert len(groups) > 1
+
+    def test_thread_locals_are_part_of_the_state(self):
+        # the two values of t leave equal globals; t = 0 finishes first
+        p = parse("""pthread_t h;
+void w() {
+  int t;
+  t = nondet(0, 1);
+  assert(t == 0);
+}
+int main() {
+  pthread_create(h, w);
+  pthread_join(h);
+}
+""")
+        assert self._agree(p, VerifierConfig())[0][0] == "violation"
+
+    def test_mutex_owner_is_part_of_the_state(self):
+        # w holds m or not when it exits; holding it finishes first
+        p = parse("""int x = 0;
+pthread_mutex_t m;
+pthread_t h;
+void w() {
+  if (nondet(0, 1) == 0) {
+    pthread_mutex_lock(m);
+  }
+  x = 1;
+}
+int main() {
+  pthread_create(h, w);
+  pthread_join(h);
+  pthread_mutex_lock(m);
+  assert(x == 0);
+}
+""")
+        assert self._agree(p, VerifierConfig())[0][0] == "violation"
+
+    def test_state_equal_to_an_ancestor_is_not_skipped(self):
+        # both threads loop forever without changing a thing, so every
+        # state recurs below itself, where its subtree is not finished
+        p = parse("""int x = 0;
+pthread_t h;
+void w() {
+  int j;
+  for (j = 0; j < 1; j = j) {
+    x = 1;
+  }
+}
+int main() {
+  int i;
+  pthread_create(h, w);
+  for (i = 0; i < 1; i = i) {
+    x = 0;
+  }
+}
+""")
+        cfg = VerifierConfig(max_states=5000)
+        result = verify(p, cfg)
+        assert (result.outcome, result.states) == ("resource-exhausted",
+                                                   5001)
+        assert _cached(p, cfg) == _uncached(p, cfg)
+
+    def test_counts_repeat(self):
+        p = parse(_locked_workers(2, 2))
+        first = verify(p, VerifierConfig())
+        again = verify(p, VerifierConfig())
+        assert (first.states, first.pruned) == (again.states, again.pruned)
+        assert first.outcome == "safe-within-bounds"
+        assert first.pruned > 0
+
+    def test_single_thread_prunes_nothing(self):
+        # both nondet values reach the same state, but with one live
+        # thread no state is keyed
+        p = parse("int x = 0;\nint main(){ x = nondet(); x = 0; "
+                  "assert(x == 0); return 0; }")
+        result = verify(p, VerifierConfig())
+        assert result.outcome == "safe-within-bounds"
+        assert result.pruned == 0
