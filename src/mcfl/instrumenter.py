@@ -10,7 +10,7 @@ has found a diag value whose line, when changed, lets the program pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 from .sequentializer import SequentialProgram
 from .syntax import (
@@ -31,6 +31,7 @@ from .syntax import (
     Var,
     While,
     child_blocks,
+    clone,
     program_stmts,
     renumber,
 )
@@ -79,22 +80,6 @@ def eligible_lines(seq: SequentialProgram) -> dict[int, str]:
     return result
 
 
-def _clone(node):
-    """A deep copy of an AST built from its dataclass fields only. Unlike
-    copy.deepcopy it leaves out the provenance attributes that the
-    sequentializer sets on statements, which the model does not need and
-    which would make every copied node larger."""
-    if isinstance(node, list):
-        return [_clone(item) for item in node]
-    if not is_dataclass(node):
-        return node
-    new = type(node)(**{f.name: _clone(getattr(node, f.name))
-                        for f in fields(node) if f.init})
-    if isinstance(node, Stmt):
-        new.line = node.line  # an init=False field
-    return new
-
-
 def instrument(seq: SequentialProgram) -> InstrumentedProgram:
     return _instrument_core(seq, set())
 
@@ -115,7 +100,7 @@ def _instrument_core(seq: SequentialProgram,
     if not domain:
         raise NothingToInstrument(
             "no assignment or condition is eligible for diagnosis")
-    program = _clone(seq.program)
+    program = clone(seq.program)
 
     taken = {getattr(s, "name", "") for s in program_stmts(program)}
     taken.update(fn.name for fn in program.functions)

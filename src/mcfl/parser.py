@@ -37,6 +37,7 @@ from .syntax import (
     MutexUnlock,
     Nondet,
     Program,
+    PTHREAD_KINDS,
     Return,
     Stmt,
     Switch,
@@ -91,6 +92,15 @@ _KEYWORDS = {
     "pthread_cond_init",
     "pthread_cond_wait",
     "pthread_cond_signal",
+}
+
+# handle declaration keyword -> (global identifier kind, statement class)
+_HANDLE_DECLS = {
+    "pthread_t": ("thread", ThreadDecl),
+    "pthread_attr_t": ("attr", ThreadAttrDecl),
+    "pthread_cond_attr_t": ("condattr", CondAttrDecl),
+    "pthread_mutex_t": ("mutex", MutexDecl),
+    "pthread_cond_t": ("cond", CondDecl),
 }
 
 _SYMBOLS = [
@@ -266,40 +276,8 @@ class _Parser:
             self.declare_global(name_tok.text, "var", name_tok)
             self.globals.append(Decl(name_tok.text, init))
             return
-        if tok.text == "pthread_t":
-            self.advance()
-            name_tok = self.expect_ident()
-            self.expect(";")
-            self.declare_global(name_tok.text, "thread", name_tok)
-            self.globals.append(ThreadDecl(name_tok.text))
-            return
-        if tok.text == "pthread_attr_t":
-            self.advance()
-            name_tok = self.expect_ident()
-            self.expect(";")
-            self.declare_global(name_tok.text, "attr", name_tok)
-            self.globals.append(ThreadAttrDecl(name_tok.text))
-            return
-        if tok.text == "pthread_cond_attr_t":
-            self.advance()
-            name_tok = self.expect_ident()
-            self.expect(";")
-            self.declare_global(name_tok.text, "condattr", name_tok)
-            self.globals.append(CondAttrDecl(name_tok.text))
-            return
-        if tok.text == "pthread_mutex_t":
-            self.advance()
-            name_tok = self.expect_ident()
-            self.expect(";")
-            self.declare_global(name_tok.text, "mutex", name_tok)
-            self.globals.append(MutexDecl(name_tok.text))
-            return
-        if tok.text == "pthread_cond_t":
-            self.advance()
-            name_tok = self.expect_ident()
-            self.expect(";")
-            self.declare_global(name_tok.text, "cond", name_tok)
-            self.globals.append(CondDecl(name_tok.text))
+        if tok.text in _HANDLE_DECLS:
+            self.globals.append(self.parse_handle_decl(None))
             return
         self.error(f"expected declaration or function, found {tok.text!r}")
 
@@ -533,32 +511,8 @@ class _Parser:
             self.expect(";")
             return CondWait(cond.text, mutex.text)
 
-        if text in ("pthread_t", "pthread_attr_t", "pthread_cond_attr_t",
-                    "pthread_mutex_t", "pthread_cond_t"):
-            self.advance()
-            name_tok = self.expect_ident()
-            self.expect(";")
-            if name_tok.text in ctx.locals:
-                self.error(f"{name_tok.text!r} already names a local",
-                           name_tok)
-            # Handle objects live in the global namespace even when the
-            # declaration is written inside a function body.
-            kind = {
-                "pthread_t": "thread",
-                "pthread_attr_t": "attr",
-                "pthread_cond_attr_t": "condattr",
-                "pthread_mutex_t": "mutex",
-                "pthread_cond_t": "cond",
-            }[text]
-            self.declare_global(name_tok.text, kind, name_tok)
-            cls = {
-                "pthread_t": ThreadDecl,
-                "pthread_attr_t": ThreadAttrDecl,
-                "pthread_cond_attr_t": CondAttrDecl,
-                "pthread_mutex_t": MutexDecl,
-                "pthread_cond_t": CondDecl,
-            }[text]
-            return cls(name_tok.text)
+        if text in _HANDLE_DECLS:
+            return self.parse_handle_decl(ctx)
 
         if tok.kind == "ident":
             name_tok = self.advance()
@@ -584,6 +538,18 @@ class _Parser:
             return Assign(name_tok.text, expr)
 
         self.error(f"expected statement, found {text!r}")
+
+    def parse_handle_decl(self, ctx: "_FnCtx | None") -> Stmt:
+        """A pthread handle declaration, at global scope (ctx None) or in a
+        function body. Handle objects live in the global namespace either
+        way."""
+        kind, cls = _HANDLE_DECLS[self.advance().text]
+        name_tok = self.expect_ident()
+        self.expect(";")
+        if ctx is not None and name_tok.text in ctx.locals:
+            self.error(f"{name_tok.text!r} already names a local", name_tok)
+        self.declare_global(name_tok.text, kind, name_tok)
+        return cls(name_tok.text)
 
     def declare_local(self, ctx: "_FnCtx", tok: Token) -> None:
         name = tok.text
@@ -656,11 +622,6 @@ class _Parser:
         if tok.text == "(":
             self.advance()
             expr = self.parse_expr(ctx)
-            if self.accept("?"):
-                then_expr = self.parse_expr(ctx)
-                self.expect(":")
-                else_expr = self.parse_expr(ctx)
-                expr = Ternary(expr, then_expr, else_expr)
             self.expect(")")
             return expr
         if tok.kind == "int":
@@ -747,8 +708,6 @@ class _Parser:
             program.threads.append(ThreadDef(ordinal, fname))
         # sync statements inside callable (int) functions break call
         # atomicity, reject them
-        from .syntax import PTHREAD_KINDS
-
         for fn in program.functions:
             if fn.return_type != "int":
                 continue

@@ -48,15 +48,14 @@ from .syntax import (
     Return,
     Stmt,
     Switch,
-    Ternary,
     ThreadAttrDecl,
     ThreadCreate,
     ThreadDecl,
     ThreadExit,
     ThreadJoin,
-    Unary,
     Var,
     While,
+    clone,
     iter_stmts,
     program_stmts,
     renumber,
@@ -125,7 +124,6 @@ class SequentialProgram:
     # transformation bookkeeping, populated by the builder and consumed by
     # inject_order_control; None once injection has run
     anchors: dict | None = field(default=None, repr=False)
-    injected: bool = False
 
     def original_line(self, seq_line: int) -> int | None:
         """The source line a sequential line stands for: its original, or
@@ -155,29 +153,8 @@ def line_map_to_json(line_map: dict[int, MapEntry]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Expression copying and renaming
+# Fresh names and provenance marks
 # ---------------------------------------------------------------------------
-
-
-def _copy_expr(expr: Expr, rename: dict[str, str]) -> Expr:
-    if isinstance(expr, IntLit):
-        return IntLit(expr.value)
-    if isinstance(expr, Var):
-        return Var(rename.get(expr.name, expr.name))
-    if isinstance(expr, Index):
-        return Index(expr.name, _copy_expr(expr.index, rename))
-    if isinstance(expr, Nondet):
-        return Nondet(expr.lo, expr.hi)
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _copy_expr(expr.operand, rename))
-    if isinstance(expr, Binary):
-        return Binary(expr.op, _copy_expr(expr.left, rename),
-                      _copy_expr(expr.right, rename))
-    if isinstance(expr, Ternary):
-        return Ternary(_copy_expr(expr.cond, rename),
-                       _copy_expr(expr.then_expr, rename),
-                       _copy_expr(expr.else_expr, rename))
-    raise RuleGapError(f"cannot copy expression {expr!r}")
 
 
 class _NamePool:
@@ -215,89 +192,48 @@ def _inline_call(call: CallAssign, fns: dict[str, FunctionDef],
     for param, arg in zip(fn.params, call.args):
         fresh = pool.fresh(param)
         rename[param] = fresh
-        stmts.append(_mark(Decl(fresh, _copy_expr(arg, {})),
+        stmts.append(_mark(Decl(fresh, arg),
                            synthetic_entry("unwind-copy", call.line)))
-    body = _unwind_stmts(fn.body.stmts, fns, pool, copy_rename=rename,
-                         copy_of=call)
-    stmts.extend(body)
-    block = Block(stmts)
-    return _mark(block, original_entry(call.line), call.line)
+    stmts.extend(_unwind_stmts(fn.body.stmts, fns, pool, rename, call))
+    return Block(stmts)
 
 
 def _unwind_stmts(stmts: list[Stmt], fns: dict[str, FunctionDef],
-                  pool: _NamePool, copy_rename: dict[str, str] | None = None,
+                  pool: _NamePool, rename: dict[str, str] | None = None,
                   copy_of: CallAssign | None = None) -> list[Stmt]:
-    """Copies statements, inlining every call. With copy_rename set, the
-    copy is a callee body: locals are freshly renamed and returns become
-    assignments to the call target."""
-    rename = copy_rename if copy_rename is not None else {}
+    """Copies statements, inlining every call. With copy_of set, the copy
+    is a callee body: locals are freshly renamed through rename and
+    returns become assignments to the call target."""
+    rename = rename if rename is not None else {}
     out: list[Stmt] = []
 
-    def prov_for(s: Stmt) -> tuple[MapEntry, int | None]:
-        if copy_of is not None:
-            return synthetic_entry("unwind-copy", s.line), None
-        return original_entry(s.line), s.line
+    def unwind(body: list[Stmt]) -> Block:
+        return Block(_unwind_stmts(body, fns, pool, rename, copy_of))
 
     for s in stmts:
-        prov, orig = prov_for(s)
-        if isinstance(s, Decl):
-            name = s.name
-            if copy_of is not None:
-                name = pool.fresh(s.name)
-                rename[s.name] = name
-            init = _copy_expr(s.init, rename) if s.init is not None else None
-            out.append(_mark(Decl(name, init), prov, orig))
-        elif isinstance(s, Assign):
-            out.append(_mark(
-                Assign(rename.get(s.name, s.name),
-                       _copy_expr(s.expr, rename)), prov, orig))
+        if copy_of is not None:
+            prov, orig = synthetic_entry("unwind-copy", s.line), None
+        else:
+            prov, orig = original_entry(s.line), s.line
+        if isinstance(s, PTHREAD_KINDS) and copy_of is not None:
+            raise RuleGapError(
+                "threading statement inside a callable function")
+        if isinstance(s, (Decl, Assign, Assert, Assume) + PTHREAD_KINDS):
+            if isinstance(s, Decl) and copy_of is not None:
+                rename[s.name] = pool.fresh(s.name)
+            node = clone(s, rename)
         elif isinstance(s, CallAssign):
-            inner = CallAssign(rename.get(s.name, s.name), s.func,
-                               [_copy_expr(a, rename) for a in s.args])
-            inner.line = s.line
-            block = _inline_call(inner, fns, pool)
-            if copy_of is not None:
-                block._prov = synthetic_entry("unwind-copy", s.line)
-                block._orig = None
-            out.append(block)
+            node = _inline_call(clone(s, rename), fns, pool)
         elif isinstance(s, Return):
-            if copy_of is not None:
-                out.append(_mark(
-                    Assign(copy_of.name, _copy_expr(s.expr, rename)),
-                    synthetic_entry("unwind-copy", s.line)))
-            else:
-                out.append(_mark(Return(_copy_expr(s.expr, rename)),
-                                 prov, orig))
+            node = clone(s, rename) if copy_of is None else \
+                Assign(copy_of.name, clone(s.expr, rename))
         elif isinstance(s, If):
-            node = If(_copy_expr(s.cond, rename),
-                      Block(_unwind_stmts(s.then.stmts, fns, pool,
-                                          rename if copy_of else None,
-                                          copy_of)),
-                      Block(_unwind_stmts(s.els.stmts, fns, pool,
-                                          rename if copy_of else None,
-                                          copy_of))
-                      if s.els is not None else None)
-            out.append(_mark(node, prov, orig))
+            node = If(clone(s.cond, rename), unwind(s.then.stmts),
+                      unwind(s.els.stmts) if s.els is not None else None)
         elif isinstance(s, While):
-            node = While(_copy_expr(s.cond, rename),
-                         Block(_unwind_stmts(s.body.stmts, fns, pool,
-                                             rename if copy_of else None,
-                                             copy_of)))
-            out.append(_mark(node, prov, orig))
+            node = While(clone(s.cond, rename), unwind(s.body.stmts))
         elif isinstance(s, Block):
-            node = Block(_unwind_stmts(s.stmts, fns, pool,
-                                       rename if copy_of else None, copy_of))
-            out.append(_mark(node, prov, orig))
-        elif isinstance(s, Assert):
-            out.append(_mark(Assert(_copy_expr(s.expr, rename)), prov, orig))
-        elif isinstance(s, Assume):
-            out.append(_mark(Assume(_copy_expr(s.expr, rename)), prov, orig))
-        elif isinstance(s, PTHREAD_KINDS):
-            if copy_of is not None:
-                raise RuleGapError(
-                    "threading statement inside a callable function")
-            copied = _copy_pthread(s)
-            out.append(_mark(copied, prov, orig))
+            node = unwind(s.stmts)
         elif isinstance(s, (For, Switch, CaseLabel, DefaultLabel, Break)):
             raise RuleGapError(
                 f"line {s.line}: {type(s).__name__} has no transformation "
@@ -308,51 +244,14 @@ def _unwind_stmts(stmts: list[Stmt], fns: dict[str, FunctionDef],
                 "transformation rule")
         else:
             raise RuleGapError(f"no unwinding rule for {type(s).__name__}")
+        out.append(_mark(node, prov, orig))
     return out
-
-
-def _copy_pthread(s: Stmt) -> Stmt:
-    if isinstance(s, ThreadDecl):
-        return ThreadDecl(s.name)
-    if isinstance(s, ThreadAttrDecl):
-        return ThreadAttrDecl(s.name)
-    if isinstance(s, CondAttrDecl):
-        return CondAttrDecl(s.name)
-    if isinstance(s, ThreadCreate):
-        return ThreadCreate(s.handle, s.func)
-    if isinstance(s, ThreadJoin):
-        return ThreadJoin(s.handle)
-    if isinstance(s, ThreadExit):
-        return ThreadExit()
-    if isinstance(s, MutexDecl):
-        return MutexDecl(s.name)
-    if isinstance(s, MutexLock):
-        return MutexLock(s.name)
-    if isinstance(s, MutexUnlock):
-        return MutexUnlock(s.name)
-    if isinstance(s, CondDecl):
-        return CondDecl(s.name)
-    if isinstance(s, CondInit):
-        return CondInit(s.name)
-    if isinstance(s, CondWait):
-        return CondWait(s.cond, s.mutex)
-    if isinstance(s, CondSignal):
-        return CondSignal(s.name)
-    raise RuleGapError(f"unknown pthread statement {type(s).__name__}")
 
 
 def unwind_calls(program: Program) -> Program:
     """Replaces every call-assignment with an inlined block and drops the
     callable function definitions."""
     return renumber(_unwind_annotated(program))
-
-
-def _copy_global(g: Stmt) -> Stmt:
-    if isinstance(g, Decl):
-        return Decl(g.name, _copy_expr(g.init, {}) if g.init else None)
-    if isinstance(g, ArrayDecl):
-        return ArrayDecl(g.name, list(g.values))
-    return _copy_pthread(g)
 
 
 def _taken_names(program: Program,
@@ -452,21 +351,11 @@ class _Builder:
 
     def transform_globals(self, stmts: list[Stmt]) -> None:
         for g in stmts:
-            orig = getattr(g, "_orig", g.line)
             if isinstance(g, Decl):
                 self.model_globals.append(_mark(
-                    Decl(g.name, g.init), original_entry(orig), orig))
-            elif isinstance(g, MutexDecl):
-                if self.deadlock:
-                    self.model_globals.append(_mark(
-                        Decl(g.name, IntLit(0)),
-                        synthetic_entry("mutex-model"), orig))
-            elif isinstance(g, CondDecl):
-                if self.deadlock:
-                    self.model_globals.append(_mark(
-                        Decl(g.name), synthetic_entry("cond-model"), orig))
-            elif isinstance(g, (ThreadDecl, ThreadAttrDecl, CondAttrDecl)):
-                pass
+                    Decl(g.name, g.init), original_entry(g._orig), g._orig))
+            elif isinstance(g, PTHREAD_KINDS):
+                self._pthread(g, [])
             else:
                 raise RuleGapError(
                     f"global kind {type(g).__name__} has no rule")
@@ -489,7 +378,7 @@ class _Builder:
                 original_entry(s.line) if s.line else
                 synthetic_entry("framework"))
             start = len(out)
-            images = self._one(s, rename, loops, out, prov)
+            self._one(s, rename, loops, out, prov)
             if orig is not None:
                 self.anchors[orig] = _Anchor(
                     out, start, len(out) - start, list(loops),
@@ -504,26 +393,20 @@ class _Builder:
             self.hoisted.append(_mark(Decl(rename[s.name]), prov, None))
             if s.init is not None:
                 out.append(_mark(
-                    Assign(rename[s.name], _copy_expr(s.init, rename)),
+                    Assign(rename[s.name], clone(s.init, rename)),
                     prov, orig))
             return
-        if isinstance(s, Assign):
-            img = _mark(Assign(rename.get(s.name, s.name),
-                               _copy_expr(s.expr, rename)), prov, orig)
+        if isinstance(s, (Assign, Assert, Assume)):
+            img = _mark(clone(s, rename), prov, orig)
             out.append(img)
-            if isinstance(s.expr, Nondet) and orig is not None:
+            if isinstance(s, Assign) and isinstance(s.expr, Nondet) \
+                    and orig is not None:
                 values = self.pins.get(orig, [])
                 if len(values) == 1:
                     out.append(_mark(
                         Assume(Binary("==", Var(img.name),
                                       IntLit(values[0]))),
                         synthetic_entry("nondet-pin"), None))
-            return
-        if isinstance(s, Assert):
-            out.append(_mark(Assert(_copy_expr(s.expr, rename)), prov, orig))
-            return
-        if isinstance(s, Assume):
-            out.append(_mark(Assume(_copy_expr(s.expr, rename)), prov, orig))
             return
         if isinstance(s, Return):
             out.append(_mark(Break(), prov, orig))
@@ -536,7 +419,7 @@ class _Builder:
             then_list = self._stmts(s.then.stmts, rename, loops)
             els_list = self._stmts(s.els.stmts, rename, loops) \
                 if s.els is not None else None
-            node = If(_copy_expr(s.cond, rename), Block(then_list),
+            node = If(clone(s.cond, rename), Block(then_list),
                       Block(els_list) if els_list is not None else None)
             out.append(_mark(node, prov, orig))
             if orig is not None:
@@ -550,28 +433,37 @@ class _Builder:
                         synthetic_entry("loopcounter"), None)
             inc._lc_inc = True
             body_list.append(inc)
-            node = While(_copy_expr(s.cond, rename), Block(body_list))
+            node = While(clone(s.cond, rename), Block(body_list))
             out.append(_mark(node, prov, orig))
             if orig is not None:
                 self.loop_names[orig] = lc
                 self.loop_bodies[orig] = (body_list, inner_loops)
             return
         if isinstance(s, PTHREAD_KINDS):
-            reason = "mutex-model" if isinstance(
-                s, (MutexDecl, MutexLock, MutexUnlock)) else "cond-model"
-            for img in apply_pthread_rules(s, self.deadlock):
-                if isinstance(img, Decl):
-                    self.model_globals.append(_mark(
-                        img, synthetic_entry(reason), orig))
-                else:
-                    out.append(_mark(img, synthetic_entry(reason), orig))
+            self._pthread(s, out)
             return
         raise RuleGapError(
             f"statement kind {type(s).__name__} has no transformation rule")
 
+    def _pthread(self, s: Stmt, out: list[Stmt]) -> None:
+        """The images of a threading statement (apply_pthread_rules): a
+        modelled lock or condition variable declaration becomes a global,
+        every other image goes to out."""
+        orig = getattr(s, "_orig", None)
+        reason = "mutex-model" if isinstance(
+            s, (MutexDecl, MutexLock, MutexUnlock)) else "cond-model"
+        for img in apply_pthread_rules(s, self.deadlock):
+            if isinstance(img, Decl):
+                self.model_globals.append(_mark(
+                    img, synthetic_entry(reason), orig))
+            else:
+                out.append(_mark(img, synthetic_entry(reason), orig))
 
-def _build_skeleton(program: Program, schedule: Schedule,
-                    deadlock: bool) -> SequentialProgram:
+
+def build_skeleton(program: Program, schedule: Schedule,
+                   deadlock: bool) -> SequentialProgram:
+    """The sequential program before guard injection; exposed so the
+    injection step can be exercised on its own."""
     unwound = _unwind_annotated(program)
     builder = _Builder(program, schedule, deadlock)
     builder.transform_globals(unwound.globals)
@@ -650,11 +542,11 @@ def _unwind_annotated(program: Program) -> Program:
         "main", "int", [],
         Block(_unwind_stmts(program.main.body.stmts, fns, pool)))
     out = Program(
-        globals=[_mark(_copy_global(g), original_entry(g.line), g.line)
+        globals=[_mark(clone(g), original_entry(g.line), g.line)
                  for g in program.globals],
         functions=new_fns,
         main=new_main,
-        threads=[type(t)(t.ordinal, t.function) for t in program.threads],
+        threads=clone(program.threads),
     )
     return out
 
@@ -689,7 +581,7 @@ def inject_order_control(seq: SequentialProgram,
                          schedule: Schedule) -> SequentialProgram:
     """Inserts segment-exit guards and segment-entry case labels so that the
     sequential program performs the schedule's segments in order."""
-    if seq.anchors is None or seq.injected:
+    if seq.anchors is None:
         raise GuardPlacementError(
             "order control can only be injected once, on a freshly built "
             "sequential program")
@@ -781,7 +673,6 @@ def inject_order_control(seq: SequentialProgram,
         for idx, _, stmts in sorted(entries, key=lambda e: (-e[0], -e[1])):
             container[idx:idx] = stmts
 
-    seq.injected = True
     seq.anchors = None
     _finalize(seq)
     return seq
@@ -791,15 +682,8 @@ def sequentialize(program: Program, schedule: Schedule,
                   deadlock: bool) -> SequentialProgram:
     """Full transformation: unwinding, rewrite rules, hoisting, framework
     skeleton, and order control."""
-    seq = _build_skeleton(program, schedule, deadlock)
+    seq = build_skeleton(program, schedule, deadlock)
     return inject_order_control(seq, schedule)
-
-
-def build_skeleton(program: Program, schedule: Schedule,
-                   deadlock: bool) -> SequentialProgram:
-    """The sequential program before guard injection; exposed so the
-    injection step can be exercised on its own."""
-    return _build_skeleton(program, schedule, deadlock)
 
 
 def pthread_free(program: Program) -> bool:

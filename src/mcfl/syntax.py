@@ -7,7 +7,8 @@ and diagnoses all refer to statements by id, never by textual position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 
 
 LineId = int
@@ -139,8 +140,9 @@ class While(Stmt):
 class For(Stmt):
     """for (var = init; cond; var = update) { ... }
 
-    Framework construct: not subject to the loop bound, terminates via its
-    condition or the global state cap.
+    Not subject to the loop bound, user-written loops included, because the
+    sequential program's dispatcher is one; it terminates via its condition
+    or the global state cap.
     """
 
     var: str
@@ -312,6 +314,8 @@ class Program:
 
 
 def child_blocks(stmt: Stmt) -> list[Block]:
+    """The blocks directly under stmt, in source order; a Block used as a
+    statement is its own."""
     if isinstance(stmt, If):
         return [stmt.then] + ([stmt.els] if stmt.els is not None else [])
     if isinstance(stmt, (While, For, Switch)):
@@ -329,14 +333,8 @@ def iter_stmts(stmts: list[Stmt]):
     """
     for stmt in stmts:
         yield stmt
-        if isinstance(stmt, Block):
-            yield from iter_stmts(stmt.stmts)
-        elif isinstance(stmt, If):
-            yield from iter_stmts(stmt.then.stmts)
-            if stmt.els is not None:
-                yield from iter_stmts(stmt.els.stmts)
-        elif isinstance(stmt, (While, For, Switch)):
-            yield from iter_stmts(stmt.body.stmts)
+        for block in child_blocks(stmt):
+            yield from iter_stmts(block.stmts)
 
 
 def program_stmts(program: Program):
@@ -372,23 +370,54 @@ def enclosing_loops(program: Program) -> dict[LineId, list[LineId]]:
     def walk(stmts: list[Stmt], stack: list[LineId]) -> None:
         for stmt in stmts:
             result[stmt.line] = list(stack)
-            if isinstance(stmt, While):
-                walk(stmt.body.stmts, stack + [stmt.line])
-            elif isinstance(stmt, Block):
-                walk(stmt.stmts, stack)
-            elif isinstance(stmt, If):
-                walk(stmt.then.stmts, stack)
-                if stmt.els is not None:
-                    walk(stmt.els.stmts, stack)
-            elif isinstance(stmt, (For, Switch)):
-                walk(stmt.body.stmts, stack)
+            inner = stack + [stmt.line] if isinstance(stmt, While) else stack
+            for block in child_blocks(stmt):
+                walk(block.stmts, inner)
 
-    walk(list(program.globals), [])
+    walk(program.globals, [])
     for fn in program.functions:
         walk(fn.body.stmts, [])
     if program.main is not None:
         walk(program.main.body.stmts, [])
     return result
+
+
+# field values that are shared, not copied: names, numbers, absent parts
+_PLAIN = (str, int, type(None))
+
+
+@cache
+def _init_fields(cls: type) -> tuple[str, ...] | None:
+    """The constructor fields of a node class, in order; None for values
+    that are not nodes."""
+    if not is_dataclass(cls):
+        return None
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
+def clone(node, rename: dict[str, str] | None = None):
+    """A deep copy of a node, or of a list of nodes, built from its
+    dataclass fields only. Line ids are kept; attributes set outside the
+    fields, such as the sequentializer's provenance marks, are left out.
+
+    With rename, Var reads and the names that Decl, Assign and CallAssign
+    write are renamed; array names, call targets and handles are not."""
+    if isinstance(node, list):
+        return [clone(item, rename) for item in node]
+    names = _init_fields(type(node))
+    if names is None:
+        return node
+    args = []
+    for name in names:
+        value = getattr(node, name)
+        args.append(value if isinstance(value, _PLAIN) else
+                    clone(value, rename))
+    new = type(node)(*args)
+    if isinstance(node, Stmt):
+        new.line = node.line  # an init=False field
+    if rename and isinstance(new, (Var, Decl, Assign, CallAssign)):
+        new.name = rename.get(new.name, new.name)
+    return new
 
 
 # ---------------------------------------------------------------------------

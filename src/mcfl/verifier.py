@@ -259,10 +259,10 @@ def _compile_stmt(code: Code, stmt: Stmt, switch_ends: list[int],
         code.emit(Instr("jump", ln, target=head))
         code.instrs[head].target = len(code.instrs)
     elif isinstance(stmt, For):
-        code.emit(Instr("for_assign", ln, name=stmt.var, expr=stmt.init))
+        code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.init))
         head = code.emit(Instr("branch", ln, expr=stmt.cond))
         _compile_body(code, stmt.body.stmts, switch_ends, switch_frames)
-        code.emit(Instr("for_assign", ln, name=stmt.var, expr=stmt.update))
+        code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.update))
         code.emit(Instr("jump", ln, target=head))
         code.instrs[head].target = len(code.instrs)
     elif isinstance(stmt, Switch):
@@ -300,10 +300,8 @@ def _compile_stmt(code: Code, stmt: Stmt, switch_ends: list[int],
         code.emit(Instr("wait", ln, name=stmt.cond, args=(stmt.mutex,)))
     elif isinstance(stmt, CondSignal):
         code.emit(Instr("signal", ln, name=stmt.name))
-    elif isinstance(stmt, CondInit):
-        code.emit(Instr("nopstep", ln))
     elif isinstance(stmt, (ThreadDecl, ThreadAttrDecl, CondAttrDecl,
-                           MutexDecl, CondDecl)):
+                           MutexDecl, CondDecl, CondInit)):
         code.emit(Instr("nopstep", ln))
     elif isinstance(stmt, ArrayDecl):
         raise ModelError("array declarations are global only")
@@ -719,7 +717,7 @@ class _Machine:
         line = instr.line
         ctx = _Ctx(self, frame.locals, line)
 
-        if op in ("assign", "decl", "for_assign"):
+        if op in ("assign", "decl"):
             def assign(s, f, v):
                 top = self._frame(s, tid, f)
                 self._write(s, top, instr.name, v)

@@ -1,13 +1,36 @@
-"""Parser, printer and line-id behavior."""
+"""Parser, printer, copier and line-id behavior."""
+
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfl.parser import ParseError, parse
-from mcfl.syntax import line_table, pretty_print
+from mcfl.sequentializer import sequentialize
+from mcfl.syntax import (
+    CondAttrDecl,
+    CondDecl,
+    Expr,
+    MutexDecl,
+    Stmt,
+    ThreadAttrDecl,
+    ThreadDecl,
+    clone,
+    line_table,
+    pretty_print,
+    program_stmts,
+)
+from mcfl.verifier import VerifierConfig, extract_schedule, verify
 
+from conftest import BENCH_DIR
 from randprog import generate_source
+
+# the 9 bundled ports and the division corpus that other suites also use
+_SOURCES = {path.stem: path.read_text()
+            for path in sorted(BENCH_DIR.glob("*.mc"))}
+_SOURCES.update({f"randprog-{seed}": generate_source(seed, with_div=True)
+                 for seed in range(150)})
 
 
 class TestParse:
@@ -183,3 +206,115 @@ class TestLineIds:
         new = line_table(reparsed)
         assert {k: type(v) for k, v in orig.items()} == \
                {k: type(v) for k, v in new.items()}
+
+
+def _nodes(node):
+    """Every statement, expression and list reachable from node."""
+    if isinstance(node, list):
+        yield node
+        for item in node:
+            yield from _nodes(item)
+    elif is_dataclass(node):
+        if isinstance(node, (Stmt, Expr)):
+            yield node
+        for f in fields(node):
+            yield from _nodes(getattr(node, f.name))
+
+
+class TestClone:
+    @pytest.mark.parametrize("name", sorted(_SOURCES))
+    def test_copy_is_equal_and_shares_nothing(self, name):
+        p = parse(_SOURCES[name])
+        copy = clone(p)
+        assert pretty_print(copy) == pretty_print(p)
+        assert copy == p  # line ids included
+        assert not {id(n) for n in _nodes(p)} & \
+            {id(n) for n in _nodes(copy)}
+
+    @pytest.mark.parametrize("port", sorted(
+        path.stem for path in BENCH_DIR.glob("*.mc")))
+    def test_provenance_marks_are_not_copied(self, port):
+        p = parse(_SOURCES[port])
+        cex = verify(p, VerifierConfig(deadlock_check=True)).counterexample
+        seq = sequentialize(p, extract_schedule(cex), False)
+        assert any(hasattr(s, "_prov") for s in program_stmts(seq.program))
+        copy = clone(seq.program)
+        assert pretty_print(copy) == pretty_print(seq.program)
+        for s in program_stmts(copy):
+            assert not hasattr(s, "_prov") and not hasattr(s, "_orig")
+            assert not hasattr(s, "_lc_inc")
+
+    def test_rename_reads_and_writes_only(self):
+        template = """
+        int {g} = 0;
+        int arr[2] = {{1, 2}};
+        pthread_mutex_t m;
+        pthread_t h;
+        int f(int a) {{ int {b} = a; return {b}; }}
+        void t() {{ {g} = 1; }}
+        int main() {{
+          int {x} = {g};
+          int {y};
+          {y} = f({x});
+          {x} = arr[{x}] + {y};
+          pthread_mutex_lock(m);
+          pthread_create(h, t);
+          assert({x} != ({y} > 0 ? {g} : arr[{y}]));
+          pthread_mutex_unlock(m);
+          pthread_join(h);
+          return {x};
+        }}
+        """
+        src = template.format(g="g", b="b", x="x", y="y")
+        expected = template.format(g="g2", b="b2", x="x2", y="y2")
+        # array, function, thread-function and handle names stay as they are
+        rename = {"g": "g2", "b": "b2", "x": "x2", "y": "y2", "arr": "A",
+                  "f": "F", "t": "T", "m": "M", "h": "H"}
+        p = parse(src)
+        assert clone(p, rename) == parse(expected)
+        assert p == parse(src)
+
+
+# handle type -> (statement class, statements that use a handle named h)
+_HANDLE_DECLS = {
+    "pthread_t": (ThreadDecl, "pthread_create(h, worker); pthread_join(h);"),
+    "pthread_attr_t": (ThreadAttrDecl, ""),
+    "pthread_cond_attr_t": (CondAttrDecl, ""),
+    "pthread_mutex_t": (MutexDecl,
+                        "pthread_mutex_lock(h); pthread_mutex_unlock(h);"),
+    "pthread_cond_t": (CondDecl,
+                       "pthread_cond_init(h); pthread_cond_signal(h);"),
+}
+
+
+class TestHandleDecls:
+    @pytest.mark.parametrize("scope", ["global", "function"])
+    @pytest.mark.parametrize("kind", sorted(_HANDLE_DECLS))
+    def test_declaration_and_use(self, kind, scope):
+        cls, uses = _HANDLE_DECLS[kind]
+        if scope == "global":
+            p = parse(f"{kind} h;\nvoid worker() {{ }}\n"
+                      f"int main() {{ {uses} return 0; }}")
+            decl = p.globals[0]
+        else:
+            p = parse(f"void worker() {{ }}\n"
+                      f"int main() {{ {kind} h; {uses} return 0; }}")
+            decl = p.main.body.stmts[0]
+        assert type(decl) is cls and decl.name == "h"
+        assert parse(pretty_print(p)) == p
+
+    @pytest.mark.parametrize("scope", ["global", "function"])
+    @pytest.mark.parametrize("kind", sorted(_HANDLE_DECLS))
+    def test_duplicate_rejected(self, kind, scope):
+        decls = f"{kind} h; {kind} h;"
+        src = f"{decls}\nint main() {{ return 0; }}" if scope == "global" \
+            else f"int main() {{ {decls} return 0; }}"
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert "duplicate global identifier 'h'" in str(err.value)
+
+    @pytest.mark.parametrize("kind", sorted(_HANDLE_DECLS))
+    def test_local_name_rejected(self, kind):
+        with pytest.raises(ParseError) as err:
+            parse(f"int main() {{ int h; {kind} h; return 0; }}")
+        assert "'h' already names a local" in str(err.value)
