@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import rows_to_csv, rows_to_table, run_bench
@@ -45,45 +45,6 @@ EXIT_FAULTS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_RESOURCE = 3
 EXIT_USAGE = 4
-
-_DEFAULT_MAX_STATES = 200_000
-
-
-@dataclass
-class CliConfig:
-    command: str
-    input_path: str
-    unwind: int = 3
-    context_bound: int = 4
-    nondet_lo: int = 0
-    nondet_hi: int = 8
-    deadlock_check: bool = False
-    output: str = "text"  # 'text' | 'json'
-    emit_intermediates: bool = False
-    max_states: int | None = None  # None: MCFL_MAX_STATES, else 200000
-    csv_path: str = "mcfl_bench.csv"
-
-    def verifier_config(self) -> VerifierConfig:
-        """Raises ValueError on a bound out of range or a malformed
-        MCFL_MAX_STATES."""
-        max_states = self.max_states
-        if max_states is None:
-            text = os.environ.get("MCFL_MAX_STATES")
-            try:
-                max_states = _DEFAULT_MAX_STATES if text is None \
-                    else int(text)
-            except ValueError:
-                raise ValueError(
-                    f"MCFL_MAX_STATES must be an integer, not {text!r}"
-                ) from None
-        return VerifierConfig(
-            context_bound=self.context_bound,
-            loop_bound=self.unwind,
-            nondet_domain=(self.nondet_lo, self.nondet_hi),
-            deadlock_check=self.deadlock_check,
-            max_states=max_states,
-        )
-
 
 def _parse_nondet(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
@@ -136,19 +97,25 @@ def build_cli() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        input_path=args.input,
-        unwind=args.unwind,
+def _verifier_config(args: argparse.Namespace) -> VerifierConfig:
+    """Raises ValueError on a bound out of range or a malformed
+    MCFL_MAX_STATES."""
+    max_states = args.max_states
+    if max_states is None:
+        text = os.environ.get("MCFL_MAX_STATES")
+        try:
+            max_states = VerifierConfig.max_states if text is None \
+                else int(text)
+        except ValueError:
+            raise ValueError(
+                f"MCFL_MAX_STATES must be an integer, not {text!r}"
+            ) from None
+    return VerifierConfig(
         context_bound=args.context_bound,
-        nondet_lo=args.nondet[0],
-        nondet_hi=args.nondet[1],
+        loop_bound=args.unwind,
+        nondet_domain=args.nondet,
         deadlock_check=args.deadlock_check,
-        output="json" if args.json else "text",
-        emit_intermediates=args.emit_intermediates,
-        max_states=args.max_states,
-        csv_path=getattr(args, "csv", "mcfl_bench.csv"),
+        max_states=max_states,
     )
 
 
@@ -162,20 +129,21 @@ def _emit(path: Path, text: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def run(config: CliConfig) -> int:
-    """Dispatches one command; returns the documented exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatches one parsed command line; returns the documented exit
+    status."""
     try:
-        vcfg = config.verifier_config()
-        if config.command == "bench":
-            return _run_bench(config, vcfg)
-        program = _load_program(config.input_path)
+        vcfg = _verifier_config(args)
+        if args.command == "bench":
+            return _run_bench(args, vcfg)
+        program = _load_program(args.input)
     except (OSError, ParseError, ValueError) as exc:
         print(f"mcfl: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    base = Path(config.input_path)
+    base = Path(args.input)
     try:
-        if config.command == "verify":
+        if args.command == "verify":
             result = verify(program, vcfg)
             if result.outcome == "resource-exhausted":
                 print("resource-exhausted")
@@ -185,7 +153,7 @@ def run(config: CliConfig) -> int:
                 print(f"safe-within-bounds{suffix}")
                 return EXIT_SAFE
             cex = result.counterexample
-            if config.output == "json":
+            if args.json:
                 print(counterexample_to_json(cex), end="")
             else:
                 v = cex.violation
@@ -194,12 +162,12 @@ def run(config: CliConfig) -> int:
                 print(f"violation: {v.kind}{where}")
                 print(f"steps: {len(cex.steps)}, "
                       f"context switches: {len(cex.switches)}")
-            if config.emit_intermediates:
+            if args.emit_intermediates:
                 _emit(base.with_suffix(".counterexample.json"),
                       counterexample_to_json(cex))
             return EXIT_FAULTS
 
-        if config.command in ("sequentialize", "instrument"):
+        if args.command in ("sequentialize", "instrument"):
             result = verify(program, replace(vcfg, deadlock_check=True))
             if result.outcome == "resource-exhausted":
                 print("resource-exhausted")
@@ -211,18 +179,18 @@ def run(config: CliConfig) -> int:
             deadlock = cex.violation.kind == "deadlock"
             schedule = extract_schedule(cex)
             seq = sequentialize(program, schedule, deadlock)
-            if config.emit_intermediates:
+            if args.emit_intermediates:
                 _emit(base.with_suffix(".counterexample.json"),
                       counterexample_to_json(cex))
                 _emit(base.with_suffix(".seq.mc"),
                       pretty_print(seq.program))
                 _emit(base.with_suffix(".linemap.json"),
                       line_map_to_json(seq.line_map))
-            if config.command == "sequentialize":
+            if args.command == "sequentialize":
                 print(pretty_print(seq.program), end="")
                 return EXIT_FAULTS
             instr = instrument(seq)
-            if config.emit_intermediates:
+            if args.emit_intermediates:
                 _emit(base.with_suffix(".instrumented.mc"),
                       pretty_print(instr.program))
                 _emit(base.with_suffix(".instrumented.json"),
@@ -230,9 +198,9 @@ def run(config: CliConfig) -> int:
             print(pretty_print(instr.program), end="")
             return EXIT_FAULTS
 
-        if config.command == "localize":
+        if args.command == "localize":
             report = localize(program, vcfg)
-            if config.emit_intermediates:
+            if args.emit_intermediates:
                 if report.counterexample is not None:
                     _emit(base.with_suffix(".counterexample.json"),
                           counterexample_to_json(report.counterexample))
@@ -244,7 +212,7 @@ def run(config: CliConfig) -> int:
                 if report.instrumented is not None:
                     _emit(base.with_suffix(".instrumented.mc"),
                           pretty_print(report.instrumented.program))
-            if config.output == "json":
+            if args.json:
                 print(report_to_json(report), end="")
             else:
                 _print_report(report)
@@ -264,7 +232,7 @@ def run(config: CliConfig) -> int:
         print(f"mcfl: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    print(f"mcfl: unknown command {config.command!r}", file=sys.stderr)
+    print(f"mcfl: unknown command {args.command!r}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -283,14 +251,14 @@ def _print_report(report) -> None:
     print(f"time: {total:.3f}s ({stages})")
 
 
-def _run_bench(config: CliConfig, vcfg: VerifierConfig) -> int:
-    directory = Path(config.input_path)
+def _run_bench(args: argparse.Namespace, vcfg: VerifierConfig) -> int:
+    directory = Path(args.input)
     if not directory.is_dir():
         print(f"mcfl: {directory} is not a directory", file=sys.stderr)
         return EXIT_USAGE
     rows = run_bench(directory, vcfg)
     print(rows_to_table(rows), end="")
-    csv_path = Path(config.csv_path)
+    csv_path = Path(args.csv)
     csv_path.write_text(rows_to_csv(rows))
     print(f"wrote {csv_path}", file=sys.stderr)
     return EXIT_SAFE
@@ -302,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return run(config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .sequentializer import SequentialProgram
+from .sequentializer import NamePool, SequentialProgram
 from .syntax import (
     Assert,
     Assign,
@@ -101,29 +101,18 @@ def _instrument_core(seq: SequentialProgram,
         raise NothingToInstrument(
             "no assignment or condition is eligible for diagnosis")
     program = clone(seq.program)
+    diag = NamePool({getattr(s, "name", "") for s in program_stmts(program)}
+                    ).fresh("diag")
 
-    taken = {getattr(s, "name", "") for s in program_stmts(program)}
-    taken.update(fn.name for fn in program.functions)
-    diag = "diag"
-    k = 2
-    while diag in taken:
-        diag = f"diag_{k}"
-        k += 1
-
-    for stmt in program_stmts(program):
-        kind = domain.get(stmt.line)
-        if kind == "assign":
-            stmt.expr = Ternary(
-                Binary("==", Var(diag), IntLit(stmt.line)), Nondet(),
-                stmt.expr)
-        elif kind == "cond":
-            stmt.cond = Ternary(
-                Binary("==", Var(diag), IntLit(stmt.line)), Nondet(0, 1),
-                stmt.cond)
+    wrapped = {s.line: s for s in program_stmts(program) if s.line in domain}
+    for line, stmt in wrapped.items():
+        picked = Binary("==", Var(diag), IntLit(line))
+        if domain[line] == "assign":
+            stmt.expr = Ternary(picked, Nondet(), stmt.expr)
+        else:
+            stmt.cond = Ternary(picked, Nondet(0, 1), stmt.cond)
 
     _asserts_to_assumes(program.main.body)
-    for fn in program.functions:
-        _asserts_to_assumes(fn.body)
 
     body = program.main.body.stmts
     if body and isinstance(body[-1], Return):
@@ -143,27 +132,13 @@ def _instrument_core(seq: SequentialProgram,
 
     renumber(program)
 
-    wrap_sites: dict[int, int] = {}
-    for stmt in program_stmts(program):
-        expr = None
-        if isinstance(stmt, Assign):
-            expr = stmt.expr
-        elif isinstance(stmt, (If, While)):
-            expr = stmt.cond
-        if isinstance(expr, Ternary) and isinstance(expr.cond, Binary) \
-                and expr.cond.op == "==" \
-                and isinstance(expr.cond.left, Var) \
-                and expr.cond.left.name == diag \
-                and isinstance(expr.cond.right, IntLit):
-            wrap_sites[expr.cond.right.value] = stmt.line
-
     return InstrumentedProgram(
         program=program,
         diag_domain=set(domain),
         blocked=set(blocked),
         diag_var=diag,
         seq=seq,
-        wrap_sites=wrap_sites,
+        wrap_sites={d: stmt.line for d, stmt in wrapped.items()},
         assert_false_line=final_assert.line,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .instrumenter import (
     InstrumentedProgram,
@@ -29,6 +29,7 @@ from .syntax import (
     Program,
     Stmt,
     While,
+    child_blocks,
     line_table,
 )
 from .verifier import (
@@ -192,22 +193,25 @@ def _swapped_block(block: Block, old: Stmt, new: Stmt) -> Block | None:
     """A copy of block with old replaced by new, or None if old is not in
     it."""
     for i, stmt in enumerate(block.stmts):
-        if stmt is old:
-            swapped = new
-        elif isinstance(stmt, Block):
-            swapped = _swapped_block(stmt, old, new)
-        else:
-            swapped = None
-            for name in ("then", "els", "body"):
-                child = getattr(stmt, name, None)
-                if child is not None:
-                    inner = _swapped_block(child, old, new)
-                    if inner is not None:
-                        swapped = _replaced(stmt, **{name: inner})
-                        break
+        swapped = new if stmt is old else _swapped_inside(stmt, old, new)
         if swapped is not None:
             return _replaced(block, stmts=block.stmts[:i] + [swapped]
                              + block.stmts[i + 1:])
+    return None
+
+
+def _swapped_inside(stmt: Stmt, old: Stmt, new: Stmt) -> Stmt | None:
+    """A copy of stmt with old replaced by new in one of its blocks, or
+    None if old is not under stmt."""
+    for child in child_blocks(stmt):
+        inner = _swapped_block(child, old, new)
+        if inner is None:
+            continue
+        if child is stmt:  # a Block used as a statement
+            return inner
+        name = next(f.name for f in fields(stmt)
+                    if getattr(stmt, f.name) is child)
+        return _replaced(stmt, **{name: inner})
     return None
 
 

@@ -19,35 +19,24 @@ from .syntax import (
     Break,
     CallAssign,
     CaseLabel,
-    CondAttrDecl,
-    CondDecl,
-    CondInit,
-    CondSignal,
-    CondWait,
     DefaultLabel,
     Decl,
     Expr,
     For,
     FunctionDef,
+    HANDLE_DECLS,
     If,
     Index,
     IntLit,
-    MutexDecl,
-    MutexLock,
-    MutexUnlock,
     Nondet,
     Program,
+    PTHREAD_CALLS,
     PTHREAD_KINDS,
     Return,
     Stmt,
     Switch,
     Ternary,
-    ThreadAttrDecl,
-    ThreadCreate,
-    ThreadDecl,
     ThreadDef,
-    ThreadExit,
-    ThreadJoin,
     Unary,
     Var,
     While,
@@ -64,6 +53,13 @@ class ParseError(Exception):
         self.col = col
 
 
+# handle declaration keyword -> (global identifier kind, statement class)
+_HANDLE_DECLS = {kw: (kind, cls) for cls, (kw, kind) in HANDLE_DECLS.items()}
+
+# threading call keyword -> (statement class, argument kinds)
+_PTHREAD_CALLS = {kw: (cls, kinds)
+                  for cls, (kw, kinds) in PTHREAD_CALLS.items()}
+
 _KEYWORDS = {
     "int",
     "void",
@@ -79,29 +75,7 @@ _KEYWORDS = {
     "assert",
     "assume",
     "nondet",
-    "pthread_t",
-    "pthread_attr_t",
-    "pthread_cond_attr_t",
-    "pthread_create",
-    "pthread_join",
-    "pthread_exit",
-    "pthread_mutex_t",
-    "pthread_mutex_lock",
-    "pthread_mutex_unlock",
-    "pthread_cond_t",
-    "pthread_cond_init",
-    "pthread_cond_wait",
-    "pthread_cond_signal",
-}
-
-# handle declaration keyword -> (global identifier kind, statement class)
-_HANDLE_DECLS = {
-    "pthread_t": ("thread", ThreadDecl),
-    "pthread_attr_t": ("attr", ThreadAttrDecl),
-    "pthread_cond_attr_t": ("condattr", CondAttrDecl),
-    "pthread_mutex_t": ("mutex", MutexDecl),
-    "pthread_cond_t": ("cond", CondDecl),
-}
+} | set(_HANDLE_DECLS) | set(_PTHREAD_CALLS)
 
 _SYMBOLS = [
     "&&", "||", "==", "!=", "<=", ">=",
@@ -177,7 +151,7 @@ class _Parser:
         self.global_names: dict[str, str] = {}  # name -> kind
         self.functions: list[FunctionDef] = []
         self.fn_sigs: dict[str, tuple[str, int]] = {}  # name -> (ret, arity)
-        self.creates: list[tuple[str, str, Token]] = []  # handle, func, tok
+        self.creates: list[Token] = []  # created functions, in order
         self.calls: dict[str, set[str]] = {}  # caller -> callees
         self.call_sites: list[tuple[CallAssign, Token]] = []
 
@@ -451,65 +425,8 @@ class _Parser:
             self.expect(";")
             return Return(expr)
 
-        if text == "pthread_create":
-            self.advance()
-            self.expect("(")
-            handle = self.expect_ident()
-            self.check_kind(ctx, handle, "thread")
-            self.expect(",")
-            fn_tok = self.expect_ident()
-            self.expect(")")
-            self.expect(";")
-            self.creates.append((handle.text, fn_tok.text, fn_tok))
-            return ThreadCreate(handle.text, fn_tok.text)
-
-        if text == "pthread_join":
-            self.advance()
-            self.expect("(")
-            handle = self.expect_ident()
-            self.check_kind(ctx, handle, "thread")
-            self.expect(")")
-            self.expect(";")
-            return ThreadJoin(handle.text)
-
-        if text == "pthread_exit":
-            self.advance()
-            self.expect("(")
-            self.expect(")")
-            self.expect(";")
-            return ThreadExit()
-
-        if text in ("pthread_mutex_lock", "pthread_mutex_unlock"):
-            self.advance()
-            self.expect("(")
-            name = self.expect_ident()
-            self.check_kind(ctx, name, "mutex")
-            self.expect(")")
-            self.expect(";")
-            cls = MutexLock if text == "pthread_mutex_lock" else MutexUnlock
-            return cls(name.text)
-
-        if text in ("pthread_cond_init", "pthread_cond_signal"):
-            self.advance()
-            self.expect("(")
-            name = self.expect_ident()
-            self.check_kind(ctx, name, "cond")
-            self.expect(")")
-            self.expect(";")
-            cls = CondInit if text == "pthread_cond_init" else CondSignal
-            return cls(name.text)
-
-        if text == "pthread_cond_wait":
-            self.advance()
-            self.expect("(")
-            cond = self.expect_ident()
-            self.check_kind(ctx, cond, "cond")
-            self.expect(",")
-            mutex = self.expect_ident()
-            self.check_kind(ctx, mutex, "mutex")
-            self.expect(")")
-            self.expect(";")
-            return CondWait(cond.text, mutex.text)
+        if text in _PTHREAD_CALLS:
+            return self.parse_pthread_call()
 
         if text in _HANDLE_DECLS:
             return self.parse_handle_decl(ctx)
@@ -538,6 +455,26 @@ class _Parser:
             return Assign(name_tok.text, expr)
 
         self.error(f"expected statement, found {text!r}")
+
+    def parse_pthread_call(self) -> Stmt:
+        """A threading call; each argument names a declared handle of its
+        kind, or, for a create, the thread's function."""
+        cls, kinds = _PTHREAD_CALLS[self.advance().text]
+        self.expect("(")
+        args: list[str] = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self.expect(",")
+            tok = self.expect_ident()
+            if kind == "function":
+                self.creates.append(tok)
+            elif self.global_names.get(tok.text) != kind:
+                self.error(f"{tok.text!r} is not a declared {kind} object",
+                           tok)
+            args.append(tok.text)
+        self.expect(")")
+        self.expect(";")
+        return cls(*args)
 
     def parse_handle_decl(self, ctx: "_FnCtx | None") -> Stmt:
         """A pthread handle declaration, at global scope (ctx None) or in a
@@ -568,10 +505,6 @@ class _Parser:
         if name in self.global_names:
             self.error(f"{name!r} is not an integer variable", tok)
         self.error(f"undeclared identifier {name!r}", tok)
-
-    def check_kind(self, ctx: "_FnCtx", tok: Token, kind: str) -> None:
-        if self.global_names.get(tok.text) != kind:
-            self.error(f"{tok.text!r} is not a declared {kind} object", tok)
 
     # -- expressions ---------------------------------------------------
 
@@ -688,7 +621,8 @@ class _Parser:
         # thread creates: defined void functions, one create per function
         seen_fns: set[str] = set()
         ordinal = 0
-        for handle, fname, tok in self.creates:
+        for tok in self.creates:
+            fname = tok.text
             sig = self.fn_sigs.get(fname)
             if sig is None:
                 self.error(f"thread-create of unknown function {fname!r}",

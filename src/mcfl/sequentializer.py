@@ -84,7 +84,6 @@ class Segment:
     # keyed by the loop's original line; empty for the final segment
     loop_counters: dict[int, int]
     tag: int
-    resumes_wait: bool = False
 
 
 @dataclass
@@ -157,7 +156,9 @@ def line_map_to_json(line_map: dict[int, MapEntry]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _NamePool:
+class NamePool:
+    """Fresh names: base if it is free, else base_2, base_3, and so on."""
+
     def __init__(self, taken: set[str]):
         self.taken = set(taken)
 
@@ -185,7 +186,7 @@ def _mark(stmt: Stmt, prov: MapEntry, orig: int | None = None) -> Stmt:
 
 
 def _inline_call(call: CallAssign, fns: dict[str, FunctionDef],
-                 pool: _NamePool) -> Block:
+                 pool: NamePool) -> Block:
     fn = fns[call.func]
     rename: dict[str, str] = {}
     stmts: list[Stmt] = []
@@ -199,7 +200,7 @@ def _inline_call(call: CallAssign, fns: dict[str, FunctionDef],
 
 
 def _unwind_stmts(stmts: list[Stmt], fns: dict[str, FunctionDef],
-                  pool: _NamePool, rename: dict[str, str] | None = None,
+                  pool: NamePool, rename: dict[str, str] | None = None,
                   copy_of: CallAssign | None = None) -> list[Stmt]:
     """Copies statements, inlining every call. With copy_of set, the copy
     is a callee body: locals are freshly renamed through rename and
@@ -329,7 +330,7 @@ class _Anchor:
 class _Builder:
     def __init__(self, program: Program, schedule: Schedule, deadlock: bool):
         self.deadlock = deadlock
-        self.pool = _NamePool(_taken_names(program))
+        self.pool = NamePool(_taken_names(program))
         self.anchors: dict[int, _Anchor] = {}
         self.loop_bodies: dict[int, tuple[list[Stmt], list[int]]] = {}
         self.if_bodies: dict[int, tuple] = {}
@@ -358,7 +359,9 @@ class _Builder:
                 self._pthread(g, [])
             else:
                 raise RuleGapError(
-                    f"global kind {type(g).__name__} has no rule")
+                    f"line {g.line}: {type(g).__name__} has no "
+                    "transformation rule; global arrays are supported by "
+                    "verify only")
 
     def transform_body(self, fn: FunctionDef, rename: dict[str, str],
                        prefix: str) -> list[Stmt]:
@@ -530,7 +533,7 @@ def _unwind_annotated(program: Program) -> Program:
     """unwind_calls without the renumbering, so that anchor keys stay in
     the original numbering; statements carry provenance annotations."""
     fns = {fn.name: fn for fn in program.functions}
-    pool = _NamePool(_taken_names(program, include_callable_locals=False))
+    pool = NamePool(_taken_names(program, include_callable_locals=False))
     new_fns = []
     for fn in program.functions:
         if fn.return_type == "int":

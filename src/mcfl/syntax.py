@@ -3,6 +3,10 @@
 Every statement carries a dense, positive line id assigned in source order.
 Line ids are the currency of the whole toolkit: traces, schedules, line maps
 and diagnoses all refer to statements by id, never by textual position.
+
+The surface syntax of the threading statements (keyword, argument kinds)
+lives in two tables, HANDLE_DECLS and PTHREAD_CALLS; the parser, the
+printer and the parser's keyword list read it from there.
 """
 
 from __future__ import annotations
@@ -261,21 +265,29 @@ class CondSignal(Stmt):
     name: str
 
 
-PTHREAD_KINDS = (
-    ThreadDecl,
-    ThreadAttrDecl,
-    CondAttrDecl,
-    ThreadCreate,
-    ThreadJoin,
-    ThreadExit,
-    MutexDecl,
-    MutexLock,
-    MutexUnlock,
-    CondDecl,
-    CondInit,
-    CondWait,
-    CondSignal,
-)
+# handle declaration class -> (type keyword, handle kind)
+HANDLE_DECLS: dict[type, tuple[str, str]] = {
+    ThreadDecl: ("pthread_t", "thread"),
+    ThreadAttrDecl: ("pthread_attr_t", "attr"),
+    CondAttrDecl: ("pthread_cond_attr_t", "condattr"),
+    MutexDecl: ("pthread_mutex_t", "mutex"),
+    CondDecl: ("pthread_cond_t", "cond"),
+}
+
+# call class -> (function keyword, the kind of each argument in field
+# order; "function" names the created thread's function)
+PTHREAD_CALLS: dict[type, tuple[str, tuple[str, ...]]] = {
+    ThreadCreate: ("pthread_create", ("thread", "function")),
+    ThreadJoin: ("pthread_join", ("thread",)),
+    ThreadExit: ("pthread_exit", ()),
+    MutexLock: ("pthread_mutex_lock", ("mutex",)),
+    MutexUnlock: ("pthread_mutex_unlock", ("mutex",)),
+    CondInit: ("pthread_cond_init", ("cond",)),
+    CondWait: ("pthread_cond_wait", ("cond", "mutex")),
+    CondSignal: ("pthread_cond_signal", ("cond",)),
+}
+
+PTHREAD_KINDS = tuple(HANDLE_DECLS) + tuple(PTHREAD_CALLS)
 
 
 # ---------------------------------------------------------------------------
@@ -527,32 +539,12 @@ def _format_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
         out.append(f"{pad}return {format_expr(stmt.expr)};")
     elif isinstance(stmt, Block):
         block(stmt, "{")
-    elif isinstance(stmt, ThreadDecl):
-        out.append(f"{pad}pthread_t {stmt.name};")
-    elif isinstance(stmt, ThreadAttrDecl):
-        out.append(f"{pad}pthread_attr_t {stmt.name};")
-    elif isinstance(stmt, CondAttrDecl):
-        out.append(f"{pad}pthread_cond_attr_t {stmt.name};")
-    elif isinstance(stmt, ThreadCreate):
-        out.append(f"{pad}pthread_create({stmt.handle}, {stmt.func});")
-    elif isinstance(stmt, ThreadJoin):
-        out.append(f"{pad}pthread_join({stmt.handle});")
-    elif isinstance(stmt, ThreadExit):
-        out.append(f"{pad}pthread_exit();")
-    elif isinstance(stmt, MutexDecl):
-        out.append(f"{pad}pthread_mutex_t {stmt.name};")
-    elif isinstance(stmt, MutexLock):
-        out.append(f"{pad}pthread_mutex_lock({stmt.name});")
-    elif isinstance(stmt, MutexUnlock):
-        out.append(f"{pad}pthread_mutex_unlock({stmt.name});")
-    elif isinstance(stmt, CondDecl):
-        out.append(f"{pad}pthread_cond_t {stmt.name};")
-    elif isinstance(stmt, CondInit):
-        out.append(f"{pad}pthread_cond_init({stmt.name});")
-    elif isinstance(stmt, CondWait):
-        out.append(f"{pad}pthread_cond_wait({stmt.cond}, {stmt.mutex});")
-    elif isinstance(stmt, CondSignal):
-        out.append(f"{pad}pthread_cond_signal({stmt.name});")
+    elif type(stmt) in HANDLE_DECLS:
+        out.append(f"{pad}{HANDLE_DECLS[type(stmt)][0]} {stmt.name};")
+    elif type(stmt) in PTHREAD_CALLS:
+        args = ", ".join(getattr(stmt, name)
+                         for name in _init_fields(type(stmt)))
+        out.append(f"{pad}{PTHREAD_CALLS[type(stmt)][0]}({args});")
     else:
         raise TypeError(f"unknown statement node: {stmt!r}")
 

@@ -1302,8 +1302,6 @@ def extract_schedule(counterexample: Counterexample):
             to_line=steps[i - 1].line,
             loop_counters=counters,
             tag=tag,
-            resumes_wait=steps[start].step_index
-            in counterexample.wait_resume_steps,
         ))
         if not is_last:
             boundary += 1

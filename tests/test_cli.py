@@ -5,11 +5,35 @@ import json
 import pytest
 
 from mcfl.cli import main
-from mcfl.verifier import counterexample_from_json, counterexample_to_json
+from mcfl.parser import parse
+from mcfl.verifier import (
+    counterexample_from_json,
+    counterexample_to_json,
+    replay,
+)
 
 from conftest import BENCH_DIR, bench_source
 
 SAFE = "int main(){ assert(1 == 1); return 0; }\n"
+
+# lines: 1 x, 2 t's declaration, 3 return, 4 the call, 5 the assertion
+CALLER = """int x = 0;
+int f(int a) { int t = a + 1; return t; }
+int main() { x = f(1); assert(x != 2); }
+"""
+
+# a global array read by main and a thread; the array is line 2
+GLOBAL_ARRAY = """int x = 0;
+int a[2] = {1, 2};
+pthread_t h;
+void t() { x = x + a[1]; }
+int main() {
+  pthread_create(h, t);
+  x = x + a[0];
+  pthread_join(h);
+  assert(x != 3);
+}
+"""
 
 
 @pytest.fixture()
@@ -91,7 +115,6 @@ int main() {
         assert "mcfl: thread function 'w' created twice" in \
             capsys.readouterr().err
 
-
     def test_user_for_loop_is_verify_only(self, tmp_path, capsys):
         path = tmp_path / "callee_for.mc"
         path.write_text("""int x = 0;
@@ -116,6 +139,29 @@ int main() {
         assert "violation: assertion" in capsys.readouterr().out
 
 
+    def test_global_array_is_verify_only(self, tmp_path, capsys):
+        path = tmp_path / "array.mc"
+        path.write_text(GLOBAL_ARRAY)
+        assert main(["verify", str(path)]) == 1
+        assert "violation: assertion" in capsys.readouterr().out
+        assert main(["localize", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "mcfl: line 2: ArrayDecl has no transformation rule; global "
+            "arrays are supported by verify only\n")
+
+    def test_nothing_eligible_is_two(self, tmp_path, capsys):
+        path = tmp_path / "no_assign.mc"
+        path.write_text("int x = 0; int main() { assert(x == 1); }\n")
+        assert main(["instrument", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("mcfl: ")
+        assert main(["localize", str(path)]) == 2
+        assert "status: inconclusive" in capsys.readouterr().out
+
+    def test_bench_on_a_file_is_four(self, fault_file, capsys):
+        assert main(["bench", str(fault_file)]) == 4
+        assert "is not a directory" in capsys.readouterr().err
+
+
 class TestArtifacts:
     def test_emit_intermediates(self, fault_file, capsys):
         code = main(["localize", str(fault_file), "--emit-intermediates"])
@@ -137,6 +183,43 @@ class TestArtifacts:
         main(["verify", str(fault_file), "--emit-intermediates"])
         text = fault_file.with_suffix(".counterexample.json").read_text()
         assert counterexample_to_json(counterexample_from_json(text)) == text
+
+    def test_verify_json_replays(self, fault_file, capsys):
+        assert main(["verify", str(fault_file), "--json"]) == 1
+        out = capsys.readouterr().out
+        cex = counterexample_from_json(out)
+        assert counterexample_to_json(cex) == out
+        result = replay(parse(fault_file.read_text()), cex)
+        assert counterexample_to_json(result.counterexample) == out
+
+    def test_sequentialize_emits_unwind_copy_map(self, tmp_path, capsys):
+        path = tmp_path / "caller.mc"
+        path.write_text(CALLER)
+        assert main(["sequentialize", str(path),
+                     "--emit-intermediates"]) == 1
+        out = capsys.readouterr().out
+        assert path.with_suffix(".seq.mc").read_text() == out
+        assert path.with_suffix(".counterexample.json").exists()
+        line_map = json.loads(path.with_suffix(".linemap.json").read_text())
+        copies = {entry["value"]["line"] for entry in line_map.values()
+                  if entry["kind"] == "synthetic"
+                  and isinstance(entry["value"], dict)
+                  and entry["value"]["reason"] == "unwind-copy"}
+        assert copies == {2, 3, 4}  # t, the return, the parameter
+        assert not path.with_suffix(".instrumented.mc").exists()
+
+    def test_instrument_emits_model_and_sites(self, fault_file, capsys):
+        assert main(["instrument", str(fault_file),
+                     "--emit-intermediates"]) == 1
+        out = capsys.readouterr().out
+        base = fault_file.with_suffix("")
+        for suffix in (".counterexample.json", ".seq.mc", ".linemap.json"):
+            assert base.with_suffix(suffix).exists(), suffix
+        assert base.with_suffix(".instrumented.mc").read_text() == out
+        doc = json.loads(base.with_suffix(".instrumented.json").read_text())
+        assert doc["diag_var"] == "diag"
+        assert sorted(int(k) for k in doc["wrap_sites"]) == \
+            doc["diag_domain"]
 
     def test_localize_json_output(self, fault_file, capsys):
         code = main(["localize", str(fault_file), "--json"])

@@ -8,6 +8,7 @@ from mcfl.instrumenter import (
     eligible_lines,
     instrument,
 )
+from mcfl.localizer import localize
 from mcfl.parser import parse
 from mcfl.sequentializer import Schedule, Segment, sequentialize
 from mcfl.syntax import (
@@ -109,6 +110,26 @@ int main() {
             p, Schedule([Segment(0, 1, 1, {}, 11)], [11], {}), False)
         with pytest.raises(NothingToInstrument):
             instrument(seq)
+
+    @pytest.mark.parametrize("taken, expected", [
+        (["diag"], "diag_2"), (["diag", "diag_2"], "diag_3")])
+    def test_taken_diag_name(self, taken, expected, single_fault_source,
+                             default_config):
+        # user globals named like the diagnosis variable push it to the
+        # next free name; the localization is the same as with other names
+        def run(names):
+            decls = "".join(f"int {n} = 0;\n" for n in names)
+            return localize(parse(decls + single_fault_source),
+                            default_config)
+
+        report = run(taken)
+        reference = run([f"other_{i}" for i in range(len(taken))])
+        assert report.instrumented.diag_var == expected
+        assert reference.instrumented.diag_var == "diag"
+        assert f"{expected} = nondet(0, " in \
+            pretty_print(report.instrumented.program)
+        assert report.status == reference.status == "faults-found"
+        assert report.diagnoses == reference.diagnoses
 
 
 class TestLargeDomain:

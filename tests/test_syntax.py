@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from mcfl.parser import ParseError, parse
 from mcfl.sequentializer import sequentialize
 from mcfl.syntax import (
+    HANDLE_DECLS,
+    PTHREAD_CALLS,
     CondAttrDecl,
     CondDecl,
     Expr,
@@ -301,7 +303,15 @@ class TestHandleDecls:
                       f"int main() {{ {kind} h; {uses} return 0; }}")
             decl = p.main.body.stmts[0]
         assert type(decl) is cls and decl.name == "h"
-        assert parse(pretty_print(p)) == p
+        assert HANDLE_DECLS[cls][0] == kind
+        text = pretty_print(p)
+        indent = "" if scope == "global" else "  "
+        assert f"{indent}{kind} h;" in text.splitlines()
+        assert parse(text) == p  # line ids included
+
+    def test_every_table_entry_is_covered(self):
+        assert {cls for cls, _ in _HANDLE_DECLS.values()} == \
+            set(HANDLE_DECLS)
 
     @pytest.mark.parametrize("scope", ["global", "function"])
     @pytest.mark.parametrize("kind", sorted(_HANDLE_DECLS))
@@ -318,3 +328,139 @@ class TestHandleDecls:
         with pytest.raises(ParseError) as err:
             parse(f"int main() {{ int h; {kind} h; return 0; }}")
         assert "'h' already names a local" in str(err.value)
+
+
+# one declared handle of each kind, named after it, a void thread function
+# and an integer variable
+_DECLS = "".join(f"{kw} {kind}_h;\n" for kw, kind in HANDLE_DECLS.values())
+_DECLS += "int x = 0;\nvoid worker() { }\n"
+
+
+def _right_args(cls) -> list[str]:
+    return ["worker" if kind == "function" else f"{kind}_h"
+            for kind in PTHREAD_CALLS[cls][1]]
+
+
+def _call_text(cls, args: list[str]) -> str:
+    return f"{PTHREAD_CALLS[cls][0]}({', '.join(args)});"
+
+
+def _with_stmt(stmt: str) -> str:
+    return f"{_DECLS}int main() {{\n  {stmt}\n}}\n"
+
+
+_KEYWORDS = sorted([kw for kw, _ in HANDLE_DECLS.values()]
+                   + [kw for kw, _ in PTHREAD_CALLS.values()])
+
+
+class TestThreadingTables:
+    @pytest.mark.parametrize("cls", PTHREAD_CALLS, ids=lambda c: c.__name__)
+    def test_call_prints_and_parses_back(self, cls):
+        stmt = _call_text(cls, _right_args(cls))
+        p = parse(_with_stmt(stmt))
+        assert type(p.main.body.stmts[0]) is cls
+        text = pretty_print(p)
+        assert f"\n  {stmt}\n" in text
+        assert parse(text) == p  # line ids included
+
+    @pytest.mark.parametrize("cls, position, wrong", [
+        (cls, i, wrong) for cls, (_, kinds) in PTHREAD_CALLS.items()
+        for i, kind in enumerate(kinds) if kind != "function"
+        for wrong in ("x", "worker", "zz", "thread_h", "mutex_h", "cond_h",
+                      "attr_h") if wrong != f"{kind}_h"],
+        ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_wrong_kind_rejected_at_its_column(self, cls, position, wrong):
+        keyword, kinds = PTHREAD_CALLS[cls]
+        args = _right_args(cls)
+        args[position] = wrong
+        with pytest.raises(ParseError) as err:
+            parse(_with_stmt(_call_text(cls, args)))
+        assert err.value.message == \
+            f"{wrong!r} is not a declared {kinds[position]} object"
+        assert err.value.line == _DECLS.count("\n") + 2
+        before = f"  {keyword}(" + "".join(a + ", " for a in args[:position])
+        assert err.value.col == len(before) + 1
+
+    @pytest.mark.parametrize("keyword", _KEYWORDS)
+    @pytest.mark.parametrize("template", [
+        "int {kw} = 0;\nint main() {{ }}",
+        "int main() {{ int {kw}; }}",
+        "int x = 0;\nint main() {{ x = {kw}; }}",
+        "int main() {{ {kw} = 1; }}",
+        "void {kw}() {{ }}\nint main() {{ }}",
+        "pthread_mutex_t {kw};\nint main() {{ }}",
+        "int main() {{ pthread_t {kw}; }}",
+    ])
+    def test_keyword_is_no_identifier(self, keyword, template):
+        with pytest.raises(ParseError):
+            parse(template.format(kw=keyword))
+
+    @pytest.mark.parametrize("keyword", _KEYWORDS)
+    def test_keyword_in_grammar(self, keyword):
+        text = (BENCH_DIR.parent.parent.parent / "docs" / "grammar.md"
+                ).read_text()
+        ebnf = text.split("```ebnf", 1)[1].split("```", 1)[0]
+        assert f'"{keyword}"' in ebnf
+
+    def test_every_statement_kind_round_trips(self):
+        src = """int x = 0;
+int arr[3] = {4, -5, 6};
+pthread_t t;
+pthread_attr_t ta;
+pthread_cond_attr_t ca;
+pthread_mutex_t m;
+pthread_cond_t c;
+
+int f(int a, int b) {
+  int r = a * b - arr[a % 3];
+  if (r > 2) {
+    r = r - 1;
+  } else {
+    r = (r < 0 ? -r : nondet(0, 3));
+  }
+  return r;
+}
+
+void worker() {
+  pthread_mutex_lock(m);
+  pthread_cond_wait(c, m);
+  x = x + 1;
+  pthread_mutex_unlock(m);
+  if (x > 3) {
+    pthread_exit();
+  }
+  x = nondet();
+}
+
+int main() {
+  int i;
+  pthread_t u;
+  pthread_cond_init(c);
+  pthread_create(t, worker);
+  x = f(x, 2);
+  for (i = 0; i < 2; i = i + 1) {
+    switch (i) {
+      case 0:
+      {
+        x = x + 1;
+      }
+      break;
+      case -1:
+      default:
+      assume(!(x == 2));
+    }
+  }
+  while (x < 3) {
+    pthread_cond_signal(c);
+    x = x + 1;
+  }
+  pthread_join(t);
+  assert(x != 9 && x >= 0 || x == 1);
+  return 0;
+}
+"""
+        p = parse(src)
+        assert pretty_print(p) == src
+        assert parse(pretty_print(p)) == p
+        kinds = {type(s) for s in program_stmts(p)}
+        assert set(HANDLE_DECLS) <= kinds and set(PTHREAD_CALLS) <= kinds

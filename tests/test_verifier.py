@@ -72,6 +72,36 @@ class TestVerify:
             if "main_c" in result.counterexample.final_valuation
             else "c"] == 30
 
+    def test_local_handles_and_cond_init_are_steps(self, default_config):
+        src = """int x = 0;
+void worker() {
+  x = x + 1;
+}
+int main() {
+  pthread_t t;
+  pthread_attr_t a;
+  pthread_cond_attr_t ca;
+  pthread_mutex_t m;
+  pthread_cond_t c;
+  pthread_cond_init(c);
+  pthread_create(t, worker);
+  pthread_mutex_lock(m);
+  x = x + 2;
+  pthread_mutex_unlock(m);
+  pthread_join(t);
+  assert(x != 3);
+}
+"""
+        p = parse(src)
+        result = verify(p, default_config)
+        assert result.outcome == "violation"
+        assert naive_violates(p, default_config) is True
+        cex = result.counterexample
+        assert cex.violation.line == 14
+        # each declaration and the initialization is one step of main
+        assert [(s.thread, s.line) for s in cex.steps[:6]] == \
+            [(0, line) for line in range(3, 9)]
+
     def test_abba_deadlock_matches_brute_force(self):
         p = parse(ABBA)
         cfg = VerifierConfig(context_bound=2, deadlock_check=True)
