@@ -231,6 +231,11 @@ def run(args: argparse.Namespace) -> int:
         # rules: an input error, not a verdict
         print(f"mcfl: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # the later stages recurse once per nesting level, as the parser
+        # does, but need more stack per level
+        print("mcfl: input nests too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
     print(f"mcfl: unknown command {args.command!r}", file=sys.stderr)
     return EXIT_USAGE

@@ -662,5 +662,11 @@ class _FnCtx:
 def parse(source: str) -> Program:
     """Parses .mc text into a line-numbered Program or raises ParseError."""
     parser = _Parser(_tokenize(source))
-    program = parser.parse_program()
+    try:
+        program = parser.parse_program()
+    except RecursionError:
+        # the parser recurses once per nesting level of the input
+        tok = parser.peek()
+        raise ParseError("input nests too deeply", tok.line, tok.col) \
+            from None
     return renumber(program)

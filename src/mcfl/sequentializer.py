@@ -5,10 +5,11 @@ Output shape: a global `order` array holding the segment tags, a main whose
 for-loop dispatches `switch (order[order_index])`, one outer case per thread
 (case 1 is the original main), inner case labels marking segment entry
 points, and `if (order[order_index] == tag) break;` guards marking segment
-exits. Guards inside loops carry a loopcounter equality so they fire only at
-the recorded iteration. Locks and condition variables are either erased or
-modelled as plain integers depending on whether the counterexample was a
-deadlock.
+exits. Both names are fresh: a program that already uses `order` gets
+`order_2`, and so on. Guards inside loops carry a loopcounter equality so
+they fire only at the recorded iteration. Locks and condition variables are
+either erased or modelled as plain integers depending on whether the
+counterexample was a deadlock.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def unwind_calls(program: Program) -> Program:
 
 def _taken_names(program: Program,
                  include_callable_locals: bool = True) -> set[str]:
-    taken = {"order", "order_index", "main", "nondet", "diag"}
+    taken = {"main", "nondet", "diag"}
     for g in program.globals:
         name = getattr(g, "name", None)
         if name:
@@ -331,6 +332,10 @@ class _Builder:
     def __init__(self, program: Program, schedule: Schedule, deadlock: bool):
         self.deadlock = deadlock
         self.pool = NamePool(_taken_names(program))
+        # the dispatch array and its loop index, usually `order` and
+        # `order_index`; named first, so no other fresh name shifts them
+        self.dispatch = (self.pool.fresh("order"),
+                         self.pool.fresh("order_index"))
         self.anchors: dict[int, _Anchor] = {}
         self.loop_bodies: dict[int, tuple[list[Stmt], list[int]]] = {}
         self.if_bodies: dict[int, tuple] = {}
@@ -496,19 +501,20 @@ def build_skeleton(program: Program, schedule: Schedule,
     switch_body.append(_mark(Break(), synthetic_entry("framework")))
 
     n = len(schedule.order_tags)
+    order, index = builder.dispatch
     main_body: list[Stmt] = [
-        _mark(Decl("order_index"), synthetic_entry("framework")),
-        _mark(For("order_index", IntLit(0),
-                  Binary("<", Var("order_index"), IntLit(n)),
-                  Binary("+", Var("order_index"), IntLit(1)),
-                  Block([_mark(Switch(Index("order", Var("order_index")),
+        _mark(Decl(index), synthetic_entry("framework")),
+        _mark(For(index, IntLit(0),
+                  Binary("<", Var(index), IntLit(n)),
+                  Binary("+", Var(index), IntLit(1)),
+                  Block([_mark(Switch(Index(order, Var(index)),
                                       Block(switch_body)),
                                synthetic_entry("framework"))])),
               synthetic_entry("framework")),
         _mark(Return(IntLit(1)), synthetic_entry("framework")),
     ]
 
-    order_decl = _mark(ArrayDecl("order", list(schedule.order_tags)),
+    order_decl = _mark(ArrayDecl(order, list(schedule.order_tags)),
                        synthetic_entry("framework"))
     globals_out = [order_decl] + builder.model_globals + builder.hoisted \
         + builder.loop_decls
@@ -524,6 +530,7 @@ def build_skeleton(program: Program, schedule: Schedule,
         "loop_bodies": builder.loop_bodies,
         "if_bodies": builder.if_bodies,
         "loop_names": builder.loop_names,
+        "dispatch": builder.dispatch,
     })
     _finalize(seq)
     return seq
@@ -570,9 +577,10 @@ def _finalize(seq: SequentialProgram) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _guard(tag: int, counters: list[tuple[str, int]]) -> If:
-    cond: Expr = Binary("==", Index("order", Var("order_index")),
-                        IntLit(tag))
+def _guard(tag: int, counters: list[tuple[str, int]],
+           dispatch: tuple[str, str]) -> If:
+    order, index = dispatch
+    cond: Expr = Binary("==", Index(order, Var(index)), IntLit(tag))
     for name, value in counters:
         cond = Binary("&&", cond, Binary("==", Var(name), IntLit(value)))
     guard = If(cond, Block([_mark(Break(),
@@ -592,6 +600,7 @@ def inject_order_control(seq: SequentialProgram,
     loop_bodies = seq.anchors["loop_bodies"]
     if_bodies = seq.anchors["if_bodies"]
     loop_names: dict[int, str] = seq.anchors["loop_names"]
+    dispatch: tuple[str, str] = seq.anchors["dispatch"]
 
     jobs: list[tuple[list[Stmt], int, list[Stmt]]] = []
 
@@ -641,7 +650,8 @@ def inject_order_control(seq: SequentialProgram,
                 # the thread stopped after evaluating a condition; resume
                 # right before the first statement it executed afterwards
                 container, idx, loops = before_image(nxt.from_line)
-            stmts: list[Stmt] = [_guard(seg.tag, conjuncts(loops, seg)),
+            stmts: list[Stmt] = [_guard(seg.tag, conjuncts(loops, seg),
+                                        dispatch),
                                  _mark(CaseLabel(nxt.tag),
                                        synthetic_entry("order-control"))]
             jobs.append((container, idx, stmts))
@@ -663,7 +673,7 @@ def inject_order_control(seq: SequentialProgram,
             positions.append(after_image(seg.to_line))
         for container, idx, loops in positions:
             jobs.append((container, idx,
-                         [_guard(seg.tag, conjuncts(loops, seg))]))
+                         [_guard(seg.tag, conjuncts(loops, seg), dispatch)]))
 
     by_container: dict[int, list[tuple[int, int, list[Stmt]]]] = {}
     containers: dict[int, list[Stmt]] = {}

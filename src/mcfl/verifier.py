@@ -6,6 +6,12 @@ bound, and every nondet() branches over its value domain. Exploration is
 depth-first with a fixed order (ascending thread ordinal, ascending nondet
 value), so "first violation found" is deterministic and reproducible.
 
+Expressions evaluate to plain integers, and a nondet() takes its value from
+one draw. A step runs its statement once per nondet path, the draws of each
+run stepping through their domains in order; a replay runs the same step
+code with every draw taking the recorded value, so search and replay cannot
+disagree on how a value is drawn.
+
 The search caches finished states: once the whole subtree below a state with
 two or more live threads has been explored without ending the search, a
 later state equal to it apart from its path (schedule and nondet choices)
@@ -252,10 +258,10 @@ def _compile_stmt(code: Code, stmt: Stmt, switch_ends: list[int],
         else:
             code.instrs[br].target = len(code.instrs)
     elif isinstance(stmt, While):
-        code.emit(Instr("loop_enter", ln, name=str(ln)))
-        head = code.emit(Instr("branch", ln, expr=stmt.cond, name=str(ln)))
+        code.emit(Instr("loop_enter", ln))
+        head = code.emit(Instr("loop_head", ln, expr=stmt.cond))
         _compile_body(code, stmt.body.stmts, switch_ends, switch_frames)
-        code.emit(Instr("loop_iter", ln, name=str(ln)))
+        code.emit(Instr("loop_iter", ln))
         code.emit(Instr("jump", ln, target=head))
         code.instrs[head].target = len(code.instrs)
     elif isinstance(stmt, For):
@@ -361,141 +367,112 @@ class CompiledProgram:
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation with nondet forking
+# Expression evaluation
 # ---------------------------------------------------------------------------
 
-_DIV0 = object()
+
+class _DivByZero(Exception):
+    """A division or remainder by zero; the step reports it as a
+    division-by-zero violation at the running instruction's line."""
 
 
 class _Ctx:
-    """Evaluation context: variable lookup plus nondet handling."""
+    """One run of a step along one nondet path: the state it works on, the
+    running frame's locals and instruction line, and the values drawn.
 
-    def __init__(self, machine: "_Machine", frame: dict[str, int],
-                 line: int):
+    Draw i takes prefix[i] where the prefix has one, else the lowest value
+    of its domain; a replaying machine takes the next recorded choice
+    instead. Each draw records (value, hi), so that the step can tell which
+    draws have a next value, and appends (line, value) to the state's
+    choices."""
+
+    __slots__ = ("machine", "state", "frame", "line", "prefix", "drawn")
+
+    def __init__(self, machine: "_Machine", state: "_State",
+                 prefix: list[int]):
         self.machine = machine
-        self.frame = frame  # locals of the running thread or callee
-        self.line = line
+        self.state = state
+        self.frame: dict[str, int] = {}  # locals of the running frame
+        self.line = 0
+        self.prefix = prefix
+        self.drawn: list[tuple[int, int]] = []
 
-    def lookup(self, name: str, globals_view: dict[str, int]) -> int:
+    def lookup(self, name: str) -> int:
         if name in self.frame:
             return self.frame[name]
-        if name in globals_view:
-            return globals_view[name]
+        if name in self.state.globals:
+            return self.state.globals[name]
         raise ModelError(f"read of unknown variable {name!r}")
 
+    def draw(self, lo: int, hi: int) -> int:
+        replay = self.machine.replay
+        if replay is not None:
+            if not replay:
+                raise TraceMismatch("nondet choice list exhausted")
+            line, value = replay.pop()
+            if line != self.line:
+                raise TraceMismatch(
+                    f"nondet at line {self.line}, choice recorded for {line}")
+            # a replayed draw has no next value: the step has one path
+            value = hi = wrap64(value)
+        elif len(self.drawn) < len(self.prefix):
+            value = self.prefix[len(self.drawn)]
+        else:
+            value = lo
+        self.drawn.append((value, hi))
+        self.state.choices = (self.state.choices, (self.line, value))
+        return value
 
-def _eval(expr: Expr, ctx: _Ctx, globals_view: dict[str, int]):
-    """Returns a list of (value, choices) forks in deterministic order.
-    value is _DIV0 when the fork divides by zero."""
+
+def _eval(expr: Expr, ctx: _Ctx) -> int:
+    """The value of expr on ctx's nondet path. Operands are evaluated left
+    to right; && || ?: evaluate only what they need."""
     if isinstance(expr, IntLit):
-        return [(wrap64(expr.value), [])]
+        return wrap64(expr.value)
     if isinstance(expr, Var):
-        return [(ctx.lookup(expr.name, globals_view), [])]
+        return ctx.lookup(expr.name)
+    if isinstance(expr, Binary):
+        left = _eval(expr.left, ctx)
+        if expr.op == "&&":
+            return 1 if left != 0 and _eval(expr.right, ctx) != 0 else 0
+        if expr.op == "||":
+            return 1 if left != 0 or _eval(expr.right, ctx) != 0 else 0
+        return _apply(expr.op, left, _eval(expr.right, ctx))
+    if isinstance(expr, Nondet):
+        lo, hi = (expr.lo, expr.hi) if expr.lo is not None else \
+            ctx.machine.config.nondet_domain
+        return ctx.draw(lo, hi)
     if isinstance(expr, Index):
         array = ctx.machine.compiled.arrays.get(expr.name)
         if array is None:
             raise ModelError(f"unknown array {expr.name!r}")
-        forks = []
-        for iv, ch in _eval(expr.index, ctx, globals_view):
-            if iv is _DIV0:
-                forks.append((iv, ch))
-                continue
-            if not (0 <= iv < len(array)):
-                raise ModelError(
-                    f"array index {iv} out of range for {expr.name!r}")
-            forks.append((array[iv], ch))
-        return forks
-    if isinstance(expr, Nondet):
-        feeder = ctx.machine.feeder
-        if feeder is not None:
-            line, value = feeder(ctx.line)
-            return [(wrap64(value), [(ctx.line, wrap64(value))])]
-        lo, hi = (expr.lo, expr.hi) if expr.lo is not None else \
-            ctx.machine.config.nondet_domain
-        return [(v, [(ctx.line, v)]) for v in range(lo, hi + 1)]
+        i = _eval(expr.index, ctx)
+        if not (0 <= i < len(array)):
+            raise ModelError(
+                f"array index {i} out of range for {expr.name!r}")
+        return array[i]
     if isinstance(expr, Unary):
-        forks = []
-        for v, ch in _eval(expr.operand, ctx, globals_view):
-            if v is _DIV0:
-                forks.append((v, ch))
-            elif expr.op == "-":
-                forks.append((wrap64(-v), ch))
-            else:
-                forks.append((0 if v != 0 else 1, ch))
-        return forks
-    if isinstance(expr, Binary):
-        if expr.op in ("&&", "||"):
-            forks = []
-            for lv, lch in _eval(expr.left, ctx, globals_view):
-                if lv is _DIV0:
-                    forks.append((lv, lch))
-                    continue
-                lbool = 1 if lv != 0 else 0
-                if lbool == 0 and expr.op == "&&":
-                    forks.append((0, lch))
-                    continue
-                if lbool == 1 and expr.op == "||":
-                    forks.append((1, lch))
-                    continue
-                for rv, rch in _eval(expr.right, ctx, globals_view):
-                    if rv is _DIV0:
-                        forks.append((rv, lch + rch))
-                    else:
-                        forks.append((1 if rv != 0 else 0, lch + rch))
-            return forks
-        forks = []
-        for lv, lch in _eval(expr.left, ctx, globals_view):
-            if lv is _DIV0:
-                forks.append((lv, lch))
-                continue
-            for rv, rch in _eval(expr.right, ctx, globals_view):
-                if rv is _DIV0:
-                    forks.append((rv, lch + rch))
-                    continue
-                forks.append((_apply(expr.op, lv, rv), lch + rch))
-        return forks
+        v = _eval(expr.operand, ctx)
+        if expr.op == "-":
+            return wrap64(-v)
+        return 0 if v != 0 else 1
     if isinstance(expr, Ternary):
-        forks = []
-        for cv, cch in _eval(expr.cond, ctx, globals_view):
-            if cv is _DIV0:
-                forks.append((cv, cch))
-                continue
-            branch = expr.then_expr if cv != 0 else expr.else_expr
-            for bv, bch in _eval(branch, ctx, globals_view):
-                forks.append((bv, cch + bch))
-        return forks
+        cond = _eval(expr.cond, ctx)
+        return _eval(expr.then_expr if cond != 0 else expr.else_expr, ctx)
     raise ModelError(f"cannot evaluate {expr!r}")
 
 
-def _eval_args(exprs, ctx: _Ctx, globals_view: dict[str, int]):
-    """Forks of a call's argument list, evaluated left to right, in the
-    format of _eval: (values, choices), or (_DIV0, choices) ending at the
-    first argument that divides by zero."""
-    forks = [((), [])]
-    for expr in exprs:
-        extended = []
-        for values, ch in forks:
-            if values is _DIV0:
-                extended.append((values, ch))
-                continue
-            for v, vch in _eval(expr, ctx, globals_view):
-                extended.append((_DIV0 if v is _DIV0 else values + (v,),
-                                 ch + vch))
-        forks = extended
-    return forks
-
-
-def _apply(op: str, a: int, b: int):
+def _apply(op: str, a: int, b: int) -> int:
     if op == "+":
         return wrap64(a + b)
     if op == "-":
         return wrap64(a - b)
     if op == "*":
         return wrap64(a * b)
-    if op == "/":
-        return _DIV0 if b == 0 else c_div(a, b)
-    if op == "%":
-        return _DIV0 if b == 0 else c_mod(a, b)
+    if op in ("/", "%"):
+        if b == 0:
+            raise _DivByZero
+        return c_div(a, b) if op == "/" else c_mod(a, b)
     if op == "==":
         return 1 if a == b else 0
     if op == "!=":
@@ -568,16 +545,15 @@ class _Frame:
         self.pc = pc
         self.locals = locals
 
-    def clone(self) -> "_Frame":
-        return _Frame(self.code, self.pc, dict(self.locals))
-
 
 class _Machine:
     def __init__(self, compiled: CompiledProgram, config: VerifierConfig,
-                 feeder=None):
+                 replay: list[tuple[int, int]] | None = None):
         self.compiled = compiled
         self.config = config
-        self.feeder = feeder
+        # replaying: the recorded (line, value) choices not yet drawn,
+        # last first
+        self.replay = replay
         # set by the search when it reaches a path cut at the loop bound
         self.bound_hit = False
         # states the search skipped as duplicates of finished subtrees
@@ -631,21 +607,14 @@ class _Machine:
         return [i for i, t in enumerate(state.threads)
                 if t.status not in ("new", "exited")]
 
-    # -- frames -----------------------------------------------------------
+    # -- stepping ---------------------------------------------------------
 
-    def _frame(self, state: _State, tid: int, frames: tuple):
-        """The running frame: the innermost callee, else the thread itself.
-        Both carry pc and locals."""
-        return frames[-1] if frames else state.threads[tid]
-
-    def _code(self, tid: int, frames: tuple) -> Code:
-        return frames[-1].code if frames else self.code_of(tid)
-
-    def _normalize(self, state: _State, tid: int, frames: tuple = ()) -> None:
-        """Advances the running frame through micro instructions to the next
-        steppable one."""
-        frame = self._frame(state, tid, frames)
-        code = self._code(tid, frames)
+    def _normalize(self, state: _State, tid: int,
+                   callee: _Frame | None = None) -> None:
+        """Advances the running frame, the callee if given, else thread tid,
+        through micro instructions to the next steppable one."""
+        frame = callee or state.threads[tid]
+        code = callee.code if callee else self.code_of(tid)
         while True:
             instr = code.instrs[frame.pc]
             op = instr.op
@@ -661,7 +630,7 @@ class _Machine:
                     state.cum_iters.get(instr.line, 0) + 1
                 frame.pc += 1
             elif op == "thread_end":
-                if frames:
+                if callee:
                     raise ModelError(
                         f"function {code.fname!r} finished without return")
                 frame.status = "exited"
@@ -669,148 +638,145 @@ class _Machine:
             else:
                 return
 
-    # -- stepping ---------------------------------------------------------
-
     def step(self, state: _State, tid: int):
         """Executes one statement of thread tid. A call runs its callee to
-        the return inside this step, depth first, so the callee's own
-        statements add no trace entry, context switch or state.
+        the return inside this step, so the callee's own statements add no
+        trace entry, context switch or state.
 
-        Returns a list of outcomes in deterministic order:
+        The statement runs once per nondet path, each time on a fresh clone
+        of state. The first run draws the lowest value at every nondet it
+        reaches. Each next run keeps the values drawn before the last draw
+        that is below its highest value, and draws that one's successor.
+        So the paths come in ascending order of their values in drawing
+        order, and a path whose short circuit, failed check or division by
+        zero comes before a nondet draws nothing there. A replaying machine
+        draws the recorded values, so a replayed step has one path.
+
+        Returns a list of outcomes in that order:
         ('state', s) | ('violation', Violation, s) | ('kill', reason).
         """
-        base = state.clone()
-        thread = base.threads[tid]
-        if base.last_thread is not None and base.last_thread != tid:
-            base.switches += 1
-
-        if thread.status == "reacquire":
-            # completion of a condition wait: grab the mutex and move on
-            mutex = thread.wait_mutex
-            if base.mutexes[mutex] is not None:
-                raise ModelError("reacquire scheduled while mutex held")
-            base.mutexes[mutex] = tid
-            thread.status = "ready"
-            thread.wait_cond = ""
-            thread.wait_mutex = ""
-            line = self.code_of(tid).instrs[thread.pc].line
-            thread.pc += 1
-            return [self._finish_step(base, tid, line)]
-
         outcomes = []
-        work = self._exec(base, tid, ())[::-1]
-        while work:
-            outcome = work.pop()
-            if outcome[0] == "frame":
-                work.extend(self._exec(outcome[1], tid, outcome[2])[::-1])
-            else:
-                outcomes.append(outcome)
-        return outcomes
+        prefix: list[int] = []
+        while True:
+            ctx = _Ctx(self, state.clone(), prefix)
+            try:
+                outcomes.append(self._run(ctx, tid))
+            except _DivByZero:
+                outcomes.append(self._violate(
+                    ctx.state, tid, ctx.line,
+                    Violation("division-by-zero", ctx.line)))
+            drawn = ctx.drawn
+            while drawn and drawn[-1][0] >= drawn[-1][1]:
+                drawn.pop()
+            if not drawn:
+                return outcomes
+            prefix = [value for value, _ in drawn]
+            prefix[-1] += 1
 
-    def _exec(self, state: _State, tid: int, frames: tuple):
-        """Executes the instruction at the running frame of thread tid,
-        taking ownership of state and frames. Returns outcomes as step does,
-        plus ('frame', s, frames) for each path still inside a callee."""
-        frame = self._frame(state, tid, frames)
-        instr = self._code(tid, frames).instrs[frame.pc]
-        op = instr.op
-        line = instr.line
-        ctx = _Ctx(self, frame.locals, line)
-
-        if op in ("assign", "decl"):
-            def assign(s, f, v):
-                top = self._frame(s, tid, f)
-                self._write(s, top, instr.name, v)
-                top.pc += 1
-                return self._next(s, tid, f, line)
-            init = instr.expr if instr.expr is not None else IntLit(0)
-            return self._fork(state, tid, frames, line,
-                              _eval(init, ctx, state.globals), assign)
-        if op in ("assume", "assert"):
-            def check(s, f, v):
-                if v != 0:
-                    self._frame(s, tid, f).pc += 1
-                    return self._next(s, tid, f, line)
-                if op == "assume":
-                    return ("kill", "assume")
-                return self._violate(s, tid, line,
-                                     Violation("assertion", line))
-            return self._fork(state, tid, frames, line,
-                              _eval(instr.expr, ctx, state.globals), check)
-        if op == "branch":
-            loop_line = int(instr.name) if instr.name else None
-
-            def branch(s, f, v):
-                top = self._frame(s, tid, f)
-                if v == 0:
-                    top.pc = instr.target
-                    return self._next(s, tid, f, line)
-                if loop_line is not None:
-                    started = s.per_entry.get(loop_line, 0) + 1
-                    if started > self.config.loop_bound:
-                        return ("kill", "bound")
-                    s.per_entry[loop_line] = started
-                top.pc += 1
-                return self._next(s, tid, f, line)
-            return self._fork(state, tid, frames, line,
-                              _eval(instr.expr, ctx, state.globals), branch)
-        if op == "switch":
-            table = instr.aux
-
-            def switch(s, f, v):
-                target = table["labels"].get(v)
+    def _run(self, ctx: _Ctx, tid: int):
+        """Runs the statement of thread tid on ctx's state along ctx's
+        nondet path, a called function to its return included, and returns
+        the outcome."""
+        state = ctx.state
+        thread = state.threads[tid]
+        if state.last_thread is not None and state.last_thread != tid:
+            state.switches += 1
+        frames: list[_Frame] = []  # running callees, innermost last
+        while True:
+            frame = frames[-1] if frames else thread
+            code = frames[-1].code if frames else self.code_of(tid)
+            instr = code.instrs[frame.pc]
+            op = instr.op
+            line = ctx.line = instr.line
+            ctx.frame = frame.locals
+            if op in ("assign", "decl"):
+                value = 0 if instr.expr is None else _eval(instr.expr, ctx)
+                self._write(state, frame, instr.name, value)
+                frame.pc += 1
+            elif op in ("assume", "assert"):
+                if _eval(instr.expr, ctx) == 0:
+                    if op == "assume":
+                        return ("kill", "assume")
+                    return self._violate(state, tid, line,
+                                         Violation("assertion", line))
+                frame.pc += 1
+            elif op in ("branch", "loop_head"):
+                if _eval(instr.expr, ctx) == 0:
+                    frame.pc = instr.target
+                else:
+                    if op == "loop_head":
+                        started = state.per_entry.get(line, 0) + 1
+                        if started > self.config.loop_bound:
+                            return ("kill", "bound")
+                        state.per_entry[line] = started
+                    frame.pc += 1
+            elif op == "switch":
+                table = instr.aux
+                target = table["labels"].get(_eval(instr.expr, ctx))
                 if target is None:
                     target = table["default"]
                 if target is None:
                     target = table["end"]
-                self._frame(s, tid, f).pc = target
-                return self._next(s, tid, f, line)
-            return self._fork(state, tid, frames, line,
-                              _eval(instr.expr, ctx, state.globals), switch)
-        if op == "break":
-            frame.pc = self._code(tid, frames).instrs[instr.target].aux["end"]
-            return [self._next(state, tid, frames, line)]
-        if op == "call":
-            callee = self.compiled.callee_codes[instr.args[0]]
-
-            def call(s, f, args):
+                frame.pc = target
+            elif op == "break":
+                frame.pc = code.instrs[instr.target].aux["end"]
+            elif op == "call":
+                callee = self.compiled.callee_codes[instr.args[0]]
                 env = dict(callee.locals)
-                env.update(zip(callee.params, args))
-                f = f + (_Frame(callee, 0, env),)
-                self._normalize(s, tid, f)
-                return ("frame", s, f)
-            return self._fork(state, tid, frames, line,
-                              _eval_args(instr.args[1], ctx, state.globals),
-                              call)
-        if op == "return":
-            if frames:
-                def ret(s, f, v):
-                    f = f[:-1]
-                    caller = self._frame(s, tid, f)
-                    site = self._code(tid, f).instrs[caller.pc]
-                    self._write(s, caller, site.name, v)
-                    caller.pc += 1
-                    return self._next(s, tid, f, site.line)
+                env.update(zip(callee.params,
+                               [_eval(arg, ctx) for arg in instr.args[1]]))
+                frames.append(_Frame(callee, 0, env))
+            elif op == "return":
+                value = _eval(instr.expr, ctx)
+                if not frames:
+                    # a thread's return value is irrelevant; evaluated for
+                    # effects only
+                    thread.status = "exited"
+                    return self._finish_step(state, tid, line,
+                                             normalize=False)
+                frames.pop()
+                caller = frames[-1] if frames else thread
+                site = (frames[-1].code if frames else self.code_of(tid)
+                        ).instrs[caller.pc]
+                self._write(state, caller, site.name, value)
+                caller.pc += 1
+                line = site.line
+            elif frames:
+                raise ModelError(
+                    f"unsupported statement inside callable function: {op!r}")
             else:
-                # a thread's return value is irrelevant; evaluate for
-                # effects only
-                def ret(s, f, v):
-                    s.threads[tid].status = "exited"
-                    return self._finish_step(s, tid, line, normalize=False)
-            return self._fork(state, tid, frames, line,
-                              _eval(instr.expr, ctx, state.globals), ret)
+                return self._exec_thread(state, tid, instr)
+            if not frames:
+                return self._finish_step(state, tid, line)
+            self._normalize(state, tid, frames[-1])
 
-        if frames:
-            raise ModelError(
-                f"unsupported statement inside callable function: {op!r}")
-        thread = frame
-        if op == "nopstep":
-            thread.pc += 1
-            return [self._finish_step(state, tid, line)]
+    def _exec_thread(self, state: _State, tid: int, instr: Instr):
+        """Executes a threading statement or handle declaration of thread
+        tid and returns the outcome."""
+        thread = state.threads[tid]
+        op = instr.op
         if op == "exit":
             thread.status = "exited"
-            return [self._finish_step(state, tid, line, normalize=False)]
-        if op == "create":
+            return self._finish_step(state, tid, instr.line, normalize=False)
+        if op == "wait":
+            if thread.status != "reacquire":
+                # releases the mutex and blocks; pc stays on the wait until
+                # the reacquisition step completes it
+                state.mutexes[instr.args[0]] = None
+                thread.status = "cond"
+                thread.wait_cond = instr.name
+                thread.wait_mutex = instr.args[0]
+                return self._finish_step(state, tid, instr.line,
+                                         normalize=False)
+            # completion of a condition wait: grab the mutex and move on
+            mutex = thread.wait_mutex
+            if state.mutexes[mutex] is not None:
+                raise ModelError("reacquire scheduled while mutex held")
+            state.mutexes[mutex] = tid
+            thread.status = "ready"
+            thread.wait_cond = ""
+            thread.wait_mutex = ""
+        elif op == "create":
             fname = instr.args[0]
             ordinal = self.compiled.thread_of_fn[fname]
             target = state.threads[ordinal]
@@ -820,74 +786,29 @@ class _Machine:
             target.status = "ready"
             state.handles[instr.name] = ordinal
             self._normalize(state, ordinal)
-            thread.pc += 1
-            return [self._finish_step(state, tid, line)]
-        if op == "join":
+        elif op == "join":
             target = state.handles.get(instr.name)
             if target is None or state.threads[target].status != "exited":
                 raise ModelError("join scheduled while target is running")
-            thread.pc += 1
-            return [self._finish_step(state, tid, line)]
-        if op == "lock":
+        elif op == "lock":
             if state.mutexes[instr.name] is not None:
                 raise ModelError("lock scheduled while mutex held")
             state.mutexes[instr.name] = tid
-            thread.pc += 1
-            return [self._finish_step(state, tid, line)]
-        if op == "unlock":
+        elif op == "unlock":
             state.mutexes[instr.name] = None
-            thread.pc += 1
-            return [self._finish_step(state, tid, line)]
-        if op == "wait":
-            # releases the mutex and blocks; pc stays on the wait until the
-            # reacquisition step completes it
-            state.mutexes[instr.args[0]] = None
-            thread.status = "cond"
-            thread.wait_cond = instr.name
-            thread.wait_mutex = instr.args[0]
-            return [self._finish_step(state, tid, line, normalize=False)]
-        if op == "signal":
+        elif op == "signal":
             waiters = [i for i, t in enumerate(state.threads)
                        if t.status == "cond" and t.wait_cond == instr.name]
             if waiters:
                 woken = state.threads[min(waiters)]
                 woken.status = "reacquire"
                 woken.wait_cond = ""
-            thread.pc += 1
-            return [self._finish_step(state, tid, line)]
-        raise ModelError(f"unexpected instruction {op!r}")
+        elif op != "nopstep":
+            raise ModelError(f"unexpected instruction {op!r}")
+        thread.pc += 1
+        return self._finish_step(state, tid, instr.line)
 
     # -- step helpers -----------------------------------------------------
-
-    def _fork(self, state: _State, tid: int, frames: tuple, line: int,
-              forks, apply):
-        """One outcome per fork of an evaluated expression, in fork order:
-        a division-by-zero violation, or apply(s, f, value) on the fork's
-        own state and frames. The last fork takes state and frames as they
-        are."""
-        outcomes = []
-        last = len(forks) - 1
-        for i, (v, ch) in enumerate(forks):
-            if i < last:
-                s = state.clone()
-                f = tuple(fr.clone() for fr in frames) if frames else ()
-            else:
-                s, f = state, frames
-            for pair in ch:
-                s.choices = (s.choices, pair)
-            if v is _DIV0:
-                outcomes.append(self._violate(
-                    s, tid, line, Violation("division-by-zero", line)))
-            else:
-                outcomes.append(apply(s, f, v))
-        return outcomes
-
-    def _next(self, state: _State, tid: int, frames: tuple, line: int):
-        """Ends an instruction: a callee runs on, a thread's step is done."""
-        if frames:
-            self._normalize(state, tid, frames)
-            return ("frame", state, frames)
-        return self._finish_step(state, tid, line)
 
     def _write(self, state: _State, frame, name: str, value: int) -> None:
         if name in frame.locals:
@@ -936,23 +857,10 @@ def _run_schedule(compiled: CompiledProgram, schedule, choices):
     that complete a condition wait, the final state and the violation of
     the last step, if any. Raises TraceMismatch where the schedule does not
     fit the program or leaves recorded choices unused."""
-    queue = list(choices)
-    pos = [0]
-
-    def feeder(line: int):
-        if pos[0] >= len(queue):
-            raise TraceMismatch("nondet choice list exhausted")
-        exp_line, value = queue[pos[0]]
-        if exp_line != line:
-            raise TraceMismatch(
-                f"nondet at line {line}, choice recorded for {exp_line}")
-        pos[0] += 1
-        return exp_line, value
-
     # a schedule is checked against the program, not the search bounds, so
     # the replay never cuts it at the loop bound
     machine = _Machine(compiled, VerifierConfig(loop_bound=10 ** 9),
-                       feeder=feeder)
+                       replay=list(reversed(choices)))
     state = machine.initial_state()
     steps: list[TraceStep] = []
     counters: list[dict[int, int]] = []
@@ -969,10 +877,7 @@ def _run_schedule(compiled: CompiledProgram, schedule, choices):
             raise TraceMismatch(f"step {i}: thread {tid} is blocked")
         if state.threads[tid].status == "reacquire":
             wait_resumes.add(i)
-        outcomes = machine.step(state, tid)
-        if len(outcomes) != 1:
-            raise TraceMismatch("replay produced a nondeterministic fork")
-        outcome = outcomes[0]
+        (outcome,) = machine.step(state, tid)
         if outcome[0] == "kill":
             raise TraceMismatch(f"step {i} became infeasible on replay")
         if outcome[0] == "violation":
@@ -986,9 +891,9 @@ def _run_schedule(compiled: CompiledProgram, schedule, choices):
         valuation.update(state.threads[tid].locals)
         steps.append(TraceStep(i, tid, line, valuation))
         counters.append(dict(state.cum_iters))
-    if pos[0] < len(queue):
+    if machine.replay:
         raise TraceMismatch(
-            f"{len(queue) - pos[0]} recorded nondet choices left unused")
+            f"{len(machine.replay)} recorded nondet choices left unused")
     return steps, counters, wait_resumes, machine, state, violation
 
 

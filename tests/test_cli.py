@@ -35,6 +35,14 @@ int main() {
 }
 """
 
+# nested past the parser's recursion limit
+DEEP_PARENS = ("int x = 0;\nint main() { x = " + "(" * 100 + "1" + ")" * 100
+               + "; assert(x != 1); }\n")
+
+# parses and verifies, but nested past the later stages' recursion limit
+DEEP_IFS = ("int x = 0;\nint main() {\n" + "if (x == 0) {\n" * 320
+            + "x = 1;\n" + "}\n" * 320 + "assert(x != 1);\n}\n")
+
 
 @pytest.fixture()
 def fault_file(tmp_path):
@@ -156,6 +164,19 @@ int main() {
         assert capsys.readouterr().err.startswith("mcfl: ")
         assert main(["localize", str(path)]) == 2
         assert "status: inconclusive" in capsys.readouterr().out
+
+    def test_deep_nesting_is_four(self, tmp_path, capsys):
+        parens = tmp_path / "parens.mc"
+        parens.write_text(DEEP_PARENS)
+        assert main(["verify", str(parens)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("mcfl: 2:")
+        assert err.endswith(": input nests too deeply\n")
+        ifs = tmp_path / "ifs.mc"
+        ifs.write_text(DEEP_IFS)
+        assert main(["verify", str(ifs)]) == 1
+        assert main(["localize", str(ifs)]) == 4
+        assert capsys.readouterr().err == "mcfl: input nests too deeply\n"
 
     def test_bench_on_a_file_is_four(self, fault_file, capsys):
         assert main(["bench", str(fault_file)]) == 4
@@ -281,6 +302,20 @@ class TestBench:
         assert main(["bench", str(d)]) == 0
         out = capsys.readouterr().out
         assert "error" in out and "good" in out
+
+    def test_deep_nesting_does_not_abort(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        d = tmp_path / "deep"
+        d.mkdir()
+        (d / "good.mc").write_text(SAFE)
+        (d / "ifs.mc").write_text(DEEP_IFS)
+        (d / "parens.mc").write_text(DEEP_PARENS)
+        assert main(["bench", str(d)]) == 0
+        rows = (tmp_path / "mcfl_bench.csv").read_text().splitlines()
+        assert [row.split(",")[0] + "," + row.split(",")[5]
+                for row in rows[1:]] == \
+            ["good,no-counterexample", "ifs,error", "parens,error"]
 
 
 class TestEnvironment:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mcfl.localizer import localize
 from mcfl.parser import parse
 from mcfl.sequentializer import (
     RuleGapError,
@@ -203,7 +204,39 @@ def _one_segment_schedule(program) -> Schedule:
     )
 
 
+# a plain race on the global cnt: main's update and the thread's are both
+# repairs
+RACE = """int cnt = 0;
+pthread_t h;
+void t() { cnt = cnt + 1; }
+int main() {
+  pthread_create(h, t);
+  cnt = cnt + 2;
+  pthread_join(h);
+  assert(cnt != 3);
+}
+"""
+
+
 class TestSequentialize:
+    @pytest.mark.parametrize("name", ["order", "order_index"])
+    def test_dispatch_names_avoid_user_globals(self, name):
+        config = VerifierConfig()
+
+        def diagnoses(program):
+            report = localize(program, config)
+            return report.status, [
+                (d.original_line, d.witness_value, d.oracle_validated)
+                for d in report.diagnoses]
+
+        p = parse(RACE.replace("cnt", name))
+        cex = verify(p, config).counterexample
+        text = pretty_print(
+            sequentialize(p, extract_schedule(cex), False).program)
+        assert pretty_print(parse(text)) == text
+        assert diagnoses(p) == diagnoses(parse(RACE))
+        assert diagnoses(p)[0] == "faults-found"
+
     def test_trivial_single_thread_wrap(self):
         p = parse("int x = 0;\nint main(){ x = 1; assert(x == 1); "
                   "return 0; }")

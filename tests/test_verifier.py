@@ -426,6 +426,87 @@ int main() {
             assert mine == unwound, seed
 
 
+class TestStepOrder:
+    """The outcomes of one step come one per nondet path, in ascending
+    order of the drawn values in drawing order; a short circuit, a failed
+    check or a division by zero ends a path before its later draws."""
+
+    @staticmethod
+    def _outcomes(body: str, callee: str = ""):
+        """The outcomes of main's last statement, after the ones before it
+        ran: ('state', x, choices), ('violation', kind, line, choices) or
+        ('kill', reason)."""
+        program = parse(f"int x = 0;\n{callee}int main() {{\n"
+                        f"  int y = 0;\n  {body}\n}}\n")
+        machine = _Machine(CompiledProgram(program), VerifierConfig())
+        state = machine.initial_state()
+        state = machine.step(state, 0)[0][1]  # int y = 0;
+        summary = []
+        for outcome in machine.step(state, 0):
+            if outcome[0] == "kill":
+                summary.append(outcome)
+            elif outcome[0] == "violation":
+                summary.append(("violation", outcome[1].kind,
+                                outcome[1].line, _unlink(outcome[2].choices)))
+            else:
+                summary.append(("state", outcome[1].globals["x"],
+                                _unlink(outcome[1].choices)))
+        return summary
+
+    def test_and_short_circuits_before_the_second_draw(self):
+        assert self._outcomes("x = nondet(0,2) && nondet(0,1);") == [
+            ("state", 0, [(3, 0)]),
+            ("state", 0, [(3, 1), (3, 0)]),
+            ("state", 1, [(3, 1), (3, 1)]),
+            ("state", 0, [(3, 2), (3, 0)]),
+            ("state", 1, [(3, 2), (3, 1)]),
+        ]
+
+    def test_ternary_draws_only_in_the_branch_taken(self):
+        assert self._outcomes("x = nondet(0,1) ? nondet(0,2) : 7 / y;") == [
+            ("violation", "division-by-zero", 3, [(3, 0)]),
+            ("state", 0, [(3, 1), (3, 0)]),
+            ("state", 1, [(3, 1), (3, 1)]),
+            ("state", 2, [(3, 1), (3, 2)]),
+        ]
+
+    def test_division_by_zero_before_a_draw_is_one_path(self):
+        assert self._outcomes("x = (1 / y) + nondet(0,2);") == [
+            ("violation", "division-by-zero", 3, []),
+        ]
+
+    def test_failed_assumes_come_first(self):
+        assert self._outcomes("assume(nondet(0,3) > 1);") == [
+            ("kill", "assume"),
+            ("kill", "assume"),
+            ("state", 0, [(3, 2)]),
+            ("state", 0, [(3, 3)]),
+        ]
+
+    def test_callee_draws_after_the_arguments(self):
+        # lines: 2 f's t, 3 its assert, 4 its division, 5 its return,
+        # 6 main's y, 7 the call
+        callee = """int f(int a, int b) {
+  int t = nondet(0,1);
+  assert(a + t != 2);
+  t = 6 / (b - t);
+  return t;
+}
+"""
+        outcomes = self._outcomes("x = f(nondet(0,1), nondet(0,1));",
+                                  callee)
+        assert outcomes == [
+            ("violation", "division-by-zero", 4, [(7, 0), (7, 0), (2, 0)]),
+            ("state", -6, [(7, 0), (7, 0), (2, 1)]),
+            ("state", 6, [(7, 0), (7, 1), (2, 0)]),
+            ("violation", "division-by-zero", 4, [(7, 0), (7, 1), (2, 1)]),
+            ("violation", "division-by-zero", 4, [(7, 1), (7, 0), (2, 0)]),
+            ("violation", "assertion", 3, [(7, 1), (7, 0), (2, 1)]),
+            ("state", 6, [(7, 1), (7, 1), (2, 0)]),
+            ("violation", "assertion", 3, [(7, 1), (7, 1), (2, 1)]),
+        ]
+
+
 class TestCounterexampleJson:
     def test_round_trip(self, single_fault_program, default_config):
         cex = verify(single_fault_program, default_config).counterexample
