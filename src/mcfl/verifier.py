@@ -6,6 +6,8 @@ bound, and every nondet() branches over its value domain. Exploration is
 depth-first with a fixed order (ascending thread ordinal, ascending nondet
 value), so "first violation found" is deterministic and reproducible.
 
+A state holds its values in tuples, one slot per global, local, mutex,
+thread handle and loop; a step rebuilds only the tuples it changes.
 Expressions evaluate to plain integers, and a nondet() takes its value from
 one draw. A step runs its statement once per nondet path, the draws of each
 run stepping through their domains in order; a replay runs the same step
@@ -15,15 +17,18 @@ disagree on how a value is drawn.
 The search caches finished states: once the whole subtree below a state with
 two or more live threads has been explored without ending the search, a
 later state equal to it apart from its path (schedule and nondet choices)
-is skipped. Its subtree is the same, so it could only repeat work that found
-nothing; the first violation, its schedule and choices, the grouped records
-and the loop-bound flag are those of the search without the cache.
+and with at least as many context switches used is skipped. Its subtree is
+part of the finished one, so it could only repeat work that found nothing;
+the first violation, its schedule and choices, the grouped records and the
+loop-bound flag are those of the search without the cache. first_path,
+which stops at the first leaf, skips only on an equal switch count.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .syntax import (
     ArrayDecl,
@@ -205,134 +210,51 @@ class Instr:
     args: tuple = ()
     target: int = -1  # jump/branch target
     aux: dict | None = None  # switch label map
+    slot: int = -1  # mutex, handle or loop slot
 
 
 class Code:
-    def __init__(self, fn: FunctionDef):
+    def __init__(self, fn: FunctionDef, global_scope: dict):
         self.fname = fn.name
-        self.params = list(fn.params)
         self.instrs: list[Instr] = []
-        # a fresh frame: every parameter and local of the function, zeroed
-        self.locals = {p: 0 for p in fn.params}
-        for s in iter_stmts(fn.body.stmts):
-            if isinstance(s, Decl):
-                self.locals[s.name] = 0
+        # a slot for every parameter and local of the function; a fresh
+        # frame zeroes them all
+        self.names = list(dict.fromkeys([*fn.params, *(
+            s.name for s in iter_stmts(fn.body.stmts)
+            if isinstance(s, Decl))]))
+        self.locals = (0,) * len(self.names)
+        # name -> (is a global, slot): the locals, else the globals
+        self.scope = {**global_scope, **{
+            name: (False, i) for i, name in enumerate(self.names)}}
+        self.param_slots = [self.scope[p][1] for p in fn.params]
 
     def emit(self, instr: Instr) -> int:
         self.instrs.append(instr)
         return len(self.instrs) - 1
 
 
-def _compile_body(code: Code, stmts: list[Stmt], switch_ends: list[int],
-                  switch_frames: list[dict]) -> None:
-    for stmt in stmts:
-        _compile_stmt(code, stmt, switch_ends, switch_frames)
-
-
-def _compile_stmt(code: Code, stmt: Stmt, switch_ends: list[int],
-                  switch_frames: list[dict]) -> None:
-    ln = stmt.line
-    if isinstance(stmt, Decl):
-        code.emit(Instr("decl", ln, name=stmt.name, expr=stmt.init))
-    elif isinstance(stmt, Assign):
-        code.emit(Instr("assign", ln, name=stmt.name, expr=stmt.expr))
-    elif isinstance(stmt, CallAssign):
-        code.emit(Instr("call", ln, name=stmt.name,
-                        args=(stmt.func, tuple(stmt.args))))
-    elif isinstance(stmt, Assert):
-        code.emit(Instr("assert", ln, expr=stmt.expr))
-    elif isinstance(stmt, Assume):
-        code.emit(Instr("assume", ln, expr=stmt.expr))
-    elif isinstance(stmt, Return):
-        code.emit(Instr("return", ln, expr=stmt.expr))
-    elif isinstance(stmt, Block):
-        _compile_body(code, stmt.stmts, switch_ends, switch_frames)
-    elif isinstance(stmt, If):
-        br = code.emit(Instr("branch", ln, expr=stmt.cond))
-        _compile_body(code, stmt.then.stmts, switch_ends, switch_frames)
-        if stmt.els is not None:
-            jmp = code.emit(Instr("jump", ln))
-            code.instrs[br].target = len(code.instrs)
-            _compile_body(code, stmt.els.stmts, switch_ends, switch_frames)
-            code.instrs[jmp].target = len(code.instrs)
-        else:
-            code.instrs[br].target = len(code.instrs)
-    elif isinstance(stmt, While):
-        code.emit(Instr("loop_enter", ln))
-        head = code.emit(Instr("loop_head", ln, expr=stmt.cond))
-        _compile_body(code, stmt.body.stmts, switch_ends, switch_frames)
-        code.emit(Instr("loop_iter", ln))
-        code.emit(Instr("jump", ln, target=head))
-        code.instrs[head].target = len(code.instrs)
-    elif isinstance(stmt, For):
-        code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.init))
-        head = code.emit(Instr("branch", ln, expr=stmt.cond))
-        _compile_body(code, stmt.body.stmts, switch_ends, switch_frames)
-        code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.update))
-        code.emit(Instr("jump", ln, target=head))
-        code.instrs[head].target = len(code.instrs)
-    elif isinstance(stmt, Switch):
-        frame: dict = {"labels": {}, "default": None}
-        sw = code.emit(Instr("switch", ln, expr=stmt.scrutinee, aux=frame))
-        switch_ends.append(sw)
-        switch_frames.append(frame)
-        _compile_body(code, stmt.body.stmts, switch_ends, switch_frames)
-        switch_frames.pop()
-        switch_ends.pop()
-        frame["end"] = len(code.instrs)
-    elif isinstance(stmt, CaseLabel):
-        pc = code.emit(Instr("label", ln))
-        if not switch_frames:
-            raise ModelError("case label outside switch")
-        switch_frames[-1]["labels"][stmt.value] = pc
-    elif isinstance(stmt, DefaultLabel):
-        pc = code.emit(Instr("label", ln))
-        switch_frames[-1]["default"] = pc
-    elif isinstance(stmt, Break):
-        if not switch_ends:
-            raise ModelError("break outside switch")
-        code.emit(Instr("break", ln, target=switch_ends[-1]))
-    elif isinstance(stmt, ThreadCreate):
-        code.emit(Instr("create", ln, name=stmt.handle, args=(stmt.func,)))
-    elif isinstance(stmt, ThreadJoin):
-        code.emit(Instr("join", ln, name=stmt.handle))
-    elif isinstance(stmt, ThreadExit):
-        code.emit(Instr("exit", ln))
-    elif isinstance(stmt, MutexLock):
-        code.emit(Instr("lock", ln, name=stmt.name))
-    elif isinstance(stmt, MutexUnlock):
-        code.emit(Instr("unlock", ln, name=stmt.name))
-    elif isinstance(stmt, CondWait):
-        code.emit(Instr("wait", ln, name=stmt.cond, args=(stmt.mutex,)))
-    elif isinstance(stmt, CondSignal):
-        code.emit(Instr("signal", ln, name=stmt.name))
-    elif isinstance(stmt, (ThreadDecl, ThreadAttrDecl, CondAttrDecl,
-                           MutexDecl, CondDecl, CondInit)):
-        code.emit(Instr("nopstep", ln))
-    elif isinstance(stmt, ArrayDecl):
-        raise ModelError("array declarations are global only")
-    else:
-        raise ModelError(f"cannot compile statement {stmt!r}")
-
-
 class CompiledProgram:
+    """The functions as instruction lists, and a slot for every global,
+    mutex, thread handle and while loop: a state holds their values in
+    tuples, in slot order."""
+
     def __init__(self, program: Program):
-        self.program = program
-        self.global_init: dict[str, int] = {}
         self.arrays: dict[str, tuple[int, ...]] = {}
-        self.mutex_names: set[str] = set()
-        self.cond_names: set[str] = set()
+        self.mutex_slots: dict[str, int] = {}
+        self.handle_slots: dict[str, int] = {}
+        self.loop_slots: dict[int, int] = {}  # by the loop's line
         self.enclosing = enclosing_loops(program)
-        self.loop_lines: set[int] = set()
 
         for stmt in program_stmts(program):
             if isinstance(stmt, MutexDecl):
-                self.mutex_names.add(stmt.name)
-            elif isinstance(stmt, CondDecl):
-                self.cond_names.add(stmt.name)
+                self.mutex_slots.setdefault(stmt.name, len(self.mutex_slots))
+            elif isinstance(stmt, (ThreadCreate, ThreadJoin)):
+                self.handle_slots.setdefault(stmt.handle,
+                                             len(self.handle_slots))
             elif isinstance(stmt, While):
-                self.loop_lines.add(stmt.line)
+                self.loop_slots.setdefault(stmt.line, len(self.loop_slots))
 
+        init: dict[str, int] = {}
         for g in program.globals:
             if isinstance(g, Decl):
                 value = 0
@@ -341,29 +263,125 @@ class CompiledProgram:
                         raise ModelError(
                             "global initializers must be literals")
                     value = wrap64(g.init.value)
-                self.global_init[g.name] = value
+                init[g.name] = value
             elif isinstance(g, ArrayDecl):
                 self.arrays[g.name] = tuple(wrap64(v) for v in g.values)
+        self.global_init = tuple(init.values())
+        # name -> (is a global, slot), in slot order
+        self.global_scope = {name: (True, i) for i, name in enumerate(init)}
 
         # thread table: ordinal 0 is main, then creation-statement order
-        self.thread_codes: list[Code] = []
-        self.thread_codes.append(self._compile_fn(program.main))
-        self.fn_by_name = {fn.name: fn for fn in program.functions}
-        for td in program.threads:
-            self.thread_codes.append(
-                self._compile_fn(self.fn_by_name[td.function]))
+        fn_by_name = {fn.name: fn for fn in program.functions}
+        self.thread_codes = [self._compile_fn(program.main)] + [
+            self._compile_fn(fn_by_name[td.function])
+            for td in program.threads]
         self.thread_of_fn = {td.function: td.ordinal
                              for td in program.threads}
-        self.callee_codes: dict[str, Code] = {}
-        for fn in program.functions:
-            if fn.return_type == "int":
-                self.callee_codes[fn.name] = self._compile_fn(fn)
+        self.callee_codes = {fn.name: self._compile_fn(fn)
+                             for fn in program.functions
+                             if fn.return_type == "int"}
 
     def _compile_fn(self, fn: FunctionDef) -> Code:
-        code = Code(fn)
-        _compile_body(code, fn.body.stmts, [], [])
+        code = Code(fn, self.global_scope)
+        self._compile_body(code, fn.body.stmts, [], [])
         code.emit(Instr("thread_end", 0))
         return code
+
+    def _compile_body(self, code: Code, stmts: list[Stmt],
+                      switch_ends: list[int], switch_frames: list[dict]):
+        for stmt in stmts:
+            self._compile_stmt(code, stmt, switch_ends, switch_frames)
+
+    def _compile_stmt(self, code: Code, stmt: Stmt, switch_ends: list[int],
+                      switch_frames: list[dict]) -> None:
+        ln = stmt.line
+        body = self._compile_body
+        if isinstance(stmt, Decl):
+            code.emit(Instr("decl", ln, name=stmt.name, expr=stmt.init))
+        elif isinstance(stmt, Assign):
+            code.emit(Instr("assign", ln, name=stmt.name, expr=stmt.expr))
+        elif isinstance(stmt, CallAssign):
+            code.emit(Instr("call", ln, name=stmt.name,
+                            args=(stmt.func, tuple(stmt.args))))
+        elif isinstance(stmt, Assert):
+            code.emit(Instr("assert", ln, expr=stmt.expr))
+        elif isinstance(stmt, Assume):
+            code.emit(Instr("assume", ln, expr=stmt.expr))
+        elif isinstance(stmt, Return):
+            code.emit(Instr("return", ln, expr=stmt.expr))
+        elif isinstance(stmt, Block):
+            body(code, stmt.stmts, switch_ends, switch_frames)
+        elif isinstance(stmt, If):
+            br = code.emit(Instr("branch", ln, expr=stmt.cond))
+            body(code, stmt.then.stmts, switch_ends, switch_frames)
+            if stmt.els is not None:
+                jmp = code.emit(Instr("jump", ln))
+                code.instrs[br].target = len(code.instrs)
+                body(code, stmt.els.stmts, switch_ends, switch_frames)
+                code.instrs[jmp].target = len(code.instrs)
+            else:
+                code.instrs[br].target = len(code.instrs)
+        elif isinstance(stmt, While):
+            loop = self.loop_slots[ln]
+            code.emit(Instr("loop_enter", ln, slot=loop))
+            head = code.emit(Instr("loop_head", ln, expr=stmt.cond,
+                                   slot=loop))
+            body(code, stmt.body.stmts, switch_ends, switch_frames)
+            code.emit(Instr("loop_iter", ln, slot=loop))
+            code.emit(Instr("jump", ln, target=head))
+            code.instrs[head].target = len(code.instrs)
+        elif isinstance(stmt, For):
+            code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.init))
+            head = code.emit(Instr("branch", ln, expr=stmt.cond))
+            body(code, stmt.body.stmts, switch_ends, switch_frames)
+            code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.update))
+            code.emit(Instr("jump", ln, target=head))
+            code.instrs[head].target = len(code.instrs)
+        elif isinstance(stmt, Switch):
+            frame: dict = {"labels": {}, "default": None}
+            sw = code.emit(Instr("switch", ln, expr=stmt.scrutinee,
+                                 aux=frame))
+            switch_ends.append(sw)
+            switch_frames.append(frame)
+            body(code, stmt.body.stmts, switch_ends, switch_frames)
+            switch_frames.pop()
+            switch_ends.pop()
+            frame["end"] = len(code.instrs)
+        elif isinstance(stmt, CaseLabel):
+            pc = code.emit(Instr("label", ln))
+            if not switch_frames:
+                raise ModelError("case label outside switch")
+            switch_frames[-1]["labels"][stmt.value] = pc
+        elif isinstance(stmt, DefaultLabel):
+            pc = code.emit(Instr("label", ln))
+            switch_frames[-1]["default"] = pc
+        elif isinstance(stmt, Break):
+            if not switch_ends:
+                raise ModelError("break outside switch")
+            code.emit(Instr("break", ln, target=switch_ends[-1]))
+        elif isinstance(stmt, ThreadCreate):
+            code.emit(Instr("create", ln, args=(stmt.func,),
+                            slot=self.handle_slots[stmt.handle]))
+        elif isinstance(stmt, ThreadJoin):
+            code.emit(Instr("join", ln, slot=self.handle_slots[stmt.handle]))
+        elif isinstance(stmt, ThreadExit):
+            code.emit(Instr("exit", ln))
+        elif isinstance(stmt, MutexLock):
+            code.emit(Instr("lock", ln, slot=self.mutex_slots[stmt.name]))
+        elif isinstance(stmt, MutexUnlock):
+            code.emit(Instr("unlock", ln, slot=self.mutex_slots[stmt.name]))
+        elif isinstance(stmt, CondWait):
+            code.emit(Instr("wait", ln, name=stmt.cond,
+                            slot=self.mutex_slots[stmt.mutex]))
+        elif isinstance(stmt, CondSignal):
+            code.emit(Instr("signal", ln, name=stmt.name))
+        elif isinstance(stmt, (ThreadDecl, ThreadAttrDecl, CondAttrDecl,
+                               MutexDecl, CondDecl, CondInit)):
+            code.emit(Instr("nopstep", ln))
+        elif isinstance(stmt, ArrayDecl):
+            raise ModelError("array declarations are global only")
+        else:
+            raise ModelError(f"cannot compile statement {stmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,34 +395,42 @@ class _DivByZero(Exception):
 
 
 class _Ctx:
-    """One run of a step along one nondet path: the state it works on, the
-    running frame's locals and instruction line, and the values drawn.
+    """One run of a step along one nondet path: the parts of the state it
+    has rebuilt so far, the running frame's scope, locals and instruction
+    line, and the values drawn.
 
     Draw i takes prefix[i] where the prefix has one, else the lowest value
     of its domain; a replaying machine takes the next recorded choice
     instead. Each draw records (value, hi), so that the step can tell which
-    draws have a next value, and appends (line, value) to the state's
-    choices."""
+    draws have a next value, and appends (line, value) to the choices."""
 
-    __slots__ = ("machine", "state", "frame", "line", "prefix", "drawn")
+    __slots__ = ("machine", "line", "prefix", "drawn", "choices", "scope",
+                 "locals", "globals", "threads", "handles", "mutexes",
+                 "per_entry", "cum_iters")
 
     def __init__(self, machine: "_Machine", state: "_State",
                  prefix: list[int]):
         self.machine = machine
-        self.state = state
-        self.frame: dict[str, int] = {}  # locals of the running frame
-        self.line = 0
         self.prefix = prefix
         self.drawn: list[tuple[int, int]] = []
+        self.choices = state.choices
+        self.globals = state.globals
+        self.threads = state.threads
+        (self.handles, self.mutexes, self.per_entry, self.cum_iters,
+         _) = state.control
 
-    def lookup(self, name: str) -> int:
-        if name in self.frame:
-            return self.frame[name]
-        if name in self.state.globals:
-            return self.state.globals[name]
-        raise ModelError(f"read of unknown variable {name!r}")
+    def store(self, name: str, value: int) -> None:
+        """Writes value to name in the running frame's scope."""
+        where = self.scope.get(name)
+        if where is None:
+            raise ModelError(f"write to unknown variable {name!r}")
+        if where[0]:
+            self.globals = _put(self.globals, where[1], value)
+        else:
+            self.locals = _put(self.locals, where[1], value)
 
-    def draw(self, lo: int, hi: int) -> int:
+    def draw(self, bounds: tuple[int, int] | None) -> int:
+        lo, hi = bounds or self.machine.config.nondet_domain
         replay = self.machine.replay
         if replay is not None:
             if not replay:
@@ -413,6 +439,11 @@ class _Ctx:
             if line != self.line:
                 raise TraceMismatch(
                     f"nondet at line {self.line}, choice recorded for {line}")
+            # the search's domain of a plain nondet() is not known here
+            if bounds is not None and not lo <= value <= hi:
+                raise TraceMismatch(
+                    f"nondet at line {line} takes {lo}..{hi}, "
+                    f"choice recorded {value}")
             # a replayed draw has no next value: the step has one path
             value = hi = wrap64(value)
         elif len(self.drawn) < len(self.prefix):
@@ -420,8 +451,15 @@ class _Ctx:
         else:
             value = lo
         self.drawn.append((value, hi))
-        self.state.choices = (self.state.choices, (self.line, value))
+        self.choices = (self.choices, (self.line, value))
         return value
+
+
+def _put(items: tuple, i: int, value) -> tuple:
+    """items with item i replaced by value."""
+    copy = list(items)
+    copy[i] = value
+    return tuple(copy)
 
 
 def _eval(expr: Expr, ctx: _Ctx) -> int:
@@ -430,7 +468,10 @@ def _eval(expr: Expr, ctx: _Ctx) -> int:
     if isinstance(expr, IntLit):
         return wrap64(expr.value)
     if isinstance(expr, Var):
-        return ctx.lookup(expr.name)
+        where = ctx.scope.get(expr.name)
+        if where is None:
+            raise ModelError(f"read of unknown variable {expr.name!r}")
+        return (ctx.globals if where[0] else ctx.locals)[where[1]]
     if isinstance(expr, Binary):
         left = _eval(expr.left, ctx)
         if expr.op == "&&":
@@ -439,9 +480,7 @@ def _eval(expr: Expr, ctx: _Ctx) -> int:
             return 1 if left != 0 or _eval(expr.right, ctx) != 0 else 0
         return _apply(expr.op, left, _eval(expr.right, ctx))
     if isinstance(expr, Nondet):
-        lo, hi = (expr.lo, expr.hi) if expr.lo is not None else \
-            ctx.machine.config.nondet_domain
-        return ctx.draw(lo, hi)
+        return ctx.draw(None if expr.lo is None else (expr.lo, expr.hi))
     if isinstance(expr, Index):
         array = ctx.machine.compiled.arrays.get(expr.name)
         if array is None:
@@ -493,95 +532,76 @@ def _apply(op: str, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Thread:
+class _Thread(NamedTuple):
     pc: int
-    locals: dict[str, int]
+    locals: tuple[int, ...]  # by the slots of the thread's code
     status: str  # 'new' | 'ready' | 'cond' | 'reacquire' | 'exited'
     wait_cond: str = ""
-    wait_mutex: str = ""
-
-    def clone(self) -> "_Thread":
-        return _Thread(self.pc, dict(self.locals), self.status,
-                       self.wait_cond, self.wait_mutex)
+    wait_mutex: int | None = None  # mutex slot
 
 
-@dataclass
-class _State:
-    globals: dict[str, int]
-    threads: list[_Thread]
-    handles: dict[str, int]
-    mutexes: dict[str, int | None]  # owner ordinal
-    per_entry: dict[int, int]  # loop line -> started iterations, this entry
-    cum_iters: dict[int, int]  # loop line -> completed iterations, total
-    switches: int
+class _Control(NamedTuple):
+    handles: tuple[int | None, ...]  # thread ordinal, None until created
+    mutexes: tuple[int | None, ...]  # owner ordinal, None while free
+    # started iterations in the current entry, None before the first entry
+    per_entry: tuple[int | None, ...]
+    cum_iters: tuple[int, ...]  # completed iterations, in total
     last_thread: int | None
+
+
+class _State(NamedTuple):
+    """A search state. Its parts are tuples that a step rebuilds where it
+    changes them and shares where it does not. The first three fields are
+    all that steers the successors, up to the switch budget left."""
+
+    globals: tuple[int, ...]
+    threads: tuple[_Thread, ...]
+    control: _Control
+    switches: int
     trace: tuple | None  # linked list: (parent, (thread, line))
     choices: tuple | None  # linked list: (parent, (line, value))
 
-    def clone(self) -> "_State":
-        return _State(
-            dict(self.globals),
-            [t.clone() for t in self.threads],
-            dict(self.handles),
-            dict(self.mutexes),
-            dict(self.per_entry),
-            dict(self.cum_iters),
-            self.switches,
-            self.last_thread,
-            self.trace,
-            self.choices,
-        )
-
-
-class _Frame:
-    """A running callee: its code, pc and locals. Frames live only inside
-    the step that makes the call, which runs the callee to its return."""
-
-    __slots__ = ("code", "pc", "locals")
-
-    def __init__(self, code: Code, pc: int, locals: dict[str, int]):
-        self.code = code
-        self.pc = pc
-        self.locals = locals
+    @property
+    def last_thread(self) -> int | None:
+        return self.control.last_thread
 
 
 class _Machine:
     def __init__(self, compiled: CompiledProgram, config: VerifierConfig,
                  replay: list[tuple[int, int]] | None = None):
         self.compiled = compiled
+        self.codes = compiled.thread_codes
         self.config = config
         # replaying: the recorded (line, value) choices not yet drawn,
         # last first
         self.replay = replay
         # set by the search when it reaches a path cut at the loop bound
         self.bound_hit = False
-        # states the search skipped as duplicates of finished subtrees
+        # states the search skipped as covered by finished subtrees
         self.pruned = 0
 
     # -- state construction ---------------------------------------------
 
     def initial_state(self) -> _State:
-        threads = [_Thread(0, dict(code.locals), "new")
-                   for code in self.compiled.thread_codes]
-        threads[0].status = "ready"
-        state = _State(
-            globals=dict(self.compiled.global_init),
-            threads=threads,
-            handles={},
-            mutexes={m: None for m in self.compiled.mutex_names},
-            per_entry={},
-            cum_iters={},
-            switches=0,
-            last_thread=None,
-            trace=None,
-            choices=None,
-        )
-        self._normalize(state, 0)
-        return state
+        c = self.compiled
+        loops = len(c.loop_slots)
+        state = _State(c.global_init, tuple(
+            _Thread(0, code.locals, "new") for code in self.codes), _Control(
+            (None,) * len(c.handle_slots), (None,) * len(c.mutex_slots),
+            (None,) * loops, (0,) * loops, None), 0, None, None)
+        ctx = _Ctx(self, state, [])
+        main = self._settle(ctx, 0, 0, state.threads[0].locals)
+        return state._replace(threads=_put(state.threads, 0, main),
+                              control=state.control._replace(
+                                  per_entry=ctx.per_entry,
+                                  cum_iters=ctx.cum_iters))
 
-    def code_of(self, tid: int) -> Code:
-        return self.compiled.thread_codes[tid]
+    def variables(self, state: _State, tid: int | None = None
+                  ) -> dict[str, int]:
+        """The globals by name or, given tid, that thread's locals."""
+        if tid is None:
+            return dict(zip(self.compiled.global_scope, state.globals))
+        return dict(zip(self.codes[tid].names, state.threads[tid].locals))
 
     # -- scheduling -------------------------------------------------------
 
@@ -590,17 +610,17 @@ class _Machine:
         thread = state.threads[tid]
         if thread.status == "cond":
             return "sync"
+        mutexes = state.control.mutexes
         if thread.status == "reacquire":
-            return "eligible" if state.mutexes[thread.wait_mutex] is None \
+            return "eligible" if mutexes[thread.wait_mutex] is None \
                 else "sync"
-        instr = self.code_of(tid).instrs[thread.pc]
+        instr = self.codes[tid].instrs[thread.pc]
         if instr.op == "lock":
-            return "eligible" if state.mutexes[instr.name] is None else "sync"
+            return "eligible" if mutexes[instr.slot] is None else "sync"
         if instr.op == "join":
-            target = state.handles.get(instr.name)
+            target = state.control.handles[instr.slot]
             if target is None or state.threads[target].status != "exited":
                 return "join"
-            return "eligible"
         return "eligible"
 
     def live_threads(self, state: _State) -> list[int]:
@@ -609,47 +629,50 @@ class _Machine:
 
     # -- stepping ---------------------------------------------------------
 
-    def _normalize(self, state: _State, tid: int,
-                   callee: _Frame | None = None) -> None:
-        """Advances the running frame, the callee if given, else thread tid,
-        through micro instructions to the next steppable one."""
-        frame = callee or state.threads[tid]
-        code = callee.code if callee else self.code_of(tid)
+    def _normalize(self, ctx: _Ctx, code: Code, pc: int,
+                   callee: bool = False) -> int:
+        """Advances pc through micro instructions of code to the next
+        steppable one, or a thread's end, and returns it."""
         while True:
-            instr = code.instrs[frame.pc]
+            instr = code.instrs[pc]
             op = instr.op
             if op == "jump":
-                frame.pc = instr.target
+                pc = instr.target
             elif op == "label":
-                frame.pc += 1
+                pc += 1
             elif op == "loop_enter":
-                state.per_entry[instr.line] = 0
-                frame.pc += 1
+                ctx.per_entry = _put(ctx.per_entry, instr.slot, 0)
+                pc += 1
             elif op == "loop_iter":
-                state.cum_iters[instr.line] = \
-                    state.cum_iters.get(instr.line, 0) + 1
-                frame.pc += 1
-            elif op == "thread_end":
-                if callee:
-                    raise ModelError(
-                        f"function {code.fname!r} finished without return")
-                frame.status = "exited"
-                return
+                ctx.cum_iters = _put(ctx.cum_iters, instr.slot,
+                                     ctx.cum_iters[instr.slot] + 1)
+                pc += 1
+            elif op == "thread_end" and callee:
+                raise ModelError(
+                    f"function {code.fname!r} finished without return")
             else:
-                return
+                return pc
+
+    def _settle(self, ctx: _Ctx, tid: int, pc: int,
+                locals: tuple[int, ...]) -> _Thread:
+        """Ready thread tid at pc, normalized; exited at its end."""
+        code = self.codes[tid]
+        pc = self._normalize(ctx, code, pc)
+        return _Thread(pc, locals, "exited" if code.instrs[pc].op ==
+                       "thread_end" else "ready")
 
     def step(self, state: _State, tid: int):
         """Executes one statement of thread tid. A call runs its callee to
         the return inside this step, so the callee's own statements add no
         trace entry, context switch or state.
 
-        The statement runs once per nondet path, each time on a fresh clone
-        of state. The first run draws the lowest value at every nondet it
-        reaches. Each next run keeps the values drawn before the last draw
-        that is below its highest value, and draws that one's successor.
+        The statement runs once per nondet path, each time from state,
+        which no run changes. The first run draws the lowest value at every
+        nondet it reaches; each next run keeps the values drawn before the
+        last draw below its highest value, and draws that one's successor.
         So the paths come in ascending order of their values in drawing
-        order, and a path whose short circuit, failed check or division by
-        zero comes before a nondet draws nothing there. A replaying machine
+        order, and a short circuit, failed check or division by zero before
+        a nondet ends the path without a draw there. A replaying machine
         draws the recorded values, so a replayed step has one path.
 
         Returns a list of outcomes in that order:
@@ -658,13 +681,8 @@ class _Machine:
         outcomes = []
         prefix: list[int] = []
         while True:
-            ctx = _Ctx(self, state.clone(), prefix)
-            try:
-                outcomes.append(self._run(ctx, tid))
-            except _DivByZero:
-                outcomes.append(self._violate(
-                    ctx.state, tid, ctx.line,
-                    Violation("division-by-zero", ctx.line)))
+            ctx = _Ctx(self, state, prefix)
+            outcomes.append(self._run(ctx, state, tid))
             drawn = ctx.drawn
             while drawn and drawn[-1][0] >= drawn[-1][1]:
                 drawn.pop()
@@ -673,164 +691,155 @@ class _Machine:
             prefix = [value for value, _ in drawn]
             prefix[-1] += 1
 
-    def _run(self, ctx: _Ctx, tid: int):
-        """Runs the statement of thread tid on ctx's state along ctx's
-        nondet path, a called function to its return included, and returns
-        the outcome."""
-        state = ctx.state
+    def _run(self, ctx: _Ctx, state: _State, tid: int):
+        """Runs the statement of thread tid from state along ctx's nondet
+        path, a called function to its return included, and returns the
+        outcome."""
         thread = state.threads[tid]
-        if state.last_thread is not None and state.last_thread != tid:
-            state.switches += 1
-        frames: list[_Frame] = []  # running callees, innermost last
-        while True:
-            frame = frames[-1] if frames else thread
-            code = frames[-1].code if frames else self.code_of(tid)
-            instr = code.instrs[frame.pc]
-            op = instr.op
-            line = ctx.line = instr.line
-            ctx.frame = frame.locals
-            if op in ("assign", "decl"):
-                value = 0 if instr.expr is None else _eval(instr.expr, ctx)
-                self._write(state, frame, instr.name, value)
-                frame.pc += 1
-            elif op in ("assume", "assert"):
-                if _eval(instr.expr, ctx) == 0:
-                    if op == "assume":
-                        return ("kill", "assume")
-                    return self._violate(state, tid, line,
-                                         Violation("assertion", line))
-                frame.pc += 1
-            elif op in ("branch", "loop_head"):
-                if _eval(instr.expr, ctx) == 0:
-                    frame.pc = instr.target
+        code, pc = self.codes[tid], thread.pc
+        ctx.scope, ctx.locals = code.scope, thread.locals
+        callers: list[tuple] = []  # (code, pc, locals), innermost last
+        try:
+            while True:
+                instr = code.instrs[pc]
+                op = instr.op
+                line = ctx.line = instr.line
+                if op in ("assign", "decl"):
+                    ctx.store(instr.name, 0 if instr.expr is None
+                              else _eval(instr.expr, ctx))
+                    pc += 1
+                elif op in ("assume", "assert"):
+                    if _eval(instr.expr, ctx) == 0:
+                        if op == "assume":
+                            return ("kill", "assume")
+                        violation = Violation("assertion", line)
+                        break
+                    pc += 1
+                elif op in ("branch", "loop_head"):
+                    if _eval(instr.expr, ctx) == 0:
+                        pc = instr.target
+                    else:
+                        if op == "loop_head":
+                            started = (ctx.per_entry[instr.slot] or 0) + 1
+                            if started > self.config.loop_bound:
+                                return ("kill", "bound")
+                            ctx.per_entry = _put(ctx.per_entry, instr.slot,
+                                                 started)
+                        pc += 1
+                elif op == "switch":
+                    table = instr.aux
+                    target = table["labels"].get(_eval(instr.expr, ctx))
+                    if target is None:
+                        target = table["default"]
+                    if target is None:
+                        target = table["end"]
+                    pc = target
+                elif op == "break":
+                    pc = code.instrs[instr.target].aux["end"]
+                elif op == "call":
+                    callee = self.compiled.callee_codes[instr.args[0]]
+                    env = list(callee.locals)
+                    for slot, value in zip(callee.param_slots, [
+                            _eval(arg, ctx) for arg in instr.args[1]]):
+                        env[slot] = value
+                    callers.append((code, pc, ctx.locals))
+                    code, pc, ctx.locals = callee, 0, tuple(env)
+                    ctx.scope = code.scope
+                elif op == "return":
+                    value = _eval(instr.expr, ctx)
+                    if not callers:
+                        # a thread's return value is irrelevant; evaluated
+                        # for effects only
+                        return self._finish(ctx, state, tid, thread._replace(
+                            locals=ctx.locals, status="exited"), line)
+                    code, pc, ctx.locals = callers.pop()
+                    ctx.scope = code.scope
+                    site = code.instrs[pc]
+                    ctx.store(site.name, value)
+                    pc += 1
+                    line = site.line
+                elif callers:
+                    raise ModelError("unsupported statement inside callable "
+                                     f"function: {op!r}")
                 else:
-                    if op == "loop_head":
-                        started = state.per_entry.get(line, 0) + 1
-                        if started > self.config.loop_bound:
-                            return ("kill", "bound")
-                        state.per_entry[line] = started
-                    frame.pc += 1
-            elif op == "switch":
-                table = instr.aux
-                target = table["labels"].get(_eval(instr.expr, ctx))
-                if target is None:
-                    target = table["default"]
-                if target is None:
-                    target = table["end"]
-                frame.pc = target
-            elif op == "break":
-                frame.pc = code.instrs[instr.target].aux["end"]
-            elif op == "call":
-                callee = self.compiled.callee_codes[instr.args[0]]
-                env = dict(callee.locals)
-                env.update(zip(callee.params,
-                               [_eval(arg, ctx) for arg in instr.args[1]]))
-                frames.append(_Frame(callee, 0, env))
-            elif op == "return":
-                value = _eval(instr.expr, ctx)
-                if not frames:
-                    # a thread's return value is irrelevant; evaluated for
-                    # effects only
-                    thread.status = "exited"
-                    return self._finish_step(state, tid, line,
-                                             normalize=False)
-                frames.pop()
-                caller = frames[-1] if frames else thread
-                site = (frames[-1].code if frames else self.code_of(tid)
-                        ).instrs[caller.pc]
-                self._write(state, caller, site.name, value)
-                caller.pc += 1
-                line = site.line
-            elif frames:
-                raise ModelError(
-                    f"unsupported statement inside callable function: {op!r}")
-            else:
-                return self._exec_thread(state, tid, instr)
-            if not frames:
-                return self._finish_step(state, tid, line)
-            self._normalize(state, tid, frames[-1])
+                    return self._exec_thread(ctx, state, tid, instr)
+                if not callers:
+                    return self._finish(ctx, state, tid, self._settle(
+                        ctx, tid, pc, ctx.locals), line)
+                pc = self._normalize(ctx, code, pc, callee=True)
+        except _DivByZero:
+            violation = Violation("division-by-zero", ctx.line)
+        # the thread stays at the statement, in its own frame, the outermost
+        _, pc, locals = callers[0] if callers else (code, pc, ctx.locals)
+        return self._finish(ctx, state, tid, thread._replace(
+            pc=pc, locals=locals), violation.line, violation)
 
-    def _exec_thread(self, state: _State, tid: int, instr: Instr):
+    def _exec_thread(self, ctx: _Ctx, state: _State, tid: int,
+                     instr: Instr):
         """Executes a threading statement or handle declaration of thread
         tid and returns the outcome."""
         thread = state.threads[tid]
         op = instr.op
         if op == "exit":
-            thread.status = "exited"
-            return self._finish_step(state, tid, instr.line, normalize=False)
+            return self._finish(ctx, state, tid,
+                                thread._replace(status="exited"), instr.line)
         if op == "wait":
             if thread.status != "reacquire":
                 # releases the mutex and blocks; pc stays on the wait until
                 # the reacquisition step completes it
-                state.mutexes[instr.args[0]] = None
-                thread.status = "cond"
-                thread.wait_cond = instr.name
-                thread.wait_mutex = instr.args[0]
-                return self._finish_step(state, tid, instr.line,
-                                         normalize=False)
+                ctx.mutexes = _put(ctx.mutexes, instr.slot, None)
+                return self._finish(ctx, state, tid, _Thread(
+                    thread.pc, thread.locals, "cond", instr.name, instr.slot),
+                    instr.line)
             # completion of a condition wait: grab the mutex and move on
-            mutex = thread.wait_mutex
-            if state.mutexes[mutex] is not None:
+            if ctx.mutexes[thread.wait_mutex] is not None:
                 raise ModelError("reacquire scheduled while mutex held")
-            state.mutexes[mutex] = tid
-            thread.status = "ready"
-            thread.wait_cond = ""
-            thread.wait_mutex = ""
+            ctx.mutexes = _put(ctx.mutexes, thread.wait_mutex, tid)
         elif op == "create":
             fname = instr.args[0]
             ordinal = self.compiled.thread_of_fn[fname]
-            target = state.threads[ordinal]
+            target = ctx.threads[ordinal]
             if target.status != "new":
                 raise ModelError(
                     f"thread function {fname!r} created twice")
-            target.status = "ready"
-            state.handles[instr.name] = ordinal
-            self._normalize(state, ordinal)
+            ctx.handles = _put(ctx.handles, instr.slot, ordinal)
+            ctx.threads = _put(ctx.threads, ordinal, self._settle(
+                ctx, ordinal, target.pc, target.locals))
         elif op == "join":
-            target = state.handles.get(instr.name)
-            if target is None or state.threads[target].status != "exited":
+            target = ctx.handles[instr.slot]
+            if target is None or ctx.threads[target].status != "exited":
                 raise ModelError("join scheduled while target is running")
         elif op == "lock":
-            if state.mutexes[instr.name] is not None:
+            if ctx.mutexes[instr.slot] is not None:
                 raise ModelError("lock scheduled while mutex held")
-            state.mutexes[instr.name] = tid
+            ctx.mutexes = _put(ctx.mutexes, instr.slot, tid)
         elif op == "unlock":
-            state.mutexes[instr.name] = None
+            ctx.mutexes = _put(ctx.mutexes, instr.slot, None)
         elif op == "signal":
-            waiters = [i for i, t in enumerate(state.threads)
-                       if t.status == "cond" and t.wait_cond == instr.name]
-            if waiters:
-                woken = state.threads[min(waiters)]
-                woken.status = "reacquire"
-                woken.wait_cond = ""
+            for i, waiter in enumerate(ctx.threads):
+                if waiter.status == "cond" and waiter.wait_cond == instr.name:
+                    ctx.threads = _put(ctx.threads, i, waiter._replace(
+                        status="reacquire", wait_cond=""))
+                    break
         elif op != "nopstep":
             raise ModelError(f"unexpected instruction {op!r}")
-        thread.pc += 1
-        return self._finish_step(state, tid, instr.line)
+        return self._finish(ctx, state, tid, self._settle(
+            ctx, tid, thread.pc + 1, thread.locals), instr.line)
 
-    # -- step helpers -----------------------------------------------------
-
-    def _write(self, state: _State, frame, name: str, value: int) -> None:
-        if name in frame.locals:
-            frame.locals[name] = value
-        elif name in state.globals:
-            state.globals[name] = value
-        else:
-            raise ModelError(f"write to unknown variable {name!r}")
-
-    def _violate(self, state: _State, tid: int, line: int,
-                 violation: Violation):
-        state.trace = (state.trace, (tid, line))
-        state.last_thread = tid
-        return ("violation", violation, state)
-
-    def _finish_step(self, state: _State, tid: int, line: int,
-                     normalize: bool = True):
-        if normalize:
-            self._normalize(state, tid)
-        state.trace = (state.trace, (tid, line))
-        state.last_thread = tid
-        return ("state", state)
+    def _finish(self, ctx: _Ctx, state: _State, tid: int, thread: _Thread,
+                line: int, violation: Violation | None = None):
+        """The outcome of thread tid's step from state that executed line
+        and left the thread as `thread`."""
+        last = state.control.last_thread
+        switches = state.switches + (last is not None and last != tid)
+        control = state.control
+        parts = (ctx.handles, ctx.mutexes, ctx.per_entry, ctx.cum_iters, tid)
+        if parts != control:
+            control = _Control(*parts)
+        new = _State(ctx.globals, _put(ctx.threads, tid, thread), control,
+                     switches, (state.trace, (tid, line)), ctx.choices)
+        return ("state", new) if violation is None else \
+            ("violation", violation, new)
 
 
 # ---------------------------------------------------------------------------
@@ -853,17 +862,17 @@ def _run_schedule(compiled: CompiledProgram, schedule, choices):
     nondet choices in order. This is the one place that builds TraceSteps.
 
     Returns (steps, counters, wait_resumes, machine, state, violation):
-    the completed-iteration counts after each step, the indices of steps
-    that complete a condition wait, the final state and the violation of
-    the last step, if any. Raises TraceMismatch where the schedule does not
-    fit the program or leaves recorded choices unused."""
+    the completed-iteration counts by loop slot after each step, the
+    indices of steps that complete a condition wait, the final state and
+    the violation of the last step, if any. Raises TraceMismatch where the
+    schedule does not fit the program or leaves recorded choices unused."""
     # a schedule is checked against the program, not the search bounds, so
     # the replay never cuts it at the loop bound
     machine = _Machine(compiled, VerifierConfig(loop_bound=10 ** 9),
                        replay=list(reversed(choices)))
     state = machine.initial_state()
     steps: list[TraceStep] = []
-    counters: list[dict[int, int]] = []
+    counters: list[tuple[int, ...]] = []
     wait_resumes: set[int] = set()
     violation: Violation | None = None
     for i, (tid, line) in enumerate(schedule):
@@ -887,10 +896,10 @@ def _run_schedule(compiled: CompiledProgram, schedule, choices):
         if executed != line:
             raise TraceMismatch(
                 f"step {i} executed line {executed}, trace says {line}")
-        valuation = dict(state.globals)
-        valuation.update(state.threads[tid].locals)
+        valuation = machine.variables(state)
+        valuation.update(machine.variables(state, tid))
         steps.append(TraceStep(i, tid, line, valuation))
-        counters.append(dict(state.cum_iters))
+        counters.append(state.control.cum_iters)
     if machine.replay:
         raise TraceMismatch(
             f"{len(machine.replay)} recorded nondet choices left unused")
@@ -929,11 +938,12 @@ def _build_counterexample(compiled: CompiledProgram, schedule, choices,
             per_thread_index=per_thread[prev.thread],
         ))
         enclosing = list(compiled.enclosing.get(prev.line, []))
-        if prev.line in compiled.loop_lines:
+        if prev.line in compiled.loop_slots:
             # a switch after a loop-header evaluation may resume inside the
             # loop body, so the loop's own count is needed for the guard
             enclosing.append(prev.line)
-        switch_counters.append({ln: after.get(ln, 0) for ln in enclosing})
+        switch_counters.append(
+            {ln: after[compiled.loop_slots[ln]] for ln in enclosing})
     return Counterexample(
         steps=steps,
         switches=switches,
@@ -949,33 +959,13 @@ def _build_counterexample(compiled: CompiledProgram, schedule, choices,
 # ---------------------------------------------------------------------------
 
 
-def _group_value(state: _State, group_by: str) -> int | None:
-    return state.threads[0].locals.get(group_by)
-
-
-def _intern(parts: dict, value) -> int:
-    return parts.setdefault(value, len(parts))
-
-
-def _state_key(state: _State, parts: dict) -> tuple[int, int, int]:
-    """Everything about a state that steers its successors: all but its
-    trace and choices. Globals and locals keep their keys' order, so their
-    values suffice; the path decides the order of the small dicts, so those
-    are sorted. Every part is interned in parts, one dict per search: each
-    thread and each small dict, then the globals, the thread list and the
-    control part. A thread or small dict takes few values in a search, so
-    a stored key is three small ints over little interned data."""
-    threads = tuple(
-        _intern(parts, (t.pc, tuple(t.locals.values()), t.status,
-                        t.wait_cond, t.wait_mutex))
-        for t in state.threads)
-    control = (_intern(parts, tuple(sorted(state.handles.items()))),
-               _intern(parts, tuple(state.mutexes.values())),
-               _intern(parts, tuple(sorted(state.per_entry.items()))),
-               _intern(parts, tuple(sorted(state.cum_iters.items()))),
-               state.switches, state.last_thread)
-    return (_intern(parts, tuple(state.globals.values())),
-            _intern(parts, threads), _intern(parts, control))
+def _shared(key: tuple, canon: dict) -> tuple:
+    """key with its globals, control and each thread replaced by the copy
+    kept in canon, so that the keys of finished states share their parts."""
+    globals, threads, control, *switches = key
+    return (canon.setdefault(globals, globals),
+            tuple(canon.setdefault(t, t) for t in threads),
+            canon.setdefault(control, control), *switches)
 
 
 def _explore(machine: _Machine, first_leaf: bool = False,
@@ -993,37 +983,49 @@ def _explore(machine: _Machine, first_leaf: bool = False,
     search goes on. The value must stay fixed once drawn.
 
     A state with two or more live threads, where interleavings meet again,
-    is keyed by _state_key; the sequential models of diagnosis and
+    is keyed by state[:3]; the sequential models of diagnosis and
     validation have none and pay nothing. Expanding such a state pushes a
     ('done', key, groups recorded, state) marker under its children; when
-    the marker is popped, its subtree is finished, and the key enters `done`
-    unless the subtree recorded a group. A popped state whose key is in
-    `done` is skipped and not counted toward max_states (machine.pruned
-    counts it): its subtree would reach no violation and no leaf, and any
-    cut in it has already set bound_hit. A state equal to one of its own
-    ancestors is never skipped, since that subtree is not finished.
+    the marker is popped, its subtree is finished, and unless it recorded
+    a group, `done` maps the key to the state's switch count. A popped
+    state whose key maps to at most its own switch count is skipped and not
+    counted toward max_states (machine.pruned counts it): its subtree is
+    part of the finished one, so it reaches no violation, and any cut in it
+    has set bound_hit already. In first_leaf mode the key is state[:4],
+    switch count included, since with fewer switches left the same state
+    can end on a 'budget' leaf that the finished subtree ran past. A state
+    equal to one of its own ancestors is never skipped, since that subtree
+    is not finished.
     """
     config = machine.config
     groups = [] if groups is None else groups
+    main = machine.codes[0].names
+    group_slot = main.index(group_by) if group_by in main else None
+
+    def group_value(state: _State) -> int | None:
+        return None if group_slot is None else \
+            state.threads[0].locals[group_slot]
+
     stack: list[tuple] = [("state", machine.initial_state())]
     visited = 0
-    done: set[tuple[int, int, int]] = set()
-    parts: dict = {}
+    done: dict[tuple, int] = {}
+    # one copy of each key part, shared by all keys in done
+    canon: dict[tuple, tuple] = {}
     while stack:
         kind = stack.pop()
         if kind[0] == "done":
             if kind[2] == len(groups):
-                done.add(kind[1])
+                # a count stored for the key came from below, no lower
+                done[kind[1]] = kind[3].switches
             continue
         if kind[0] == "violation":
             if group_by is not None:
-                value = _group_value(kind[2], group_by)
+                value = group_value(kind[2])
                 groups.append(GroupedViolation(
                     value, kind[1], _unlink(kind[2].choices)))
                 if value:
                     # every entry holds its state last
-                    while stack and \
-                            _group_value(stack[-1][-1], group_by) == value:
+                    while stack and group_value(stack[-1][-1]) == value:
                         stack.pop()
                     continue
             return ("violation", kind[1], kind[2])
@@ -1037,12 +1039,12 @@ def _explore(machine: _Machine, first_leaf: bool = False,
         state = kind[1]
         live = machine.live_threads(state)
         if len(live) > 1:
-            key = _state_key(state, parts)
-            if key in done:
+            key = state[:4] if first_leaf else state[:3]
+            if done.get(key, state.switches + 1) <= state.switches:
                 machine.pruned += 1
                 continue
             # every entry holds its state last, for the group drop
-            stack.append(("done", key, len(groups), state))
+            stack.append(("done", _shared(key, canon), len(groups), state))
         visited += 1
         if visited > config.max_states:
             return ("exhausted", visited)
@@ -1050,10 +1052,10 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if first_leaf:
                 return ("leaf", "completed", state)
             continue
-        classes = {tid: machine.classify(state, tid) for tid in live}
-        eligible = [tid for tid in live if classes[tid] == "eligible"]
+        eligible = [tid for tid in live
+                    if machine.classify(state, tid) == "eligible"]
         if not eligible:
-            if all(classes[tid] == "sync" for tid in live):
+            if all(machine.classify(state, tid) == "sync" for tid in live):
                 if config.deadlock_check:
                     violation = Violation(
                         "deadlock", None, tuple(sorted(live)))
@@ -1061,12 +1063,10 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if first_leaf:
                 return ("leaf", "stuck", state)
             continue
-        schedulable = []
-        for tid in eligible:
-            if state.last_thread is None or tid == state.last_thread:
-                schedulable.append(tid)
-            elif state.switches < config.context_bound:
-                schedulable.append(tid)
+        last = state.control.last_thread
+        schedulable = eligible
+        if last is not None and state.switches >= config.context_bound:
+            schedulable = [last] if last in eligible else []
         if not schedulable:
             if first_leaf:
                 return ("leaf", "budget", state)

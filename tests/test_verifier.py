@@ -280,6 +280,19 @@ class TestReplay:
         assert first_path(p, cfg) == ("violation", cex.steps,
                                       cex.final_valuation)
 
+    def test_choice_outside_an_explicit_range_is_rejected(self):
+        p = parse("int x = 0;\nint main() {\n  x = nondet(0, 1);\n"
+                  "  assert(x < 1);\n}\n")
+        cex = verify(p, VerifierConfig()).counterexample
+        assert cex.nondet_choices == [(2, 1)]
+        cex.nondet_choices[0] = (2, 7)
+        for step in cex.steps:
+            step.valuation["x"] = 7
+        with pytest.raises(TraceMismatch,
+                           match=r"^nondet at line 2 takes 0\.\.1, "
+                                 r"choice recorded 7$"):
+            replay(p, cex)
+
 
 def _hand_trace(threads: list[int]) -> Counterexample:
     steps = [TraceStep(i, t, 100 + i, {}) for i, t in enumerate(threads)]
@@ -449,7 +462,7 @@ class TestStepOrder:
                 summary.append(("violation", outcome[1].kind,
                                 outcome[1].line, _unlink(outcome[2].choices)))
             else:
-                summary.append(("state", outcome[1].globals["x"],
+                summary.append(("state", machine.variables(outcome[1])["x"],
                                 _unlink(outcome[1].choices)))
         return summary
 
@@ -527,7 +540,7 @@ def _uncached(program, config, group_by=None):
     visited = 0
 
     def group_value(state):
-        return state.threads[0].locals.get(group_by)
+        return machine.variables(state, 0).get(group_by)
 
     def violated(violation, state):
         cex = None
@@ -607,9 +620,29 @@ def _locked_workers(n_threads: int, trips: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# main creates w, writes a and stops; w writes b three times. The runs
+# (create, a = 1, b = 1, b = 2) and (create, b = 1, a = 1, b = 2) reach
+# the same state, with one context switch and with three
+SWITCH_PROBE = """int a = 0;
+int b = 0;
+pthread_t h;
+void w() {
+  b = 1;
+  b = 2;
+  b = 3;
+}
+int main() {
+  pthread_create(h, w);
+  a = 1;
+  assume(0);
+}
+"""
+
+
 class TestStateCache:
-    """The finished-state cache skips only repeats of subtrees that found
-    nothing, so every observable result equals the uncached search's."""
+    """The finished-state cache skips only states whose subtree is part of
+    one that found nothing, so every observable result equals the uncached
+    search's."""
 
     @staticmethod
     def _agree(program, config, group_by=None, label=None):
@@ -637,7 +670,7 @@ class TestStateCache:
                         label=seed)
 
     @pytest.mark.parametrize("trips,context_bound",
-                             [(1, 4), (1, 3), (2, 3)])
+                             [(1, 4), (1, 3), (2, 3), (2, 2)])
     def test_three_locked_threads(self, trips, context_bound):
         p = parse(_locked_workers(3, trips))
         mine, theirs = self._agree(
@@ -753,6 +786,32 @@ int main() {
         assert (first.states, first.pruned) == (again.states, again.pruned)
         assert first.outcome == "safe-within-bounds"
         assert first.pruned > 0
+
+    @pytest.mark.parametrize("trips,context_bound,counts", [
+        (1, 3, (1900, 584)), (1, 4, (2898, 2779)),
+        (2, 3, (5761, 1312)), (2, 4, (9520, 8534))])
+    def test_counts_are_pinned(self, trips, context_bound, counts):
+        # exact (states, pruned), for later changes to the search to cite
+        result = verify(parse(_locked_workers(3, trips)),
+                        VerifierConfig(context_bound=context_bound))
+        assert (result.outcome, result.states, result.pruned) == \
+            ("safe-within-bounds", *counts)
+
+    def test_fewer_switches_cover_more(self):
+        result = verify(parse(SWITCH_PROBE), VerifierConfig(context_bound=3))
+        assert (result.outcome, result.states, result.pruned) == \
+            ("safe-within-bounds", 13, 1)
+
+    def test_first_path_keeps_exact_switch_counts(self):
+        # the state's subtree with one switch used finishes without a leaf;
+        # with three used, b = 3 ends on the budget, which is the uncached
+        # search's first leaf
+        kind, steps, valuation = first_path(parse(SWITCH_PROBE),
+                                            VerifierConfig(context_bound=3))
+        assert kind == "budget"
+        assert [(s.thread, s.line) for s in steps] == [
+            (0, 7), (1, 4), (0, 8), (1, 5), (1, 6)]
+        assert valuation == {"a": 1, "b": 3}
 
     def test_single_thread_prunes_nothing(self):
         # both nondet values reach the same state, but with one live
