@@ -29,13 +29,12 @@ from .sequentializer import (
     Segment,
     SequentialProgram,
     apply_pthread_rules,
-    inject_order_control,
-    build_skeleton,
     sequentialize,
     unwind_calls,
 )
 from .syntax import LineId, Program, line_table, pretty_print
 from .verifier import (
+    CompiledProgram,
     ContextSwitchRecord,
     Counterexample,
     ModelError,
@@ -54,6 +53,7 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CompiledProgram",
     "ContextSwitchRecord",
     "Counterexample",
     "Diagnosis",
@@ -79,11 +79,9 @@ __all__ = [
     "apply_pthread_rules",
     "block_diag",
     "brute_force_diagnoses",
-    "build_skeleton",
     "eligible_lines",
     "extract_schedule",
     "first_path",
-    "inject_order_control",
     "instrument",
     "line_table",
     "localize",

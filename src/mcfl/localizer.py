@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .instrumenter import (
     InstrumentedProgram,
@@ -21,18 +21,9 @@ from .instrumenter import (
     instrument,
 )
 from .sequentializer import SequentialProgram, sequentialize
-from .syntax import (
-    Assign,
-    Block,
-    If,
-    IntLit,
-    Program,
-    Stmt,
-    While,
-    child_blocks,
-    line_table,
-)
+from .syntax import Program
 from .verifier import (
+    CompiledProgram,
     Counterexample,
     VerifierConfig,
     extract_schedule,
@@ -109,7 +100,9 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     search = verify(instr.program, _seq_config(config),
                     group_by=instr.diag_var)
     timings["diagnose"] = time.perf_counter() - t0
-    timings["validate"] = 0.0
+    t0 = time.perf_counter()
+    compiled = CompiledProgram(seq.program)
+    timings["validate"] = time.perf_counter() - t0
     for iteration, found in enumerate(search.groups, start=1):
         d = found.value
         if d is None or d not in instr.diag_domain:
@@ -131,7 +124,7 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
                 witness = value
         t0 = time.perf_counter()
         validated = witness is not None and validate_diag(
-            seq, d, witness, config)
+            compiled, d, witness, config)
         timings["validate"] += time.perf_counter() - t0
         diagnoses.append(Diagnosis(
             seq_line=d,
@@ -157,70 +150,12 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     )
 
 
-def _substitute(seq: SequentialProgram, seq_line: int,
-                witness: int) -> Program:
-    """The sequential program with line seq_line's value or condition fixed
-    to witness. A path copy: the statement and the blocks and functions
-    that hold it are new, everything else is shared with seq.program."""
-    stmt = line_table(seq.program).get(seq_line)
-    if stmt is None:
-        raise ValueError(f"line {seq_line} does not exist")
-    if isinstance(stmt, Assign):
-        fixed = _replaced(stmt, expr=IntLit(witness))
-    elif isinstance(stmt, (If, While)):
-        fixed = _replaced(stmt, cond=IntLit(witness))
-    else:
-        raise ValueError(f"line {seq_line} is not substitutable")
-    program = seq.program
-    functions = [_swapped_fn(fn, stmt, fixed) for fn in program.functions]
-    return replace(program, functions=functions,
-                   main=_swapped_fn(program.main, stmt, fixed))
-
-
-def _replaced(stmt: Stmt, **changes) -> Stmt:
-    # the line id is an init=False field, which replace() does not carry
-    new = replace(stmt, **changes)
-    new.line = stmt.line
-    return new
-
-
-def _swapped_fn(fn, old: Stmt, new: Stmt):
-    body = _swapped_block(fn.body, old, new)
-    return fn if body is None else replace(fn, body=body)
-
-
-def _swapped_block(block: Block, old: Stmt, new: Stmt) -> Block | None:
-    """A copy of block with old replaced by new, or None if old is not in
-    it."""
-    for i, stmt in enumerate(block.stmts):
-        swapped = new if stmt is old else _swapped_inside(stmt, old, new)
-        if swapped is not None:
-            return _replaced(block, stmts=block.stmts[:i] + [swapped]
-                             + block.stmts[i + 1:])
-    return None
-
-
-def _swapped_inside(stmt: Stmt, old: Stmt, new: Stmt) -> Stmt | None:
-    """A copy of stmt with old replaced by new in one of its blocks, or
-    None if old is not under stmt."""
-    for child in child_blocks(stmt):
-        inner = _swapped_block(child, old, new)
-        if inner is None:
-            continue
-        if child is stmt:  # a Block used as a statement
-            return inner
-        name = next(f.name for f in fields(stmt)
-                    if getattr(stmt, f.name) is child)
-        return _replaced(stmt, **{name: inner})
-    return None
-
-
-def validate_diag(seq: SequentialProgram, d: int, witness: int,
+def validate_diag(compiled: CompiledProgram, d: int, witness: int,
                   config: VerifierConfig) -> bool:
-    """True iff fixing line d to the constant witness makes the sequential
-    program verify clean, with no loop left running at the bound."""
-    program = _substitute(seq, d, witness)
-    result = verify(program, _seq_config(config))
+    """True iff fixing line d to the constant witness makes the compiled
+    sequential program verify clean, with no loop left running at the
+    bound."""
+    result = verify(compiled.with_constant(d, witness), _seq_config(config))
     return result.outcome == "safe-within-bounds" and not result.bound_hit
 
 
@@ -230,10 +165,11 @@ def brute_force_diagnoses(seq: SequentialProgram,
     every candidate value; a line counts when some substitution makes the
     program verify clean and the line lies on the failing path."""
     run_cfg = _seq_config(config)
-    baseline = verify(seq.program, run_cfg)
+    compiled = CompiledProgram(seq.program)
+    baseline = verify(compiled, run_cfg)
     if baseline.outcome == "safe-within-bounds" and not baseline.bound_hit:
         return []
-    kind, steps, _ = first_path(seq.program, run_cfg)
+    kind, steps, _ = first_path(compiled, run_cfg)
     executed = {s.line for s in steps}
     lo, hi = config.nondet_domain
     found: list[tuple[int, int]] = []
@@ -242,8 +178,7 @@ def brute_force_diagnoses(seq: SequentialProgram,
             continue
         values = (0, 1) if wrap_kind == "cond" else range(lo, hi + 1)
         for value in values:
-            program = _substitute(seq, line, value)
-            result = verify(program, run_cfg)
+            result = verify(compiled.with_constant(line, value), run_cfg)
             if result.outcome == "safe-within-bounds" and not \
                     result.bound_hit:
                 found.append((line, value))

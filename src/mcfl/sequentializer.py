@@ -91,7 +91,6 @@ class Segment:
 class Schedule:
     segments: list[Segment]
     order_tags: list[int]
-    per_thread_counts: dict[int, int]
     # recorded nondet choices, used to pin input values during replay
     nondet_pins: list[tuple[int, int]] = field(default_factory=list)
 
@@ -120,10 +119,6 @@ def synthetic_entry(reason: str, origin: int | None = None) -> MapEntry:
 class SequentialProgram:
     program: Program
     line_map: dict[int, MapEntry]
-
-    # transformation bookkeeping, populated by the builder and consumed by
-    # inject_order_control; None once injection has run
-    anchors: dict | None = field(default=None, repr=False)
 
     def original_line(self, seq_line: int) -> int | None:
         """The source line a sequential line stands for: its original, or
@@ -312,7 +307,7 @@ def apply_pthread_rules(stmt: Stmt, deadlock: bool) -> list[Stmt]:
 
 
 # ---------------------------------------------------------------------------
-# Skeleton construction
+# Sequentialization
 # ---------------------------------------------------------------------------
 
 
@@ -468,10 +463,10 @@ class _Builder:
                 out.append(_mark(img, synthetic_entry(reason), orig))
 
 
-def build_skeleton(program: Program, schedule: Schedule,
-                   deadlock: bool) -> SequentialProgram:
-    """The sequential program before guard injection; exposed so the
-    injection step can be exercised on its own."""
+def sequentialize(program: Program, schedule: Schedule,
+                  deadlock: bool) -> SequentialProgram:
+    """Full transformation: unwinding, rewrite rules, hoisting, framework
+    skeleton, and order control."""
     unwound = _unwind_annotated(program)
     builder = _Builder(program, schedule, deadlock)
     builder.transform_globals(unwound.globals)
@@ -525,15 +520,12 @@ def build_skeleton(program: Program, schedule: Schedule,
         main=FunctionDef("main", "int", [], Block(main_body)),
         threads=[],
     )
-    seq = SequentialProgram(seq_program, {}, anchors={
-        "stmt_anchors": builder.anchors,
-        "loop_bodies": builder.loop_bodies,
-        "if_bodies": builder.if_bodies,
-        "loop_names": builder.loop_names,
-        "dispatch": builder.dispatch,
-    })
-    _finalize(seq)
-    return seq
+    _place_order_control(builder, schedule)
+    renumber(seq_program)
+    line_map = {stmt.line: getattr(stmt, "_prov", None)
+                or synthetic_entry("framework")
+                for stmt in program_stmts(seq_program)}
+    return SequentialProgram(seq_program, line_map)
 
 
 def _unwind_annotated(program: Program) -> Program:
@@ -561,19 +553,8 @@ def _unwind_annotated(program: Program) -> Program:
     return out
 
 
-def _finalize(seq: SequentialProgram) -> None:
-    renumber(seq.program)
-    line_map: dict[int, MapEntry] = {}
-    for stmt in program_stmts(seq.program):
-        prov = getattr(stmt, "_prov", None)
-        if prov is None:
-            prov = synthetic_entry("framework")
-        line_map[stmt.line] = prov
-    seq.line_map = line_map
-
-
 # ---------------------------------------------------------------------------
-# Order-control injection
+# Order control
 # ---------------------------------------------------------------------------
 
 
@@ -588,19 +569,15 @@ def _guard(tag: int, counters: list[tuple[str, int]],
     return _mark(guard, synthetic_entry("order-control"))
 
 
-def inject_order_control(seq: SequentialProgram,
-                         schedule: Schedule) -> SequentialProgram:
-    """Inserts segment-exit guards and segment-entry case labels so that the
-    sequential program performs the schedule's segments in order."""
-    if seq.anchors is None:
-        raise GuardPlacementError(
-            "order control can only be injected once, on a freshly built "
-            "sequential program")
-    anchors: dict[int, _Anchor] = seq.anchors["stmt_anchors"]
-    loop_bodies = seq.anchors["loop_bodies"]
-    if_bodies = seq.anchors["if_bodies"]
-    loop_names: dict[int, str] = seq.anchors["loop_names"]
-    dispatch: tuple[str, str] = seq.anchors["dispatch"]
+def _place_order_control(builder: _Builder, schedule: Schedule) -> None:
+    """Inserts segment-exit guards and segment-entry case labels into the
+    statement lists the builder made, so that the sequential program
+    performs the schedule's segments in order."""
+    anchors = builder.anchors
+    loop_bodies = builder.loop_bodies
+    if_bodies = builder.if_bodies
+    loop_names = builder.loop_names
+    dispatch = builder.dispatch
 
     jobs: list[tuple[list[Stmt], int, list[Stmt]]] = []
 
@@ -685,18 +662,6 @@ def inject_order_control(seq: SequentialProgram,
         container = containers[key]
         for idx, _, stmts in sorted(entries, key=lambda e: (-e[0], -e[1])):
             container[idx:idx] = stmts
-
-    seq.anchors = None
-    _finalize(seq)
-    return seq
-
-
-def sequentialize(program: Program, schedule: Schedule,
-                  deadlock: bool) -> SequentialProgram:
-    """Full transformation: unwinding, rewrite rules, hoisting, framework
-    skeleton, and order control."""
-    seq = build_skeleton(program, schedule, deadlock)
-    return inject_order_control(seq, schedule)
 
 
 def pthread_free(program: Program) -> bool:

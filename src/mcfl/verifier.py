@@ -26,8 +26,9 @@ which stops at the first leaf, skips only on an equal switch count.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .syntax import (
@@ -166,7 +167,7 @@ class VerificationResult:
     outcome: str  # 'safe-within-bounds' | 'violation' | 'resource-exhausted'
     counterexample: Counterexample | None = None
     bound_hit: bool = False
-    states: int = 0
+    states: int = 0  # states expanded, whatever the outcome
     # states skipped as equal to one whose subtree was already finished
     pruned: int = 0
     # grouped search only, in discovery order
@@ -280,6 +281,25 @@ class CompiledProgram:
         self.callee_codes = {fn.name: self._compile_fn(fn)
                              for fn in program.functions
                              if fn.return_type == "int"}
+
+    def with_constant(self, line: int, value: int) -> "CompiledProgram":
+        """A copy in which main's assignment, if or while at line evaluates
+        IntLit(value) as its value or condition. Only main's instruction
+        list is copied; everything else is shared with this program."""
+        main = self.thread_codes[0]
+        carriers = [pc for pc, instr in enumerate(main.instrs)
+                    if instr.line == line and instr.expr is not None]
+        if len(carriers) != 1 or main.instrs[carriers[0]].op not in (
+                "assign", "branch", "loop_head"):
+            raise ValueError(
+                f"line {line} is no assignment, if or while of main")
+        code = copy.copy(main)
+        code.instrs = list(main.instrs)
+        code.instrs[carriers[0]] = replace(main.instrs[carriers[0]],
+                                           expr=IntLit(value))
+        compiled = copy.copy(self)
+        compiled.thread_codes = [code, *self.thread_codes[1:]]
+        return compiled
 
     def _compile_fn(self, fn: FunctionDef) -> Code:
         code = Code(fn, self.global_scope)
@@ -973,9 +993,9 @@ def _explore(machine: _Machine, first_leaf: bool = False,
              groups: list[GroupedViolation] | None = None):
     """DFS over interleavings and nondet values.
 
-    Returns ('violation', Violation, state) | ('exhausted', states)
+    Returns ('violation', Violation, state, states) | ('exhausted', states)
     | ('safe', states) and, in first_leaf mode, ('leaf', kind, state) for
-    the first completed/cut path.
+    the first completed/cut path; states counts the expanded states.
 
     With group_by, a violation where that local of main is nonzero is
     appended to groups and does not end the search: the rest of that
@@ -1028,7 +1048,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
                     while stack and group_value(stack[-1][-1]) == value:
                         stack.pop()
                     continue
-            return ("violation", kind[1], kind[2])
+            return ("violation", kind[1], kind[2], visited)
         if kind[0] == "cut":
             # a loop-bound kill counts once the search reaches it, in the
             # same order whether or not it happened inside a callee
@@ -1059,7 +1079,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
                 if config.deadlock_check:
                     violation = Violation(
                         "deadlock", None, tuple(sorted(live)))
-                    return ("violation", violation, state)
+                    return ("violation", violation, state, visited)
             if first_leaf:
                 return ("leaf", "stuck", state)
             continue
@@ -1083,7 +1103,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
     return ("safe", visited)
 
 
-def verify(program: Program, config: VerifierConfig, *,
+def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
            group_by: str | None = None) -> VerificationResult:
     """Explores all interleavings within bounds; returns the first violation
     in the fixed exploration order, or safe-within-bounds.
@@ -1094,8 +1114,11 @@ def verify(program: Program, config: VerifierConfig, *,
     search as outcome 'violation' and is the last group; the search
     otherwise ends 'safe-within-bounds' or, past max_states in total,
     'resource-exhausted'. No counterexample is built in this mode.
+
+    A program compiled already is searched as it is.
     """
-    compiled = CompiledProgram(program)
+    compiled = program if isinstance(program, CompiledProgram) \
+        else CompiledProgram(program)
     machine = _Machine(compiled, config)
     groups: list[GroupedViolation] = []
     result = _explore(machine, group_by=group_by, groups=groups)
@@ -1106,7 +1129,8 @@ def verify(program: Program, config: VerifierConfig, *,
             result[1])
         return VerificationResult("violation", cex,
                                   bound_hit=machine.bound_hit,
-                                  pruned=machine.pruned, groups=groups)
+                                  states=result[3], pruned=machine.pruned,
+                                  groups=groups)
     outcome = "resource-exhausted" if result[0] == "exhausted" \
         else "safe-within-bounds"
     return VerificationResult(outcome, None, bound_hit=machine.bound_hit,
@@ -1114,13 +1138,14 @@ def verify(program: Program, config: VerifierConfig, *,
                               groups=groups)
 
 
-def first_path(program: Program, config: VerifierConfig):
+def first_path(program: Program | CompiledProgram, config: VerifierConfig):
     """Follows the first surviving path to a leaf.
 
     Returns (kind, steps, valuation) where kind is 'violation', 'completed',
     'cut', 'stuck' or 'budget'; steps is the executed line trace.
     """
-    compiled = CompiledProgram(program)
+    compiled = program if isinstance(program, CompiledProgram) \
+        else CompiledProgram(program)
     machine = _Machine(compiled, config)
     result = _explore(machine, first_leaf=True)
     if result[0] == "exhausted":
@@ -1211,14 +1236,9 @@ def extract_schedule(counterexample: Counterexample):
         if not is_last:
             boundary += 1
         start = i
-    per_thread_counts: dict[int, int] = {}
-    for sw in counterexample.switches:
-        per_thread_counts[sw.from_thread] = \
-            per_thread_counts.get(sw.from_thread, 0) + 1
     return Schedule(
         segments=segments,
         order_tags=[seg.tag for seg in segments],
-        per_thread_counts=per_thread_counts,
         nondet_pins=list(counterexample.nondet_choices),
     )
 

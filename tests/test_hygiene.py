@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses
-or defines a private name it never reads.
+or defines a private name it never reads, and the package exports exactly
+what its `__init__.py` imports.
 
 No linter ships with the project, so these are written with `ast`: the
 unused-import check (F401) and a check for private functions, classes,
@@ -13,6 +14,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import mcfl
 
 SRC = Path(__file__).parent.parent / "src" / "mcfl"
 
@@ -119,3 +122,13 @@ def f(x: "Iterable[int]") -> "Any":
     return json.dumps(list(x))
 """
     assert unused_imports(source) == ["line 8: dataclass"]
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(mcfl.__all__) == sorted(imported)
+    assert len(set(mcfl.__all__)) == len(mcfl.__all__)
+    for name in mcfl.__all__:
+        assert getattr(mcfl, name) is not None, name

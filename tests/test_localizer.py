@@ -5,8 +5,10 @@ from dataclasses import replace
 import pytest
 
 from mcfl.instrumenter import NothingToInstrument, block_diag, instrument
+import mcfl.localizer
+import mcfl.verifier
+from mcfl.instrumenter import eligible_lines
 from mcfl.localizer import (
-    _substitute,
     brute_force_diagnoses,
     localize,
     report_from_json,
@@ -15,8 +17,14 @@ from mcfl.localizer import (
 )
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize
-from mcfl.syntax import Assign, IntLit, line_table, pretty_print
-from mcfl.verifier import VerifierConfig, extract_schedule, verify
+from mcfl.syntax import Assert, Assign, Decl, For, IntLit, line_table, \
+    pretty_print
+from mcfl.verifier import (
+    CompiledProgram,
+    VerifierConfig,
+    extract_schedule,
+    verify,
+)
 
 from conftest import BENCH_DIR, bench_source, bign_source
 from randprog import generate_source
@@ -32,6 +40,11 @@ def seq(single_fault_program, default_config):
     result = verify(single_fault_program, default_config)
     return sequentialize(single_fault_program,
                          extract_schedule(result.counterexample), False)
+
+
+@pytest.fixture(scope="module")
+def compiled(seq):
+    return CompiledProgram(seq.program)
 
 
 class TestLocalizeSingleFault:
@@ -96,20 +109,23 @@ class TestValidateDiag:
         return next(line for line, e in seq.line_map.items()
                     if e.kind == "original" and e.value == original)
 
-    def test_falsifying_the_branch_validates(self, seq, default_config):
+    def test_falsifying_the_branch_validates(self, seq, compiled,
+                                            default_config):
         # skipping the faulty block leaves the assertion unreached
         line = self._seq_line(seq, 4)
-        assert validate_diag(seq, line, 0, default_config) is True
+        assert validate_diag(compiled, line, 0, default_config) is True
 
-    def test_operand_witness_validates(self, seq, default_config):
+    def test_operand_witness_validates(self, seq, compiled,
+                                      default_config):
         # 5 + 4 gives the asserted sum of 9
         line = self._seq_line(seq, 7)
-        assert validate_diag(seq, line, 4, default_config) is True
-        assert validate_diag(seq, line, 3, default_config) is False
+        assert validate_diag(compiled, line, 4, default_config) is True
+        assert validate_diag(compiled, line, 3, default_config) is False
 
-    def test_still_violating_witness_rejected(self, seq, default_config):
+    def test_still_violating_witness_rejected(self, seq, compiled,
+                                              default_config):
         line = self._seq_line(seq, 6)  # the a = 5 statement
-        assert validate_diag(seq, line, 5, default_config) is False
+        assert validate_diag(compiled, line, 5, default_config) is False
 
 
 class TestLoopDiscipline:
@@ -260,25 +276,87 @@ class TestSearchBudget:
         assert cut.found_error_count == len(cut.diagnoses)
 
 
-class TestSubstitute:
-    def test_path_copy_matches_reparse_and_shares_the_rest(self, seq):
-        before = pretty_print(seq.program)
-        for line, stmt in line_table(seq.program).items():
-            if not isinstance(stmt, Assign):
-                continue
-            program = _substitute(seq, line, 7)
-            expected = parse(before)
-            line_table(expected)[line].expr = IntLit(7)
-            assert pretty_print(program) == pretty_print(expected)
-            assert pretty_print(seq.program) == before
-            assert program.globals is seq.program.globals
-            assert line_table(program)[line] is not stmt
+def _sequential_programs(config):
+    """The sequential programs of the ports and of randprog seeds 0..59
+    with division, by name."""
+    sources = [(path.stem, path.read_text())
+               for path in sorted(BENCH_DIR.glob("*.mc"))]
+    sources += [(f"seed{seed}", generate_source(seed, with_div=True))
+                for seed in range(60)]
+    for name, source in sources:
+        seq = localize(parse(source), config).sequential
+        if seq is not None:
+            yield name, seq
 
-    def test_rejects_unsubstitutable_lines(self, seq):
-        with pytest.raises(ValueError, match="not substitutable"):
-            _substitute(seq, 1, 0)
-        with pytest.raises(ValueError, match="does not exist"):
-            _substitute(seq, 10**6, 0)
+
+class TestWithConstant:
+    """Validation substitutes the witness into the compiled sequential
+    program; print, parse and substitute in the AST is the reference."""
+
+    def test_matches_reparse_on_every_line_and_value(self, default_config):
+        lo, hi = default_config.nondet_domain
+        pairs = validated = 0
+        for name, seq in _sequential_programs(default_config):
+            compiled = CompiledProgram(seq.program)
+            for line, kind in sorted(eligible_lines(seq).items()):
+                values = (0, 1) if kind == "cond" else range(lo, hi + 1)
+                for value in values:
+                    got = validate_diag(compiled, line, value,
+                                        default_config)
+                    assert got == _reparse_validates(
+                        seq, line, value, default_config), \
+                        (name, line, value)
+                    pairs += 1
+                    validated += got
+        assert (pairs, validated) == (1553, 248)
+
+    def test_base_program_unchanged(self, seq, compiled, default_config):
+        before = verify(compiled, default_config)
+        for line in eligible_lines(seq):
+            compiled.with_constant(line, 7)
+        after = verify(compiled, default_config)
+        assert after == before
+        assert after == verify(seq.program, default_config)
+
+    def test_shares_all_but_mains_instructions(self, seq, compiled):
+        line = min(eligible_lines(seq))
+        fixed = compiled.with_constant(line, 7)
+        main, fixed_main = compiled.thread_codes[0], fixed.thread_codes[0]
+        changed = [pc for pc, (a, b) in enumerate(
+            zip(main.instrs, fixed_main.instrs)) if a is not b]
+        assert len(changed) == 1
+        assert fixed_main.instrs[changed[0]].expr == IntLit(7)
+        assert fixed.thread_codes[1:] == compiled.thread_codes[1:]
+        assert fixed.global_scope is compiled.global_scope
+
+    def test_rejects_other_lines(self, seq, compiled):
+        table = line_table(seq.program)
+        for kind in (Decl, For, Assert):
+            line = next(line for line, stmt in table.items()
+                        if isinstance(stmt, kind))
+            with pytest.raises(ValueError, match=f"line {line} "):
+                compiled.with_constant(line, 0)
+        with pytest.raises(ValueError):
+            compiled.with_constant(10**6, 0)
+
+    def test_localize_compiles_the_sequential_program_once(
+            self, monkeypatch, default_config):
+        built = []
+
+        class Counting(CompiledProgram):
+            def __init__(self, program):
+                built.append(program)
+                super().__init__(program)
+
+        monkeypatch.setattr(mcfl.verifier, "CompiledProgram", Counting)
+        monkeypatch.setattr(mcfl.localizer, "CompiledProgram", Counting)
+        program = parse(bign_source(12))
+        report = localize(program, default_config)
+        assert len(report.diagnoses) == 13
+        expected = [program, report.instrumented.program,
+                    report.sequential.program]
+        assert len(built) == 3
+        assert all(a is b for a, b in zip(built, expected))
 
 
 class TestReportJson:

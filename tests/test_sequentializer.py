@@ -9,8 +9,6 @@ from mcfl.sequentializer import (
     Schedule,
     Segment,
     apply_pthread_rules,
-    build_skeleton,
-    inject_order_control,
     pthread_free,
     sequentialize,
     unwind_calls,
@@ -200,7 +198,6 @@ def _one_segment_schedule(program) -> Schedule:
     return Schedule(
         segments=[Segment(0, lines[0], lines[-1], {}, 11)],
         order_tags=[11],
-        per_thread_counts={},
     )
 
 
@@ -404,7 +401,8 @@ class TestOrderControl:
                    if e.kind == "synthetic"}
         assert "order-control" not in reasons
 
-    def test_skeleton_then_injection(self, default_config):
+    def test_guard_and_entry_label_in_printed_program(self,
+                                                      default_config):
         src = """int x = 0;
 pthread_t h;
 void w() { x = x + 1; }
@@ -417,14 +415,11 @@ int main() {
 """
         p = parse(src)
         result = verify(p, default_config)
-        sched = extract_schedule(result.counterexample)
-        skeleton = build_skeleton(p, sched, False)
-        before = pretty_print(skeleton.program)
-        assert "order[order_index] == 11" not in before
-        seq = inject_order_control(skeleton, sched)
-        after = pretty_print(seq.program)
-        assert "if (order[order_index] == 11)" in after
-        assert "case 12:" in after
+        seq = sequentialize(p, extract_schedule(result.counterexample),
+                            False)
+        text = pretty_print(seq.program)
+        assert "if (order[order_index] == 11)" in text
+        assert "case 12:" in text
 
     def test_guard_fires_after_switch_line(self, default_config):
         # thread 1 is preempted right after its first statement; the guard

@@ -138,6 +138,14 @@ int main() {
         b = verify(single_fault_program, default_config)
         assert a.counterexample == b.counterexample
 
+    def test_violation_reports_states_expanded(self, single_fault_program,
+                                               default_config):
+        a = verify(single_fault_program, default_config)
+        b = verify(single_fault_program, default_config)
+        assert a.outcome == "violation"
+        assert a.states > 0
+        assert a.states == b.states
+
     def test_wraparound_arithmetic(self):
         p = parse("int big = 9223372036854775807;\n"
                   "int main(){ int x; x = big + 1; "
@@ -318,7 +326,6 @@ class TestExtractSchedule:
         sched = extract_schedule(_hand_trace([0, 0, 0]))
         assert sched.order_tags == [11]
         assert len(sched.segments) == 1
-        assert sched.per_thread_counts == {}
 
     def test_main_then_t2_then_t1(self):
         sched = extract_schedule(_hand_trace([0, 2, 1]))
@@ -328,7 +335,6 @@ class TestExtractSchedule:
         sched = extract_schedule(_hand_trace([0, 1, 2, 1]))
         assert sched.order_tags == [11, 21, 31, 22]
         assert [t % 10 for t in sched.order_tags] == [1, 1, 1, 2]
-        assert sched.per_thread_counts == {0: 1, 1: 1, 2: 1}
 
     def test_too_many_segments_rejected(self):
         threads = [0]
@@ -548,7 +554,7 @@ def _uncached(program, config, group_by=None):
             cex = counterexample_to_json(_build_counterexample(
                 compiled, _unlink(state.trace), _unlink(state.choices),
                 violation))
-        return ("violation", cex, machine.bound_hit, groups, 0)
+        return ("violation", cex, machine.bound_hit, groups, visited)
 
     while stack:
         kind = stack.pop()
