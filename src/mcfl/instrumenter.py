@@ -87,8 +87,9 @@ def instrument(seq: SequentialProgram) -> InstrumentedProgram:
 def block_diag(instr: InstrumentedProgram, value: int) -> InstrumentedProgram:
     """Adds assume(diag != value); repeated values change nothing.
 
-    Kept as public API for block-and-reverify enumeration; localize no
-    longer uses it, since one grouped search finds every diag value."""
+    Kept as public API for block-and-reverify enumeration, which verifies
+    the model as printed; localize no longer uses it, since one
+    lazy-decision search finds every diag value."""
     if value in instr.blocked:
         return instr
     return _instrument_core(instr.seq, instr.blocked | {value})

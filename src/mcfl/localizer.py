@@ -2,10 +2,12 @@
 
 Verify the concurrent program, classify the violation, sequentialize along
 the failing schedule, instrument, then collect every diag value that lets
-the instrumented model pass in one grouped search: the search draws diag
-in ascending order at the root and records the first passing path of each
-value. Every reported line is checked against an independent substitution
-oracle before it is trusted.
+the instrumented model pass in one lazy-decision search: the model's header
+draw runs as diag = 0, and a path decides diag only when it first reaches a
+wrapped line, so all values share the unchanged prefix; the first passing
+path of each value is recorded. Every reported line is then checked against
+the substitution oracle, all of them in one more lazy-decision search of
+the sequential program.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from .instrumenter import (
     instrument,
 )
 from .sequentializer import SequentialProgram, sequentialize
-from .syntax import Program
+from .syntax import Assign, Expr, IntLit, Program, program_stmts
 from .verifier import (
     CompiledProgram,
     Counterexample,
     VerifierConfig,
     extract_schedule,
     first_path,
+    passing_sites,
     verify,
 )
 
@@ -64,6 +67,30 @@ def _seq_config(config: VerifierConfig) -> VerifierConfig:
     return replace(config, context_bound=0, deadlock_check=False)
 
 
+def _diag_sites(instr: InstrumentedProgram) -> dict[int, Expr]:
+    """Each wrap site of the model and the nondet() that its line runs when
+    diag names it: the `then` branch of the line's wrapping ternary."""
+    lines = set(instr.wrap_sites.values())
+    return {stmt.line: (stmt.expr if isinstance(stmt, Assign)
+                        else stmt.cond).then_expr
+            for stmt in program_stmts(instr.program) if stmt.line in lines}
+
+
+def _diag_header(instr: InstrumentedProgram) -> int:
+    """The line of the model's `diag = nondet(0, max)`."""
+    return next(stmt.line for stmt in instr.program.main.body.stmts
+                if isinstance(stmt, Assign) and stmt.name == instr.diag_var)
+
+
+def _diagnose(instr: InstrumentedProgram, config: VerifierConfig):
+    """The lazy-decision search of the model: its header draw runs as
+    diag = 0, which passes the domain assume, and each wrap site is a site
+    whose pick runs the wrapped nondet()."""
+    model = CompiledProgram(instr.program).with_constant(
+        _diag_header(instr), 0)
+    return verify(model, _seq_config(config), sites=_diag_sites(instr))
+
+
 def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     timings: dict[str, float] = {}
 
@@ -97,19 +124,17 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     diagnoses: list[Diagnosis] = []
     status = None
     t0 = time.perf_counter()
-    search = verify(instr.program, _seq_config(config),
-                    group_by=instr.diag_var)
+    search = _diagnose(instr, config)
     timings["diagnose"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    compiled = CompiledProgram(seq.program)
-    timings["validate"] = time.perf_counter() - t0
-    for iteration, found in enumerate(search.groups, start=1):
-        d = found.value
-        if d is None or d not in instr.diag_domain:
+    diag_of_site = {site: d for d, site in instr.wrap_sites.items()}
+    # one record per wrap site, by line, so iteration is the run in which
+    # block-and-reverify would find it
+    for iteration, found in enumerate(search.records, start=1):
+        if not found.site:
             # the model passes without touching any known line; the method
             # cannot explain this fault
             diagnoses.append(Diagnosis(
-                seq_line=d if d is not None else 0,
+                seq_line=0,
                 original_line=None,
                 witness_value=None,
                 iteration=iteration,
@@ -117,22 +142,28 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
             ))
             status = "inconclusive"
             break
-        site = instr.wrap_sites.get(d)
         witness = None
         for line, value in found.nondet_choices:
-            if line == site:
+            if line == found.site:
                 witness = value
-        t0 = time.perf_counter()
-        validated = witness is not None and validate_diag(
-            compiled, d, witness, config)
-        timings["validate"] += time.perf_counter() - t0
+        d = diag_of_site[found.site]
         diagnoses.append(Diagnosis(
             seq_line=d,
             original_line=seq.original_line(d),
             witness_value=witness,
             iteration=iteration,
-            oracle_validated=validated,
+            oracle_validated=False,
         ))
+    t0 = time.perf_counter()
+    witnesses = {diagnosis.seq_line: diagnosis.witness_value
+                 for diagnosis in diagnoses
+                 if diagnosis.witness_value is not None}
+    if witnesses:
+        validated = validate_diag(CompiledProgram(seq.program), witnesses,
+                                  config)
+        for diagnosis in diagnoses:
+            diagnosis.oracle_validated = diagnosis.seq_line in validated
+    timings["validate"] = time.perf_counter() - t0
     if search.outcome == "resource-exhausted":
         status = "resource-exhausted"
 
@@ -150,13 +181,15 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     )
 
 
-def validate_diag(compiled: CompiledProgram, d: int, witness: int,
-                  config: VerifierConfig) -> bool:
-    """True iff fixing line d to the constant witness makes the compiled
-    sequential program verify clean, with no loop left running at the
-    bound."""
-    result = verify(compiled.with_constant(d, witness), _seq_config(config))
-    return result.outcome == "safe-within-bounds" and not result.bound_hit
+def validate_diag(compiled: CompiledProgram, witnesses: dict[int, int],
+                  config: VerifierConfig) -> set[int]:
+    """The lines d of witnesses such that fixing line d to the constant
+    witnesses[d] makes the compiled sequential program verify clean, with
+    no loop left running at the bound. One search checks them all and
+    shares the unchanged prefix; max_states bounds it as a whole, and a
+    line it had not settled when the budget ran out does not validate."""
+    return passing_sites(compiled, _seq_config(config), {
+        d: IntLit(witness) for d, witness in witnesses.items()})[0]
 
 
 def brute_force_diagnoses(seq: SequentialProgram,

@@ -14,12 +14,19 @@ run stepping through their domains in order; a replay runs the same step
 code with every draw taking the recorded value, so search and replay cannot
 disagree on how a value is drawn.
 
+A lazy-decision search takes candidate sites, lines of main each with the
+expression a path runs there once it picks the line. A path decides a site
+only when it first runs it, declining it first and then picking it, and the
+picked paths run after the whole undecided tree, so all sites share the
+unchanged prefix. The diagnosis search (verify with sites) and the
+validation of its diagnoses (passing_sites) are such searches.
+
 The search caches finished states: once the whole subtree below a state with
 two or more live threads has been explored without ending the search, a
 later state equal to it apart from its path (schedule and nondet choices)
 and with at least as many context switches used is skipped. Its subtree is
 part of the finished one, so it could only repeat work that found nothing;
-the first violation, its schedule and choices, the grouped records and the
+the first violation, its schedule and choices, the site records and the
 loop-bound flag are those of the search without the cache. first_path,
 which stops at the first leaf, skips only on an equal switch count.
 """
@@ -29,7 +36,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .syntax import (
     ArrayDecl,
@@ -152,13 +159,13 @@ class Counterexample:
 
 
 @dataclass
-class GroupedViolation:
-    """One violation of a grouped search: the group value (the grouping
-    local of main, None if main has no such local) and the nondet choices
-    of the path that reached it."""
+class SiteRecord:
+    """One record of a lazy-decision search: the site the path picked (0 on
+    an undecided path), the violation it reached (None for a path cut at
+    the loop bound) and its nondet choices."""
 
-    value: int | None
-    violation: Violation
+    site: int
+    violation: Violation | None
     nondet_choices: list[tuple[int, int]]
 
 
@@ -170,8 +177,8 @@ class VerificationResult:
     states: int = 0  # states expanded, whatever the outcome
     # states skipped as equal to one whose subtree was already finished
     pruned: int = 0
-    # grouped search only, in discovery order
-    groups: list[GroupedViolation] = field(default_factory=list)
+    # lazy-decision search only, by site line
+    records: list[SiteRecord] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +293,35 @@ class CompiledProgram:
         """A copy in which main's assignment, if or while at line evaluates
         IntLit(value) as its value or condition. Only main's instruction
         list is copied; everything else is shared with this program."""
+        return self._rewritten([line], lambda line, expr: IntLit(value))
+
+    def with_sites(self, sites: dict[int, Expr]) -> "CompiledProgram":
+        """A copy in which main's assignment, if or while at each line of
+        sites is a candidate site of a lazy-decision search: a path that
+        picked it evaluates sites[line] there, any other path the line's
+        own expression."""
+        return self._rewritten(sites, lambda line, expr: _Site(
+            line, expr, sites[line]))
+
+    def _rewritten(self, lines: Iterable[int],
+                   rewrite: Callable[[int, Expr], Expr]) -> "CompiledProgram":
+        """A copy in which the value or condition of main's assignment, if or
+        while at each of lines is rewrite(line, expr)."""
         main = self.thread_codes[0]
-        carriers = [pc for pc, instr in enumerate(main.instrs)
-                    if instr.line == line and instr.expr is not None]
-        if len(carriers) != 1 or main.instrs[carriers[0]].op not in (
-                "assign", "branch", "loop_head"):
-            raise ValueError(
-                f"line {line} is no assignment, if or while of main")
+        carriers: dict[int, list[int]] = {line: [] for line in lines}
+        for pc, instr in enumerate(main.instrs):
+            if instr.line in carriers and instr.expr is not None:
+                carriers[instr.line].append(pc)
         code = copy.copy(main)
         code.instrs = list(main.instrs)
-        code.instrs[carriers[0]] = replace(main.instrs[carriers[0]],
-                                           expr=IntLit(value))
+        for line, pcs in carriers.items():
+            if len(pcs) != 1 or main.instrs[pcs[0]].op not in (
+                    "assign", "branch", "loop_head"):
+                raise ValueError(
+                    f"line {line} is no assignment, if or while of main")
+            instr = main.instrs[pcs[0]]
+            code.instrs[pcs[0]] = replace(instr,
+                                          expr=rewrite(line, instr.expr))
         compiled = copy.copy(self)
         compiled.thread_codes = [code, *self.thread_codes[1:]]
         return compiled
@@ -414,6 +439,21 @@ class _DivByZero(Exception):
     division-by-zero violation at the running instruction's line."""
 
 
+class _Site(NamedTuple):
+    """The expression of a candidate site: pick on a path that picked the
+    site's line, default on any other."""
+
+    line: int
+    default: Expr
+    pick: Expr
+
+
+# the decision of a path outside a lazy-decision search, or before it has
+# picked or declined a site: (picked site, 0 while undecided; the sites
+# declined)
+_UNDECIDED = (0, frozenset())
+
+
 class _Ctx:
     """One run of a step along one nondet path: the parts of the state it
     has rebuilt so far, the running frame's scope, locals and instruction
@@ -426,7 +466,7 @@ class _Ctx:
 
     __slots__ = ("machine", "line", "prefix", "drawn", "choices", "scope",
                  "locals", "globals", "threads", "handles", "mutexes",
-                 "per_entry", "cum_iters")
+                 "per_entry", "cum_iters", "decision")
 
     def __init__(self, machine: "_Machine", state: "_State",
                  prefix: list[int]):
@@ -437,7 +477,7 @@ class _Ctx:
         self.globals = state.globals
         self.threads = state.threads
         (self.handles, self.mutexes, self.per_entry, self.cum_iters,
-         _) = state.control
+         _, self.decision) = state.control
 
     def store(self, name: str, value: int) -> None:
         """Writes value to name in the running frame's scope."""
@@ -473,6 +513,15 @@ class _Ctx:
         self.drawn.append((value, hi))
         self.choices = (self.choices, (self.line, value))
         return value
+
+    def decide(self, line: int) -> bool:
+        """Whether the path picked the site at line. An undecided path
+        declines a site it runs for the rest of the path; the search runs
+        the pick later, from the state before the step."""
+        picked, declined = self.decision
+        if not picked and line not in declined:
+            self.decision = (0, declined | {line})
+        return picked == line
 
 
 def _put(items: tuple, i: int, value) -> tuple:
@@ -518,6 +567,9 @@ def _eval(expr: Expr, ctx: _Ctx) -> int:
     if isinstance(expr, Ternary):
         cond = _eval(expr.cond, ctx)
         return _eval(expr.then_expr if cond != 0 else expr.else_expr, ctx)
+    if isinstance(expr, _Site):
+        return _eval(expr.pick if ctx.decide(expr.line) else expr.default,
+                     ctx)
     raise ModelError(f"cannot evaluate {expr!r}")
 
 
@@ -567,6 +619,7 @@ class _Control(NamedTuple):
     per_entry: tuple[int | None, ...]
     cum_iters: tuple[int, ...]  # completed iterations, in total
     last_thread: int | None
+    decision: tuple[int, frozenset[int]] = _UNDECIDED
 
 
 class _State(NamedTuple):
@@ -695,8 +748,9 @@ class _Machine:
         a nondet ends the path without a draw there. A replaying machine
         draws the recorded values, so a replayed step has one path.
 
-        Returns a list of outcomes in that order:
-        ('state', s) | ('violation', Violation, s) | ('kill', reason).
+        Returns a list of outcomes in that order: ('state', s) |
+        ('violation', Violation, s) | ('kill', 'assume') |
+        ('kill', 'bound', the path's decision).
         """
         outcomes = []
         prefix: list[int] = []
@@ -742,7 +796,7 @@ class _Machine:
                         if op == "loop_head":
                             started = (ctx.per_entry[instr.slot] or 0) + 1
                             if started > self.config.loop_bound:
-                                return ("kill", "bound")
+                                return ("kill", "bound", ctx.decision)
                             ctx.per_entry = _put(ctx.per_entry, instr.slot,
                                                  started)
                         pc += 1
@@ -853,7 +907,8 @@ class _Machine:
         last = state.control.last_thread
         switches = state.switches + (last is not None and last != tid)
         control = state.control
-        parts = (ctx.handles, ctx.mutexes, ctx.per_entry, ctx.cum_iters, tid)
+        parts = (ctx.handles, ctx.mutexes, ctx.per_entry, ctx.cum_iters, tid,
+                 ctx.decision)
         if parts != control:
             control = _Control(*parts)
         new = _State(ctx.globals, _put(ctx.threads, tid, thread), control,
@@ -988,83 +1043,174 @@ def _shared(key: tuple, canon: dict) -> tuple:
             canon.setdefault(control, control), *switches)
 
 
+def _entries(machine: _Machine, state: _State, tid: int) -> list[tuple]:
+    """The search entries of thread tid's step from state, in order: its
+    outcomes, a loop-bound kill as ('cut', the path's decision, state)."""
+    entries = []
+    for outcome in machine.step(state, tid):
+        if outcome[0] == "kill":
+            if outcome[1] == "bound":
+                entries.append(("cut", outcome[2], state))
+        else:
+            entries.append(outcome)
+    return entries
+
+
+class _SiteSearch:
+    """The bookkeeping of a lazy-decision search over the candidate sites of
+    a program made by CompiledProgram.with_sites.
+
+    A path starts undecided. A step of an undecided path that runs a site
+    it has not declined declines it for the rest of the path and defers
+    the pick: the search first finishes the whole undecided tree, then
+    runs the deferred picks one at a time, in the order they were made,
+    each by stepping the state before the site again with the site picked
+    and searching below. A failure on a path that picked site d records d
+    with it, drops the rest of that pick's subtree and every pending pick
+    of d: a recorded site is never picked again. A failure is a violation
+    and, with every_path, also a loop-bound cut. On an undecided path it
+    ends the search, recorded as site 0; with every_path it instead
+    records every site the path has not declined, and an undecided path
+    that has declined every site not recorded is dropped, since it can
+    neither fail one nor pick one."""
+
+    def __init__(self, lines: Iterable[int], every_path: bool):
+        self.lines = frozenset(lines)
+        self.every_path = every_path
+        self.records: dict[int, SiteRecord] = {}
+        self.open = set(self.lines)  # the sites not recorded
+        # deferred picks (site, state before it with the site picked,
+        # thread), in the order made
+        self.picks: list[tuple[int, _State, int]] = []
+        self.ran = 0  # picks[:ran] have run or been dropped
+
+    def progress(self) -> int:
+        """Grows with every record and every deferred pick."""
+        return len(self.records) + len(self.picks)
+
+    def defer(self, machine: _Machine, state: _State, tid: int) -> None:
+        """Defers the pick of the site that thread tid's step from the
+        undecided state runs, if it is one the path has not declined."""
+        line = machine.codes[tid].instrs[state.threads[tid].pc].line
+        if line in self.lines and line not in state.control.decision[1]:
+            # a picked path declines nothing, so the set is not kept
+            picked = state.control._replace(decision=(line, frozenset()))
+            self.picks.append((line, state._replace(control=picked), tid))
+
+    def next_pick(self, machine: _Machine, stack: list) -> bool:
+        """Runs the next pick of a site not recorded: pushes the entries of
+        its step onto the empty stack. False once none is left."""
+        while self.ran < len(self.picks):
+            line, state, tid = self.picks[self.ran]
+            self.ran += 1
+            if line not in self.records:
+                stack.extend(reversed(_entries(machine, state, tid)))
+                return True
+        return False
+
+    def fail(self, violation: Violation | None, decision: tuple,
+             state: _State, stack: list) -> bool:
+        """Records a failure on a path with that decision; True if it ends
+        the search."""
+        picked, declined = decision
+        found = SiteRecord(picked, violation, _unlink(state.choices))
+        if picked:
+            self.records[picked] = found
+            self.open.discard(picked)
+            stack.clear()  # the rest of this pick's subtree
+            return False
+        if not self.every_path:
+            self.records[0] = found
+            return True
+        for line in self.open - declined:
+            self.records[line] = replace(found, site=line)
+        self.open &= declined
+        return False
+
+    def moot(self, state: _State) -> bool:
+        """Whether state's path can no longer fail or pick a site not
+        recorded, with every_path."""
+        picked, declined = state.control.decision
+        return self.every_path and not picked and self.open <= declined
+
+    def unsettled(self) -> set[int]:
+        """The sites not recorded that a search which ran out had not yet
+        shown to pass: all of them before the first pick ran, else those of
+        the running pick and the picks still pending."""
+        if not self.ran:
+            return set(self.lines)
+        return {line for line, _, _ in self.picks[self.ran - 1:]}
+
+
 def _explore(machine: _Machine, first_leaf: bool = False,
-             group_by: str | None = None,
-             groups: list[GroupedViolation] | None = None):
+             sites: _SiteSearch | None = None):
     """DFS over interleavings and nondet values.
 
     Returns ('violation', Violation, state, states) | ('exhausted', states)
     | ('safe', states) and, in first_leaf mode, ('leaf', kind, state) for
     the first completed/cut path; states counts the expanded states.
 
-    With group_by, a violation where that local of main is nonzero is
-    appended to groups and does not end the search: the rest of that
-    value's subtree, which sits on top of the stack, is dropped and the
-    search goes on. The value must stay fixed once drawn.
+    With sites, a lazy-decision search (see _SiteSearch): a step of an
+    undecided path that runs a site defers its pick, a violation or cut
+    goes to sites.fail, a moot state is dropped, and the search ends only
+    once no pick is left or a failure ends it.
 
     A state with two or more live threads, where interleavings meet again,
     is keyed by state[:3]; the sequential models of diagnosis and
     validation have none and pay nothing. Expanding such a state pushes a
-    ('done', key, groups recorded, state) marker under its children; when
-    the marker is popped, its subtree is finished, and unless it recorded
-    a group, `done` maps the key to the state's switch count. A popped
-    state whose key maps to at most its own switch count is skipped and not
-    counted toward max_states (machine.pruned counts it): its subtree is
-    part of the finished one, so it reaches no violation, and any cut in it
-    has set bound_hit already. In first_leaf mode the key is state[:4],
-    switch count included, since with fewer switches left the same state
-    can end on a 'budget' leaf that the finished subtree ran past. A state
-    equal to one of its own ancestors is never skipped, since that subtree
-    is not finished.
+    ('done', key, progress, state) marker under its children; when the
+    marker is popped, its subtree is finished, and unless it recorded a
+    site or deferred a pick, whose subtree is still to run, `done` maps the
+    key to the state's switch count. A popped state whose key maps to at
+    most its own switch count is skipped and not counted toward max_states
+    (machine.pruned counts it): its subtree is part of the finished one, so
+    it reaches no violation, and any cut in it has set bound_hit already.
+    In first_leaf mode the key is state[:4], switch count included, since
+    with fewer switches left the same state can end on a 'budget' leaf that
+    the finished subtree ran past. A state equal to one of its own
+    ancestors is never skipped, since that subtree is not finished.
     """
     config = machine.config
-    groups = [] if groups is None else groups
-    main = machine.codes[0].names
-    group_slot = main.index(group_by) if group_by in main else None
 
-    def group_value(state: _State) -> int | None:
-        return None if group_slot is None else \
-            state.threads[0].locals[group_slot]
+    def progress() -> int:
+        return 0 if sites is None else sites.progress()
 
     stack: list[tuple] = [("state", machine.initial_state())]
     visited = 0
     done: dict[tuple, int] = {}
     # one copy of each key part, shared by all keys in done
     canon: dict[tuple, tuple] = {}
-    while stack:
+    while stack or sites is not None and sites.next_pick(machine, stack):
         kind = stack.pop()
         if kind[0] == "done":
-            if kind[2] == len(groups):
+            if kind[2] == progress():
                 # a count stored for the key came from below, no lower
                 done[kind[1]] = kind[3].switches
             continue
         if kind[0] == "violation":
-            if group_by is not None:
-                value = group_value(kind[2])
-                groups.append(GroupedViolation(
-                    value, kind[1], _unlink(kind[2].choices)))
-                if value:
-                    # every entry holds its state last
-                    while stack and group_value(stack[-1][-1]) == value:
-                        stack.pop()
-                    continue
-            return ("violation", kind[1], kind[2], visited)
+            if sites is None or sites.fail(
+                    kind[1], kind[2].control.decision, kind[2], stack):
+                return ("violation", kind[1], kind[2], visited)
+            continue
         if kind[0] == "cut":
             # a loop-bound kill counts once the search reaches it, in the
             # same order whether or not it happened inside a callee
             machine.bound_hit = True
             if first_leaf:
-                return ("leaf", "cut", kind[1])
+                return ("leaf", "cut", kind[2])
+            if sites is not None and sites.every_path:
+                sites.fail(None, kind[1], kind[2], stack)
             continue
         state = kind[1]
+        if sites is not None and sites.moot(state):
+            continue
         live = machine.live_threads(state)
         if len(live) > 1:
             key = state[:4] if first_leaf else state[:3]
             if done.get(key, state.switches + 1) <= state.switches:
                 machine.pruned += 1
                 continue
-            # every entry holds its state last, for the group drop
-            stack.append(("done", _shared(key, canon), len(groups), state))
+            stack.append(("done", _shared(key, canon), progress(), state))
         visited += 1
         if visited > config.max_states:
             return ("exhausted", visited)
@@ -1077,9 +1223,10 @@ def _explore(machine: _Machine, first_leaf: bool = False,
         if not eligible:
             if all(machine.classify(state, tid) == "sync" for tid in live):
                 if config.deadlock_check:
-                    violation = Violation(
-                        "deadlock", None, tuple(sorted(live)))
-                    return ("violation", violation, state, visited)
+                    # handled as the next entry, like any violation
+                    stack.append(("violation", Violation(
+                        "deadlock", None, tuple(sorted(live))), state))
+                    continue
             if first_leaf:
                 return ("leaf", "stuck", state)
             continue
@@ -1091,51 +1238,77 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if first_leaf:
                 return ("leaf", "budget", state)
             continue
+        deferring = sites is not None and not state.control.decision[0]
         pushes = []
         for tid in schedulable:
-            for outcome in machine.step(state, tid):
-                if outcome[0] == "kill":
-                    if outcome[1] == "bound":
-                        pushes.append(("cut", state))
-                    continue
-                pushes.append(outcome)
+            if deferring:
+                sites.defer(machine, state, tid)
+            pushes += _entries(machine, state, tid)
         stack.extend(reversed(pushes))
     return ("safe", visited)
 
 
 def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
-           group_by: str | None = None) -> VerificationResult:
+           sites: dict[int, Expr] | None = None) -> VerificationResult:
     """Explores all interleavings within bounds; returns the first violation
     in the fixed exploration order, or safe-within-bounds.
 
-    With group_by, the name of a local of main, one search collects the
-    first violation of every nonzero value of that local into `groups`,
-    in discovery order. A violation where it is 0 (or missing) ends the
-    search as outcome 'violation' and is the last group; the search
-    otherwise ends 'safe-within-bounds' or, past max_states in total,
-    'resource-exhausted'. No counterexample is built in this mode.
+    With sites, a map from lines of main to expressions (see
+    CompiledProgram.with_sites), one lazy-decision search collects into
+    `records`, sorted by line, the first violation of every site picked.
+    Each path decides a site only when it first runs it: declining it for
+    the rest of the path first, then picking it, so the paths share their
+    undecided prefix. A violation on a path that picked no site ends the
+    search as outcome 'violation' and is the only record, with site 0; the
+    search otherwise ends 'safe-within-bounds' or, past max_states in
+    total, 'resource-exhausted'. No counterexample is built in this mode.
 
     A program compiled already is searched as it is.
     """
     compiled = program if isinstance(program, CompiledProgram) \
         else CompiledProgram(program)
+    search = None
+    if sites is not None:
+        compiled = compiled.with_sites(sites)
+        search = _SiteSearch(sites, every_path=False)
     machine = _Machine(compiled, config)
-    groups: list[GroupedViolation] = []
-    result = _explore(machine, group_by=group_by, groups=groups)
+    result = _explore(machine, sites=search)
+    records = [] if search is None else \
+        [search.records[line] for line in sorted(search.records)]
     if result[0] == "violation":
         state = result[2]
-        cex = None if group_by is not None else _build_counterexample(
+        cex = None if search is not None else _build_counterexample(
             compiled, _unlink(state.trace), _unlink(state.choices),
             result[1])
         return VerificationResult("violation", cex,
                                   bound_hit=machine.bound_hit,
                                   states=result[3], pruned=machine.pruned,
-                                  groups=groups)
+                                  records=records)
     outcome = "resource-exhausted" if result[0] == "exhausted" \
         else "safe-within-bounds"
     return VerificationResult(outcome, None, bound_hit=machine.bound_hit,
                               states=result[1], pruned=machine.pruned,
-                              groups=groups)
+                              records=records)
+
+
+def passing_sites(program: Program | CompiledProgram, config: VerifierConfig,
+                  sites: dict[int, Expr]) -> tuple[set[int], int]:
+    """The lines d of sites such that the program, with line d evaluating
+    sites[d], passes: every path within bounds ends without a violation
+    and without being cut at the loop bound; and the states expanded.
+
+    One lazy-decision search checks every site. A violation or cut on a
+    path that picked d fails d; one on an undecided path fails every site
+    that path has not declined. Past max_states in total, a site whose
+    paths were not all explored does not pass.
+    """
+    compiled = program if isinstance(program, CompiledProgram) \
+        else CompiledProgram(program)
+    search = _SiteSearch(sites, every_path=True)
+    result = _explore(_Machine(compiled.with_sites(sites), config),
+                      sites=search)
+    unsettled = search.unsettled() if result[0] == "exhausted" else set()
+    return set(sites) - search.records.keys() - unsettled, result[-1]
 
 
 def first_path(program: Program | CompiledProgram, config: VerifierConfig):

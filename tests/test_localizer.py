@@ -27,7 +27,7 @@ from mcfl.verifier import (
 )
 
 from conftest import BENCH_DIR, bench_source, bign_source
-from randprog import generate_source
+from randprog import generate_callee_source, generate_source
 
 
 @pytest.fixture(scope="module")
@@ -113,19 +113,46 @@ class TestValidateDiag:
                                             default_config):
         # skipping the faulty block leaves the assertion unreached
         line = self._seq_line(seq, 4)
-        assert validate_diag(compiled, line, 0, default_config) is True
+        assert validate_diag(compiled, {line: 0}, default_config) == {line}
 
     def test_operand_witness_validates(self, seq, compiled,
                                       default_config):
         # 5 + 4 gives the asserted sum of 9
         line = self._seq_line(seq, 7)
-        assert validate_diag(compiled, line, 4, default_config) is True
-        assert validate_diag(compiled, line, 3, default_config) is False
+        assert validate_diag(compiled, {line: 4}, default_config) == {line}
+        assert validate_diag(compiled, {line: 3}, default_config) == set()
 
     def test_still_violating_witness_rejected(self, seq, compiled,
                                               default_config):
         line = self._seq_line(seq, 6)  # the a = 5 statement
-        assert validate_diag(compiled, line, 5, default_config) is False
+        assert validate_diag(compiled, {line: 5}, default_config) == set()
+
+    def test_one_search_checks_every_witness(self, seq, compiled,
+                                             default_config):
+        branch, operand, constant = (self._seq_line(seq, original)
+                                     for original in (4, 7, 6))
+        assert validate_diag(compiled, {branch: 0, operand: 4, constant: 5},
+                             default_config) == {branch, operand}
+
+    def test_budget_validates_nothing_pending(self, default_config):
+        # bigN's picks run in line order, so a search that runs out has
+        # settled a prefix of the lines; every line validates on its own
+        seq = localize(parse(bign_source(8)), default_config).sequential
+        compiled = CompiledProgram(seq.program)
+        witnesses = {line: 0 for line in eligible_lines(seq)}
+        lines = sorted(witnesses)
+        assert validate_diag(compiled, witnesses, default_config) == \
+            set(lines)
+        # before the first pick runs, every line is pending
+        assert validate_diag(compiled, witnesses,
+                             VerifierConfig(max_states=20)) == set()
+        sizes = set()
+        for budget in range(20, 200, 10):
+            got = validate_diag(compiled, witnesses,
+                                VerifierConfig(max_states=budget))
+            assert got == set(lines[:len(got)]), budget
+            sizes.add(len(got))
+        assert len(sizes & set(range(1, len(lines)))) > 3
 
 
 class TestLoopDiscipline:
@@ -168,17 +195,19 @@ class TestLoopDiscipline:
         assert report.diagnoses
 
 
-def _reparse_validates(seq, d, witness, config):
+def _reparse_validates(seq, d, witness, config, program=None):
     """validate_diag with the substituted program built by printing and
-    parsing the sequential program back, independently of localize."""
-    program = parse(pretty_print(seq.program))
+    parsing the sequential program back, independently of localize. A
+    program printed and parsed back already can be passed in; the
+    substitution is undone before returning."""
+    program = program or parse(pretty_print(seq.program))
     stmt = line_table(program)[d]
-    if isinstance(stmt, Assign):
-        stmt.expr = IntLit(witness)
-    else:
-        stmt.cond = IntLit(witness)
+    field = "expr" if isinstance(stmt, Assign) else "cond"
+    original = getattr(stmt, field)
+    setattr(stmt, field, IntLit(witness))
     result = verify(program, replace(config, context_bound=0,
                                      deadlock_check=False))
+    setattr(stmt, field, original)
     return result.outcome == "safe-within-bounds" and not result.bound_hit
 
 
@@ -276,17 +305,42 @@ class TestSearchBudget:
         assert cut.found_error_count == len(cut.diagnoses)
 
 
-def _sequential_programs(config):
-    """The sequential programs of the ports and of randprog seeds 0..59
-    with division, by name."""
-    sources = [(path.stem, path.read_text())
-               for path in sorted(BENCH_DIR.glob("*.mc"))]
-    sources += [(f"seed{seed}", generate_source(seed, with_div=True))
-                for seed in range(60)]
+def _sequential_programs(config, sources=None):
+    """The sequential programs of the sources, (name, text) pairs, by name;
+    by default the ports and randprog seeds 0..59 with division."""
+    if sources is None:
+        sources = [(path.stem, path.read_text())
+                   for path in sorted(BENCH_DIR.glob("*.mc"))]
+        sources += [(f"seed{seed}", generate_source(seed, with_div=True))
+                    for seed in range(60)]
     for name, source in sources:
         seq = localize(parse(source), config).sequential
         if seq is not None:
             yield name, seq
+
+
+def _validate_against_reparse(programs, config):
+    """Checks one validate_diag call per program and value, with every
+    eligible line that takes the value, against _reparse_validates line
+    by line. Returns the (line, value) pairs checked and validated."""
+    lo, hi = config.nondet_domain
+    pairs = validated = 0
+    for name, seq in programs:
+        compiled = CompiledProgram(seq.program)
+        reparsed = parse(pretty_print(seq.program))
+        lines = eligible_lines(seq)
+        for value in range(lo, hi + 1):
+            witnesses = {line: value for line, kind in lines.items()
+                         if kind == "assign" or value in (0, 1)}
+            if not witnesses:
+                continue
+            got = validate_diag(compiled, witnesses, config)
+            for line in sorted(witnesses):
+                assert (line in got) == _reparse_validates(
+                    seq, line, value, config, reparsed), (name, line, value)
+            pairs += len(witnesses)
+            validated += len(got)
+    return pairs, validated
 
 
 class TestWithConstant:
@@ -294,21 +348,18 @@ class TestWithConstant:
     program; print, parse and substitute in the AST is the reference."""
 
     def test_matches_reparse_on_every_line_and_value(self, default_config):
-        lo, hi = default_config.nondet_domain
-        pairs = validated = 0
-        for name, seq in _sequential_programs(default_config):
-            compiled = CompiledProgram(seq.program)
-            for line, kind in sorted(eligible_lines(seq).items()):
-                values = (0, 1) if kind == "cond" else range(lo, hi + 1)
-                for value in values:
-                    got = validate_diag(compiled, line, value,
-                                        default_config)
-                    assert got == _reparse_validates(
-                        seq, line, value, default_config), \
-                        (name, line, value)
-                    pairs += 1
-                    validated += got
-        assert (pairs, validated) == (1553, 248)
+        assert _validate_against_reparse(
+            _sequential_programs(default_config), default_config) == \
+            (1553, 248)
+
+    def test_threads_and_callees_match_reparse(self, default_config):
+        programs = _sequential_programs(default_config, [
+            (f"threads{seed}", generate_source(seed, max_threads=3))
+            for seed in range(60)] + [
+            (f"callee{seed}", generate_callee_source(seed))
+            for seed in range(20)])
+        assert _validate_against_reparse(programs, default_config) == \
+            (4871, 182)
 
     def test_base_program_unchanged(self, seq, compiled, default_config):
         before = verify(compiled, default_config)

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from mcfl.instrumenter import instrument
+from mcfl.instrumenter import NothingToInstrument, instrument
+from mcfl.localizer import _diag_header, _diag_sites, _diagnose, localize
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize, unwind_calls
+from mcfl.syntax import Assign, IntLit, Nondet
 from mcfl.verifier import (
     CompiledProgram,
     ContextSwitchRecord,
@@ -18,16 +20,18 @@ from mcfl.verifier import (
     Violation,
     _build_counterexample,
     _Machine,
+    _SiteSearch,
     _unlink,
     counterexample_from_json,
     counterexample_to_json,
     extract_schedule,
     first_path,
+    passing_sites,
     replay,
     verify,
 )
 
-from conftest import BENCH_DIR
+from conftest import BENCH_DIR, bign_source
 from oracles import naive_violates
 from randprog import generate_callee_source, generate_source
 
@@ -153,47 +157,84 @@ int main() {
         assert verify(p, VerifierConfig()).outcome == "safe-within-bounds"
 
 
-GROUPED = """int main() {
-  int g;
+# a pick of line 3 makes v 0, 1 or 2 and one of line 5 makes w 0, 1 or 2;
+# the unchanged path (v = w = 0) fails the second assume
+SITES = """int main() {
   int v;
-  g = nondet(1, 3);
-  assume(g != 2);
-  v = nondet(0, 2);
-  assume(v >= g - 1);
-  assert(v == 9);
+  int w;
+  v = 0;
+  assume(v != 1);
+  w = 0;
+  assume(v + w > 0);
+  assert(w == 9);
 }
 """
+SITE_PICKS = {3: Nondet(0, 2), 5: Nondet(0, 2)}
 
 
-class TestGroupedSearch:
-    def test_first_violation_of_each_group_value(self, default_config):
-        result = verify(parse(GROUPED), default_config, group_by="g")
+class TestSiteSearch:
+    def test_first_violation_of_each_site(self, default_config):
+        result = verify(parse(SITES), default_config, sites=SITE_PICKS)
         assert result.outcome == "safe-within-bounds"
         assert result.counterexample is None
         assert result.states > 0
-        # g = 2 never gets past its assume; the later violations of g = 1
-        # (v = 1 and v = 2) are skipped with the rest of its subtree
-        assert [(f.value, f.violation, f.nondet_choices)
-                for f in result.groups] == [
-            (1, Violation("assertion", 7), [(3, 1), (5, 0)]),
-            (3, Violation("assertion", 7), [(3, 3), (5, 2)]),
+        # v = 1 never gets past its assume; the later violation of line 5
+        # (w = 2) is skipped with the rest of its subtree
+        assert [(f.site, f.violation, f.nondet_choices)
+                for f in result.records] == [
+            (3, Violation("assertion", 7), [(3, 2)]),
+            (5, Violation("assertion", 7), [(5, 1)]),
         ]
-        plain = verify(parse(GROUPED), default_config)
+        plain = verify(parse(SITES.replace("v = 0;", "v = nondet(0, 2);")),
+                       default_config)
         assert plain.counterexample.nondet_choices == \
-            result.groups[0].nondet_choices
+            result.records[0].nondet_choices
 
-    def test_zero_group_value_ends_the_search(self, default_config):
-        p = parse(GROUPED.replace("nondet(1, 3)", "nondet(0, 3)"))
-        result = verify(p, default_config, group_by="g")
+    def test_undecided_violation_ends_the_search(self, default_config):
+        p = parse(SITES.replace("v + w > 0", "v + w >= 0"))
+        result = verify(p, default_config, sites=SITE_PICKS)
         assert result.outcome == "violation"
-        assert [(f.value, f.nondet_choices) for f in result.groups] == \
-            [(0, [(3, 0), (5, 0)])]
+        assert [(f.site, f.nondet_choices) for f in result.records] == \
+            [(0, [])]
 
     def test_budget_bounds_the_whole_search(self, default_config):
-        cfg = VerifierConfig(max_states=9)
-        result = verify(parse(GROUPED), cfg, group_by="g")
+        cfg = VerifierConfig(max_states=15)
+        result = verify(parse(SITES), cfg, sites=SITE_PICKS)
         assert result.outcome == "resource-exhausted"
-        assert [f.value for f in result.groups] == [1]
+        assert [f.site for f in result.records] == [3]
+
+    def test_records_come_by_line(self, default_config):
+        # c = 0 skips line 5 and picks line 6 first; the record of line 5
+        # still comes first
+        p = parse("""int main() {
+  int c;
+  int x;
+  c = nondet(0, 1);
+  if (c == 1) { x = 0; }
+  x = x;
+  assert(x == 0);
+}
+""")
+        result = verify(p, default_config,
+                        sites={5: Nondet(1, 1), 6: Nondet(1, 1)})
+        assert [(f.site, f.nondet_choices) for f in result.records] == [
+            (5, [(3, 1), (5, 1)]), (6, [(3, 0), (6, 1)])]
+
+    def test_cut_fails_only_the_site_its_path_picked(self, default_config):
+        # the pick of the loop condition runs past the bound; the paths
+        # that pick line 3 or decline both leave the loop
+        p = parse("""int main() {
+  int i = 0;
+  while (i < 1) {
+    i = 1;
+  }
+}
+""")
+        assert passing_sites(p, default_config,
+                             {2: IntLit(1), 3: IntLit(5)})[0] == {3}
+        result = verify(p, default_config, sites={2: Nondet(1, 1)})
+        assert (result.outcome, result.bound_hit, result.records) == \
+            ("safe-within-bounds", True, [])
 
 
 def _replays_byte_for_byte(program, cex: Counterexample) -> bool:
@@ -535,11 +576,19 @@ class TestCounterexampleJson:
         assert counterexample_to_json(loaded) == text
 
 
-def _uncached(program, config, group_by=None):
+def _uncached(program, config, group_by=None, sites=None):
     """Reference search without the finished-state cache: the DFS loop the
-    verifier ran before it had one, kept only here. Returns the summary
-    _cached returns."""
-    compiled = CompiledProgram(program)
+    verifier ran before it had one, kept only here. With group_by, the
+    grouped search that draws the value of that local of main at the root
+    and records the first violation of each nonzero value, in discovery
+    order; with sites, the verifier's lazy-decision search. Returns the
+    summary _cached returns."""
+    compiled = program if isinstance(program, CompiledProgram) \
+        else CompiledProgram(program)
+    search = None
+    if sites is not None:
+        compiled = compiled.with_sites(sites)
+        search = _SiteSearch(sites, every_path=False)
     machine = _Machine(compiled, config)
     groups = []
     stack = [("state", machine.initial_state())]
@@ -550,15 +599,26 @@ def _uncached(program, config, group_by=None):
 
     def violated(violation, state):
         cex = None
-        if group_by is None:
+        if group_by is None and search is None:
             cex = counterexample_to_json(_build_counterexample(
                 compiled, _unlink(state.trace), _unlink(state.choices),
                 violation))
-        return ("violation", cex, machine.bound_hit, groups, visited)
+        return ("violation", cex, machine.bound_hit, records(), visited)
 
-    while stack:
+    def records():
+        if search is None:
+            return groups
+        return [(g.site, g.violation, g.nondet_choices)
+                for _, g in sorted(search.records.items())]
+
+    while stack or search is not None and search.next_pick(machine, stack):
         kind = stack.pop()
         if kind[0] == "violation":
+            if search is not None:
+                if search.fail(kind[1], kind[2].control.decision, kind[2],
+                               stack):
+                    return violated(kind[1], kind[2])
+                continue
             if group_by is not None:
                 value = group_value(kind[2])
                 groups.append((value, kind[1], _unlink(kind[2].choices)))
@@ -573,7 +633,7 @@ def _uncached(program, config, group_by=None):
         state = kind[1]
         visited += 1
         if visited > config.max_states:
-            return ("resource-exhausted", None, machine.bound_hit, groups,
+            return ("resource-exhausted", None, machine.bound_hit, records(),
                     visited)
         live = machine.live_threads(state)
         classes = {tid: machine.classify(state, tid) for tid in live}
@@ -589,23 +649,25 @@ def _uncached(program, config, group_by=None):
             if state.last_thread not in (None, tid) and \
                     state.switches >= config.context_bound:
                 continue
+            if search is not None and not state.control.decision[0]:
+                search.defer(machine, state, tid)
             for outcome in machine.step(state, tid):
                 if outcome[0] == "kill":
                     if outcome[1] == "bound":
-                        pushes.append(("cut", state))
+                        pushes.append(("cut", outcome[2], state))
                     continue
                 pushes.append(outcome)
         stack.extend(reversed(pushes))
-    return ("safe-within-bounds", None, machine.bound_hit, groups, visited)
+    return ("safe-within-bounds", None, machine.bound_hit, records(), visited)
 
 
-def _cached(program, config, group_by=None):
-    """(outcome, counterexample JSON, bound_hit, groups, states)."""
-    result = verify(program, config, group_by=group_by)
+def _cached(program, config, sites=None):
+    """(outcome, counterexample JSON, bound_hit, records, states)."""
+    result = verify(program, config, sites=sites)
     cex = result.counterexample
     return (result.outcome, counterexample_to_json(cex) if cex else None,
             result.bound_hit,
-            [(g.value, g.violation, g.nondet_choices) for g in result.groups],
+            [(g.site, g.violation, g.nondet_choices) for g in result.records],
             result.states)
 
 
@@ -645,16 +707,47 @@ int main() {
 """
 
 
+# w1 and w2 add to c under a lock, w1 also to d outside it; main reads c
+# between the creates, so its two sites see racing values
+RACING_SITES = """int c = 0;
+int d = 0;
+pthread_mutex_t m;
+pthread_t h1;
+pthread_t h2;
+void w1() {
+  pthread_mutex_lock(m);
+  c = c + 1;
+  pthread_mutex_unlock(m);
+  d = d + 1;
+}
+void w2() {
+  pthread_mutex_lock(m);
+  c = c + 2;
+  pthread_mutex_unlock(m);
+}
+int main() {
+  int k;
+  pthread_create(h1, w1);
+  k = c;
+  pthread_create(h2, w2);
+  d = d + k;
+  pthread_join(h1);
+  pthread_join(h2);
+  assert(c + d != 5);
+}
+"""
+
+
 class TestStateCache:
     """The finished-state cache skips only states whose subtree is part of
     one that found nothing, so every observable result equals the uncached
     search's."""
 
     @staticmethod
-    def _agree(program, config, group_by=None, label=None):
+    def _agree(program, config, sites=None, label=None):
         """The cached and the uncached summary, checked to agree."""
-        mine = _cached(program, config, group_by)
-        theirs = _uncached(program, config, group_by)
+        mine = _cached(program, config, sites)
+        theirs = _uncached(program, config, sites=sites)
         assert mine[:4] == theirs[:4], label
         assert mine[4] <= theirs[4], label
         return mine, theirs
@@ -686,22 +779,29 @@ class TestStateCache:
 
     @pytest.mark.parametrize("port", ["account", "circular_buffer",
                                       "single_fault"])
-    def test_grouped_diagnosis_models(self, port):
+    def test_diagnosis_models(self, port):
         p = parse((BENCH_DIR / f"{port}.mc").read_text())
         cfg = VerifierConfig(deadlock_check=True)
         cex = verify(p, cfg).counterexample
         model = instrument(sequentialize(
             p, extract_schedule(cex), cex.violation.kind == "deadlock"))
         seq_cfg = replace(cfg, context_bound=0, deadlock_check=False)
-        self._agree(model.program, seq_cfg, group_by=model.diag_var)
+        compiled = CompiledProgram(model.program).with_constant(
+            _diag_header(model), 0)
+        sites = _diag_sites(model)
+        self._agree(compiled, seq_cfg, sites)
         # one thread: no state is keyed, so nothing is skipped
-        assert verify(model.program, seq_cfg,
-                      group_by=model.diag_var).pruned == 0
+        assert verify(compiled, seq_cfg, sites=sites).pruned == 0
 
-    def test_subtree_that_recorded_a_group_is_not_cached(self):
+    @pytest.mark.parametrize("check,counts", [
+        ("== 0", (131, 26)), ("< 5", (225, 52))])
+    def test_subtree_that_deferred_a_pick_is_not_cached(self, check,
+                                                        counts):
         # both orders of the workers' first statements reach the same state
-        # before main draws g; the first order's subtree records g = 1, so
-        # the second must be searched and record it again
+        # before main reaches the site g = 0; the first order's subtree
+        # defers the pick, which is still to run when its marker pops, so
+        # the second is searched as well. (Caching it would expand 118 and
+        # 210 states, with the same records.)
         p = parse("""int x = 0;
 int y = 0;
 pthread_t h1;
@@ -718,12 +818,30 @@ int main() {
   int g;
   pthread_create(h1, w1);
   pthread_create(h2, w2);
-  g = nondet(1, 1);
-  assert(g == 0);
+  g = 0;
+  assert(g CHECK);
 }
-""")
-        groups = self._agree(p, VerifierConfig(), group_by="g")[0][3]
-        assert len(groups) > 1
+""".replace("CHECK", check))
+        mine, theirs = self._agree(p, VerifierConfig(), {12: Nondet(1, 1)})
+        assert [g[0] for g in mine[3]] == ([12] if check == "== 0" else [])
+        result = verify(p, VerifierConfig(), sites={12: Nondet(1, 1)})
+        assert (result.states, result.pruned) == counts
+
+    @pytest.mark.parametrize("deadlock", [False, True])
+    @pytest.mark.parametrize("context_bound", [1, 2, 4])
+    def test_threaded_site_searches(self, deadlock, context_bound):
+        cfg = VerifierConfig(context_bound=context_bound,
+                             deadlock_check=deadlock)
+        # lines 15 and 17: k = c and d = d + k in main
+        self._agree(parse(RACING_SITES), cfg,
+                    {15: Nondet(0, 3), 17: Nondet(0, 3)})
+        for seed in range(150):
+            p = parse(generate_source(seed, with_div=True))
+            lines = [s.line for s in p.main.body.stmts
+                     if isinstance(s, Assign)]
+            if lines:
+                self._agree(p, cfg, {line: Nondet(0, 2) for line in lines},
+                            label=seed)
 
     def test_thread_locals_are_part_of_the_state(self):
         # the two values of t leave equal globals; t = 0 finishes first
@@ -827,3 +945,103 @@ int main() {
         result = verify(p, VerifierConfig())
         assert result.outcome == "safe-within-bounds"
         assert result.pruned == 0
+
+
+def _diagnosis_models(family, config):
+    """(name, instrumented model) of every program of the family whose
+    first verify under config violates, built the way localize builds
+    them; the ports with the deadlock check off and on."""
+    if family == "ports":
+        sources = [(f"{path.stem}/{deadlock}", path.read_text(), deadlock)
+                   for path in sorted(BENCH_DIR.glob("*.mc"))
+                   for deadlock in (False, True)]
+    elif family == "division":
+        sources = [(seed, generate_source(seed, with_div=True), True)
+                   for seed in range(300)]
+    elif family == "threads3":
+        sources = [(seed, generate_source(seed, max_threads=3), True)
+                   for seed in range(150)]
+    else:
+        sources = [(seed, generate_callee_source(seed), True)
+                   for seed in range(200)]
+    for name, source, deadlock in sources:
+        p = parse(source)
+        first = verify(p, replace(config, deadlock_check=deadlock))
+        if first.outcome != "violation":
+            continue
+        cex = first.counterexample
+        try:
+            seq = sequentialize(p, extract_schedule(cex),
+                                cex.violation.kind == "deadlock")
+            yield name, instrument(seq)
+        except (NothingToInstrument, UnsupportedScheduleError):
+            continue
+
+
+class TestLazyDiagnosis:
+    """The diagnosis search decides diag lazily; the search that draws it
+    at the root, kept here as _uncached(group_by=...), is the reference.
+    Wherever neither runs out, both give the same records (line,
+    violation, and nondet choices without the header draw), outcome and
+    loop-bound flag, and the lazy search never expands more states."""
+
+    @pytest.mark.parametrize("family", ["ports", "division", "threads3",
+                                        "callee"])
+    @pytest.mark.parametrize("config", [
+        VerifierConfig(), VerifierConfig(nondet_domain=(-2, 3),
+                                         context_bound=2)],
+        ids=["defaults", "narrow"])
+    def test_matches_the_root_draw(self, family, config):
+        seq_cfg = replace(config, context_bound=0, deadlock_check=False)
+        compared = 0
+        for name, model in _diagnosis_models(family, config):
+            lazy = _diagnose(model, config)
+            diag_of_site = {site: d for d, site in model.wrap_sites.items()}
+            mine = [(diag_of_site.get(g.site, 0), g.violation,
+                     g.nondet_choices) for g in lazy.records]
+            outcome, _, bound_hit, groups, states = _uncached(
+                model.program, seq_cfg, group_by=model.diag_var)
+            header = _diag_header(model)
+            assert all(choices[0][0] == header for *_, choices in groups)
+            theirs = [(value, violation, choices[1:])
+                      for value, violation, choices in groups]
+            assert lazy.states <= states, name
+            if "resource-exhausted" in (lazy.outcome, outcome):
+                continue
+            assert (mine, lazy.outcome, lazy.bound_hit) == \
+                (theirs, outcome, bound_hit), name
+            compared += 1
+        assert compared > 0
+
+    def test_bign_finishes_where_the_root_draw_runs_out(self):
+        # 1,200 states cover the lazy search (974) and the validation
+        # (996) of bigN at N = 30, but not the root draw (1,646)
+        config = VerifierConfig(max_states=1200)
+        report = localize(parse(bign_source(30)), config)
+        assert report.status == "faults-found"
+        assert len(report.diagnoses) == 31
+        assert all(d.oracle_validated for d in report.diagnoses)
+        model = report.instrumented
+        assert _uncached(model.program, replace(
+            config, context_bound=0, deadlock_check=False),
+            group_by=model.diag_var)[0] == "resource-exhausted"
+
+    def test_counts_are_pinned(self, monkeypatch):
+        # exact states of the diagnosis search and of the validation of
+        # the benchmark's straightline workload (N = 100, seed 1); the root
+        # draw expanded 12,356 and the per-line validations 12,221
+        monkeypatch.syspath_prepend(str(BENCH_DIR.parents[2] / "perfbench"))
+        from workloads import straightline
+        ((_, source),) = straightline(1, n=100)
+        config = VerifierConfig()
+        report = localize(parse(source), config)
+        assert len(report.diagnoses) == 101
+        witnesses = {d.seq_line: IntLit(d.witness_value)
+                     for d in report.diagnoses}
+        seq_cfg = replace(config, context_bound=0, deadlock_check=False)
+        passing, states = passing_sites(
+            CompiledProgram(report.sequential.program), seq_cfg, witnesses)
+        assert passing == set(witnesses)
+        assert (_diagnose(report.instrumented, config).states, states) == \
+            (6679, 6771)
+
