@@ -29,6 +29,24 @@ part of the finished one, so it could only repeat work that found nothing;
 the first violation, its schedule and choices, the site records and the
 loop-bound flag are those of the search without the cache. first_path,
 which stops at the first leaf, skips only on an equal switch count.
+
+verify, outside a lazy-decision search, first runs a reduced search: at a
+state where the thread that ran last can run together with others, it runs
+that thread alone if its statement commutes with every step the others can
+take before it (persistent sets, Godefroid 1996). That holds for a
+statement that neither blocks nor is blocked, changes no thread, handle or
+mutex other than unlocking one the thread owns, kills none of its nondet
+paths, and touches only globals that every other thread, from its pc on,
+accesses only while it must hold a mutex that the running thread holds now.
+Critical sections and thread-local steps so run without preemption points.
+Running on the last thread never adds a context switch (Coons, Musuvathi
+and McKinley 2013), so the reduced search finds a violation, and a
+loop-bound cut, exactly when the ordered one does. Its result is final
+when it is safe, or when its violation lies on a path that never ran a
+thread ahead of a lower-numbered one: the ordered search finds that
+violation first. Otherwise (a reordered violation, a search that ran out, or a
+ModelError) the ordered search runs, skipping the states the reduced one
+finished with neither a violation nor a cut below them.
 """
 
 from __future__ import annotations
@@ -179,6 +197,11 @@ class VerificationResult:
     pruned: int = 0
     # lazy-decision search only, by site line
     records: list[SiteRecord] = field(default_factory=list)
+    # without sites: states the reduced search expanded, its expansions
+    # cut to one thread, and whether the ordered search ran after it
+    reduced_states: int = 0
+    reductions: int = 0
+    ordered_rerun: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +311,14 @@ class CompiledProgram:
         self.callee_codes = {fn.name: self._compile_fn(fn)
                              for fn in program.functions
                              if fn.return_type == "int"}
+        self._independence: _Independence | None = None
+
+    def independence(self) -> "_Independence":
+        """The facts the reduced search decides commuting steps from, built
+        on first use."""
+        if self._independence is None:
+            self._independence = _Independence(self)
+        return self._independence
 
     def with_constant(self, line: int, value: int) -> "CompiledProgram":
         """A copy in which main's assignment, if or while at line evaluates
@@ -324,6 +355,7 @@ class CompiledProgram:
                                           expr=rewrite(line, instr.expr))
         compiled = copy.copy(self)
         compiled.thread_codes = [code, *self.thread_codes[1:]]
+        compiled._independence = None
         return compiled
 
     def _compile_fn(self, fn: FunctionDef) -> Code:
@@ -633,6 +665,9 @@ class _State(NamedTuple):
     switches: int
     trace: tuple | None  # linked list: (parent, (thread, line))
     choices: tuple | None  # linked list: (parent, (line, value))
+    # the reduced search ran a thread on this path ahead of a lower-numbered
+    # one that the ordered search would have run first
+    reordered: bool = False
 
     @property
     def last_thread(self) -> int | None:
@@ -650,7 +685,9 @@ class _Machine:
         self.replay = replay
         # set by the search when it reaches a path cut at the loop bound
         self.bound_hit = False
-        # states the search skipped as covered by finished subtrees
+        # states the search expanded, and those it skipped as covered by
+        # finished subtrees
+        self.states = 0
         self.pruned = 0
 
     # -- state construction ---------------------------------------------
@@ -912,7 +949,8 @@ class _Machine:
         if parts != control:
             control = _Control(*parts)
         new = _State(ctx.globals, _put(ctx.threads, tid, thread), control,
-                     switches, (state.trace, (tid, line)), ctx.choices)
+                     switches, (state.trace, (tid, line)), ctx.choices,
+                     state.reordered)
         return ("state", new) if violation is None else \
             ("violation", violation, new)
 
@@ -1030,6 +1068,261 @@ def _build_counterexample(compiled: CompiledProgram, schedule, choices,
 
 
 # ---------------------------------------------------------------------------
+# Independence of steps
+# ---------------------------------------------------------------------------
+
+# the key of _Independence.reach for an access whose globals are not resolved
+_ANY = -1
+
+# the statements a thread may run ahead of the others where the globals they
+# touch allow it: none blocks, is blocked by another thread, or changes a
+# thread, handle, mutex or condition
+_LOCAL_OPS = frozenset(("assign", "decl", "branch", "loop_head", "assume",
+                        "assert", "switch", "break", "nopstep", "call"))
+
+
+def _successors(code: Code, pc: int) -> tuple[int, ...]:
+    """The pcs that code may run right after its instruction at pc."""
+    instr = code.instrs[pc]
+    op = instr.op
+    if op == "jump":
+        return (instr.target,)
+    if op in ("branch", "loop_head"):
+        return (pc + 1, instr.target)
+    if op == "switch":
+        table = instr.aux
+        last = table["end"] if table["default"] is None else table["default"]
+        return (*table["labels"].values(), last)
+    if op == "break":
+        return (code.instrs[instr.target].aux["end"],)
+    if op in ("return", "exit", "thread_end"):
+        return ()
+    return (pc + 1,)
+
+
+def _reads(expr: Expr, scope: dict, found: set[int]) -> bool:
+    """Adds the global slots expr reads under scope to found; False if expr
+    names a variable that scope does not hold, or is of a kind not known
+    here. Global arrays are never written, so reading one is no access."""
+    if isinstance(expr, Var):
+        where = scope.get(expr.name)
+        if where is not None and where[0]:
+            found.add(where[1])
+        return where is not None
+    if isinstance(expr, (IntLit, Nondet)):
+        return True
+    if isinstance(expr, Index):
+        return _reads(expr.index, scope, found)
+    if isinstance(expr, Unary):
+        return _reads(expr.operand, scope, found)
+    if isinstance(expr, Binary):
+        return _reads(expr.left, scope, found) and \
+            _reads(expr.right, scope, found)
+    if isinstance(expr, Ternary):
+        return all(_reads(part, scope, found) for part in (
+            expr.cond, expr.then_expr, expr.else_expr))
+    return False
+
+
+def _own_globals(code: Code, instr: Instr) -> frozenset[int] | None:
+    """The global slots instr of code reads or writes itself, a callee's
+    aside; None if it names a variable that code's scope does not hold."""
+    found: set[int] = set()
+    if instr.op in ("assign", "decl", "call"):
+        where = code.scope.get(instr.name)
+        if where is None:
+            return None
+        if where[0]:
+            found.add(where[1])
+    exprs = instr.args[1] if instr.op == "call" else \
+        () if instr.expr is None else (instr.expr,)
+    if not all(_reads(expr, code.scope, found) for expr in exprs):
+        return None
+    return frozenset(found)
+
+
+def _callee_globals(compiled: CompiledProgram, name: str
+                    ) -> frozenset[int] | None:
+    """The global slots that function name and the functions it calls read
+    or write; None if one of them names a variable or function that is not
+    resolved."""
+    found: set[int] = set()
+    todo, seen = [name], {name}
+    while todo:
+        code = compiled.callee_codes.get(todo.pop())
+        if code is None:
+            return None
+        for instr in code.instrs:
+            own = _own_globals(code, instr)
+            if own is None:
+                return None
+            found |= own
+            if instr.op == "call" and instr.args[0] not in seen:
+                seen.add(instr.args[0])
+                todo.append(instr.args[0])
+    return frozenset(found)
+
+
+def _must_hold(code: Code) -> list[frozenset[int] | None]:
+    """By pc, the mutex slots that a thread running code holds on every
+    path from its start to pc; None at a pc no path reaches. A wait ends
+    holding its mutex again."""
+    held: list[frozenset[int] | None] = [None] * len(code.instrs)
+    held[0] = frozenset()
+    todo = [0]
+    while todo:
+        pc = todo.pop()
+        instr = code.instrs[pc]
+        after = held[pc]
+        if instr.op in ("lock", "wait"):
+            after = after | {instr.slot}
+        elif instr.op == "unlock":
+            after = after - {instr.slot}
+        for nxt in _successors(code, pc):
+            meet = after if held[nxt] is None else held[nxt] & after
+            if meet != held[nxt]:
+                held[nxt] = meet
+                todo.append(nxt)
+    return held
+
+
+class _Independence:
+    """What the reduced search decides commuting steps from, for one
+    compiled program: the globals each instruction of each thread reads or
+    writes (a call with its callees', transitively; None where a name is
+    not resolved), and the mutexes each thread must hold at each pc.
+
+    A mutex counts as held only where no thread may unlock or wait on it
+    without holding it, since unlock and wait free a mutex whoever owns it.
+    A join waits for the thread its handle points to only where a single
+    pthread_create sets that handle, since a second one re-points it."""
+
+    def __init__(self, compiled: CompiledProgram):
+        self.codes = compiled.thread_codes
+        callees = {name: _callee_globals(compiled, name)
+                   for name in compiled.callee_codes}
+        self.globals: list[list[frozenset[int] | None]] = []
+        for code in self.codes:
+            row = []
+            for instr in code.instrs:
+                touched = _own_globals(code, instr)
+                if touched is not None and instr.op == "call":
+                    callee = callees.get(instr.args[0])
+                    touched = None if callee is None else touched | callee
+                row.append(touched)
+            self.globals.append(row)
+        self.held = [_must_hold(code) for code in self.codes]
+        self.unsafe = frozenset(
+            instr.slot for code, held in zip(self.codes, self.held)
+            for pc, instr in enumerate(code.instrs)
+            if instr.op in ("unlock", "wait") and held[pc] is not None
+            and instr.slot not in held[pc])
+        creates = [instr.slot for code in self.codes
+                   for instr in code.instrs if instr.op == "create"]
+        self.joinable = tuple(sorted(
+            slot for slot in set(creates) if creates.count(slot) == 1))
+        self._reach: dict[tuple, dict] = {}
+
+    def reach(self, tid: int, pc: int, stops: frozenset[int]
+              ) -> dict[int, tuple[frozenset[int], ...]]:
+        """For each global that thread tid may access from pc on, the
+        distinct sets of mutexes it must hold where it does (_ANY for an
+        access not resolved). The walk does not pass a join on a handle of
+        stops."""
+        key = (tid, pc, stops)
+        found = self._reach.get(key)
+        if found is None:
+            code, touches, held = \
+                self.codes[tid], self.globals[tid], self.held[tid]
+            sets: dict[int, set[frozenset[int]]] = {}
+            seen, todo = {pc}, [pc]
+            while todo:
+                at = todo.pop()
+                touched = touches[at]
+                for g in (_ANY,) if touched is None else touched:
+                    sets.setdefault(g, set()).add(held[at])
+                instr = code.instrs[at]
+                if instr.op == "join" and instr.slot in stops:
+                    continue
+                for nxt in _successors(code, at):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            found = self._reach[key] = {
+                g: tuple(held_sets) for g, held_sets in sets.items()}
+        return found
+
+    def commutes(self, state: _State, tid: int) -> bool:
+        """Whether the statement of ready thread tid commutes with every
+        step the other threads can take before it: it blocks no one and no
+        one blocks it, and each global it touches is accessed by every
+        other thread not exited, from its pc on, only where that thread
+        must hold a mutex that tid holds now. Nondet paths that the step
+        kills are left to the caller."""
+        pc = state.threads[tid].pc
+        instr = self.codes[tid].instrs[pc]
+        control = state.control
+        if instr.op == "unlock":
+            # no one else can take the mutex before it, nor free it
+            return control.mutexes[instr.slot] == tid and \
+                instr.slot not in self.unsafe
+        touched = self.globals[tid][pc]
+        if instr.op not in _LOCAL_OPS or touched is None:
+            return False
+        if not touched:
+            return True
+        held = frozenset(slot for slot, owner in enumerate(control.mutexes)
+                         if owner == tid) - self.unsafe
+        stops = frozenset(slot for slot in self.joinable
+                          if control.handles[slot] == tid)
+        for other, thread in enumerate(state.threads):
+            if other == tid or thread.status == "exited":
+                continue
+            reach = self.reach(other, thread.pc, stops)
+            for g in (*touched, _ANY):
+                for must in reach.get(g, ()):
+                    if must.isdisjoint(held):
+                        return False
+        return True
+
+
+class _Reduction:
+    """The bookkeeping of the reduced search (see _explore): its
+    expansions cut to one thread, a count that grows with every loop-bound
+    cut it reaches or may skip, and the keys of the states it finished
+    clean, with neither a violation nor a cut below them, mapped to their
+    switch counts."""
+
+    def __init__(self, compiled: CompiledProgram):
+        self.compiled = compiled
+        self.reductions = 0
+        self.cuts = 0
+        self.clean: dict[tuple, int] = {}
+
+    def expand(self, machine: _Machine, state: _State,
+               schedulable: list[int]) -> list[tuple]:
+        """The entries of state's expansion, in order: those of the last
+        thread alone where its step commutes and kills no path, else those
+        of every schedulable thread."""
+        last = state.control.last_thread
+        own = None
+        if len(schedulable) > 1 and last in schedulable and \
+                self.compiled.independence().commutes(state, last):
+            own = machine.step(state, last)
+            if all(outcome[0] != "kill" for outcome in own):
+                self.reductions += 1
+                if last != schedulable[0]:
+                    own = [(*outcome[:-1], outcome[-1]._replace(
+                        reordered=True)) for outcome in own]
+                return own
+        pushes = []
+        for tid in schedulable:
+            pushes += _entries(state, own if tid == last and own is not None
+                               else machine.step(state, tid))
+        return pushes
+
+
+# ---------------------------------------------------------------------------
 # Exploration
 # ---------------------------------------------------------------------------
 
@@ -1043,11 +1336,11 @@ def _shared(key: tuple, canon: dict) -> tuple:
             canon.setdefault(control, control), *switches)
 
 
-def _entries(machine: _Machine, state: _State, tid: int) -> list[tuple]:
-    """The search entries of thread tid's step from state, in order: its
+def _entries(state: _State, outcomes: list) -> list[tuple]:
+    """The search entries of a step's outcomes from state, in order: the
     outcomes, a loop-bound kill as ('cut', the path's decision, state)."""
     entries = []
-    for outcome in machine.step(state, tid):
+    for outcome in outcomes:
         if outcome[0] == "kill":
             if outcome[1] == "bound":
                 entries.append(("cut", outcome[2], state))
@@ -1104,7 +1397,8 @@ class _SiteSearch:
             line, state, tid = self.picks[self.ran]
             self.ran += 1
             if line not in self.records:
-                stack.extend(reversed(_entries(machine, state, tid)))
+                stack.extend(reversed(_entries(state,
+                                               machine.step(state, tid))))
                 return True
         return False
 
@@ -1143,12 +1437,14 @@ class _SiteSearch:
 
 
 def _explore(machine: _Machine, first_leaf: bool = False,
-             sites: _SiteSearch | None = None):
+             sites: _SiteSearch | None = None,
+             reduction: _Reduction | None = None,
+             finished: dict[tuple, int] | None = None):
     """DFS over interleavings and nondet values.
 
-    Returns ('violation', Violation, state, states) | ('exhausted', states)
-    | ('safe', states) and, in first_leaf mode, ('leaf', kind, state) for
-    the first completed/cut path; states counts the expanded states.
+    Returns ('violation', Violation, state) | ('exhausted',) | ('safe',)
+    and, in first_leaf mode, ('leaf', kind, state) for the first
+    completed/cut path; machine.states counts the expanded states.
 
     With sites, a lazy-decision search (see _SiteSearch): a step of an
     undecided path that runs a site defers its pick, a violation or cut
@@ -1169,33 +1465,46 @@ def _explore(machine: _Machine, first_leaf: bool = False,
     with fewer switches left the same state can end on a 'budget' leaf that
     the finished subtree ran past. A state equal to one of its own
     ancestors is never skipped, since that subtree is not finished.
+
+    With reduction, the reduced search (see the module docstring): a
+    state's expansion comes from reduction.expand, and reduction.clean
+    collects the finished states whose subtree reached no cut, nor skipped
+    a state that is not clean itself. finished seeds `done`, so that the
+    ordered search skips the states of the reduced search's `clean`.
     """
     config = machine.config
 
     def progress() -> int:
-        return 0 if sites is None else sites.progress()
+        if sites is not None:
+            return sites.progress()
+        return 0 if reduction is None else reduction.cuts
 
     stack: list[tuple] = [("state", machine.initial_state())]
-    visited = 0
-    done: dict[tuple, int] = {}
+    done: dict[tuple, int] = {} if finished is None else finished
     # one copy of each key part, shared by all keys in done
     canon: dict[tuple, tuple] = {}
     while stack or sites is not None and sites.next_pick(machine, stack):
         kind = stack.pop()
         if kind[0] == "done":
-            if kind[2] == progress():
-                # a count stored for the key came from below, no lower
+            # a count stored for the key came from below, no lower
+            if reduction is not None:
+                done[kind[1]] = kind[3].switches
+                if kind[2] == reduction.cuts:
+                    reduction.clean[kind[1]] = kind[3].switches
+            elif kind[2] == progress():
                 done[kind[1]] = kind[3].switches
             continue
         if kind[0] == "violation":
             if sites is None or sites.fail(
                     kind[1], kind[2].control.decision, kind[2], stack):
-                return ("violation", kind[1], kind[2], visited)
+                return ("violation", kind[1], kind[2])
             continue
         if kind[0] == "cut":
             # a loop-bound kill counts once the search reaches it, in the
             # same order whether or not it happened inside a callee
             machine.bound_hit = True
+            if reduction is not None:
+                reduction.cuts += 1
             if first_leaf:
                 return ("leaf", "cut", kind[2])
             if sites is not None and sites.every_path:
@@ -1209,11 +1518,14 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             key = state[:4] if first_leaf else state[:3]
             if done.get(key, state.switches + 1) <= state.switches:
                 machine.pruned += 1
+                if reduction is not None and reduction.clean.get(
+                        key, state.switches + 1) > state.switches:
+                    reduction.cuts += 1  # the finished subtree may hold one
                 continue
             stack.append(("done", _shared(key, canon), progress(), state))
-        visited += 1
-        if visited > config.max_states:
-            return ("exhausted", visited)
+        machine.states += 1
+        if machine.states > config.max_states:
+            return ("exhausted",)
         if not live:
             if first_leaf:
                 return ("leaf", "completed", state)
@@ -1238,14 +1550,18 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if first_leaf:
                 return ("leaf", "budget", state)
             continue
+        if reduction is not None:
+            stack.extend(reversed(reduction.expand(machine, state,
+                                                   schedulable)))
+            continue
         deferring = sites is not None and not state.control.decision[0]
         pushes = []
         for tid in schedulable:
             if deferring:
                 sites.defer(machine, state, tid)
-            pushes += _entries(machine, state, tid)
+            pushes += _entries(state, machine.step(state, tid))
         stack.extend(reversed(pushes))
-    return ("safe", visited)
+    return ("safe",)
 
 
 def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
@@ -1263,32 +1579,49 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     search otherwise ends 'safe-within-bounds' or, past max_states in
     total, 'resource-exhausted'. No counterexample is built in this mode.
 
+    Without sites, the reduced search runs first (see the module
+    docstring); the ordered search runs after it only where its result
+    could differ: a violation on a reordered path, a search that ran out,
+    or a ModelError. max_states bounds each of the two on its own.
+
     A program compiled already is searched as it is.
     """
     compiled = program if isinstance(program, CompiledProgram) \
         else CompiledProgram(program)
-    search = None
     if sites is not None:
-        compiled = compiled.with_sites(sites)
         search = _SiteSearch(sites, every_path=False)
-    machine = _Machine(compiled, config)
-    result = _explore(machine, sites=search)
-    records = [] if search is None else \
-        [search.records[line] for line in sorted(search.records)]
-    if result[0] == "violation":
+        machine = _Machine(compiled.with_sites(sites), config)
+        result = _explore(machine, sites=search)
+        counts = {"records": [search.records[line]
+                              for line in sorted(search.records)]}
+    else:
+        reduction = _Reduction(compiled)
+        machine = _Machine(compiled, config)
+        try:
+            result = _explore(machine, reduction=reduction)
+        except ModelError:
+            result = ("error",)
+        counts = {"reduced_states": machine.states,
+                  "reductions": reduction.reductions}
+        final = result[0] == "safe" or \
+            result[0] == "violation" and not result[2].reordered
+        if not final:
+            reduced = machine
+            machine = _Machine(compiled, config)
+            result = _explore(machine, finished=reduction.clean)
+            machine.states += reduced.states
+            machine.pruned += reduced.pruned
+            counts["ordered_rerun"] = True
+    cex = None
+    if result[0] == "violation" and sites is None:
         state = result[2]
-        cex = None if search is not None else _build_counterexample(
-            compiled, _unlink(state.trace), _unlink(state.choices),
-            result[1])
-        return VerificationResult("violation", cex,
-                                  bound_hit=machine.bound_hit,
-                                  states=result[3], pruned=machine.pruned,
-                                  records=records)
-    outcome = "resource-exhausted" if result[0] == "exhausted" \
-        else "safe-within-bounds"
-    return VerificationResult(outcome, None, bound_hit=machine.bound_hit,
-                              states=result[1], pruned=machine.pruned,
-                              records=records)
+        cex = _build_counterexample(compiled, _unlink(state.trace),
+                                    _unlink(state.choices), result[1])
+    outcome = {"violation": "violation", "exhausted": "resource-exhausted",
+               "safe": "safe-within-bounds"}[result[0]]
+    return VerificationResult(outcome, cex, bound_hit=machine.bound_hit,
+                              states=machine.states, pruned=machine.pruned,
+                              **counts)
 
 
 def passing_sites(program: Program | CompiledProgram, config: VerifierConfig,
@@ -1305,10 +1638,10 @@ def passing_sites(program: Program | CompiledProgram, config: VerifierConfig,
     compiled = program if isinstance(program, CompiledProgram) \
         else CompiledProgram(program)
     search = _SiteSearch(sites, every_path=True)
-    result = _explore(_Machine(compiled.with_sites(sites), config),
-                      sites=search)
+    machine = _Machine(compiled.with_sites(sites), config)
+    result = _explore(machine, sites=search)
     unsettled = search.unsettled() if result[0] == "exhausted" else set()
-    return set(sites) - search.records.keys() - unsettled, result[-1]
+    return set(sites) - search.records.keys() - unsettled, machine.states
 
 
 def first_path(program: Program | CompiledProgram, config: VerifierConfig):

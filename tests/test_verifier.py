@@ -13,13 +13,16 @@ from mcfl.verifier import (
     CompiledProgram,
     ContextSwitchRecord,
     Counterexample,
+    ModelError,
     TraceMismatch,
     TraceStep,
     UnsupportedScheduleError,
     VerifierConfig,
     Violation,
     _build_counterexample,
+    _explore,
     _Machine,
+    _Reduction,
     _SiteSearch,
     _unlink,
     counterexample_from_json,
@@ -671,6 +674,28 @@ def _cached(program, config, sites=None):
             result.states)
 
 
+OUTCOMES = {"violation": "violation", "exhausted": "resource-exhausted",
+            "safe": "safe-within-bounds"}
+
+
+def _ordered(program, config):
+    """The summary _cached returns, from the ordered search alone: the
+    finished-state cache without the reduction, which verify ran before
+    it had one and runs after it where the reduced search can differ.
+    Also returns the states it skipped."""
+    compiled = program if isinstance(program, CompiledProgram) \
+        else CompiledProgram(program)
+    machine = _Machine(compiled, config)
+    result = _explore(machine)
+    cex = None
+    if result[0] == "violation":
+        cex = counterexample_to_json(_build_counterexample(
+            compiled, _unlink(result[2].trace), _unlink(result[2].choices),
+            result[1]))
+    return (OUTCOMES[result[0]], cex, machine.bound_hit, [],
+            machine.states), machine.pruned
+
+
 def _locked_workers(n_threads: int, trips: int) -> str:
     """n_threads workers each add 1 to c under a lock, trips times; main
     joins them and asserts the total. Safe at any schedule."""
@@ -745,10 +770,15 @@ class TestStateCache:
 
     @staticmethod
     def _agree(program, config, sites=None, label=None):
-        """The cached and the uncached summary, checked to agree."""
+        """The cached and the uncached summary, checked to agree. Without
+        sites, verify's result is checked as well, and the cached summary
+        is the ordered search's, whose states the cache bounds."""
         mine = _cached(program, config, sites)
         theirs = _uncached(program, config, sites=sites)
         assert mine[:4] == theirs[:4], label
+        if sites is None:
+            mine = _ordered(program, config)[0]
+            assert mine[:4] == theirs[:4], label
         assert mine[4] <= theirs[4], label
         return mine, theirs
 
@@ -898,33 +928,49 @@ int main() {
 }
 """)
         cfg = VerifierConfig(max_states=5000)
+        ordered = _ordered(p, cfg)[0]
+        assert (ordered[0], ordered[4]) == ("resource-exhausted", 5001)
+        assert ordered == _uncached(p, cfg)
+        # verify runs out in the reduced search, then in the ordered one
         result = verify(p, cfg)
-        assert (result.outcome, result.states) == ("resource-exhausted",
-                                                   5001)
-        assert _cached(p, cfg) == _uncached(p, cfg)
+        assert (result.outcome, result.reduced_states, result.states,
+                result.ordered_rerun) == ("resource-exhausted", 5001,
+                                          10002, True)
 
     def test_counts_repeat(self):
         p = parse(_locked_workers(2, 2))
         first = verify(p, VerifierConfig())
         again = verify(p, VerifierConfig())
-        assert (first.states, first.pruned) == (again.states, again.pruned)
+        assert (first.states, first.pruned, first.reduced_states,
+                first.reductions) == (again.states, again.pruned,
+                                      again.reduced_states, again.reductions)
         assert first.outcome == "safe-within-bounds"
-        assert first.pruned > 0
+        assert first.pruned > 0 and first.reductions > 0
 
-    @pytest.mark.parametrize("trips,context_bound,counts", [
-        (1, 3, (1900, 584)), (1, 4, (2898, 2779)),
-        (2, 3, (5761, 1312)), (2, 4, (9520, 8534))])
-    def test_counts_are_pinned(self, trips, context_bound, counts):
-        # exact (states, pruned), for later changes to the search to cite
-        result = verify(parse(_locked_workers(3, trips)),
-                        VerifierConfig(context_bound=context_bound))
+    @pytest.mark.parametrize("trips,context_bound,ordered,reduced", [
+        (1, 3, (1900, 584), (348, 46)), (1, 4, (2898, 2779), (445, 98)),
+        (2, 3, (5761, 1312), (917, 106)), (2, 4, (9520, 8534), (1211, 289))])
+    def test_counts_are_pinned(self, trips, context_bound, ordered, reduced):
+        # exact (states, pruned) of the ordered search and of verify, for
+        # later changes to the search to cite
+        p = parse(_locked_workers(3, trips))
+        config = VerifierConfig(context_bound=context_bound)
+        summary, pruned = _ordered(p, config)
+        assert (summary[0], summary[4], pruned) == \
+            ("safe-within-bounds", *ordered)
+        result = verify(p, config)
         assert (result.outcome, result.states, result.pruned) == \
-            ("safe-within-bounds", *counts)
+            ("safe-within-bounds", *reduced)
 
     def test_fewer_switches_cover_more(self):
+        summary, pruned = _ordered(parse(SWITCH_PROBE),
+                                   VerifierConfig(context_bound=3))
+        assert (summary[0], summary[4], pruned) == \
+            ("safe-within-bounds", 13, 1)
+        # w touches only b, which main never touches, so w runs on alone
         result = verify(parse(SWITCH_PROBE), VerifierConfig(context_bound=3))
         assert (result.outcome, result.states, result.pruned) == \
-            ("safe-within-bounds", 13, 1)
+            ("safe-within-bounds", 6, 0)
 
     def test_first_path_keeps_exact_switch_counts(self):
         # the state's subtree with one switch used finishes without a leaf;
@@ -1045,3 +1091,192 @@ class TestLazyDiagnosis:
         assert (_diagnose(report.instrumented, config).states, states) == \
             (6679, 6771)
 
+
+def _reduction_cases(step):
+    """(label, program, config) of every program of the reduction's
+    differential sweep whose index is a multiple of step, under each
+    config. Loop bound 1 cuts the generated loops, which run up to twice."""
+    sources = [(f"port {path.stem}", path.read_text())
+               for path in sorted(BENCH_DIR.glob("*.mc"))]
+    sources += [(f"division {seed}", generate_source(seed, with_div=True))
+                for seed in range(300)]
+    sources += [(f"threads3 {seed}", generate_source(seed, max_threads=3))
+                for seed in range(150)]
+    sources += [(f"unlocked {seed}", generate_source(
+        seed, max_threads=3, with_locks=False)) for seed in range(100)]
+    sources += [(f"wide {seed}", generate_source(
+        seed, max_threads=3, max_stmts=9, shared_vars=3))
+        for seed in range(100)]
+    configs = [VerifierConfig(), VerifierConfig(deadlock_check=True),
+               VerifierConfig(context_bound=2, loop_bound=2,
+                              nondet_domain=(-2, 3)),
+               VerifierConfig(context_bound=1, nondet_domain=(0, 2)),
+               VerifierConfig(loop_bound=1),
+               VerifierConfig(context_bound=2, loop_bound=1,
+                              deadlock_check=True)]
+    return [(label, source, config) for label, source in sources[::step]
+            for config in configs]
+
+# w1 changes g twice under m and checks it; w2 frees m without holding it,
+# so main's store to g under m can come between w1's steps
+FOREIGN_UNLOCK = """int g = 0;
+pthread_mutex_t m;
+pthread_t h1;
+pthread_t h2;
+void w1() {
+  pthread_mutex_lock(m);
+  g = 1;
+  g = g + 1;
+  assert(g == 2);
+  pthread_mutex_unlock(m);
+}
+void w2() {
+  pthread_mutex_unlock(m);
+}
+int main() {
+  pthread_create(h1, w1);
+  pthread_create(h2, w2);
+  pthread_mutex_lock(m);
+  g = 5;
+  pthread_mutex_unlock(m);
+}
+"""
+
+# as FOREIGN_UNLOCK, but w2's wait is what frees m
+FOREIGN_WAIT = FOREIGN_UNLOCK.replace(
+    "pthread_t h1;", "pthread_cond_t c;\npthread_t h1;").replace(
+    "  pthread_mutex_unlock(m);\n}\nint main", "  pthread_cond_wait(c, m);\n"
+    "}\nint main")
+
+# main waits for w1's f = 1; its join then waits for w2, which the second
+# create points h to, so main's store to g can come between w1's steps
+TWICE_CREATED = """int f = 0;
+int g = 0;
+pthread_t h;
+void w1() {
+  f = 1;
+  g = 1;
+  g = g + 1;
+  assert(g == 2);
+}
+void w2() {
+}
+int main() {
+  pthread_create(h, w1);
+  assume(f == 1);
+  pthread_create(h, w2);
+  pthread_join(h);
+  g = 5;
+}
+"""
+
+# main's assert fails only after w's g = 1, and w's next steps touch only
+# its own k; the last one kills every path (STEP is the killing statement)
+KILLED_STEP = """int g = 0;
+pthread_t h;
+void w() {
+  int k;
+  g = 1;
+  k = 0;
+  STEP
+}
+int main() {
+  pthread_create(h, w);
+  assert(g == 0);
+}
+"""
+
+# main's assume passes only after w's g = 1; w's next steps touch no
+# global, and its array read is out of range
+ERROR_REORDERED = """int a[2] = {0, 0};
+int g = 0;
+pthread_t h;
+void w() {
+  int k;
+  g = 1;
+  k = 5;
+  k = a[k];
+}
+int main() {
+  pthread_create(h, w);
+  assume(g == 1);
+  assert(0);
+}
+"""
+
+
+class TestReduction:
+    """verify's reduced search, and the ordered search it falls back on,
+    give the ordered search's outcome, counterexample, loop-bound flag
+    and exception."""
+
+    @staticmethod
+    def _agree(program, config, label=None):
+        """verify's result, checked to have the ordered search's outcome,
+        counterexample and loop-bound flag; None where both raise the same
+        exception."""
+        try:
+            theirs = _ordered(program, config)[0][:3]
+        except ModelError as exc:
+            with pytest.raises(type(exc)):
+                verify(program, config)
+            return None
+        result = verify(program, config)
+        cex = result.counterexample
+        assert (result.outcome, counterexample_to_json(cex) if cex else None,
+                result.bound_hit) == theirs, label
+        return result
+
+    def test_matches_the_ordered_search(self):
+        # a slice of the sweep (see CHANGES.md for the whole one)
+        reran = 0
+        for label, source, config in _reduction_cases(4):
+            result = self._agree(parse(source), config, label)
+            reran += result is not None and result.ordered_rerun
+        assert reran > 0
+
+    @pytest.mark.parametrize("source", [FOREIGN_UNLOCK, FOREIGN_WAIT,
+                                        TWICE_CREATED],
+                             ids=["unlock", "wait", "create"])
+    def test_guards(self, source):
+        # reading the mutex as held, or the join as waiting for w1, would
+        # run w1 on alone and miss the violation
+        p = parse(source)
+        assert self._agree(p, VerifierConfig()).outcome == "violation"
+
+    @pytest.mark.parametrize("step", ["assume(k == 1);",
+                                      "while (k == 0) {\n  }"])
+    def test_killed_step_is_not_run_alone(self, step):
+        p = parse(KILLED_STEP.replace("STEP", step))
+        assert self._agree(p, VerifierConfig()).outcome == "violation"
+
+    def test_error_reached_first_in_reduced_order(self):
+        p = parse(ERROR_REORDERED)
+        assert self._agree(p, VerifierConfig()).outcome == "violation"
+        with pytest.raises(ModelError):
+            _explore(_Machine(CompiledProgram(p), VerifierConfig()),
+                     reduction=_Reduction(CompiledProgram(p)))
+
+    def test_user_loop_without_progress_runs_out(self):
+        p = parse("""int x = 0;
+pthread_t h;
+void w() {
+  int i;
+  for (i = 0; i < 1; i = i) {
+    x = x + 1;
+  }
+}
+int main() {
+  pthread_create(h, w);
+  pthread_join(h);
+  assert(x == 0);
+}
+""")
+        config = VerifierConfig(max_states=2000)
+        assert self._agree(p, config).outcome == "resource-exhausted"
+
+    def test_sequential_search_builds_no_analysis(self):
+        compiled = CompiledProgram(parse(
+            "int x = 0;\nint main(){ x = nondet(); assert(x < 8); }"))
+        assert verify(compiled, VerifierConfig()).outcome == "violation"
+        assert compiled._independence is None
