@@ -6,6 +6,11 @@
     mcfl localize <file.mc>      full pipeline -> diagnosis report
     mcfl bench <dir>             sweep a directory, print a result table
 
+Every command takes --unwind, --context-bound, --nondet and --max-states.
+Each takes only the other options it reads: --deadlock-check on verify
+alone, since the other commands force their own value; --json on verify
+and localize; --emit-intermediates on all but bench; --csv on bench.
+
 Exit status: 0 safe/no fault, 1 faults found, 2 inconclusive,
 3 resource budget exhausted, 4 usage, parse or model error.
 """
@@ -79,14 +84,17 @@ def build_cli() -> argparse.ArgumentParser:
         cmd.add_argument("--nondet", type=_parse_nondet, default=(0, 8),
                          metavar="LO..HI",
                          help="nondet value domain (default 0..8)")
-        cmd.add_argument("--deadlock-check", action="store_true",
-                         help="report deadlocks as violations")
-        cmd.add_argument("--json", action="store_true",
-                         help="machine-readable output")
-        cmd.add_argument("--emit-intermediates", action="store_true",
-                         help="write counterexample, sequential program, "
-                              "diagnosis model and line map next to the "
-                              "input")
+        if name == "verify":
+            cmd.add_argument("--deadlock-check", action="store_true",
+                             help="report deadlocks as violations")
+        if name in ("verify", "localize"):
+            cmd.add_argument("--json", action="store_true",
+                             help="machine-readable output")
+        if name != "bench":
+            cmd.add_argument("--emit-intermediates", action="store_true",
+                             help="write counterexample, sequential "
+                                  "program, diagnosis model and line map "
+                                  "next to the input")
         cmd.add_argument("--max-states", type=int, default=None, metavar="N",
                          help="state budget (default 200000, or "
                               "MCFL_MAX_STATES)")
@@ -114,7 +122,8 @@ def _verifier_config(args: argparse.Namespace) -> VerifierConfig:
         context_bound=args.context_bound,
         loop_bound=args.unwind,
         nondet_domain=args.nondet,
-        deadlock_check=args.deadlock_check,
+        # only verify takes the flag; the others force their own value
+        deadlock_check=getattr(args, "deadlock_check", False),
         max_states=max_states,
     )
 

@@ -56,6 +56,10 @@ class InstrumentedProgram:
     # program, used to read the witness value off a counterexample
     wrap_sites: dict[int, int] = field(default_factory=dict, repr=False)
     assert_false_line: int = 0
+    header_line: int = 0  # the line of `diag = nondet(0, max)`
+    # line of each wrapped statement -> the nondet() it runs when diag
+    # names it
+    site_picks: dict[int, Expr] = field(default_factory=dict, repr=False)
 
 
 def eligible_lines(seq: SequentialProgram) -> dict[int, str]:
@@ -106,12 +110,15 @@ def _instrument_core(seq: SequentialProgram,
                     ).fresh("diag")
 
     wrapped = {s.line: s for s in program_stmts(program) if s.line in domain}
+    picks: dict[int, Nondet] = {}
     for line, stmt in wrapped.items():
         picked = Binary("==", Var(diag), IntLit(line))
         if domain[line] == "assign":
-            stmt.expr = Ternary(picked, Nondet(), stmt.expr)
+            picks[line] = Nondet()
+            stmt.expr = Ternary(picked, picks[line], stmt.expr)
         else:
-            stmt.cond = Ternary(picked, Nondet(0, 1), stmt.cond)
+            picks[line] = Nondet(0, 1)
+            stmt.cond = Ternary(picked, picks[line], stmt.cond)
 
     _asserts_to_assumes(program.main.body)
 
@@ -121,10 +128,8 @@ def _instrument_core(seq: SequentialProgram,
     final_assert = Assert(IntLit(0))
     body.append(final_assert)
 
-    header: list[Stmt] = [
-        Decl(diag),
-        Assign(diag, Nondet(0, max(domain))),
-    ]
+    draw = Assign(diag, Nondet(0, max(domain)))
+    header: list[Stmt] = [Decl(diag), draw]
     for b in sorted(blocked):
         header.append(Assume(Binary("!=", Var(diag), IntLit(b))))
     header.append(Assume(_any_of(
@@ -141,6 +146,8 @@ def _instrument_core(seq: SequentialProgram,
         seq=seq,
         wrap_sites={d: stmt.line for d, stmt in wrapped.items()},
         assert_false_line=final_assert.line,
+        header_line=draw.line,
+        site_picks={stmt.line: picks[d] for d, stmt in wrapped.items()},
     )
 
 

@@ -23,7 +23,7 @@ from .instrumenter import (
     instrument,
 )
 from .sequentializer import SequentialProgram, sequentialize
-from .syntax import Assign, Expr, IntLit, Program, program_stmts
+from .syntax import IntLit, Program
 from .verifier import (
     CompiledProgram,
     Counterexample,
@@ -67,28 +67,13 @@ def _seq_config(config: VerifierConfig) -> VerifierConfig:
     return replace(config, context_bound=0, deadlock_check=False)
 
 
-def _diag_sites(instr: InstrumentedProgram) -> dict[int, Expr]:
-    """Each wrap site of the model and the nondet() that its line runs when
-    diag names it: the `then` branch of the line's wrapping ternary."""
-    lines = set(instr.wrap_sites.values())
-    return {stmt.line: (stmt.expr if isinstance(stmt, Assign)
-                        else stmt.cond).then_expr
-            for stmt in program_stmts(instr.program) if stmt.line in lines}
-
-
-def _diag_header(instr: InstrumentedProgram) -> int:
-    """The line of the model's `diag = nondet(0, max)`."""
-    return next(stmt.line for stmt in instr.program.main.body.stmts
-                if isinstance(stmt, Assign) and stmt.name == instr.diag_var)
-
-
 def _diagnose(instr: InstrumentedProgram, config: VerifierConfig):
     """The lazy-decision search of the model: its header draw runs as
     diag = 0, which passes the domain assume, and each wrap site is a site
     whose pick runs the wrapped nondet()."""
     model = CompiledProgram(instr.program).with_constant(
-        _diag_header(instr), 0)
-    return verify(model, _seq_config(config), sites=_diag_sites(instr))
+        instr.header_line, 0)
+    return verify(model, _seq_config(config), sites=instr.site_picks)
 
 
 def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:

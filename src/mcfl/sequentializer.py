@@ -315,12 +315,11 @@ class _Anchor:
     """Image slot of one original statement inside the sequential program."""
 
     def __init__(self, container: list[Stmt], index: int, length: int,
-                 loops: list[int], stmt: Stmt | None):
+                 loops: list[int]):
         self.container = container
         self.index = index
         self.length = length
         self.loops = loops  # original lines of enclosing loops
-        self.stmt = stmt  # the image node for structured statements
 
 
 class _Builder:
@@ -384,8 +383,7 @@ class _Builder:
             self._one(s, rename, loops, out, prov)
             if orig is not None:
                 self.anchors[orig] = _Anchor(
-                    out, start, len(out) - start, list(loops),
-                    out[start] if len(out) > start else None)
+                    out, start, len(out) - start, list(loops))
         return out
 
     def _one(self, s: Stmt, rename: dict[str, str], loops: list[int],

@@ -21,32 +21,33 @@ picked paths run after the whole undecided tree, so all sites share the
 unchanged prefix. The diagnosis search (verify with sites) and the
 validation of its diagnoses (passing_sites) are such searches.
 
-The search caches finished states: once the whole subtree below a state with
-two or more live threads has been explored without ending the search, a
-later state equal to it apart from its path (schedule and nondet choices)
-and with at least as many context switches used is skipped. Its subtree is
-part of the finished one, so it could only repeat work that found nothing;
-the first violation, its schedule and choices, the site records and the
-loop-bound flag are those of the search without the cache. first_path,
-which stops at the first leaf, skips only on an equal switch count.
+Outside a lazy-decision search, verify caches finished states: once the
+whole subtree below a state with two or more live threads has been explored
+without ending the search, a later state equal to it apart from its path
+(schedule and nondet choices) and with at least as many context switches
+used is skipped. Its subtree is part of the finished one, so it could only
+repeat work that found nothing; the first violation, its schedule and
+choices and the loop-bound flag are those of the search without the cache.
+The other searches run uncached.
 
-verify, outside a lazy-decision search, first runs a reduced search: at a
-state where the thread that ran last can run together with others, it runs
-that thread alone if its statement commutes with every step the others can
-take before it (persistent sets, Godefroid 1996). That holds for a
-statement that neither blocks nor is blocked, changes no thread, handle or
-mutex other than unlocking one the thread owns, kills none of its nondet
-paths, and touches only globals that every other thread, from its pc on,
-accesses only while it must hold a mutex that the running thread holds now.
-Critical sections and thread-local steps so run without preemption points.
-Running on the last thread never adds a context switch (Coons, Musuvathi
-and McKinley 2013), so the reduced search finds a violation, and a
-loop-bound cut, exactly when the ordered one does. Its result is final
-when it is safe, or when its violation lies on a path that never ran a
-thread ahead of a lower-numbered one: the ordered search finds that
-violation first. Otherwise (a reordered violation, a search that ran out, or a
-ModelError) the ordered search runs, skipping the states the reduced one
-finished with neither a violation nor a cut below them.
+There verify first runs a reduced search: at a state where the thread that
+ran last can run together with others, it runs that thread alone if its
+statement commutes with every step the others can take before it (persistent
+sets, Godefroid 1996). That holds for a statement that neither blocks nor is
+blocked, changes no thread, handle or mutex other than unlocking one the
+thread owns, kills none of its nondet paths, and touches only globals that
+every other thread, from its pc on, accesses only while it must hold a mutex
+that the running thread holds now. Critical sections and thread-local steps
+so run without preemption points. Running on the last thread never adds a
+context switch (Coons, Musuvathi and McKinley 2013), so the reduced search
+finds a violation, and a loop-bound cut, exactly when the ordered one does.
+Its result is final when it is safe, or when its violation lies on a path
+that never ran a thread ahead of a lower-numbered one: the ordered search
+finds that violation first. Otherwise (a reordered violation, a search that
+ran out, or a ModelError) the ordered search runs, skipping the states the
+reduced one finished. Both share one cache, and the reduced search records a
+finished subtree only if it reached no loop-bound cut below it, so the
+ordered search sets the loop-bound flag as it would alone.
 """
 
 from __future__ import annotations
@@ -1287,39 +1288,30 @@ class _Independence:
 
 
 class _Reduction:
-    """The bookkeeping of the reduced search (see _explore): its
-    expansions cut to one thread, a count that grows with every loop-bound
-    cut it reaches or may skip, and the keys of the states it finished
-    clean, with neither a violation nor a cut below them, mapped to their
-    switch counts."""
+    """The reduced search (see _explore), which counts the expansions it
+    cut to one thread."""
 
     def __init__(self, compiled: CompiledProgram):
         self.compiled = compiled
         self.reductions = 0
-        self.cuts = 0
-        self.clean: dict[tuple, int] = {}
 
-    def expand(self, machine: _Machine, state: _State,
-               schedulable: list[int]) -> list[tuple]:
-        """The entries of state's expansion, in order: those of the last
-        thread alone where its step commutes and kills no path, else those
-        of every schedulable thread."""
+    def alone(self, machine: _Machine, state: _State,
+              schedulable: list[int]) -> list | None:
+        """The outcomes of the last thread's step where that thread runs
+        alone, since others are schedulable and its step commutes and
+        kills no path; else None."""
         last = state.control.last_thread
-        own = None
-        if len(schedulable) > 1 and last in schedulable and \
-                self.compiled.independence().commutes(state, last):
-            own = machine.step(state, last)
-            if all(outcome[0] != "kill" for outcome in own):
-                self.reductions += 1
-                if last != schedulable[0]:
-                    own = [(*outcome[:-1], outcome[-1]._replace(
-                        reordered=True)) for outcome in own]
-                return own
-        pushes = []
-        for tid in schedulable:
-            pushes += _entries(state, own if tid == last and own is not None
-                               else machine.step(state, tid))
-        return pushes
+        if len(schedulable) < 2 or last not in schedulable or \
+                not self.compiled.independence().commutes(state, last):
+            return None
+        own = machine.step(state, last)
+        if any(outcome[0] == "kill" for outcome in own):
+            return None
+        self.reductions += 1
+        if last != schedulable[0]:
+            own = [(*outcome[:-1], outcome[-1]._replace(reordered=True))
+                   for outcome in own]
+        return own
 
 
 # ---------------------------------------------------------------------------
@@ -1330,10 +1322,10 @@ class _Reduction:
 def _shared(key: tuple, canon: dict) -> tuple:
     """key with its globals, control and each thread replaced by the copy
     kept in canon, so that the keys of finished states share their parts."""
-    globals, threads, control, *switches = key
+    globals, threads, control = key
     return (canon.setdefault(globals, globals),
             tuple(canon.setdefault(t, t) for t in threads),
-            canon.setdefault(control, control), *switches)
+            canon.setdefault(control, control))
 
 
 def _entries(state: _State, outcomes: list) -> list[tuple]:
@@ -1376,10 +1368,6 @@ class _SiteSearch:
         # thread), in the order made
         self.picks: list[tuple[int, _State, int]] = []
         self.ran = 0  # picks[:ran] have run or been dropped
-
-    def progress(self) -> int:
-        """Grows with every record and every deferred pick."""
-        return len(self.records) + len(self.picks)
 
     def defer(self, machine: _Machine, state: _State, tid: int) -> None:
         """Defers the pick of the site that thread tid's step from the
@@ -1439,7 +1427,7 @@ class _SiteSearch:
 def _explore(machine: _Machine, first_leaf: bool = False,
              sites: _SiteSearch | None = None,
              reduction: _Reduction | None = None,
-             finished: dict[tuple, int] | None = None):
+             done: dict[tuple, int] | None = None):
     """DFS over interleavings and nondet values.
 
     Returns ('violation', Violation, state) | ('exhausted',) | ('safe',)
@@ -1451,47 +1439,31 @@ def _explore(machine: _Machine, first_leaf: bool = False,
     goes to sites.fail, a moot state is dropped, and the search ends only
     once no pick is left or a failure ends it.
 
-    A state with two or more live threads, where interleavings meet again,
-    is keyed by state[:3]; the sequential models of diagnosis and
-    validation have none and pay nothing. Expanding such a state pushes a
-    ('done', key, progress, state) marker under its children; when the
-    marker is popped, its subtree is finished, and unless it recorded a
-    site or deferred a pick, whose subtree is still to run, `done` maps the
-    key to the state's switch count. A popped state whose key maps to at
-    most its own switch count is skipped and not counted toward max_states
-    (machine.pruned counts it): its subtree is part of the finished one, so
-    it reaches no violation, and any cut in it has set bound_hit already.
-    In first_leaf mode the key is state[:4], switch count included, since
-    with fewer switches left the same state can end on a 'budget' leaf that
-    the finished subtree ran past. A state equal to one of its own
-    ancestors is never skipped, since that subtree is not finished.
-
     With reduction, the reduced search (see the module docstring): a
-    state's expansion comes from reduction.expand, and reduction.clean
-    collects the finished states whose subtree reached no cut, nor skipped
-    a state that is not clean itself. finished seeds `done`, so that the
-    ordered search skips the states of the reduced search's `clean`.
+    state's expansion is reduction.alone's where it gives one.
+
+    With done, the finished-state cache, which only verify passes. A state
+    with two or more live threads, where interleavings meet again, is
+    keyed by state[:3], and expanding it pushes a ('done', key, cuts,
+    state) marker under its children. When the marker is popped, its
+    subtree is finished, and done maps the key to the state's switch count
+    unless the reduced search reached a loop-bound cut below it. A popped
+    state whose key maps to at most its own switch count is skipped and
+    not counted toward max_states (machine.pruned counts it): its subtree
+    is part of the finished one, so it reaches no violation, and any cut in
+    it has set bound_hit already. A state equal to one of its own ancestors
+    is never skipped, since that subtree is not finished.
     """
     config = machine.config
-
-    def progress() -> int:
-        if sites is not None:
-            return sites.progress()
-        return 0 if reduction is None else reduction.cuts
-
     stack: list[tuple] = [("state", machine.initial_state())]
-    done: dict[tuple, int] = {} if finished is None else finished
+    cuts = 0  # loop-bound cuts reached
     # one copy of each key part, shared by all keys in done
     canon: dict[tuple, tuple] = {}
     while stack or sites is not None and sites.next_pick(machine, stack):
         kind = stack.pop()
         if kind[0] == "done":
             # a count stored for the key came from below, no lower
-            if reduction is not None:
-                done[kind[1]] = kind[3].switches
-                if kind[2] == reduction.cuts:
-                    reduction.clean[kind[1]] = kind[3].switches
-            elif kind[2] == progress():
+            if reduction is None or kind[2] == cuts:
                 done[kind[1]] = kind[3].switches
             continue
         if kind[0] == "violation":
@@ -1503,8 +1475,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             # a loop-bound kill counts once the search reaches it, in the
             # same order whether or not it happened inside a callee
             machine.bound_hit = True
-            if reduction is not None:
-                reduction.cuts += 1
+            cuts += 1
             if first_leaf:
                 return ("leaf", "cut", kind[2])
             if sites is not None and sites.every_path:
@@ -1514,15 +1485,12 @@ def _explore(machine: _Machine, first_leaf: bool = False,
         if sites is not None and sites.moot(state):
             continue
         live = machine.live_threads(state)
-        if len(live) > 1:
-            key = state[:4] if first_leaf else state[:3]
+        if done is not None and len(live) > 1:
+            key = state[:3]
             if done.get(key, state.switches + 1) <= state.switches:
                 machine.pruned += 1
-                if reduction is not None and reduction.clean.get(
-                        key, state.switches + 1) > state.switches:
-                    reduction.cuts += 1  # the finished subtree may hold one
                 continue
-            stack.append(("done", _shared(key, canon), progress(), state))
+            stack.append(("done", _shared(key, canon), cuts, state))
         machine.states += 1
         if machine.states > config.max_states:
             return ("exhausted",)
@@ -1550,9 +1518,10 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if first_leaf:
                 return ("leaf", "budget", state)
             continue
-        if reduction is not None:
-            stack.extend(reversed(reduction.expand(machine, state,
-                                                   schedulable)))
+        own = None if reduction is None else \
+            reduction.alone(machine, state, schedulable)
+        if own is not None:
+            stack.extend(reversed(own))
             continue
         deferring = sites is not None and not state.control.decision[0]
         pushes = []
@@ -1582,7 +1551,8 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     Without sites, the reduced search runs first (see the module
     docstring); the ordered search runs after it only where its result
     could differ: a violation on a reordered path, a search that ran out,
-    or a ModelError. max_states bounds each of the two on its own.
+    or a ModelError, seeded with the finished states the reduced search
+    recorded. max_states bounds each of the two on its own.
 
     A program compiled already is searched as it is.
     """
@@ -1597,8 +1567,9 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     else:
         reduction = _Reduction(compiled)
         machine = _Machine(compiled, config)
+        done: dict[tuple, int] = {}
         try:
-            result = _explore(machine, reduction=reduction)
+            result = _explore(machine, reduction=reduction, done=done)
         except ModelError:
             result = ("error",)
         counts = {"reduced_states": machine.states,
@@ -1608,7 +1579,7 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
         if not final:
             reduced = machine
             machine = _Machine(compiled, config)
-            result = _explore(machine, finished=reduction.clean)
+            result = _explore(machine, done=done)
             machine.states += reduced.states
             machine.pruned += reduced.pruned
             counts["ordered_rerun"] = True

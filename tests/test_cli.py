@@ -101,6 +101,24 @@ class TestExitStatuses:
         assert main([command, str(BENCH_DIR / target)] + flags) == 4
         assert capsys.readouterr().err.startswith("mcfl: ")
 
+    @pytest.mark.parametrize("command, flag", [
+        ("sequentialize", "--deadlock-check"),
+        ("instrument", "--deadlock-check"),
+        ("localize", "--deadlock-check"),
+        ("bench", "--deadlock-check"),
+        ("sequentialize", "--json"),
+        ("instrument", "--json"),
+        ("bench", "--json"),
+        ("bench", "--emit-intermediates"),
+    ])
+    def test_option_the_command_does_not_read_is_four(self, command, flag,
+                                                       capsys):
+        # each would change nothing there; the parser rejects it
+        target = BENCH_DIR if command == "bench" else \
+            BENCH_DIR / "account.mc"
+        assert main([command, str(target), flag]) == 4
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_verify_violation_is_one(self, fault_file, capsys):
         assert main(["verify", str(fault_file)]) == 1
         assert "violation: assertion" in capsys.readouterr().out

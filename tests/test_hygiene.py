@@ -1,13 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or defines a private name it never reads, and the package exports exactly
-what its `__init__.py` imports.
+"""Source hygiene: no module of the package imports a name it never uses,
+defines a private name it never reads or gives a private class an
+attribute it never reads, and the package exports exactly what its
+`__init__.py` imports.
 
 No linter ships with the project, so these are written with `ast`: the
-unused-import check (F401) and a check for private functions, classes,
-methods and module constants that nothing in their module reads. For
-imports, `__init__.py` is skipped because it re-exports, `__future__`
-imports are directives, and an import marked `# noqa: F401` is kept on
-purpose (the benchmark's tracer wraps such module attributes).
+unused-import check (F401), a check for private functions, classes,
+methods and module constants that nothing in their module reads, and a
+check for attributes that a private class assigns on self and nothing in
+its module reads. For imports, `__init__.py` is skipped because it
+re-exports, `__future__` imports are directives, and an import marked
+`# noqa: F401` is kept on purpose (the benchmark's tracer wraps such
+module attributes).
 """
 
 import ast
@@ -84,6 +87,23 @@ def unread_private_names(source: str) -> list[str]:
             and name not in used]
 
 
+def unread_private_attributes(source: str) -> list[str]:
+    """`line N: Class.name` for every attribute that a private class
+    assigns on self and its module never reads."""
+    tree = ast.parse(source)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and not isinstance(node.ctx, ast.Store)}
+    return [f"line {node.lineno}: {cls.name}.{node.attr}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and node.attr not in read]
+
+
 @pytest.mark.parametrize("module", sorted(
     path.name for path in SRC.glob("*.py") if path.name != "__init__.py"))
 def test_no_unused_imports(module):
@@ -96,10 +116,27 @@ def test_no_unread_private_names(module):
     assert unread_private_names((SRC / module).read_text()) == []
 
 
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in SRC.glob("*.py")))
+def test_no_unread_private_attributes(module):
+    assert unread_private_attributes((SRC / module).read_text()) == []
+
+
 def test_check_finds_a_planted_private_function():
     source = (SRC / "verifier.py").read_text()
     assert unread_private_names("def _unused(): pass\n" + source) == \
         ["line 1: _unused"]
+
+
+def test_check_finds_a_planted_attribute():
+    source = (SRC / "sequentializer.py").read_text()
+    planted = source.replace(
+        "        self.loops = loops  # original lines of enclosing loops\n",
+        "        self.loops = loops  # original lines of enclosing loops\n"
+        "        self.unread = None\n")
+    line = planted.splitlines().index("        self.unread = None") + 1
+    assert unread_private_attributes(planted) == \
+        [f"line {line}: _Anchor.unread"]
 
 
 def test_check_finds_a_planted_import():

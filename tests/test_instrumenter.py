@@ -13,8 +13,10 @@ from mcfl.parser import parse
 from mcfl.sequentializer import Schedule, Segment, sequentialize
 from mcfl.syntax import (
     Assert,
+    Assign,
     Assume,
     IntLit,
+    Nondet,
     line_table,
     pretty_print,
     program_stmts,
@@ -67,6 +69,18 @@ class TestInstrument:
         assert sorted(eligible.values()) == [
             "assign", "assign", "assign", "cond", "cond"]
 
+    def test_header_and_site_picks_are_recorded(self, fault_instr):
+        table = line_table(fault_instr.program)
+        header = table[fault_instr.header_line]
+        assert (header.name, header.expr) == (
+            fault_instr.diag_var, Nondet(0, max(fault_instr.diag_domain)))
+        assert sorted(fault_instr.site_picks) == \
+            sorted(fault_instr.wrap_sites.values())
+        for line, pick in fault_instr.site_picks.items():
+            stmt = table[line]
+            wrap = stmt.expr if isinstance(stmt, Assign) else stmt.cond
+            assert wrap.then_expr is pick
+
     def test_original_asserts_are_gone(self, fault_instr):
         asserts = [s for s in program_stmts(fault_instr.program)
                    if isinstance(s, Assert)]
@@ -78,8 +92,6 @@ class TestInstrument:
         # the pinned nondet assignments keep their original lines out of
         # the domain
         table = line_table(fault_seq.program)
-        from mcfl.syntax import Assign, Nondet
-
         nondet_lines = {ln for ln, s in table.items()
                         if isinstance(s, Assign)
                         and isinstance(s.expr, Nondet)}

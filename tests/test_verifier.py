@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from mcfl.instrumenter import NothingToInstrument, instrument
-from mcfl.localizer import _diag_header, _diag_sites, _diagnose, localize
+from mcfl.localizer import _diagnose, localize
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize, unwind_calls
 from mcfl.syntax import Assign, IntLit, Nondet
@@ -686,7 +686,7 @@ def _ordered(program, config):
     compiled = program if isinstance(program, CompiledProgram) \
         else CompiledProgram(program)
     machine = _Machine(compiled, config)
-    result = _explore(machine)
+    result = _explore(machine, done={})
     cex = None
     if result[0] == "violation":
         cex = counterexample_to_json(_build_counterexample(
@@ -817,21 +817,17 @@ class TestStateCache:
             p, extract_schedule(cex), cex.violation.kind == "deadlock"))
         seq_cfg = replace(cfg, context_bound=0, deadlock_check=False)
         compiled = CompiledProgram(model.program).with_constant(
-            _diag_header(model), 0)
-        sites = _diag_sites(model)
+            model.header_line, 0)
+        sites = model.site_picks
         self._agree(compiled, seq_cfg, sites)
-        # one thread: no state is keyed, so nothing is skipped
+        # a site search runs uncached, so nothing is skipped
         assert verify(compiled, seq_cfg, sites=sites).pruned == 0
 
-    @pytest.mark.parametrize("check,counts", [
-        ("== 0", (131, 26)), ("< 5", (225, 52))])
-    def test_subtree_that_deferred_a_pick_is_not_cached(self, check,
-                                                        counts):
+    @pytest.mark.parametrize("check,states", [("== 0", 247), ("< 5", 457)])
+    def test_site_searches_do_not_cache(self, check, states):
         # both orders of the workers' first statements reach the same state
-        # before main reaches the site g = 0; the first order's subtree
-        # defers the pick, which is still to run when its marker pops, so
-        # the second is searched as well. (Caching it would expand 118 and
-        # 210 states, with the same records.)
+        # before main reaches the site g = 0, and the first order's subtree
+        # defers the pick; the site search skips neither, and searches both
         p = parse("""int x = 0;
 int y = 0;
 pthread_t h1;
@@ -855,7 +851,7 @@ int main() {
         mine, theirs = self._agree(p, VerifierConfig(), {12: Nondet(1, 1)})
         assert [g[0] for g in mine[3]] == ([12] if check == "== 0" else [])
         result = verify(p, VerifierConfig(), sites={12: Nondet(1, 1)})
-        assert (result.states, result.pruned) == counts
+        assert (result.states, result.pruned) == (states, 0)
 
     @pytest.mark.parametrize("deadlock", [False, True])
     @pytest.mark.parametrize("context_bound", [1, 2, 4])
@@ -973,9 +969,9 @@ int main() {
             ("safe-within-bounds", 6, 0)
 
     def test_first_path_keeps_exact_switch_counts(self):
-        # the state's subtree with one switch used finishes without a leaf;
-        # with three used, b = 3 ends on the budget, which is the uncached
-        # search's first leaf
+        # every path on which main reaches assume(0) dies; the first leaf
+        # runs main's a = 1 between w's steps and, with all three switches
+        # used, ends on the budget once w exits
         kind, steps, valuation = first_path(parse(SWITCH_PROBE),
                                             VerifierConfig(context_bound=3))
         assert kind == "budget"
@@ -1047,8 +1043,8 @@ class TestLazyDiagnosis:
                      g.nondet_choices) for g in lazy.records]
             outcome, _, bound_hit, groups, states = _uncached(
                 model.program, seq_cfg, group_by=model.diag_var)
-            header = _diag_header(model)
-            assert all(choices[0][0] == header for *_, choices in groups)
+            assert all(choices[0][0] == model.header_line
+                       for *_, choices in groups)
             theirs = [(value, violation, choices[1:])
                       for value, violation, choices in groups]
             assert lazy.states <= states, name
