@@ -69,11 +69,13 @@ def _seq_config(config: VerifierConfig) -> VerifierConfig:
 
 def _diagnose(instr: InstrumentedProgram, config: VerifierConfig):
     """The lazy-decision search of the model: its header draw runs as
-    diag = 0, which passes the domain assume, and each wrap site is a site
-    whose pick runs the wrapped nondet()."""
+    diag = 0, which passes the domain assume, each wrap site is a site
+    whose pick runs the wrapped nondet(), and only the final assert(0)
+    counts as a picked path's violation."""
     model = CompiledProgram(instr.program).with_constant(
         instr.header_line, 0)
-    return verify(model, _seq_config(config), sites=instr.site_picks)
+    return verify(model, _seq_config(config), sites=instr.site_picks,
+                  goal=instr.assert_false_line)
 
 
 def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:

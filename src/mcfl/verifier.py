@@ -483,7 +483,8 @@ class _Site(NamedTuple):
 
 # the decision of a path outside a lazy-decision search, or before it has
 # picked or declined a site: (picked site, 0 while undecided; the sites
-# declined)
+# declined, or for a picked site the value it keeps, None before its first
+# run)
 _UNDECIDED = (0, frozenset())
 
 
@@ -547,14 +548,20 @@ class _Ctx:
         self.choices = (self.choices, (self.line, value))
         return value
 
-    def decide(self, line: int) -> bool:
-        """Whether the path picked the site at line. An undecided path
+    def site(self, site: _Site) -> int:
+        """The value of a candidate site on this path. An undecided path
         declines a site it runs for the rest of the path; the search runs
-        the pick later, from the state before the step."""
-        picked, declined = self.decision
-        if not picked and line not in declined:
-            self.decision = (0, declined | {line})
-        return picked == line
+        the pick later, from the state before the step. A path that picked
+        the site keeps the value of its first run there."""
+        picked, kept = self.decision
+        if picked != site.line:
+            if not picked and site.line not in kept:
+                self.decision = (0, kept | {site.line})
+            return _eval(site.default, self)
+        if kept is None:
+            kept = _eval(site.pick, self)
+            self.decision = (picked, kept)
+        return kept
 
 
 def _put(items: tuple, i: int, value) -> tuple:
@@ -601,8 +608,7 @@ def _eval(expr: Expr, ctx: _Ctx) -> int:
         cond = _eval(expr.cond, ctx)
         return _eval(expr.then_expr if cond != 0 else expr.else_expr, ctx)
     if isinstance(expr, _Site):
-        return _eval(expr.pick if ctx.decide(expr.line) else expr.default,
-                     ctx)
+        return ctx.site(expr)
     raise ModelError(f"cannot evaluate {expr!r}")
 
 
@@ -652,7 +658,7 @@ class _Control(NamedTuple):
     per_entry: tuple[int | None, ...]
     cum_iters: tuple[int, ...]  # completed iterations, in total
     last_thread: int | None
-    decision: tuple[int, frozenset[int]] = _UNDECIDED
+    decision: tuple[int, frozenset[int] | int | None] = _UNDECIDED
 
 
 class _State(NamedTuple):
@@ -1357,11 +1363,14 @@ class _SiteSearch:
     ends the search, recorded as site 0; with every_path it instead
     records every site the path has not declined, and an undecided path
     that has declined every site not recorded is dropped, since it can
-    neither fail one nor pick one."""
+    neither fail one nor pick one. Given a goal line, a picked path fails
+    only by a violation there; any other violation just ends it."""
 
-    def __init__(self, lines: Iterable[int], every_path: bool):
+    def __init__(self, lines: Iterable[int], every_path: bool,
+                 goal: int | None = None):
         self.lines = frozenset(lines)
         self.every_path = every_path
+        self.goal = goal
         self.records: dict[int, SiteRecord] = {}
         self.open = set(self.lines)  # the sites not recorded
         # deferred picks (site, state before it with the site picked,
@@ -1374,8 +1383,8 @@ class _SiteSearch:
         undecided state runs, if it is one the path has not declined."""
         line = machine.codes[tid].instrs[state.threads[tid].pc].line
         if line in self.lines and line not in state.control.decision[1]:
-            # a picked path declines nothing, so the set is not kept
-            picked = state.control._replace(decision=(line, frozenset()))
+            # a picked path declines nothing; its value is drawn at the pick
+            picked = state.control._replace(decision=(line, None))
             self.picks.append((line, state._replace(control=picked), tid))
 
     def next_pick(self, machine: _Machine, stack: list) -> bool:
@@ -1395,6 +1404,8 @@ class _SiteSearch:
         """Records a failure on a path with that decision; True if it ends
         the search."""
         picked, declined = decision
+        if picked and self.goal and violation.line != self.goal:
+            return False  # ends the path, as a failed assume does
         found = SiteRecord(picked, violation, _unlink(state.choices))
         if picked:
             self.records[picked] = found
@@ -1534,16 +1545,19 @@ def _explore(machine: _Machine, first_leaf: bool = False,
 
 
 def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
-           sites: dict[int, Expr] | None = None) -> VerificationResult:
+           sites: dict[int, Expr] | None = None,
+           goal: int | None = None) -> VerificationResult:
     """Explores all interleavings within bounds; returns the first violation
     in the fixed exploration order, or safe-within-bounds.
 
     With sites, a map from lines of main to expressions (see
     CompiledProgram.with_sites), one lazy-decision search collects into
-    `records`, sorted by line, the first violation of every site picked.
+    `records`, sorted by line, the first violation of every site picked;
+    given a goal line, only a violation there counts on a picked path.
     Each path decides a site only when it first runs it: declining it for
     the rest of the path first, then picking it, so the paths share their
-    undecided prefix. A violation on a path that picked no site ends the
+    undecided prefix; a picked site keeps the value of its first run for
+    the rest of the path. A violation on a path that picked no site ends the
     search as outcome 'violation' and is the only record, with site 0; the
     search otherwise ends 'safe-within-bounds' or, past max_states in
     total, 'resource-exhausted'. No counterexample is built in this mode.
@@ -1559,7 +1573,7 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     compiled = program if isinstance(program, CompiledProgram) \
         else CompiledProgram(program)
     if sites is not None:
-        search = _SiteSearch(sites, every_path=False)
+        search = _SiteSearch(sites, every_path=False, goal=goal)
         machine = _Machine(compiled.with_sites(sites), config)
         result = _explore(machine, sites=search)
         counts = {"records": [search.records[line]

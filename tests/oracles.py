@@ -2,14 +2,26 @@
 
 The naive explorer reuses the single-step semantics but replaces the
 search: breadth-first, descending thread order, no first-violation
-discipline — only the safe/violating verdict is compared.
+discipline — only the safe/violating verdict is compared. The uncached
+search is the verifier's depth-first loop as it was before the
+finished-state cache, the partial-order reduction and the lazy site
+decisions, kept as the reference for all three.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from mcfl.verifier import CompiledProgram, VerifierConfig, _Machine
+from mcfl.verifier import (
+    CompiledProgram,
+    VerifierConfig,
+    Violation,
+    _build_counterexample,
+    _Machine,
+    _SiteSearch,
+    _unlink,
+    counterexample_to_json,
+)
 
 
 def naive_violates(program, config: VerifierConfig) -> bool:
@@ -43,3 +55,123 @@ def naive_violates(program, config: VerifierConfig) -> bool:
                 if outcome[0] == "state":
                     queue.append(outcome[1])
     return False
+
+
+def redrawn(state, site: int) -> bool:
+    """Whether state's path drew two different values at line site."""
+    return len({value for line, value in _unlink(state.choices)
+                if line == site}) > 1
+
+
+def first_draws(choices, site: int):
+    """choices without the draws at line site after its first."""
+    first = next((i for i, (line, _) in enumerate(choices) if line == site),
+                 len(choices))
+    return choices[:first + 1] + [c for c in choices[first + 1:]
+                                  if c[0] != site]
+
+
+def uncached(program, config, group_by=None, sites=None, goal=None,
+             fixed=None, first=False):
+    """Reference search without the finished-state cache: the DFS loop the
+    verifier ran before it had one. With group_by, the grouped search that
+    draws the value of that local of main at the root and records the
+    first violation of each nonzero value, in discovery order (with first,
+    it stops at the first record); with sites, the verifier's
+    lazy-decision search. Returns (outcome, counterexample JSON, bound_hit,
+    records, states).
+
+    The grouped search takes the diagnosis model's two rules from goal and
+    fixed: on a path with a nonzero value, a violation at a line other
+    than goal ends the path, and the site fixed[value] keeps the value it
+    draws first, so a path that draws another one there is dropped."""
+    compiled = program if isinstance(program, CompiledProgram) \
+        else CompiledProgram(program)
+    search = None
+    if sites is not None:
+        compiled = compiled.with_sites(sites)
+        search = _SiteSearch(sites, every_path=False)
+    machine = _Machine(compiled, config)
+    groups = []
+    stack = [("state", machine.initial_state())]
+    visited = 0
+    fixed = fixed or {}
+
+    names = compiled.thread_codes[0].names
+    slot = names.index(group_by) if group_by in names else None
+
+    def group_value(state):
+        return None if slot is None else state.threads[0].locals[slot]
+
+    def violated(violation, state):
+        cex = None
+        if group_by is None and search is None:
+            cex = counterexample_to_json(_build_counterexample(
+                compiled, _unlink(state.trace), _unlink(state.choices),
+                violation))
+        return ("violation", cex, machine.bound_hit, records(), visited)
+
+    def records():
+        if search is None:
+            return groups
+        return [(g.site, g.violation, g.nondet_choices)
+                for _, g in sorted(search.records.items())]
+
+    def dropped(state):
+        if not fixed:
+            return False
+        site = fixed.get(group_value(state))
+        return site is not None and state.trace[1][1] == site and \
+            redrawn(state, site)
+
+    while stack or search is not None and search.next_pick(machine, stack):
+        kind = stack.pop()
+        if kind[0] == "violation":
+            if search is not None:
+                if search.fail(kind[1], kind[2].control.decision, kind[2],
+                               stack):
+                    return violated(kind[1], kind[2])
+                continue
+            if group_by is not None:
+                value = group_value(kind[2])
+                if value and goal is not None and kind[1].line != goal:
+                    continue
+                groups.append((value, kind[1], _unlink(kind[2].choices)))
+                if value and not first:
+                    while stack and group_value(stack[-1][-1]) == value:
+                        stack.pop()
+                    continue
+            return violated(kind[1], kind[2])
+        if kind[0] == "cut":
+            machine.bound_hit = True
+            continue
+        state = kind[1]
+        visited += 1
+        if visited > config.max_states:
+            return ("resource-exhausted", None, machine.bound_hit, records(),
+                    visited)
+        live = machine.live_threads(state)
+        classes = {tid: machine.classify(state, tid) for tid in live}
+        eligible = [tid for tid in live if classes[tid] == "eligible"]
+        if live and not eligible:
+            if config.deadlock_check and all(
+                    c == "sync" for c in classes.values()):
+                return violated(
+                    Violation("deadlock", None, tuple(sorted(live))), state)
+            continue
+        pushes = []
+        for tid in eligible:
+            if state.last_thread not in (None, tid) and \
+                    state.switches >= config.context_bound:
+                continue
+            if search is not None and not state.control.decision[0]:
+                search.defer(machine, state, tid)
+            for outcome in machine.step(state, tid):
+                if outcome[0] == "kill":
+                    if outcome[1] == "bound":
+                        pushes.append(("cut", outcome[2], state))
+                    continue
+                if not dropped(outcome[-1]):
+                    pushes.append(outcome)
+        stack.extend(reversed(pushes))
+    return ("safe-within-bounds", None, machine.bound_hit, records(), visited)

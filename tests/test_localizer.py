@@ -27,6 +27,7 @@ from mcfl.verifier import (
 )
 
 from conftest import BENCH_DIR, bench_source, bign_source
+from oracles import uncached
 from randprog import generate_callee_source, generate_source
 
 
@@ -214,7 +215,10 @@ def _reparse_validates(seq, d, witness, config, program=None):
 def _block_and_reverify(program, config):
     """Reference enumeration: verify the diagnosis model, block the diag
     value found, and verify again until the model passes, one run per
-    diagnosis. Returns (status, diagnosis tuples) comparable to localize."""
+    diagnosis. Each run is the uncached search under the model's two
+    rules: with a nonzero diag only the final assert(0) counts, and the
+    wrap site keeps the value it draws first. Returns (status, diagnosis
+    tuples) comparable to localize."""
     first = verify(program, replace(config, deadlock_check=True))
     if first.outcome == "resource-exhausted":
         return "resource-exhausted", []
@@ -230,19 +234,20 @@ def _block_and_reverify(program, config):
     run_cfg = replace(config, context_bound=0, deadlock_check=False)
     found = []
     for iteration in range(1, len(instr.diag_domain) + 2):
-        result = verify(instr.program, run_cfg)
-        if result.outcome == "resource-exhausted":
+        outcome, _, _, groups, _ = uncached(
+            instr.program, run_cfg, group_by=instr.diag_var,
+            goal=instr.assert_false_line, fixed=instr.wrap_sites, first=True)
+        if outcome == "resource-exhausted":
             return "resource-exhausted", found
-        if result.outcome == "safe-within-bounds":
+        if outcome == "safe-within-bounds":
             break
-        path = result.counterexample
-        d = path.final_valuation.get(instr.diag_var)
+        ((d, _, choices),) = groups
         if d is None or d not in instr.diag_domain:
             found.append((d or 0, None, None, iteration, False))
             return "inconclusive", found
         site = instr.wrap_sites[d]
         witness = None
-        for line, value in path.nondet_choices:
+        for line, value in choices:
             if line == site:
                 witness = value
         validated = witness is not None and _reparse_validates(
@@ -418,3 +423,62 @@ class TestReportJson:
         assert report_to_json(loaded) == text
         assert loaded.status == report.status
         assert loaded.diagnoses == report.diagnoses
+
+
+# a thread zeroes y between main's y = 1 and its division; y = 2 both
+# avoids the division by zero and makes x == 5
+DIVISION_PROBE = """int x = 0;
+int y = 0;
+pthread_t h;
+void w() {
+  y = 0;
+}
+int main() {
+  pthread_create(h, w);
+  y = 1;
+  x = 10 / y;
+  assert(x == 5);
+}
+"""
+
+
+def _sound(report, config) -> bool:
+    """Every diagnosis is validated and in the brute-force oracle's set."""
+    lines = {line for line, _ in brute_force_diagnoses(report.sequential,
+                                                        config)}
+    return all(d.oracle_validated and d.seq_line in lines
+               for d in report.diagnoses)
+
+
+class TestOneGoalOneWitness:
+    """A diagnosis is a value that lets the model reach its final
+    assert(0), kept on every run of the line: a witness that only moves
+    the failure elsewhere, such as to a division by zero, is none."""
+
+    def test_division_probe(self, default_config):
+        report = localize(parse(DIVISION_PROBE), default_config)
+        assert report.status == "faults-found"
+        assert [(d.original_line, d.witness_value, d.oracle_validated)
+                for d in report.diagnoses] == [(6, 2, True), (7, 5, True)]
+        assert _sound(report, default_config)
+
+    @pytest.mark.parametrize("seed", [11, 75, 97, 135, 170, 220, 240])
+    def test_division_seeds_are_sound(self, seed, default_config):
+        report = localize(parse(generate_source(seed, with_div=True)),
+                          default_config)
+        assert report.status == "faults-found"
+        assert _sound(report, default_config)
+
+    @pytest.mark.parametrize("family", ["division", "threads3"])
+    def test_faults_found_reports_are_sound(self, family, default_config):
+        seeds = range(300) if family == "division" else range(150)
+        found = 0
+        for seed in seeds:
+            source = generate_source(seed, with_div=True) \
+                if family == "division" else \
+                generate_source(seed, max_threads=3)
+            report = localize(parse(source), default_config)
+            if report.status == "faults-found":
+                assert _sound(report, default_config), seed
+                found += 1
+        assert found > 20

@@ -23,7 +23,6 @@ from mcfl.verifier import (
     _explore,
     _Machine,
     _Reduction,
-    _SiteSearch,
     _unlink,
     counterexample_from_json,
     counterexample_to_json,
@@ -35,7 +34,7 @@ from mcfl.verifier import (
 )
 
 from conftest import BENCH_DIR, bign_source
-from oracles import naive_violates
+from oracles import first_draws, naive_violates, uncached
 from randprog import generate_callee_source, generate_source
 
 ABBA = """pthread_mutex_t ma;
@@ -579,91 +578,6 @@ class TestCounterexampleJson:
         assert counterexample_to_json(loaded) == text
 
 
-def _uncached(program, config, group_by=None, sites=None):
-    """Reference search without the finished-state cache: the DFS loop the
-    verifier ran before it had one, kept only here. With group_by, the
-    grouped search that draws the value of that local of main at the root
-    and records the first violation of each nonzero value, in discovery
-    order; with sites, the verifier's lazy-decision search. Returns the
-    summary _cached returns."""
-    compiled = program if isinstance(program, CompiledProgram) \
-        else CompiledProgram(program)
-    search = None
-    if sites is not None:
-        compiled = compiled.with_sites(sites)
-        search = _SiteSearch(sites, every_path=False)
-    machine = _Machine(compiled, config)
-    groups = []
-    stack = [("state", machine.initial_state())]
-    visited = 0
-
-    def group_value(state):
-        return machine.variables(state, 0).get(group_by)
-
-    def violated(violation, state):
-        cex = None
-        if group_by is None and search is None:
-            cex = counterexample_to_json(_build_counterexample(
-                compiled, _unlink(state.trace), _unlink(state.choices),
-                violation))
-        return ("violation", cex, machine.bound_hit, records(), visited)
-
-    def records():
-        if search is None:
-            return groups
-        return [(g.site, g.violation, g.nondet_choices)
-                for _, g in sorted(search.records.items())]
-
-    while stack or search is not None and search.next_pick(machine, stack):
-        kind = stack.pop()
-        if kind[0] == "violation":
-            if search is not None:
-                if search.fail(kind[1], kind[2].control.decision, kind[2],
-                               stack):
-                    return violated(kind[1], kind[2])
-                continue
-            if group_by is not None:
-                value = group_value(kind[2])
-                groups.append((value, kind[1], _unlink(kind[2].choices)))
-                if value:
-                    while stack and group_value(stack[-1][-1]) == value:
-                        stack.pop()
-                    continue
-            return violated(kind[1], kind[2])
-        if kind[0] == "cut":
-            machine.bound_hit = True
-            continue
-        state = kind[1]
-        visited += 1
-        if visited > config.max_states:
-            return ("resource-exhausted", None, machine.bound_hit, records(),
-                    visited)
-        live = machine.live_threads(state)
-        classes = {tid: machine.classify(state, tid) for tid in live}
-        eligible = [tid for tid in live if classes[tid] == "eligible"]
-        if live and not eligible:
-            if config.deadlock_check and all(
-                    c == "sync" for c in classes.values()):
-                return violated(
-                    Violation("deadlock", None, tuple(sorted(live))), state)
-            continue
-        pushes = []
-        for tid in eligible:
-            if state.last_thread not in (None, tid) and \
-                    state.switches >= config.context_bound:
-                continue
-            if search is not None and not state.control.decision[0]:
-                search.defer(machine, state, tid)
-            for outcome in machine.step(state, tid):
-                if outcome[0] == "kill":
-                    if outcome[1] == "bound":
-                        pushes.append(("cut", outcome[2], state))
-                    continue
-                pushes.append(outcome)
-        stack.extend(reversed(pushes))
-    return ("safe-within-bounds", None, machine.bound_hit, records(), visited)
-
-
 def _cached(program, config, sites=None):
     """(outcome, counterexample JSON, bound_hit, records, states)."""
     result = verify(program, config, sites=sites)
@@ -774,7 +688,7 @@ class TestStateCache:
         sites, verify's result is checked as well, and the cached summary
         is the ordered search's, whose states the cache bounds."""
         mine = _cached(program, config, sites)
-        theirs = _uncached(program, config, sites=sites)
+        theirs = uncached(program, config, sites=sites)
         assert mine[:4] == theirs[:4], label
         if sites is None:
             mine = _ordered(program, config)[0]
@@ -926,7 +840,7 @@ int main() {
         cfg = VerifierConfig(max_states=5000)
         ordered = _ordered(p, cfg)[0]
         assert (ordered[0], ordered[4]) == ("resource-exhausted", 5001)
-        assert ordered == _uncached(p, cfg)
+        assert ordered == uncached(p, cfg)
         # verify runs out in the reduced search, then in the ordered one
         result = verify(p, cfg)
         assert (result.outcome, result.reduced_states, result.states,
@@ -1022,10 +936,13 @@ def _diagnosis_models(family, config):
 
 class TestLazyDiagnosis:
     """The diagnosis search decides diag lazily; the search that draws it
-    at the root, kept here as _uncached(group_by=...), is the reference.
+    at the root, kept as oracles.uncached(group_by=...), is the reference,
+    under the same two rules: only the final assert(0) counts on a path
+    with a nonzero diag, and a wrap site keeps the value it draws first.
     Wherever neither runs out, both give the same records (line,
-    violation, and nondet choices without the header draw), outcome and
-    loop-bound flag, and the lazy search never expands more states."""
+    violation, and nondet choices without the header draw and without the
+    reference's repeated draws at the site), outcome and loop-bound flag,
+    and the lazy search never expands more states."""
 
     @pytest.mark.parametrize("family", ["ports", "division", "threads3",
                                         "callee"])
@@ -1041,12 +958,14 @@ class TestLazyDiagnosis:
             diag_of_site = {site: d for d, site in model.wrap_sites.items()}
             mine = [(diag_of_site.get(g.site, 0), g.violation,
                      g.nondet_choices) for g in lazy.records]
-            outcome, _, bound_hit, groups, states = _uncached(
-                model.program, seq_cfg, group_by=model.diag_var)
+            outcome, _, bound_hit, groups, states = uncached(
+                model.program, seq_cfg, group_by=model.diag_var,
+                goal=model.assert_false_line, fixed=model.wrap_sites)
             assert all(choices[0][0] == model.header_line
                        for *_, choices in groups)
-            theirs = [(value, violation, choices[1:])
-                      for value, violation, choices in groups]
+            theirs = [(value, violation, first_draws(
+                choices[1:], model.wrap_sites.get(value)))
+                for value, violation, choices in groups]
             assert lazy.states <= states, name
             if "resource-exhausted" in (lazy.outcome, outcome):
                 continue
@@ -1064,7 +983,7 @@ class TestLazyDiagnosis:
         assert len(report.diagnoses) == 31
         assert all(d.oracle_validated for d in report.diagnoses)
         model = report.instrumented
-        assert _uncached(model.program, replace(
+        assert uncached(model.program, replace(
             config, context_bound=0, deadlock_check=False),
             group_by=model.diag_var)[0] == "resource-exhausted"
 
