@@ -5,6 +5,8 @@ line's effect is replaced by an unconstrained value when diag names it;
 original assertions become assumptions, and a final `assert(0)` marks
 successful completion. A verification run that reaches the final assertion
 has found a diag value whose line, when changed, lets the program pass.
+The localizer does not search this model: it runs the sequential program
+under the model's rules, with the picks of site_picks.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class InstrumentedProgram:
     # program, used to read the witness value off a counterexample
     wrap_sites: dict[int, int] = field(default_factory=dict, repr=False)
     assert_false_line: int = 0
-    header_line: int = 0  # the line of `diag = nondet(0, max)`
-    # line of each wrapped statement -> the nondet() it runs when diag
-    # names it
-    site_picks: dict[int, Expr] = field(default_factory=dict, repr=False)
 
 
 def eligible_lines(seq: SequentialProgram) -> dict[int, str]:
@@ -84,6 +82,13 @@ def eligible_lines(seq: SequentialProgram) -> dict[int, str]:
     return result
 
 
+def site_picks(seq: SequentialProgram) -> dict[int, Nondet]:
+    """The nondet() each eligible line runs in place of its value when diag
+    names it: any value for an assignment, 0 or 1 for a condition."""
+    return {line: Nondet() if kind == "assign" else Nondet(0, 1)
+            for line, kind in eligible_lines(seq).items()}
+
+
 def instrument(seq: SequentialProgram) -> InstrumentedProgram:
     return _instrument_core(seq, set())
 
@@ -101,23 +106,20 @@ def block_diag(instr: InstrumentedProgram, value: int) -> InstrumentedProgram:
 
 def _instrument_core(seq: SequentialProgram,
                      blocked: set[int]) -> InstrumentedProgram:
-    domain = eligible_lines(seq)
-    if not domain:
+    picks = site_picks(seq)
+    if not picks:
         raise NothingToInstrument(
             "no assignment or condition is eligible for diagnosis")
     program = clone(seq.program)
     diag = NamePool({getattr(s, "name", "") for s in program_stmts(program)}
                     ).fresh("diag")
 
-    wrapped = {s.line: s for s in program_stmts(program) if s.line in domain}
-    picks: dict[int, Nondet] = {}
+    wrapped = {s.line: s for s in program_stmts(program) if s.line in picks}
     for line, stmt in wrapped.items():
         picked = Binary("==", Var(diag), IntLit(line))
-        if domain[line] == "assign":
-            picks[line] = Nondet()
+        if isinstance(stmt, Assign):
             stmt.expr = Ternary(picked, picks[line], stmt.expr)
         else:
-            picks[line] = Nondet(0, 1)
             stmt.cond = Ternary(picked, picks[line], stmt.cond)
 
     _asserts_to_assumes(program.main.body)
@@ -128,26 +130,23 @@ def _instrument_core(seq: SequentialProgram,
     final_assert = Assert(IntLit(0))
     body.append(final_assert)
 
-    draw = Assign(diag, Nondet(0, max(domain)))
-    header: list[Stmt] = [Decl(diag), draw]
+    header: list[Stmt] = [Decl(diag), Assign(diag, Nondet(0, max(picks)))]
     for b in sorted(blocked):
         header.append(Assume(Binary("!=", Var(diag), IntLit(b))))
     header.append(Assume(_any_of(
-        [Binary("==", Var(diag), IntLit(v)) for v in [0] + sorted(domain)])))
+        [Binary("==", Var(diag), IntLit(v)) for v in [0] + sorted(picks)])))
     program.main.body.stmts = header + body
 
     renumber(program)
 
     return InstrumentedProgram(
         program=program,
-        diag_domain=set(domain),
+        diag_domain=set(picks),
         blocked=set(blocked),
         diag_var=diag,
         seq=seq,
         wrap_sites={d: stmt.line for d, stmt in wrapped.items()},
         assert_false_line=final_assert.line,
-        header_line=draw.line,
-        site_picks={stmt.line: picks[d] for d, stmt in wrapped.items()},
     )
 
 

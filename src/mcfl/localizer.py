@@ -1,13 +1,14 @@
 """End-to-end fault localization driver.
 
 Verify the concurrent program, classify the violation, sequentialize along
-the failing schedule, instrument, then collect every diag value that lets
-the instrumented model pass in one lazy-decision search: the model's header
-draw runs as diag = 0, and a path decides diag only when it first reaches a
-wrapped line, so all values share the unchanged prefix; the first passing
-path of each value is recorded. Every reported line is then checked against
-the substitution oracle, all of them in one more lazy-decision search of
-the sequential program.
+the failing schedule and instrument it. Then one lazy-decision search of
+the sequential program, under the diagnosis model's rules, both finds
+every diag value that lets the model pass and checks each against the
+substitution oracle: a path decides diag only when it first reaches an
+eligible line, so all values share the unchanged prefix. A picked line's
+witness is the value of the first path that reaches the end of main, where
+the model's final assert(0) stands, and the line validates when every path
+that runs it with the witness passes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .instrumenter import (
     NothingToInstrument,
     eligible_lines,
     instrument,
+    site_picks,
 )
 from .sequentializer import SequentialProgram, sequentialize
 from .syntax import IntLit, Program
@@ -30,7 +32,6 @@ from .verifier import (
     VerifierConfig,
     extract_schedule,
     first_path,
-    passing_sites,
     verify,
 )
 
@@ -67,17 +68,6 @@ def _seq_config(config: VerifierConfig) -> VerifierConfig:
     return replace(config, context_bound=0, deadlock_check=False)
 
 
-def _diagnose(instr: InstrumentedProgram, config: VerifierConfig):
-    """The lazy-decision search of the model: its header draw runs as
-    diag = 0, which passes the domain assume, each wrap site is a site
-    whose pick runs the wrapped nondet(), and only the final assert(0)
-    counts as a picked path's violation."""
-    model = CompiledProgram(instr.program).with_constant(
-        instr.header_line, 0)
-    return verify(model, _seq_config(config), sites=instr.site_picks,
-                  goal=instr.assert_false_line)
-
-
 def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     timings: dict[str, float] = {}
 
@@ -108,54 +98,25 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
                                deadlock=deadlock, sequential=seq)
     timings["instrument"] = time.perf_counter() - t0
 
-    diagnoses: list[Diagnosis] = []
-    status = None
+    # the model's rules, run on the sequential program: every eligible line
+    # is a site, the end of main stands for the final assert(0), and a
+    # failure ends a path as the assume it became does
     t0 = time.perf_counter()
-    search = _diagnose(instr, config)
+    search = verify(CompiledProgram(seq.program), _seq_config(config),
+                    sites=site_picks(seq))
     timings["diagnose"] = time.perf_counter() - t0
-    diag_of_site = {site: d for d, site in instr.wrap_sites.items()}
-    # one record per wrap site, by line, so iteration is the run in which
-    # block-and-reverify would find it
-    for iteration, found in enumerate(search.records, start=1):
-        if not found.site:
-            # the model passes without touching any known line; the method
-            # cannot explain this fault
-            diagnoses.append(Diagnosis(
-                seq_line=0,
-                original_line=None,
-                witness_value=None,
-                iteration=iteration,
-                oracle_validated=False,
-            ))
-            status = "inconclusive"
-            break
-        witness = None
-        for line, value in found.nondet_choices:
-            if line == found.site:
-                witness = value
-        d = diag_of_site[found.site]
-        diagnoses.append(Diagnosis(
-            seq_line=d,
-            original_line=seq.original_line(d),
-            witness_value=witness,
-            iteration=iteration,
-            oracle_validated=False,
-        ))
+    # validation ran in the same search; this reads off its verdicts. One
+    # record per site, by line, so iteration is the run in which
+    # block-and-reverify would find it; site 0 means the model passes
+    # without touching any known line, which the method cannot explain
     t0 = time.perf_counter()
-    witnesses = {diagnosis.seq_line: diagnosis.witness_value
-                 for diagnosis in diagnoses
-                 if diagnosis.witness_value is not None}
-    if witnesses:
-        validated = validate_diag(CompiledProgram(seq.program), witnesses,
-                                  config)
-        for diagnosis in diagnoses:
-            diagnosis.oracle_validated = diagnosis.seq_line in validated
+    diagnoses = [Diagnosis(found.site, seq.original_line(found.site),
+                           found.witness, iteration, found.validated)
+                 for iteration, found in enumerate(search.records, start=1)]
     timings["validate"] = time.perf_counter() - t0
-    if search.outcome == "resource-exhausted":
-        status = "resource-exhausted"
-
-    if status is None:
-        status = "faults-found" if diagnoses else "inconclusive"
+    status = {"violation": "inconclusive",
+              "resource-exhausted": "resource-exhausted"}.get(
+        search.outcome, "faults-found" if diagnoses else "inconclusive")
     return DiagnosisReport(
         status=status,
         diagnoses=diagnoses,
@@ -172,11 +133,14 @@ def validate_diag(compiled: CompiledProgram, witnesses: dict[int, int],
                   config: VerifierConfig) -> set[int]:
     """The lines d of witnesses such that fixing line d to the constant
     witnesses[d] makes the compiled sequential program verify clean, with
-    no loop left running at the bound. One search checks them all and
-    shares the unchanged prefix; max_states bounds it as a whole, and a
+    no loop left running at the bound. It is the search localize runs,
+    with each line's pick the constant, so each line has its witness from
+    the start and the search only validates: it checks them all and
+    shares the unchanged prefix. max_states bounds it as a whole, and a
     line it had not settled when the budget ran out does not validate."""
-    return passing_sites(compiled, _seq_config(config), {
-        d: IntLit(witness) for d, witness in witnesses.items()})[0]
+    result = verify(compiled, _seq_config(config), sites={
+        d: IntLit(witness) for d, witness in witnesses.items()})
+    return {found.site for found in result.records if found.validated}
 
 
 def brute_force_diagnoses(seq: SequentialProgram,

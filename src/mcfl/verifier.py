@@ -14,12 +14,14 @@ run stepping through their domains in order; a replay runs the same step
 code with every draw taking the recorded value, so search and replay cannot
 disagree on how a value is drawn.
 
-A lazy-decision search takes candidate sites, lines of main each with the
-expression a path runs there once it picks the line. A path decides a site
-only when it first runs it, declining it first and then picking it, and the
-picked paths run after the whole undecided tree, so all sites share the
-unchanged prefix. The diagnosis search (verify with sites) and the
-validation of its diagnoses (passing_sites) are such searches.
+A lazy-decision search (verify with sites) takes candidate sites, lines of
+main each with the expression a path runs there once it picks the line. A
+path decides a site only when it first runs it, declining it first and then
+picking it, and the picked paths run after the whole undecided tree, so all
+sites share the unchanged prefix. One such search over the sequential
+program both diagnoses and validates: a site's witness is the value of the
+first picked path that reaches the end of main, and the site validates when
+every path that runs it with that value passes.
 
 Outside a lazy-decision search, verify caches finished states: once the
 whole subtree below a state with two or more live threads has been explored
@@ -41,11 +43,12 @@ that the running thread holds now. Critical sections and thread-local steps
 so run without preemption points. Running on the last thread never adds a
 context switch (Coons, Musuvathi and McKinley 2013), so the reduced search
 finds a violation, and a loop-bound cut, exactly when the ordered one does.
-Its result is final when it is safe, or when its violation lies on a path
-that never ran a thread ahead of a lower-numbered one: the ordered search
-finds that violation first. Otherwise (a reordered violation, a search that
-ran out, or a ModelError) the ordered search runs, skipping the states the
-reduced one finished. Both share one cache, and the reduced search records a
+Its result is final when it is safe, when it ran out (the two share
+max_states, so none is left), or when its violation lies on a path that
+never ran a thread ahead of a lower-numbered one: the ordered search finds
+that violation first. Otherwise (a reordered violation or a ModelError) the
+ordered search runs with what is left of max_states, skipping the states
+the reduced one finished. Both share one cache, and the reduced search records a
 finished subtree only if it reached no loop-bound cut below it, so the
 ordered search sets the loop-bound flag as it would alone.
 """
@@ -179,13 +182,13 @@ class Counterexample:
 
 @dataclass
 class SiteRecord:
-    """One record of a lazy-decision search: the site the path picked (0 on
-    an undecided path), the violation it reached (None for a path cut at
-    the loop bound) and its nondet choices."""
+    """One diagnosis of a lazy-decision search: the site (0 for an
+    undecided path that ended the search), its witness and whether every
+    path that runs the site with the witness passes."""
 
     site: int
-    violation: Violation | None
-    nondet_choices: list[tuple[int, int]]
+    witness: int | None
+    validated: bool
 
 
 @dataclass
@@ -361,7 +364,12 @@ class CompiledProgram:
 
     def _compile_fn(self, fn: FunctionDef) -> Code:
         code = Code(fn, self.global_scope)
-        self._compile_body(code, fn.body.stmts, [], [])
+        stmts = fn.body.stmts
+        self._compile_body(code, stmts, [], [])
+        # the pc at which the function has reached its end: its final
+        # return, else its end
+        code.end = len(code.instrs) - (
+            bool(stmts) and isinstance(stmts[-1], Return))
         code.emit(Instr("thread_end", 0))
         return code
 
@@ -1348,91 +1356,120 @@ def _entries(state: _State, outcomes: list) -> list[tuple]:
 
 
 class _SiteSearch:
-    """The bookkeeping of a lazy-decision search over the candidate sites of
-    a program made by CompiledProgram.with_sites.
+    """The two books of a lazy-decision search over the candidate sites of
+    a program made by CompiledProgram.with_sites. Diagnosis: a site's
+    witness is its value on the first picked path that reaches the end of
+    main. Validation: the site passes when every path that runs it with
+    the witness passes. A site whose pick is a literal has that value as
+    its witness from the start, so the search only validates it.
 
     A path starts undecided. A step of an undecided path that runs a site
     it has not declined declines it for the rest of the path and defers
     the pick: the search first finishes the whole undecided tree, then
     runs the deferred picks one at a time, in the order they were made,
-    each by stepping the state before the site again with the site picked
-    and searching below. A failure on a path that picked site d records d
-    with it, drops the rest of that pick's subtree and every pending pick
-    of d: a recorded site is never picked again. A failure is a violation
-    and, with every_path, also a loop-bound cut. On an undecided path it
-    ends the search, recorded as site 0; with every_path it instead
-    records every site the path has not declined, and an undecided path
-    that has declined every site not recorded is dropped, since it can
-    neither fail one nor pick one. Given a goal line, a picked path fails
-    only by a violation there; any other violation just ends it."""
+    each by stepping the state before the site again with the site picked.
+    A picked path keeps the value of its first run of the site.
 
-    def __init__(self, lines: Iterable[int], every_path: bool,
-                 goal: int | None = None):
-        self.lines = frozenset(lines)
-        self.every_path = every_path
-        self.goal = goal
-        self.records: dict[int, SiteRecord] = {}
-        self.open = set(self.lines)  # the sites not recorded
+    A failure is a violation or a loop-bound cut, and ends its path. On a
+    picked path it fails that value of the site; on an undecided path it
+    fails every site the path has not declined. While some site has no
+    witness, an undecided path that reaches the end of main or divides by
+    zero instead ends the search, as site 0. Once a site has its witness,
+    the rest of its pick's subtree and its pending picks run with the
+    witness alone, and once the witness has failed, they are dropped."""
+
+    def __init__(self, sites: dict[int, Expr]):
+        self.lines = frozenset(sites)
+        self.witness = {line: wrap64(pick.value)
+                        for line, pick in sites.items()
+                        if isinstance(pick, IntLit)}
+        self.failed: dict[int, set[int]] = {}  # values failed, by site
+        self.refuted: set[int] = set()  # failed by an undecided path
         # deferred picks (site, state before it with the site picked,
         # thread), in the order made
         self.picks: list[tuple[int, _State, int]] = []
         self.ran = 0  # picks[:ran] have run or been dropped
+
+    def invalid(self, line: int) -> bool:
+        """Whether the witness of site line has failed."""
+        return line in self.refuted or \
+            self.witness[line] in self.failed.get(line, ())
 
     def defer(self, machine: _Machine, state: _State, tid: int) -> None:
         """Defers the pick of the site that thread tid's step from the
         undecided state runs, if it is one the path has not declined."""
         line = machine.codes[tid].instrs[state.threads[tid].pc].line
         if line in self.lines and line not in state.control.decision[1]:
-            # a picked path declines nothing; its value is drawn at the pick
             picked = state.control._replace(decision=(line, None))
             self.picks.append((line, state._replace(control=picked), tid))
 
     def next_pick(self, machine: _Machine, stack: list) -> bool:
-        """Runs the next pick of a site not recorded: pushes the entries of
-        its step onto the empty stack. False once none is left."""
+        """Runs the next pick of a site not settled, with its witness once
+        it has one: pushes the entries of its step onto the empty stack.
+        False once none is left."""
         while self.ran < len(self.picks):
             line, state, tid = self.picks[self.ran]
             self.ran += 1
-            if line not in self.records:
-                stack.extend(reversed(_entries(state,
-                                               machine.step(state, tid))))
-                return True
+            if line in self.witness:
+                if self.invalid(line):
+                    continue
+                state = state._replace(control=state.control._replace(
+                    decision=(line, self.witness[line])))
+            stack.extend(reversed(_entries(state, machine.step(state, tid))))
+            return True
         return False
 
     def fail(self, violation: Violation | None, decision: tuple,
-             state: _State, stack: list) -> bool:
-        """Records a failure on a path with that decision; True if it ends
-        the search."""
-        picked, declined = decision
-        if picked and self.goal and violation.line != self.goal:
-            return False  # ends the path, as a failed assume does
-        found = SiteRecord(picked, violation, _unlink(state.choices))
+             stack: list) -> bool:
+        """Books a failure, None for a cut, on a path with that decision;
+        True if it ends the search."""
+        picked, kept = decision
         if picked:
-            self.records[picked] = found
-            self.open.discard(picked)
-            stack.clear()  # the rest of this pick's subtree
+            self.failed.setdefault(picked, set()).add(kept)
+            if self.witness.get(picked) == kept:
+                stack.clear()  # the rest of this pick's subtree
             return False
-        if not self.every_path:
-            self.records[0] = found
+        if violation is not None and violation.kind == "division-by-zero" \
+                and self.diagnosing():
             return True
-        for line in self.open - declined:
-            self.records[line] = replace(found, site=line)
-        self.open &= declined
+        self.refuted |= self.lines - kept
         return False
 
-    def moot(self, state: _State) -> bool:
-        """Whether state's path can no longer fail or pick a site not
-        recorded, with every_path."""
-        picked, declined = state.control.decision
-        return self.every_path and not picked and self.open <= declined
+    def goal(self, decision: tuple, stack: list) -> bool:
+        """Books a path with that decision that reached the end of main;
+        True if it ends the search."""
+        picked, kept = decision
+        if not picked:
+            return self.diagnosing()
+        if picked not in self.witness:
+            self.witness[picked] = kept
+            if self.invalid(picked):
+                stack.clear()
+            else:
+                stack[:] = [entry for entry in stack if (
+                    entry[1] if entry[0] == "cut"
+                    else entry[-1].control.decision)[1] == kept]
+        return False
 
-    def unsettled(self) -> set[int]:
-        """The sites not recorded that a search which ran out had not yet
-        shown to pass: all of them before the first pick ran, else those of
-        the running pick and the picks still pending."""
-        if not self.ran:
-            return set(self.lines)
-        return {line for line, _, _ in self.picks[self.ran - 1:]}
+    def diagnosing(self) -> bool:
+        """Whether some site has no witness yet."""
+        return len(self.witness) < len(self.lines)
+
+    def records(self, result: str) -> list[SiteRecord]:
+        """The records of a search that ended with result: site 0 alone if
+        it ended there, else one per site with a witness, by line. In a
+        search that ran out, a site is validated only if its picks had all
+        run: none before the first pick ran, else not those of the running
+        pick and the picks still pending."""
+        if result == "violation":
+            return [SiteRecord(0, None, False)]
+        unsettled = set()
+        if result == "exhausted":
+            unsettled = set(self.lines) if not self.ran else \
+                {line for line, _, _ in self.picks[self.ran - 1:]}
+        return [SiteRecord(line, value, not self.invalid(line)
+                           and line not in unsettled)
+                for line, value in sorted(self.witness.items())]
 
 
 def _explore(machine: _Machine, first_leaf: bool = False,
@@ -1447,8 +1484,9 @@ def _explore(machine: _Machine, first_leaf: bool = False,
 
     With sites, a lazy-decision search (see _SiteSearch): a step of an
     undecided path that runs a site defers its pick, a violation or cut
-    goes to sites.fail, a moot state is dropped, and the search ends only
-    once no pick is left or a failure ends it.
+    goes to sites.fail and a state in which main has reached its end, not
+    counted, to sites.goal, and the search ends once no pick is left or
+    one of them ends it.
 
     With reduction, the reduced search (see the module docstring): a
     state's expansion is reduction.alone's where it gives one.
@@ -1479,7 +1517,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             continue
         if kind[0] == "violation":
             if sites is None or sites.fail(
-                    kind[1], kind[2].control.decision, kind[2], stack):
+                    kind[1], kind[2].control.decision, stack):
                 return ("violation", kind[1], kind[2])
             continue
         if kind[0] == "cut":
@@ -1489,12 +1527,16 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             cuts += 1
             if first_leaf:
                 return ("leaf", "cut", kind[2])
-            if sites is not None and sites.every_path:
-                sites.fail(None, kind[1], kind[2], stack)
+            if sites is not None:
+                sites.fail(None, kind[1], stack)
             continue
         state = kind[1]
-        if sites is not None and sites.moot(state):
-            continue
+        if sites is not None:
+            main = state.threads[0]
+            if main.status == "exited" and main.pc == machine.codes[0].end:
+                if sites.goal(state.control.decision, stack):
+                    return ("violation", None, state)
+                continue
         live = machine.live_threads(state)
         if done is not None and len(live) > 1:
             key = state[:3]
@@ -1545,39 +1587,38 @@ def _explore(machine: _Machine, first_leaf: bool = False,
 
 
 def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
-           sites: dict[int, Expr] | None = None,
-           goal: int | None = None) -> VerificationResult:
+           sites: dict[int, Expr] | None = None) -> VerificationResult:
     """Explores all interleavings within bounds; returns the first violation
     in the fixed exploration order, or safe-within-bounds.
 
     With sites, a map from lines of main to expressions (see
-    CompiledProgram.with_sites), one lazy-decision search collects into
-    `records`, sorted by line, the first violation of every site picked;
-    given a goal line, only a violation there counts on a picked path.
-    Each path decides a site only when it first runs it: declining it for
-    the rest of the path first, then picking it, so the paths share their
-    undecided prefix; a picked site keeps the value of its first run for
-    the rest of the path. A violation on a path that picked no site ends the
-    search as outcome 'violation' and is the only record, with site 0; the
-    search otherwise ends 'safe-within-bounds' or, past max_states in
-    total, 'resource-exhausted'. No counterexample is built in this mode.
+    CompiledProgram.with_sites), one lazy-decision search (see _SiteSearch)
+    collects into `records`, by line, each site whose pick lets a path
+    reach the end of main, with its witness (the value it kept on the
+    first such path) and whether every path that runs the site with the
+    witness passes: no violation and no loop-bound cut. An undecided path
+    that reaches the end of main or divides by zero, while some site has
+    no witness, ends the search as outcome 'violation' with the only
+    record, site 0. The search otherwise ends 'safe-within-bounds' or,
+    past max_states in total, 'resource-exhausted'. No counterexample is
+    built in this mode.
 
     Without sites, the reduced search runs first (see the module
     docstring); the ordered search runs after it only where its result
-    could differ: a violation on a reordered path, a search that ran out,
-    or a ModelError, seeded with the finished states the reduced search
-    recorded. max_states bounds each of the two on its own.
+    could differ: a violation on a reordered path or a ModelError, seeded
+    with the finished states the reduced search recorded. max_states
+    bounds the two together: the ordered search gets what the reduced one
+    left, so none runs after a reduced search that ran out.
 
     A program compiled already is searched as it is.
     """
     compiled = program if isinstance(program, CompiledProgram) \
         else CompiledProgram(program)
     if sites is not None:
-        search = _SiteSearch(sites, every_path=False, goal=goal)
+        search = _SiteSearch(sites)
         machine = _Machine(compiled.with_sites(sites), config)
         result = _explore(machine, sites=search)
-        counts = {"records": [search.records[line]
-                              for line in sorted(search.records)]}
+        counts = {"records": search.records(result[0])}
     else:
         reduction = _Reduction(compiled)
         machine = _Machine(compiled, config)
@@ -1588,14 +1629,14 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
             result = ("error",)
         counts = {"reduced_states": machine.states,
                   "reductions": reduction.reductions}
-        final = result[0] == "safe" or \
+        final = result[0] in ("safe", "exhausted") or \
             result[0] == "violation" and not result[2].reordered
         if not final:
             reduced = machine
             machine = _Machine(compiled, config)
+            # counted on, so the two share max_states
+            machine.states, machine.pruned = reduced.states, reduced.pruned
             result = _explore(machine, done=done)
-            machine.states += reduced.states
-            machine.pruned += reduced.pruned
             counts["ordered_rerun"] = True
     cex = None
     if result[0] == "violation" and sites is None:
@@ -1607,26 +1648,6 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     return VerificationResult(outcome, cex, bound_hit=machine.bound_hit,
                               states=machine.states, pruned=machine.pruned,
                               **counts)
-
-
-def passing_sites(program: Program | CompiledProgram, config: VerifierConfig,
-                  sites: dict[int, Expr]) -> tuple[set[int], int]:
-    """The lines d of sites such that the program, with line d evaluating
-    sites[d], passes: every path within bounds ends without a violation
-    and without being cut at the loop bound; and the states expanded.
-
-    One lazy-decision search checks every site. A violation or cut on a
-    path that picked d fails d; one on an undecided path fails every site
-    that path has not declined. Past max_states in total, a site whose
-    paths were not all explored does not pass.
-    """
-    compiled = program if isinstance(program, CompiledProgram) \
-        else CompiledProgram(program)
-    search = _SiteSearch(sites, every_path=True)
-    machine = _Machine(compiled.with_sites(sites), config)
-    result = _explore(machine, sites=search)
-    unsettled = search.unsettled() if result[0] == "exhausted" else set()
-    return set(sites) - search.records.keys() - unsettled, machine.states
 
 
 def first_path(program: Program | CompiledProgram, config: VerifierConfig):

@@ -5,22 +5,30 @@ search: breadth-first, descending thread order, no first-violation
 discipline — only the safe/violating verdict is compared. The uncached
 search is the verifier's depth-first loop as it was before the
 finished-state cache, the partial-order reduction and the lazy site
-decisions, kept as the reference for all three.
+decisions, kept as the reference for all three. The two-search localizer
+is the pipeline as it was before one search both diagnosed and validated.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
+from mcfl.instrumenter import NothingToInstrument, instrument, site_picks
+from mcfl.sequentializer import sequentialize
+from mcfl.syntax import Assign, IntLit, program_stmts
 from mcfl.verifier import (
     CompiledProgram,
     VerifierConfig,
     Violation,
     _build_counterexample,
+    _entries,
     _Machine,
     _SiteSearch,
     _unlink,
     counterexample_to_json,
+    extract_schedule,
+    verify,
 )
 
 
@@ -72,14 +80,15 @@ def first_draws(choices, site: int):
 
 
 def uncached(program, config, group_by=None, sites=None, goal=None,
-             fixed=None, first=False):
+             fixed=None, first=False, search=None):
     """Reference search without the finished-state cache: the DFS loop the
     verifier ran before it had one. With group_by, the grouped search that
     draws the value of that local of main at the root and records the
     first violation of each nonzero value, in discovery order (with first,
     it stops at the first record); with sites, the verifier's
-    lazy-decision search. Returns (outcome, counterexample JSON, bound_hit,
-    records, states).
+    lazy-decision search, its records as (site, witness, validated), or
+    the bookkeeping given as search, its results read by the caller.
+    Returns (outcome, counterexample JSON, bound_hit, records, states).
 
     The grouped search takes the diagnosis model's two rules from goal and
     fixed: on a path with a nonzero value, a violation at a line other
@@ -87,10 +96,10 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
     draws first, so a path that draws another one there is dropped."""
     compiled = program if isinstance(program, CompiledProgram) \
         else CompiledProgram(program)
-    search = None
     if sites is not None:
         compiled = compiled.with_sites(sites)
-        search = _SiteSearch(sites, every_path=False)
+        search = search or _SiteSearch(sites)
+    end = compiled.thread_codes[0].end
     machine = _Machine(compiled, config)
     groups = []
     stack = [("state", machine.initial_state())]
@@ -109,13 +118,14 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
             cex = counterexample_to_json(_build_counterexample(
                 compiled, _unlink(state.trace), _unlink(state.choices),
                 violation))
-        return ("violation", cex, machine.bound_hit, records(), visited)
+        return ("violation", cex, machine.bound_hit, records("violation"),
+                visited)
 
-    def records():
-        if search is None:
+    def records(result):
+        if not isinstance(search, _SiteSearch):
             return groups
-        return [(g.site, g.violation, g.nondet_choices)
-                for _, g in sorted(search.records.items())]
+        return [(g.site, g.witness, g.validated)
+                for g in search.records(result)]
 
     def dropped(state):
         if not fixed:
@@ -128,8 +138,7 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
         kind = stack.pop()
         if kind[0] == "violation":
             if search is not None:
-                if search.fail(kind[1], kind[2].control.decision, kind[2],
-                               stack):
+                if search.fail(kind[1], kind[2].control.decision, stack):
                     return violated(kind[1], kind[2])
                 continue
             if group_by is not None:
@@ -144,12 +153,20 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
             return violated(kind[1], kind[2])
         if kind[0] == "cut":
             machine.bound_hit = True
+            if search is not None:
+                search.fail(None, kind[1], stack)
             continue
         state = kind[1]
+        main = state.threads[0]
+        if search is not None and main.status == "exited" and \
+                main.pc == end:
+            if search.goal(state.control.decision, stack):
+                return violated(None, state)
+            continue
         visited += 1
         if visited > config.max_states:
-            return ("resource-exhausted", None, machine.bound_hit, records(),
-                    visited)
+            return ("resource-exhausted", None, machine.bound_hit,
+                    records("exhausted"), visited)
         live = machine.live_threads(state)
         classes = {tid: machine.classify(state, tid) for tid in live}
         eligible = [tid for tid in live if classes[tid] == "eligible"]
@@ -174,4 +191,127 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
                 if not dropped(outcome[-1]):
                     pushes.append(outcome)
         stack.extend(reversed(pushes))
-    return ("safe-within-bounds", None, machine.bound_hit, records(), visited)
+    return ("safe-within-bounds", None, machine.bound_hit,
+            records("safe"), visited)
+
+
+class LazySites:
+    """The bookkeeping of the two lazy-decision searches localize ran
+    before one search both diagnosed and validated, for uncached(search=).
+
+    The diagnosis search (every_path False) runs the model: a violation at
+    the goal line on a path that picked a site records the site with the
+    value it kept, drops the rest of that pick's subtree and the site's
+    pending picks, and any violation on an undecided path ends the search
+    as site 0. The validation (every_path True) runs the sequential program
+    with each site fixed to its witness: a violation or cut fails the site
+    picked, or every site an undecided path has not declined."""
+
+    def __init__(self, lines, every_path, goal=None):
+        self.lines = frozenset(lines)
+        self.every_path = every_path
+        self.goal_line = goal
+        self.found = {}  # site -> (violation, value kept)
+        self.open = set(self.lines)
+        self.picks = []
+        self.ran = 0
+
+    def defer(self, machine, state, tid):
+        line = machine.codes[tid].instrs[state.threads[tid].pc].line
+        if line in self.lines and line not in state.control.decision[1]:
+            picked = state.control._replace(decision=(line, None))
+            self.picks.append((line, state._replace(control=picked), tid))
+
+    def next_pick(self, machine, stack):
+        while self.ran < len(self.picks):
+            line, state, tid = self.picks[self.ran]
+            self.ran += 1
+            if line not in self.found:
+                stack.extend(reversed(_entries(state,
+                                               machine.step(state, tid))))
+                return True
+        return False
+
+    def fail(self, violation, decision, stack):
+        picked, kept = decision
+        if violation is None and not self.every_path:
+            return False  # a cut only sets bound_hit
+        if picked and self.goal_line and violation.line != self.goal_line:
+            return False
+        if picked:
+            self.found[picked] = (violation, kept)
+            self.open.discard(picked)
+            stack.clear()
+            return False
+        if not self.every_path:
+            self.found[0] = (violation, None)
+            return True
+        for line in self.open - kept:
+            self.found[line] = (violation, None)
+        self.open &= kept
+        return False
+
+    def goal(self, decision, stack):
+        return False  # the model's goal is its final assert(0)
+
+    def passing(self, exhausted):
+        """With every_path, the sites that pass: not failed, and settled if
+        the search ran out."""
+        unsettled = set()
+        if exhausted:
+            unsettled = set(self.lines) if not self.ran else \
+                {line for line, _, _ in self.picks[self.ran - 1:]}
+        return self.lines - self.found.keys() - unsettled
+
+
+def two_search_localize(program, config):
+    """localize as it was with two lazy-decision searches: the diagnosis
+    search over the instrumented model, its header draw fixed to diag = 0,
+    and the validation of every witness over the sequential program.
+    Returns (status, diagnosis tuples) comparable to localize's report."""
+    first = verify(program, replace(config, deadlock_check=True))
+    if first.outcome == "resource-exhausted":
+        return "resource-exhausted", []
+    if first.outcome == "safe-within-bounds":
+        return "no-counterexample", []
+    cex = first.counterexample
+    seq = sequentialize(program, extract_schedule(cex),
+                        cex.violation.kind == "deadlock")
+    try:
+        instr = instrument(seq)
+    except NothingToInstrument:
+        return "inconclusive", []
+    seq_cfg = replace(config, context_bound=0, deadlock_check=False)
+    header = next(s.line for s in program_stmts(instr.program)
+                  if isinstance(s, Assign) and s.name == instr.diag_var)
+    sites = {instr.wrap_sites[d]: pick
+             for d, pick in site_picks(seq).items()}
+    diagnosis = LazySites(sites, False, goal=instr.assert_false_line)
+    outcome = uncached(
+        CompiledProgram(instr.program).with_constant(header, 0), seq_cfg,
+        sites=sites, search=diagnosis)[0]
+    diag_of_site = {site: d for d, site in instr.wrap_sites.items()}
+    found = []
+    status = None
+    for iteration, site in enumerate(sorted(diagnosis.found), start=1):
+        if not site:
+            found.append((0, None, None, iteration, False))
+            status = "inconclusive"
+            break
+        d = diag_of_site[site]
+        found.append((d, seq.original_line(d), diagnosis.found[site][1],
+                      iteration))
+    witnesses = {d: witness for d, _, witness, *_ in found if d}
+    passing = set()
+    if witnesses:
+        validation = LazySites(witnesses, True)
+        checked = uncached(
+            CompiledProgram(seq.program), seq_cfg, sites={
+                d: IntLit(w) for d, w in witnesses.items()},
+            search=validation)[0]
+        passing = validation.passing(checked == "resource-exhausted")
+    found = [entry if len(entry) == 5 else (*entry, entry[0] in passing)
+             for entry in found]
+    if outcome == "resource-exhausted":
+        status = "resource-exhausted"
+    return status or ("faults-found" if found else "inconclusive"), found

@@ -7,6 +7,7 @@ from mcfl.instrumenter import (
     block_diag,
     eligible_lines,
     instrument,
+    site_picks,
 )
 from mcfl.localizer import localize
 from mcfl.parser import parse
@@ -69,17 +70,19 @@ class TestInstrument:
         assert sorted(eligible.values()) == [
             "assign", "assign", "assign", "cond", "cond"]
 
-    def test_header_and_site_picks_are_recorded(self, fault_instr):
-        table = line_table(fault_instr.program)
-        header = table[fault_instr.header_line]
+    def test_header_and_site_picks(self, fault_seq, fault_instr):
+        header = fault_instr.program.main.body.stmts[1]
         assert (header.name, header.expr) == (
             fault_instr.diag_var, Nondet(0, max(fault_instr.diag_domain)))
-        assert sorted(fault_instr.site_picks) == \
-            sorted(fault_instr.wrap_sites.values())
-        for line, pick in fault_instr.site_picks.items():
+        picks = site_picks(fault_seq)
+        kinds = eligible_lines(fault_seq)
+        assert picks == {line: Nondet() if kinds[line] == "assign"
+                         else Nondet(0, 1) for line in kinds}
+        table = line_table(fault_instr.program)
+        for d, line in fault_instr.wrap_sites.items():
             stmt = table[line]
             wrap = stmt.expr if isinstance(stmt, Assign) else stmt.cond
-            assert wrap.then_expr is pick
+            assert wrap.then_expr == picks[d]
 
     def test_original_asserts_are_gone(self, fault_instr):
         asserts = [s for s in program_stmts(fault_instr.program)

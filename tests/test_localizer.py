@@ -27,7 +27,7 @@ from mcfl.verifier import (
 )
 
 from conftest import BENCH_DIR, bench_source, bign_source
-from oracles import uncached
+from oracles import two_search_localize, uncached
 from randprog import generate_callee_source, generate_source
 
 
@@ -296,6 +296,46 @@ class TestOneSearchMatchesBlocking:
                             "no-counterexample"}
 
 
+def _family(name):
+    """(label, source) of a family of generated programs, or the ports."""
+    if name == "ports":
+        return [(path.stem, path.read_text())
+                for path in sorted(BENCH_DIR.glob("*.mc"))]
+    if name == "division":
+        return [(seed, generate_source(seed, with_div=True))
+                for seed in range(300)]
+    if name == "threads3":
+        return [(seed, generate_source(seed, max_threads=3))
+                for seed in range(150)]
+    return [(seed, generate_callee_source(seed)) for seed in range(200)]
+
+
+class TestOneSearchMatchesTwo:
+    """localize's one search reports what the two searches it replaced
+    did, kept as oracles.two_search_localize: the diagnosis search over
+    the model and the validation over the sequential program. Wherever
+    neither runs out, the statuses, diagnoses, witnesses, iterations and
+    validation flags are equal."""
+
+    @pytest.mark.parametrize("family", ["ports", "division", "threads3",
+                                        "callee"])
+    @pytest.mark.parametrize("config", [
+        VerifierConfig(), VerifierConfig(context_bound=2, loop_bound=2,
+                                         nondet_domain=(-2, 3))],
+        ids=["defaults", "narrow"])
+    def test_matches_the_two_searches(self, family, config):
+        compared = set()
+        for label, source in _family(family):
+            program = parse(source)
+            mine = _localized(program, config)
+            theirs = two_search_localize(program, config)
+            if "resource-exhausted" in (mine[0], theirs[0]):
+                continue
+            assert mine == theirs, label
+            compared.add(mine[0])
+        assert "faults-found" in compared
+
+
 class TestSearchBudget:
     def test_exhausted_search_keeps_diagnoses_found(self):
         program = parse(bign_source(8))
@@ -409,9 +449,10 @@ class TestWithConstant:
         program = parse(bign_source(12))
         report = localize(program, default_config)
         assert len(report.diagnoses) == 13
-        expected = [program, report.instrumented.program,
-                    report.sequential.program]
-        assert len(built) == 3
+        # the one search runs the sequential program; the model is only
+        # printed
+        expected = [program, report.sequential.program]
+        assert len(built) == 2
         assert all(a is b for a, b in zip(built, expected))
 
 

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from mcfl.instrumenter import NothingToInstrument, instrument
-from mcfl.localizer import _diagnose, localize
+from mcfl.instrumenter import NothingToInstrument, instrument, site_picks
+from mcfl.localizer import localize
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize, unwind_calls
 from mcfl.syntax import Assign, IntLit, Nondet
@@ -28,13 +28,12 @@ from mcfl.verifier import (
     counterexample_to_json,
     extract_schedule,
     first_path,
-    passing_sites,
     replay,
     verify,
 )
 
 from conftest import BENCH_DIR, bign_source
-from oracles import first_draws, naive_violates, uncached
+from oracles import naive_violates, uncached
 from randprog import generate_callee_source, generate_source
 
 ABBA = """pthread_mutex_t ma;
@@ -168,59 +167,104 @@ SITES = """int main() {
   assume(v != 1);
   w = 0;
   assume(v + w > 0);
-  assert(w == 9);
+  assert(w != 1);
 }
 """
 SITE_PICKS = {3: Nondet(0, 2), 5: Nondet(0, 2)}
 
-
-class TestSiteSearch:
-    def test_first_violation_of_each_site(self, default_config):
-        result = verify(parse(SITES), default_config, sites=SITE_PICKS)
-        assert result.outcome == "safe-within-bounds"
-        assert result.counterexample is None
-        assert result.states > 0
-        # v = 1 never gets past its assume; the later violation of line 5
-        # (w = 2) is skipped with the rest of its subtree
-        assert [(f.site, f.violation, f.nondet_choices)
-                for f in result.records] == [
-            (3, Violation("assertion", 7), [(3, 2)]),
-            (5, Violation("assertion", 7), [(5, 1)]),
-        ]
-        plain = verify(parse(SITES.replace("v = 0;", "v = nondet(0, 2);")),
-                       default_config)
-        assert plain.counterexample.nondet_choices == \
-            result.records[0].nondet_choices
-
-    def test_undecided_violation_ends_the_search(self, default_config):
-        p = parse(SITES.replace("v + w > 0", "v + w >= 0"))
-        result = verify(p, default_config, sites=SITE_PICKS)
-        assert result.outcome == "violation"
-        assert [(f.site, f.nondet_choices) for f in result.records] == \
-            [(0, [])]
-
-    def test_budget_bounds_the_whole_search(self, default_config):
-        cfg = VerifierConfig(max_states=15)
-        result = verify(parse(SITES), cfg, sites=SITE_PICKS)
-        assert result.outcome == "resource-exhausted"
-        assert [f.site for f in result.records] == [3]
-
-    def test_records_come_by_line(self, default_config):
-        # c = 0 skips line 5 and picks line 6 first; the record of line 5
-        # still comes first
-        p = parse("""int main() {
+# c = 1 runs line 5, and every path runs line 6; the unchanged program
+# fails the assertion on both
+RECORDS_BY_LINE = """int main() {
   int c;
   int x;
   c = nondet(0, 1);
   if (c == 1) { x = 0; }
   x = x;
-  assert(x == 0);
+  assert(x == 1);
+}
+"""
+
+
+def _records(result):
+    return [(f.site, f.witness, f.validated) for f in result.records]
+
+
+class TestSiteSearch:
+    def test_first_passing_value_of_each_site(self, default_config):
+        result = verify(parse(SITES), default_config, sites=SITE_PICKS)
+        assert result.outcome == "safe-within-bounds"
+        assert result.counterexample is None
+        assert result.states > 0
+        # v = 1 never gets past its assume and w = 1 fails the assertion;
+        # v = 2 and w = 2 reach the end of main, and no path with either
+        # fails
+        assert _records(result) == [(3, 2, True), (5, 2, True)]
+
+    def test_witness_failing_on_another_input_is_not_validated(
+            self, default_config):
+        # v = 2 passes with c = 0, the first input, and fails with c = 1
+        p = parse("""int main() {
+  int v;
+  int c;
+  v = 0;
+  c = nondet(0, 1);
+  if (c == 1) {
+    assert(v != 2);
+  }
+  assert(v > 1);
 }
 """)
-        result = verify(p, default_config,
+        result = verify(p, default_config, sites={3: Nondet()})
+        assert _records(result) == [(3, 2, False)]
+        assert _records(verify(p, default_config,
+                               sites={3: IntLit(3)})) == [(3, 3, True)]
+
+    def test_undecided_path_reaching_the_end_ends_the_search(
+            self, default_config):
+        p = parse(SITES.replace("v + w > 0", "v + w >= 0"))
+        result = verify(p, default_config, sites=SITE_PICKS)
+        assert result.outcome == "violation"
+        assert _records(result) == [(0, None, False)]
+
+    def test_undecided_division_by_zero_ends_the_search(self,
+                                                        default_config):
+        p = parse("""int main() {
+  int v;
+  int y;
+  v = 0;
+  y = 1 / v;
+  assert(y == 1);
+}
+""")
+        result = verify(p, default_config, sites={3: Nondet(0, 2)})
+        assert (result.outcome, _records(result)) == \
+            ("violation", [(0, None, False)])
+        # with its witness given, the line is only validated: the
+        # undecided path declined it, so its failure does not count
+        result = verify(p, default_config, sites={3: IntLit(1)})
+        assert (result.outcome, _records(result)) == \
+            ("safe-within-bounds", [(3, 1, True)])
+
+    def test_undecided_failure_fails_the_sites_not_declined(
+            self, default_config):
+        # c = 0 never runs line 5 and fails, so line 5 cannot validate,
+        # although its pick passes; line 6 validates
+        result = verify(parse(RECORDS_BY_LINE), default_config,
                         sites={5: Nondet(1, 1), 6: Nondet(1, 1)})
-        assert [(f.site, f.nondet_choices) for f in result.records] == [
-            (5, [(3, 1), (5, 1)]), (6, [(3, 0), (6, 1)])]
+        assert _records(result) == [(5, 1, False), (6, 1, True)]
+
+    def test_budget_bounds_the_whole_search(self, default_config):
+        cfg = VerifierConfig(max_states=15)
+        result = verify(parse(SITES), cfg, sites=SITE_PICKS)
+        assert result.outcome == "resource-exhausted"
+        assert _records(result) == [(3, 2, True)]
+
+    def test_records_come_by_line(self, default_config):
+        # c = 0 skips line 5 and picks line 6 first; the record of line 5
+        # still comes first
+        result = verify(parse(RECORDS_BY_LINE), default_config,
+                        sites={5: Nondet(1, 1), 6: Nondet(1, 1)})
+        assert [f.site for f in result.records] == [5, 6]
 
     def test_cut_fails_only_the_site_its_path_picked(self, default_config):
         # the pick of the loop condition runs past the bound; the paths
@@ -232,9 +276,17 @@ class TestSiteSearch:
   }
 }
 """)
-        assert passing_sites(p, default_config,
-                             {2: IntLit(1), 3: IntLit(5)})[0] == {3}
-        result = verify(p, default_config, sites={2: Nondet(1, 1)})
+        result = verify(p, default_config, sites={2: IntLit(1), 3: IntLit(5)})
+        assert _records(result) == [(2, 1, False), (3, 5, True)]
+        p = parse("""int main() {
+  int i = 0;
+  while (i < 1) {
+    i = 1;
+  }
+  assert(i == 2);
+}
+""")
+        result = verify(p, default_config, sites={2: Nondet(0, 1)})
         assert (result.outcome, result.bound_hit, result.records) == \
             ("safe-within-bounds", True, [])
 
@@ -583,9 +635,7 @@ def _cached(program, config, sites=None):
     result = verify(program, config, sites=sites)
     cex = result.counterexample
     return (result.outcome, counterexample_to_json(cex) if cex else None,
-            result.bound_hit,
-            [(g.site, g.violation, g.nondet_choices) for g in result.records],
-            result.states)
+            result.bound_hit, _records(result), result.states)
 
 
 OUTCOMES = {"violation": "violation", "exhausted": "resource-exhausted",
@@ -727,21 +777,22 @@ class TestStateCache:
         p = parse((BENCH_DIR / f"{port}.mc").read_text())
         cfg = VerifierConfig(deadlock_check=True)
         cex = verify(p, cfg).counterexample
-        model = instrument(sequentialize(
-            p, extract_schedule(cex), cex.violation.kind == "deadlock"))
+        seq = sequentialize(p, extract_schedule(cex),
+                            cex.violation.kind == "deadlock")
         seq_cfg = replace(cfg, context_bound=0, deadlock_check=False)
-        compiled = CompiledProgram(model.program).with_constant(
-            model.header_line, 0)
-        sites = model.site_picks
+        compiled = CompiledProgram(seq.program)
+        sites = site_picks(seq)
         self._agree(compiled, seq_cfg, sites)
         # a site search runs uncached, so nothing is skipped
         assert verify(compiled, seq_cfg, sites=sites).pruned == 0
 
-    @pytest.mark.parametrize("check,states", [("== 0", 247), ("< 5", 457)])
+    @pytest.mark.parametrize("check,states", [("== 1", 189), ("> 1", 189)])
     def test_site_searches_do_not_cache(self, check, states):
         # both orders of the workers' first statements reach the same state
         # before main reaches the site g = 0, and the first order's subtree
-        # defers the pick; the site search skips neither, and searches both
+        # defers the pick; the site search skips neither, and searches both.
+        # The unchanged g = 0 fails both checks, and the pick g = 1 passes
+        # the first
         p = parse("""int x = 0;
 int y = 0;
 pthread_t h1;
@@ -763,7 +814,7 @@ int main() {
 }
 """.replace("CHECK", check))
         mine, theirs = self._agree(p, VerifierConfig(), {12: Nondet(1, 1)})
-        assert [g[0] for g in mine[3]] == ([12] if check == "== 0" else [])
+        assert [g[0] for g in mine[3]] == ([12] if check == "== 1" else [])
         result = verify(p, VerifierConfig(), sites={12: Nondet(1, 1)})
         assert (result.states, result.pruned) == (states, 0)
 
@@ -841,11 +892,12 @@ int main() {
         ordered = _ordered(p, cfg)[0]
         assert (ordered[0], ordered[4]) == ("resource-exhausted", 5001)
         assert ordered == uncached(p, cfg)
-        # verify runs out in the reduced search, then in the ordered one
+        # verify runs out in the reduced search, which leaves the ordered
+        # one nothing of max_states
         result = verify(p, cfg)
         assert (result.outcome, result.reduced_states, result.states,
                 result.ordered_rerun) == ("resource-exhausted", 5001,
-                                          10002, True)
+                                          5001, False)
 
     def test_counts_repeat(self):
         p = parse(_locked_workers(2, 2))
@@ -935,14 +987,14 @@ def _diagnosis_models(family, config):
 
 
 class TestLazyDiagnosis:
-    """The diagnosis search decides diag lazily; the search that draws it
-    at the root, kept as oracles.uncached(group_by=...), is the reference,
-    under the same two rules: only the final assert(0) counts on a path
-    with a nonzero diag, and a wrap site keeps the value it draws first.
-    Wherever neither runs out, both give the same records (line,
-    violation, and nondet choices without the header draw and without the
-    reference's repeated draws at the site), outcome and loop-bound flag,
-    and the lazy search never expands more states."""
+    """The site search decides diag lazily; the search that draws it at
+    the root of the model, kept as oracles.uncached(group_by=...), is the
+    reference, under the model's two rules: only the final assert(0)
+    counts on a path with a nonzero diag, and a wrap site keeps the value
+    it draws first. Wherever neither runs out, the site search over the
+    sequential program finds the same diagnoses, by line, each with the
+    witness the reference's path drew first at the site, and ends the
+    same way; and it never expands more states."""
 
     @pytest.mark.parametrize("family", ["ports", "division", "threads3",
                                         "callee"])
@@ -954,29 +1006,26 @@ class TestLazyDiagnosis:
         seq_cfg = replace(config, context_bound=0, deadlock_check=False)
         compared = 0
         for name, model in _diagnosis_models(family, config):
-            lazy = _diagnose(model, config)
-            diag_of_site = {site: d for d, site in model.wrap_sites.items()}
-            mine = [(diag_of_site.get(g.site, 0), g.violation,
-                     g.nondet_choices) for g in lazy.records]
-            outcome, _, bound_hit, groups, states = uncached(
+            lazy = verify(CompiledProgram(model.seq.program), seq_cfg,
+                          sites=site_picks(model.seq))
+            mine = [(g.site, g.witness) for g in lazy.records]
+            outcome, _, _, groups, states = uncached(
                 model.program, seq_cfg, group_by=model.diag_var,
                 goal=model.assert_false_line, fixed=model.wrap_sites)
-            assert all(choices[0][0] == model.header_line
-                       for *_, choices in groups)
-            theirs = [(value, violation, first_draws(
-                choices[1:], model.wrap_sites.get(value)))
-                for value, violation, choices in groups]
+            theirs = [(value, next((v for line, v in choices
+                                    if line == model.wrap_sites.get(value)),
+                                   None))
+                      for value, _, choices in groups]
             assert lazy.states <= states, name
             if "resource-exhausted" in (lazy.outcome, outcome):
                 continue
-            assert (mine, lazy.outcome, lazy.bound_hit) == \
-                (theirs, outcome, bound_hit), name
+            assert (mine, lazy.outcome) == (theirs, outcome), name
             compared += 1
         assert compared > 0
 
     def test_bign_finishes_where_the_root_draw_runs_out(self):
-        # 1,200 states cover the lazy search (974) and the validation
-        # (996) of bigN at N = 30, but not the root draw (1,646)
+        # 1,200 states cover the one search of bigN at N = 30 (971),
+        # but not the root draw (1,646)
         config = VerifierConfig(max_states=1200)
         report = localize(parse(bign_source(30)), config)
         assert report.status == "faults-found"
@@ -988,23 +1037,21 @@ class TestLazyDiagnosis:
             group_by=model.diag_var)[0] == "resource-exhausted"
 
     def test_counts_are_pinned(self, monkeypatch):
-        # exact states of the diagnosis search and of the validation of
-        # the benchmark's straightline workload (N = 100, seed 1); the root
-        # draw expanded 12,356 and the per-line validations 12,221
+        # exact states of the one search of the benchmark's straightline
+        # workload (N = 100, seed 1); the root draw expanded 12,356, and the
+        # two searches it replaced 6,679 (diagnosis) and 6,771 (validation)
         monkeypatch.syspath_prepend(str(BENCH_DIR.parents[2] / "perfbench"))
         from workloads import straightline
         ((_, source),) = straightline(1, n=100)
         config = VerifierConfig()
         report = localize(parse(source), config)
         assert len(report.diagnoses) == 101
-        witnesses = {d.seq_line: IntLit(d.witness_value)
-                     for d in report.diagnoses}
-        seq_cfg = replace(config, context_bound=0, deadlock_check=False)
-        passing, states = passing_sites(
-            CompiledProgram(report.sequential.program), seq_cfg, witnesses)
-        assert passing == set(witnesses)
-        assert (_diagnose(report.instrumented, config).states, states) == \
-            (6679, 6771)
+        assert all(d.oracle_validated for d in report.diagnoses)
+        seq = report.sequential
+        result = verify(CompiledProgram(seq.program), replace(
+            config, context_bound=0, deadlock_check=False),
+            sites=site_picks(seq))
+        assert result.states == 6676 <= 7000
 
 
 def _reduction_cases(step):
