@@ -71,14 +71,6 @@ def redrawn(state, site: int) -> bool:
                 if line == site}) > 1
 
 
-def first_draws(choices, site: int):
-    """choices without the draws at line site after its first."""
-    first = next((i for i, (line, _) in enumerate(choices) if line == site),
-                 len(choices))
-    return choices[:first + 1] + [c for c in choices[first + 1:]
-                                  if c[0] != site]
-
-
 def uncached(program, config, group_by=None, sites=None, goal=None,
              fixed=None, first=False, search=None):
     """Reference search without the finished-state cache: the DFS loop the
@@ -290,18 +282,12 @@ def two_search_localize(program, config):
     outcome = uncached(
         CompiledProgram(instr.program).with_constant(header, 0), seq_cfg,
         sites=sites, search=diagnosis)[0]
+    if 0 in diagnosis.found:
+        return "inconclusive", [(0, None, None, 1, False)]
+    # by line of the model, as its search recorded them
     diag_of_site = {site: d for d, site in instr.wrap_sites.items()}
-    found = []
-    status = None
-    for iteration, site in enumerate(sorted(diagnosis.found), start=1):
-        if not site:
-            found.append((0, None, None, iteration, False))
-            status = "inconclusive"
-            break
-        d = diag_of_site[site]
-        found.append((d, seq.original_line(d), diagnosis.found[site][1],
-                      iteration))
-    witnesses = {d: witness for d, _, witness, *_ in found if d}
+    witnesses = {diag_of_site[site]: diagnosis.found[site][1]
+                 for site in sorted(diagnosis.found)}
     passing = set()
     if witnesses:
         validation = LazySites(witnesses, True)
@@ -310,8 +296,8 @@ def two_search_localize(program, config):
                 d: IntLit(w) for d, w in witnesses.items()},
             search=validation)[0]
         passing = validation.passing(checked == "resource-exhausted")
-    found = [entry if len(entry) == 5 else (*entry, entry[0] in passing)
-             for entry in found]
+    found = [(d, seq.original_line(d), w, iteration, d in passing)
+             for iteration, (d, w) in enumerate(witnesses.items(), start=1)]
     if outcome == "resource-exhausted":
-        status = "resource-exhausted"
-    return status or ("faults-found" if found else "inconclusive"), found
+        return outcome, found
+    return ("faults-found" if found else "inconclusive"), found

@@ -512,12 +512,8 @@ class TestOneGoalOneWitness:
 
     @pytest.mark.parametrize("family", ["division", "threads3"])
     def test_faults_found_reports_are_sound(self, family, default_config):
-        seeds = range(300) if family == "division" else range(150)
         found = 0
-        for seed in seeds:
-            source = generate_source(seed, with_div=True) \
-                if family == "division" else \
-                generate_source(seed, max_threads=3)
+        for seed, source in _family(family):
             report = localize(parse(source), default_config)
             if report.status == "faults-found":
                 assert _sound(report, default_config), seed

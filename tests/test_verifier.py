@@ -159,7 +159,8 @@ int main() {
 
 
 # a pick of line 3 makes v 0, 1 or 2 and one of line 5 makes w 0, 1 or 2;
-# the unchanged path (v = w = 0) fails the second assume
+# the unchanged path (v = w = 0) fails the second assume, and w = 1 the
+# assertion
 SITES = """int main() {
   int v;
   int w;
@@ -171,18 +172,6 @@ SITES = """int main() {
 }
 """
 SITE_PICKS = {3: Nondet(0, 2), 5: Nondet(0, 2)}
-
-# c = 1 runs line 5, and every path runs line 6; the unchanged program
-# fails the assertion on both
-RECORDS_BY_LINE = """int main() {
-  int c;
-  int x;
-  c = nondet(0, 1);
-  if (c == 1) { x = 0; }
-  x = x;
-  assert(x == 1);
-}
-"""
 
 
 def _records(result):
@@ -245,14 +234,6 @@ class TestSiteSearch:
         assert (result.outcome, _records(result)) == \
             ("safe-within-bounds", [(3, 1, True)])
 
-    def test_undecided_failure_fails_the_sites_not_declined(
-            self, default_config):
-        # c = 0 never runs line 5 and fails, so line 5 cannot validate,
-        # although its pick passes; line 6 validates
-        result = verify(parse(RECORDS_BY_LINE), default_config,
-                        sites={5: Nondet(1, 1), 6: Nondet(1, 1)})
-        assert _records(result) == [(5, 1, False), (6, 1, True)]
-
     def test_budget_bounds_the_whole_search(self, default_config):
         cfg = VerifierConfig(max_states=15)
         result = verify(parse(SITES), cfg, sites=SITE_PICKS)
@@ -261,10 +242,20 @@ class TestSiteSearch:
 
     def test_records_come_by_line(self, default_config):
         # c = 0 skips line 5 and picks line 6 first; the record of line 5
-        # still comes first
-        result = verify(parse(RECORDS_BY_LINE), default_config,
+        # still comes first. That undecided path fails without running
+        # line 5, so line 5 cannot validate, although its pick passes
+        p = parse("""int main() {
+  int c;
+  int x;
+  c = nondet(0, 1);
+  if (c == 1) { x = 0; }
+  x = x;
+  assert(x == 1);
+}
+""")
+        result = verify(p, default_config,
                         sites={5: Nondet(1, 1), 6: Nondet(1, 1)})
-        assert [f.site for f in result.records] == [5, 6]
+        assert _records(result) == [(5, 1, False), (6, 1, True)]
 
     def test_cut_fails_only_the_site_its_path_picked(self, default_config):
         # the pick of the loop condition runs past the bound; the paths
