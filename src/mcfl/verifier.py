@@ -364,12 +364,7 @@ class CompiledProgram:
 
     def _compile_fn(self, fn: FunctionDef) -> Code:
         code = Code(fn, self.global_scope)
-        stmts = fn.body.stmts
-        self._compile_body(code, stmts, [], [])
-        # the pc at which the function has reached its end: its final
-        # return, else its end
-        code.end = len(code.instrs) - (
-            bool(stmts) and isinstance(stmts[-1], Return))
+        self._compile_body(code, fn.body.stmts, [], [])
         code.emit(Instr("thread_end", 0))
         return code
 
@@ -1484,8 +1479,8 @@ def _explore(machine: _Machine, first_leaf: bool = False,
 
     With sites, a lazy-decision search (see _SiteSearch): a step of an
     undecided path that runs a site defers its pick, a violation or cut
-    goes to sites.fail and a state in which main has reached its end, not
-    counted, to sites.goal, and the search ends once no pick is left or
+    goes to sites.fail, a state in which main has reached its end goes,
+    uncounted, to sites.goal, and the search ends once no pick is left or
     one of them ends it.
 
     With reduction, the reduced search (see the module docstring): a
@@ -1531,12 +1526,14 @@ def _explore(machine: _Machine, first_leaf: bool = False,
                 sites.fail(None, kind[1], stack)
             continue
         state = kind[1]
-        if sites is not None:
-            main = state.threads[0]
-            if main.status == "exited" and main.pc == machine.codes[0].end:
-                if sites.goal(state.control.decision, stack):
-                    return ("violation", None, state)
-                continue
+        main = state.threads[0]
+        # main has reached its end unless pthread_exit ended it: a return
+        # is only ever its final statement
+        if sites is not None and main.status == "exited" and \
+                machine.codes[0].instrs[main.pc].op != "exit":
+            if sites.goal(state.control.decision, stack):
+                return ("violation", None, state)
+            continue
         live = machine.live_threads(state)
         if done is not None and len(live) > 1:
             key = state[:3]

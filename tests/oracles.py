@@ -91,7 +91,6 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
     if sites is not None:
         compiled = compiled.with_sites(sites)
         search = search or _SiteSearch(sites)
-    end = compiled.thread_codes[0].end
     machine = _Machine(compiled, config)
     groups = []
     stack = [("state", machine.initial_state())]
@@ -151,7 +150,7 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
         state = kind[1]
         main = state.threads[0]
         if search is not None and main.status == "exited" and \
-                main.pc == end:
+                compiled.thread_codes[0].instrs[main.pc].op != "exit":
             if search.goal(state.control.decision, stack):
                 return violated(None, state)
             continue

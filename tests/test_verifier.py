@@ -234,6 +234,22 @@ class TestSiteSearch:
         assert (result.outcome, _records(result)) == \
             ("safe-within-bounds", [(3, 1, True)])
 
+    def test_pthread_exit_is_not_the_end_of_main(self, default_config):
+        # v = 1 leaves main early, without failing; v = 2 reaches the
+        # final return, the end of main
+        p = parse("""int main() {
+  int v;
+  v = 0;
+  if (v == 1) {
+    pthread_exit();
+  }
+  assert(v == 2);
+  return 0;
+}
+""")
+        result = verify(p, default_config, sites={2: Nondet(0, 2)})
+        assert _records(result) == [(2, 2, True)]
+
     def test_budget_bounds_the_whole_search(self, default_config):
         cfg = VerifierConfig(max_states=15)
         result = verify(parse(SITES), cfg, sites=SITE_PICKS)
