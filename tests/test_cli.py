@@ -73,6 +73,13 @@ class TestExitStatuses:
     def test_resource_exhausted_is_three(self, fault_file, capsys):
         assert main(["verify", str(fault_file), "--max-states", "2"]) == 3
 
+    @pytest.mark.parametrize("command", ["sequentialize", "instrument"])
+    def test_transform_exhausted_is_three(self, command, fault_file, capsys):
+        assert main([command, str(fault_file), "--max-states", "2",
+                     "--emit-intermediates"]) == 3
+        assert capsys.readouterr() == ("resource-exhausted\n", "")
+        assert list(fault_file.parent.iterdir()) == [fault_file]
+
     def test_parse_error_is_four(self, tmp_path, capsys):
         path = tmp_path / "broken.mc"
         path.write_text("int main(){ x = ; }")

@@ -1,11 +1,13 @@
-"""Pinned outputs: `verify` and `localize` must keep producing the exact
-texts recorded in pinned_outputs.json, so a refactor can show that it
-changes no result.
+"""Pinned outputs: `verify`, `localize` and the `mcfl sequentialize` and
+`mcfl instrument` commands must keep producing the exact texts recorded in
+pinned_outputs.json, so a refactor can show that it changes no result.
 
-Each program id maps to the sha256 of two texts, both at CLI defaults:
+Each program id maps to the sha256 of four texts, all at CLI defaults:
 the counterexample JSON from `verify` (or its outcome when there is no
-violation), and the timing-free `report_to_json(localize(...))`. The
-programs are the bundled ports and randprog programs with division.
+violation), the timing-free `report_to_json(localize(...))`, and for each
+of the two commands its exit status and standard output. The programs are
+the bundled ports, randprog programs with division, and a program with
+nothing to instrument.
 
 Regenerate only when an output change is intended, and say why:
 
@@ -14,9 +16,12 @@ Regenerate only when an output change is intended, and say why:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +29,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from mcfl.cli import main
 from mcfl.localizer import localize, report_to_json
 from mcfl.parser import parse
 from mcfl.verifier import VerifierConfig, counterexample_to_json, verify
@@ -33,6 +39,9 @@ import randprog
 BENCH_DIR = Path(__file__).parent.parent / "src" / "mcfl" / "benchmarks"
 PINNED = Path(__file__).parent / "pinned_outputs.json"
 RANDPROG_SEEDS = range(50)
+# a failing program with no line eligible for diagnosis: `mcfl instrument`
+# exits 2 and `localize` is inconclusive
+NOTHING_ELIGIBLE = "int x = 0; int main() { assert(x == 1); }\n"
 
 
 def _sources() -> dict[str, str]:
@@ -41,6 +50,7 @@ def _sources() -> dict[str, str]:
     for seed in RANDPROG_SEEDS:
         sources[f"randprog:{seed}"] = randprog.generate_source(
             seed, with_div=True)
+    sources["case:nothing-eligible"] = NOTHING_ELIGIBLE
     return sources
 
 
@@ -56,7 +66,18 @@ def digests(source: str) -> dict[str, str]:
         if result.counterexample is not None else result.outcome
     report = localize(program, config)
     localized = report_to_json(replace(report, timings={}))
-    return {"verify": _sha(verified), "localize": _sha(localized)}
+    found = {"verify": _sha(verified), "localize": _sha(localized)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.mc"
+        path.write_text(source)
+        for command in ("sequentialize", "instrument"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, str(path), "--max-states",
+                             str(config.max_states)])
+            found[command] = _sha(f"exit {code}\n{out.getvalue()}")
+    return found
 
 
 SOURCES = _sources()
