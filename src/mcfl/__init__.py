@@ -1,9 +1,10 @@
 """mcfl: fault localization for concurrent mini-C programs.
 
 Pipeline: bounded verification finds a failing interleaving, the
-sequentializer turns it into an equivalent single-threaded replay, the
-instrumenter adds the diagnosis variable, and the localizer enumerates and
-validates repairable lines.
+sequentializer turns it into an equivalent single-threaded replay, and the
+localizer enumerates and validates repairable lines in one search of it
+under the diagnosis model's rules. The instrumenter builds the model, with
+its diagnosis variable, only when it is printed or read.
 """
 
 from .instrumenter import (
@@ -18,6 +19,7 @@ from .localizer import (
     DiagnosisReport,
     brute_force_diagnoses,
     localize,
+    sequential_replay,
     validate_diag,
 )
 from .parser import ParseError, parse
@@ -88,6 +90,7 @@ __all__ = [
     "parse",
     "pretty_print",
     "replay",
+    "sequential_replay",
     "sequentialize",
     "unwind_calls",
     "validate_diag",

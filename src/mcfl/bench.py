@@ -11,7 +11,7 @@ from .localizer import brute_force_diagnoses, localize
 from .parser import ParseError, parse
 from .verifier import VerifierConfig
 
-_STAGES = ("verify", "sequentialize", "instrument", "diagnose", "validate")
+_STAGES = ("verify", "sequentialize", "diagnose", "validate")
 
 
 @dataclass

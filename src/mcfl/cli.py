@@ -11,6 +11,9 @@ Each takes only the other options it reads: --deadlock-check on verify
 alone, since the other commands force their own value; --json on verify
 and localize; --emit-intermediates on all but bench; --csv on bench.
 
+sequentialize, instrument and localize share localizer.sequential_replay
+and one writer of intermediates; only printing builds the diagnosis model.
+
 Exit status: 0 safe/no fault, 1 faults found, 2 inconclusive,
 3 resource budget exhausted, 4 usage, parse or model error.
 """
@@ -20,28 +23,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import rows_to_csv, rows_to_table, run_bench
 from .instrumenter import NothingToInstrument, instrument, \
     instrumented_to_json
-from .localizer import localize, report_to_json
+from .localizer import DiagnosisReport, localize, report_to_json, \
+    sequential_replay
 from .parser import ParseError, parse
-from .sequentializer import (
-    GuardPlacementError,
-    RuleGapError,
-    line_map_to_json,
-    sequentialize,
-)
+from .sequentializer import GuardPlacementError, RuleGapError, \
+    line_map_to_json
 from .syntax import pretty_print
 from .verifier import (
+    Counterexample,
     ModelError,
     TraceMismatch,
     UnsupportedScheduleError,
     VerifierConfig,
     counterexample_to_json,
-    extract_schedule,
     verify,
 )
 
@@ -50,6 +49,12 @@ EXIT_FAULTS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_RESOURCE = 3
 EXIT_USAGE = 4
+_STATUS_EXIT = {
+    "faults-found": EXIT_FAULTS,
+    "no-counterexample": EXIT_SAFE,
+    "inconclusive": EXIT_INCONCLUSIVE,
+    "resource-exhausted": EXIT_RESOURCE,
+}
 
 def _parse_nondet(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
@@ -172,65 +177,33 @@ def run(args: argparse.Namespace) -> int:
                 print(f"steps: {len(cex.steps)}, "
                       f"context switches: {len(cex.switches)}")
             if args.emit_intermediates:
-                _emit(base.with_suffix(".counterexample.json"),
-                      counterexample_to_json(cex))
+                _emit_intermediates(base, args.command, cex)
             return EXIT_FAULTS
 
-        if args.command in ("sequentialize", "instrument"):
-            result = verify(program, replace(vcfg, deadlock_check=True))
-            if result.outcome == "resource-exhausted":
-                print("resource-exhausted")
-                return EXIT_RESOURCE
-            if result.outcome == "safe-within-bounds":
-                print("safe-within-bounds: nothing to transform")
-                return EXIT_SAFE
-            cex = result.counterexample
-            deadlock = cex.violation.kind == "deadlock"
-            schedule = extract_schedule(cex)
-            seq = sequentialize(program, schedule, deadlock)
+        if args.command in ("sequentialize", "instrument", "localize"):
+            report = (localize if args.command == "localize"
+                      else sequential_replay)(program, vcfg)
             if args.emit_intermediates:
-                _emit(base.with_suffix(".counterexample.json"),
-                      counterexample_to_json(cex))
-                _emit(base.with_suffix(".seq.mc"),
-                      pretty_print(seq.program))
-                _emit(base.with_suffix(".linemap.json"),
-                      line_map_to_json(seq.line_map))
+                _emit_intermediates(base, args.command,
+                                    report.counterexample, report)
+            if args.command == "localize":
+                if args.json:
+                    print(report_to_json(report), end="")
+                else:
+                    _print_report(report)
+                return _STATUS_EXIT[report.status]
+            if report.sequential is None:
+                print("resource-exhausted"
+                      if report.status == "resource-exhausted"
+                      else "safe-within-bounds: nothing to transform")
+                return _STATUS_EXIT[report.status]
             if args.command == "sequentialize":
-                print(pretty_print(seq.program), end="")
+                print(pretty_print(report.sequential.program), end="")
                 return EXIT_FAULTS
-            instr = instrument(seq)
-            if args.emit_intermediates:
-                _emit(base.with_suffix(".instrumented.mc"),
-                      pretty_print(instr.program))
-                _emit(base.with_suffix(".instrumented.json"),
-                      instrumented_to_json(instr))
-            print(pretty_print(instr.program), end="")
+            # no model only when nothing is eligible; instrument says so
+            model = report.instrumented or instrument(report.sequential)
+            print(pretty_print(model.program), end="")
             return EXIT_FAULTS
-
-        if args.command == "localize":
-            report = localize(program, vcfg)
-            if args.emit_intermediates:
-                if report.counterexample is not None:
-                    _emit(base.with_suffix(".counterexample.json"),
-                          counterexample_to_json(report.counterexample))
-                if report.sequential is not None:
-                    _emit(base.with_suffix(".seq.mc"),
-                          pretty_print(report.sequential.program))
-                    _emit(base.with_suffix(".linemap.json"),
-                          line_map_to_json(report.sequential.line_map))
-                if report.instrumented is not None:
-                    _emit(base.with_suffix(".instrumented.mc"),
-                          pretty_print(report.instrumented.program))
-            if args.json:
-                print(report_to_json(report), end="")
-            else:
-                _print_report(report)
-            return {
-                "faults-found": EXIT_FAULTS,
-                "no-counterexample": EXIT_SAFE,
-                "inconclusive": EXIT_INCONCLUSIVE,
-                "resource-exhausted": EXIT_RESOURCE,
-            }[report.status]
     except (UnsupportedScheduleError, NothingToInstrument) as exc:
         print(f"mcfl: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -250,7 +223,30 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_USAGE
 
 
-def _print_report(report) -> None:
+def _emit_intermediates(base: Path, command: str, cex: Counterexample | None,
+                        report: DiagnosisReport | None = None) -> None:
+    """Writes the files of every stage up to the command's: the
+    counterexample, then from the report the sequential program and its
+    line map, then (but for sequentialize) the diagnosis model, built on
+    this first read, and for instrument its sites."""
+    if cex is not None:
+        _emit(base.with_suffix(".counterexample.json"),
+              counterexample_to_json(cex))
+    if report is None or report.sequential is None:
+        return
+    _emit(base.with_suffix(".seq.mc"), pretty_print(report.sequential.program))
+    _emit(base.with_suffix(".linemap.json"),
+          line_map_to_json(report.sequential.line_map))
+    if command == "sequentialize" or report.instrumented is None:
+        return
+    _emit(base.with_suffix(".instrumented.mc"),
+          pretty_print(report.instrumented.program))
+    if command == "instrument":
+        _emit(base.with_suffix(".instrumented.json"),
+              instrumented_to_json(report.instrumented))
+
+
+def _print_report(report: DiagnosisReport) -> None:
     print(f"status: {report.status}")
     print(f"deadlock: {1 if report.deadlock else 0}")
     print(f"found errors: {report.found_error_count}")

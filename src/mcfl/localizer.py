@@ -1,14 +1,15 @@
 """End-to-end fault localization driver.
 
-Verify the concurrent program, classify the violation, sequentialize along
-the failing schedule and instrument it. Then one lazy-decision search of
-the sequential program, under the diagnosis model's rules, both finds
-every diag value that lets the model pass and checks each against the
-substitution oracle: a path decides diag only when it first reaches an
+sequential_replay, shared with the CLI, verifies the concurrent program and
+sequentializes it along the failing schedule. Then one lazy-decision
+search of the sequential program, under the diagnosis model's rules, both
+finds every diag value that lets the model pass and checks each against
+the substitution oracle: a path decides diag only when it first reaches an
 eligible line, so all values share the unchanged prefix. A picked line's
 witness is the value of the first path that reaches the end of main, where
 the model's final assert(0) stands, and the line validates when every path
-that runs it with the witness passes.
+that runs it with the witness passes. The model itself is built only when
+a report's `instrumented` is read.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .instrumenter import (
     InstrumentedProgram,
-    NothingToInstrument,
     eligible_lines,
     instrument,
     site_picks,
@@ -60,15 +61,26 @@ class DiagnosisReport:
     timings: dict[str, float]
     deadlock: bool = False
     sequential: SequentialProgram | None = field(default=None, repr=False)
-    instrumented: InstrumentedProgram | None = field(default=None,
-                                                     repr=False)
+
+    @cached_property
+    def instrumented(self) -> InstrumentedProgram | None:
+        """The diagnosis model of the sequential program, built on first
+        read; None without one or when no line is eligible."""
+        if self.sequential is None or not eligible_lines(self.sequential):
+            return None
+        return instrument(self.sequential)
 
 
 def _seq_config(config: VerifierConfig) -> VerifierConfig:
     return replace(config, context_bound=0, deadlock_check=False)
 
 
-def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
+def sequential_replay(program: Program,
+                      config: VerifierConfig) -> DiagnosisReport:
+    """The pipeline front: verify with deadlock detection and sequentialize
+    along the first failing schedule. The report ends resource-exhausted or
+    no-counterexample, or is inconclusive with no diagnoses and carries the
+    counterexample and the sequential program."""
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -85,48 +97,43 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     deadlock = cex.violation.kind == "deadlock"
 
     t0 = time.perf_counter()
-    schedule = extract_schedule(cex)
-    seq = sequentialize(program, schedule, deadlock)
+    seq = sequentialize(program, extract_schedule(cex), deadlock)
     timings["sequentialize"] = time.perf_counter() - t0
+    return DiagnosisReport("inconclusive", [], 0, cex, timings,
+                           deadlock=deadlock, sequential=seq)
 
-    t0 = time.perf_counter()
-    try:
-        instr = instrument(seq)
-    except NothingToInstrument:
-        timings["instrument"] = time.perf_counter() - t0
-        return DiagnosisReport("inconclusive", [], 0, cex, timings,
-                               deadlock=deadlock, sequential=seq)
-    timings["instrument"] = time.perf_counter() - t0
+
+def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
+    report = sequential_replay(program, config)
+    seq, timings = report.sequential, report.timings
+    picks = site_picks(seq) if seq is not None else {}
+    if not picks:
+        # no sequential program, or no eligible line: nothing to diagnose
+        return report
 
     # the model's rules, run on the sequential program: every eligible line
     # is a site, the end of main stands for the final assert(0), and a
     # failure ends a path as the assume it became does
     t0 = time.perf_counter()
     search = verify(CompiledProgram(seq.program), _seq_config(config),
-                    sites=site_picks(seq))
+                    sites=picks)
     timings["diagnose"] = time.perf_counter() - t0
     # validation ran in the same search; this reads off its verdicts. One
     # record per site, by line, so iteration is the run in which
     # block-and-reverify would find it; site 0 means the model passes
     # without touching any known line, which the method cannot explain
     t0 = time.perf_counter()
-    diagnoses = [Diagnosis(found.site, seq.original_line(found.site),
-                           found.witness, iteration, found.validated)
-                 for iteration, found in enumerate(search.records, start=1)]
+    report.diagnoses = [
+        Diagnosis(found.site, seq.original_line(found.site), found.witness,
+                  iteration, found.validated)
+        for iteration, found in enumerate(search.records, start=1)]
     timings["validate"] = time.perf_counter() - t0
-    status = {"violation": "inconclusive",
-              "resource-exhausted": "resource-exhausted"}.get(
-        search.outcome, "faults-found" if diagnoses else "inconclusive")
-    return DiagnosisReport(
-        status=status,
-        diagnoses=diagnoses,
-        found_error_count=len(diagnoses),
-        counterexample=cex,
-        timings=timings,
-        deadlock=deadlock,
-        sequential=seq,
-        instrumented=instr,
-    )
+    report.found_error_count = len(report.diagnoses)
+    report.status = {"violation": "inconclusive",
+                     "resource-exhausted": "resource-exhausted"}.get(
+        search.outcome,
+        "faults-found" if report.diagnoses else "inconclusive")
+    return report
 
 
 def validate_diag(compiled: CompiledProgram, witnesses: dict[int, int],

@@ -1328,15 +1328,6 @@ class _Reduction:
 # ---------------------------------------------------------------------------
 
 
-def _shared(key: tuple, canon: dict) -> tuple:
-    """key with its globals, control and each thread replaced by the copy
-    kept in canon, so that the keys of finished states share their parts."""
-    globals, threads, control = key
-    return (canon.setdefault(globals, globals),
-            tuple(canon.setdefault(t, t) for t in threads),
-            canon.setdefault(control, control))
-
-
 def _entries(state: _State, outcomes: list) -> list[tuple]:
     """The search entries of a step's outcomes from state, in order: the
     outcomes, a loop-bound kill as ('cut', the path's decision, state)."""
@@ -1501,8 +1492,6 @@ def _explore(machine: _Machine, first_leaf: bool = False,
     config = machine.config
     stack: list[tuple] = [("state", machine.initial_state())]
     cuts = 0  # loop-bound cuts reached
-    # one copy of each key part, shared by all keys in done
-    canon: dict[tuple, tuple] = {}
     while stack or sites is not None and sites.next_pick(machine, stack):
         kind = stack.pop()
         if kind[0] == "done":
@@ -1540,7 +1529,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if done.get(key, state.switches + 1) <= state.switches:
                 machine.pruned += 1
                 continue
-            stack.append(("done", _shared(key, canon), cuts, state))
+            stack.append(("done", key, cuts, state))
         machine.states += 1
         if machine.states > config.max_states:
             return ("exhausted",)

@@ -1,10 +1,11 @@
 """Command dispatch, exit statuses, emitted artifacts."""
 
+import argparse
 import json
 
 import pytest
 
-from mcfl.cli import main
+from mcfl.cli import main, run
 from mcfl.parser import parse
 from mcfl.verifier import (
     counterexample_from_json,
@@ -39,7 +40,8 @@ int main() {
 DEEP_PARENS = ("int x = 0;\nint main() { x = " + "(" * 100 + "1" + ")" * 100
                + "; assert(x != 1); }\n")
 
-# parses and verifies, but nested past the later stages' recursion limit
+# parses, verifies and localizes, but nested past the recursion limit of
+# the diagnosis model's copy, which instrument and --emit-intermediates make
 DEEP_IFS = ("int x = 0;\nint main() {\n" + "if (x == 0) {\n" * 320
             + "x = 1;\n" + "}\n" * 320 + "assert(x != 1);\n}\n")
 
@@ -91,6 +93,14 @@ class TestExitStatuses:
 
     def test_usage_error_is_four(self, capsys):
         assert main(["frobnicate", "x"]) == 4
+
+    def test_unknown_command_in_run_is_four(self, fault_file, capsys):
+        args = argparse.Namespace(
+            command="frobnicate", input=str(fault_file), unwind=3,
+            context_bound=4, nondet=(0, 8), max_states=None)
+        assert run(args) == 4
+        assert capsys.readouterr() == (
+            "", "mcfl: unknown command 'frobnicate'\n")
 
     @pytest.mark.parametrize("argv, env", [
         (["verify", "account.mc", "--unwind", "0"], None),
@@ -200,8 +210,16 @@ int main() {
         ifs = tmp_path / "ifs.mc"
         ifs.write_text(DEEP_IFS)
         assert main(["verify", str(ifs)]) == 1
-        assert main(["localize", str(ifs)]) == 4
-        assert capsys.readouterr().err == "mcfl: input nests too deeply\n"
+        capsys.readouterr()
+        assert main(["localize", str(ifs), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "faults-found"
+        assert len(doc["diagnoses"]) == doc["found_error_count"] == 321
+        for argv in (["instrument", str(ifs)],
+                     ["localize", str(ifs), "--emit-intermediates"]):
+            assert main(argv) == 4
+            assert capsys.readouterr().err.endswith(
+                "mcfl: input nests too deeply\n")
 
     def test_bench_on_a_file_is_four(self, fault_file, capsys):
         assert main(["bench", str(fault_file)]) == 4
@@ -340,7 +358,7 @@ class TestBench:
         rows = (tmp_path / "mcfl_bench.csv").read_text().splitlines()
         assert [row.split(",")[0] + "," + row.split(",")[5]
                 for row in rows[1:]] == \
-            ["good,no-counterexample", "ifs,error", "parens,error"]
+            ["good,no-counterexample", "ifs,faults-found", "parens,error"]
 
 
 class TestEnvironment:

@@ -70,8 +70,8 @@ class TestLocalizeSingleFault:
             [d.seq_line for d in report.diagnoses]
 
     def test_timings_cover_all_stages(self, report):
-        assert {"verify", "sequentialize", "instrument", "diagnose",
-                "validate"} <= set(report.timings)
+        assert list(report.timings) == ["verify", "sequentialize",
+                                        "diagnose", "validate"]
 
 
 class TestLocalizeOutcomes:
@@ -454,6 +454,34 @@ class TestWithConstant:
         expected = [program, report.sequential.program]
         assert len(built) == 2
         assert all(a is b for a, b in zip(built, expected))
+
+
+PORTS = sorted(path.stem for path in BENCH_DIR.glob("*.mc"))
+
+
+class TestNoModelPerCall:
+    def test_localize_never_builds_the_model(self, monkeypatch,
+                                             default_config):
+        programs = [parse(bench_source(name)) for name in PORTS]
+        assert len(programs) == 9
+
+        def timing_free(report):
+            return report_to_json(replace(report, timings={}))
+
+        expected = [timing_free(localize(p, default_config))
+                    for p in programs]
+
+        def refuse(seq):
+            raise AssertionError("localize built the diagnosis model")
+
+        monkeypatch.setattr(mcfl.localizer, "instrument", refuse)
+        reports = [localize(p, default_config) for p in programs]
+        assert [timing_free(r) for r in reports] == expected
+        monkeypatch.undo()
+        for report in reports:
+            assert pretty_print(report.instrumented.program) == \
+                pretty_print(instrument(report.sequential).program)
+            assert report.instrumented is report.instrumented
 
 
 class TestReportJson:
