@@ -72,6 +72,8 @@ def build_cli() -> argparse.ArgumentParser:
         prog="mcfl",
         description="Fault localization for concurrent mini-C programs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = VerifierConfig()
+    lo, hi = defaults.nondet_domain
     for name, what in [
         ("verify", "explore interleavings and report the first violation"),
         ("sequentialize", "emit the sequential replay program"),
@@ -82,13 +84,16 @@ def build_cli() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=what)
         cmd.add_argument("input", help=".mc file"
                          if name != "bench" else "directory of .mc files")
-        cmd.add_argument("--unwind", type=int, default=3, metavar="K",
-                         help="max loop iterations (default 3)")
-        cmd.add_argument("--context-bound", type=int, default=4, metavar="C",
-                         help="max context switches (default 4)")
-        cmd.add_argument("--nondet", type=_parse_nondet, default=(0, 8),
-                         metavar="LO..HI",
-                         help="nondet value domain (default 0..8)")
+        cmd.add_argument("--unwind", type=int, default=defaults.loop_bound,
+                         metavar="K", help="max loop iterations (default "
+                                           f"{defaults.loop_bound})")
+        cmd.add_argument("--context-bound", type=int,
+                         default=defaults.context_bound, metavar="C",
+                         help="max context switches (default "
+                              f"{defaults.context_bound})")
+        cmd.add_argument("--nondet", type=_parse_nondet,
+                         default=defaults.nondet_domain, metavar="LO..HI",
+                         help=f"nondet value domain (default {lo}..{hi})")
         if name == "verify":
             cmd.add_argument("--deadlock-check", action="store_true",
                              help="report deadlocks as violations")
@@ -101,8 +106,8 @@ def build_cli() -> argparse.ArgumentParser:
                                   "program, diagnosis model and line map "
                                   "next to the input")
         cmd.add_argument("--max-states", type=int, default=None, metavar="N",
-                         help="state budget (default 200000, or "
-                              "MCFL_MAX_STATES)")
+                         help=f"state budget (default {defaults.max_states}"
+                              ", or MCFL_MAX_STATES)")
         if name == "bench":
             cmd.add_argument("--csv", default="mcfl_bench.csv",
                              metavar="PATH",

@@ -7,6 +7,7 @@ targets, misplaced case/break, and arity errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -29,6 +30,7 @@ from .syntax import (
     Index,
     IntLit,
     Nondet,
+    PRECEDENCE,
     Program,
     PTHREAD_CALLS,
     PTHREAD_KINDS,
@@ -77,11 +79,15 @@ _KEYWORDS = {
     "nondet",
 } | set(_HANDLE_DECLS) | set(_PTHREAD_CALLS)
 
-_SYMBOLS = [
-    "&&", "||", "==", "!=", "<=", ">=",
-    "(", ")", "{", "}", "[", "]", ";", ",", "?", ":",
-    "=", "<", ">", "+", "-", "*", "/", "%", "!",
-]
+# every symbol token: the binary operators and the other punctuation,
+# longest first, so that "<=" is one token and not "<" and "="
+_SYMBOLS = sorted({*PRECEDENCE, "!", "=", "(", ")", "{", "}", "[", "]", ";",
+                   ",", "?", ":"}, key=lambda sym: (-len(sym), sym))
+
+# one token per match; whitespace and comments match no group
+_TOKEN = re.compile(
+    r"[ \t\r]+|//[^\n]*|(?P<newline>\n)|(?P<int>\d+)|(?P<word>[^\W\d]\w*)"
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")|(?P<bad>.)")
 
 
 @dataclass
@@ -94,52 +100,29 @@ class Token:
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, start = 1, 0  # the current line and the index it starts at
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        text = m.group()
+        col = m.start() - start + 1
+        if kind == "word":
+            # \w also admits numerals that are no decimal digit, like '²'
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", line,
+                                 col)
             kind = "kw" if text in _KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    # a comment does not advance the column: after a trailing one, the end
+    # of input sits where it starts
+    end = len(source[start:].partition("//")[0])
+    tokens.append(Token("eof", "", line, end + 1))
     return tokens
 
 
@@ -517,14 +500,9 @@ class _Parser:
             return Ternary(expr, then_expr, else_expr)
         return expr
 
-    _BIN_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["==", "!="],
-        ["<", "<=", ">", ">="],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
+    # the binary operators of each precedence level, loosest first
+    _BIN_LEVELS = [[op for op, prec in PRECEDENCE.items() if prec == level]
+                   for level in sorted(set(PRECEDENCE.values()))]
 
     def parse_binary(self, ctx: "_FnCtx", level: int) -> Expr:
         if level > len(self._BIN_LEVELS):

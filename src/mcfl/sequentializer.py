@@ -57,6 +57,7 @@ from .syntax import (
     Var,
     While,
     clone,
+    enclosing_loops,
     iter_stmts,
     program_stmts,
     renumber,
@@ -314,12 +315,10 @@ def apply_pthread_rules(stmt: Stmt, deadlock: bool) -> list[Stmt]:
 class _Anchor:
     """Image slot of one original statement inside the sequential program."""
 
-    def __init__(self, container: list[Stmt], index: int, length: int,
-                 loops: list[int]):
+    def __init__(self, container: list[Stmt], index: int, length: int):
         self.container = container
         self.index = index
         self.length = length
-        self.loops = loops  # original lines of enclosing loops
 
 
 class _Builder:
@@ -331,8 +330,8 @@ class _Builder:
         self.dispatch = (self.pool.fresh("order"),
                          self.pool.fresh("order_index"))
         self.anchors: dict[int, _Anchor] = {}
-        self.loop_bodies: dict[int, tuple[list[Stmt], list[int]]] = {}
-        self.if_bodies: dict[int, tuple] = {}
+        self.loop_bodies: dict[int, list[Stmt]] = {}
+        self.if_bodies: dict[int, tuple[list[Stmt], list[Stmt] | None]] = {}
         self.loop_names: dict[int, str] = {}
         self.loop_decls: list[Stmt] = []
         self.hoisted: list[Stmt] = []
@@ -369,10 +368,9 @@ class _Builder:
         for s in iter_stmts(fn.body.stmts):
             if isinstance(s, Decl):
                 rename[s.name] = self.pool.fresh(f"{prefix}_{s.name}")
-        return self._stmts(fn.body.stmts, rename, [])
+        return self._stmts(fn.body.stmts, rename)
 
-    def _stmts(self, stmts: list[Stmt], rename: dict[str, str],
-               loops: list[int]) -> list[Stmt]:
+    def _stmts(self, stmts: list[Stmt], rename: dict[str, str]) -> list[Stmt]:
         out: list[Stmt] = []
         for s in stmts:
             orig = getattr(s, "_orig", None)
@@ -380,14 +378,13 @@ class _Builder:
                 original_entry(s.line) if s.line else
                 synthetic_entry("framework"))
             start = len(out)
-            self._one(s, rename, loops, out, prov)
+            self._one(s, rename, out, prov)
             if orig is not None:
-                self.anchors[orig] = _Anchor(
-                    out, start, len(out) - start, list(loops))
+                self.anchors[orig] = _Anchor(out, start, len(out) - start)
         return out
 
-    def _one(self, s: Stmt, rename: dict[str, str], loops: list[int],
-             out: list[Stmt], prov: MapEntry) -> None:
+    def _one(self, s: Stmt, rename: dict[str, str], out: list[Stmt],
+             prov: MapEntry) -> None:
         orig = getattr(s, "_orig", None)
         if isinstance(s, Decl):
             # declaration was hoisted; keep the initializer in place
@@ -413,22 +410,21 @@ class _Builder:
             out.append(_mark(Break(), prov, orig))
             return
         if isinstance(s, Block):
-            node = Block(self._stmts(s.stmts, rename, loops))
+            node = Block(self._stmts(s.stmts, rename))
             out.append(_mark(node, prov, orig))
             return
         if isinstance(s, If):
-            then_list = self._stmts(s.then.stmts, rename, loops)
-            els_list = self._stmts(s.els.stmts, rename, loops) \
+            then_list = self._stmts(s.then.stmts, rename)
+            els_list = self._stmts(s.els.stmts, rename) \
                 if s.els is not None else None
             node = If(clone(s.cond, rename), Block(then_list),
                       Block(els_list) if els_list is not None else None)
             out.append(_mark(node, prov, orig))
             if orig is not None:
-                self.if_bodies[orig] = (then_list, els_list, list(loops))
+                self.if_bodies[orig] = (then_list, els_list)
             return
         if isinstance(s, While):
-            inner_loops = loops + [orig] if orig is not None else loops
-            body_list = self._stmts(s.body.stmts, rename, inner_loops)
+            body_list = self._stmts(s.body.stmts, rename)
             lc = self.loopcounter(s)
             inc = _mark(Assign(lc, Binary("+", Var(lc), IntLit(1))),
                         synthetic_entry("loopcounter"), None)
@@ -438,7 +434,7 @@ class _Builder:
             out.append(_mark(node, prov, orig))
             if orig is not None:
                 self.loop_names[orig] = lc
-                self.loop_bodies[orig] = (body_list, inner_loops)
+                self.loop_bodies[orig] = body_list
             return
         if isinstance(s, PTHREAD_KINDS):
             self._pthread(s, out)
@@ -477,13 +473,14 @@ def sequentialize(program: Program, schedule: Schedule,
         case_bodies[td.ordinal] = builder.transform_body(
             fn, {}, td.function)
 
-    scheduled = {seg.thread for seg in schedule.segments}
+    # a scheduled thread's first segment enters at the top of its body
+    first_tags = {seg.thread: seg.tag for seg in reversed(schedule.segments)}
     switch_body: list[Stmt] = []
     for ordinal in range(len(unwound.threads) + 1):
         switch_body.append(_mark(CaseLabel(ordinal + 1),
                                  synthetic_entry("framework")))
-        if ordinal in scheduled:
-            switch_body.append(_mark(CaseLabel((ordinal + 1) * 10 + 1),
+        if ordinal in first_tags:
+            switch_body.append(_mark(CaseLabel(first_tags[ordinal]),
                                      synthetic_entry("framework")))
         # the body stays in its own block so guard insertion can keep
         # addressing the same statement list
@@ -518,7 +515,7 @@ def sequentialize(program: Program, schedule: Schedule,
         main=FunctionDef("main", "int", [], Block(main_body)),
         threads=[],
     )
-    _place_order_control(builder, schedule)
+    _place_order_control(builder, schedule, enclosing_loops(program))
     renumber(seq_program)
     line_map = {stmt.line: getattr(stmt, "_prov", None)
                 or synthetic_entry("framework")
@@ -567,10 +564,13 @@ def _guard(tag: int, counters: list[tuple[str, int]],
     return _mark(guard, synthetic_entry("order-control"))
 
 
-def _place_order_control(builder: _Builder, schedule: Schedule) -> None:
+def _place_order_control(builder: _Builder, schedule: Schedule,
+                         enclosing: dict[int, list[int]]) -> None:
     """Inserts segment-exit guards and segment-entry case labels into the
     statement lists the builder made, so that the sequential program
-    performs the schedule's segments in order."""
+    performs the schedule's segments in order. A guard's loop counters are
+    those of the loops enclosing it in the original program (enclosing,
+    from enclosing_loops, which also keys the recorded iteration counts)."""
     anchors = builder.anchors
     loop_bodies = builder.loop_bodies
     if_bodies = builder.if_bodies
@@ -599,13 +599,13 @@ def _place_order_control(builder: _Builder, schedule: Schedule) -> None:
         while idx < len(anchor.container) and \
                 getattr(anchor.container[idx], "_lc_inc", False):
             idx += 1
-        return anchor.container, idx, anchor.loops
+        return anchor.container, idx, enclosing[line]
 
     def before_image(line: int) -> tuple[list[Stmt], int, list[int]]:
         anchor = anchors.get(line)
         if anchor is None:
             raise GuardPlacementError(f"line {line} has no image")
-        return anchor.container, anchor.index, anchor.loops
+        return anchor.container, anchor.index, enclosing[line]
 
     segments = schedule.segments
     for i, seg in enumerate(segments):
@@ -619,8 +619,8 @@ def _place_order_control(builder: _Builder, schedule: Schedule) -> None:
                 # the thread stopped right after this statement finished
                 container, idx, loops = after_image(seg.to_line)
             elif nxt.from_line == seg.to_line and seg.to_line in loop_bodies:
-                body_list, body_loops = loop_bodies[seg.to_line]
-                container, idx, loops = body_list, 0, body_loops
+                container, idx = loop_bodies[seg.to_line], 0
+                loops = enclosing[seg.to_line] + [seg.to_line]
             else:
                 # the thread stopped after evaluating a condition; resume
                 # right before the first statement it executed afterwards
@@ -635,14 +635,14 @@ def _place_order_control(builder: _Builder, schedule: Schedule) -> None:
         # may sit after the final recorded step
         positions: list[tuple[list[Stmt], int, list[int]]] = []
         if seg.to_line in loop_bodies:
-            body_list, body_loops = loop_bodies[seg.to_line]
-            positions.append((body_list, 0, body_loops))
+            positions.append((loop_bodies[seg.to_line], 0,
+                              enclosing[seg.to_line] + [seg.to_line]))
             positions.append(after_image(seg.to_line))
         elif seg.to_line in if_bodies:
-            then_list, els_list, if_loops = if_bodies[seg.to_line]
-            positions.append((then_list, 0, if_loops))
+            then_list, els_list = if_bodies[seg.to_line]
+            positions.append((then_list, 0, enclosing[seg.to_line]))
             if els_list is not None:
-                positions.append((els_list, 0, if_loops))
+                positions.append((els_list, 0, enclosing[seg.to_line]))
             positions.append(after_image(seg.to_line))
         else:
             positions.append(after_image(seg.to_line))

@@ -5,8 +5,9 @@ Line ids are the currency of the whole toolkit: traces, schedules, line maps
 and diagnoses all refer to statements by id, never by textual position.
 
 The surface syntax of the threading statements (keyword, argument kinds)
-lives in two tables, HANDLE_DECLS and PTHREAD_CALLS; the parser, the
-printer and the parser's keyword list read it from there.
+lives in two tables, HANDLE_DECLS and PTHREAD_CALLS, and that of the
+binary operators in PRECEDENCE; the parser, its lexer and the printer read
+them from there.
 """
 
 from __future__ import annotations
@@ -422,8 +423,16 @@ def clone(node, rename: dict[str, str] | None = None):
     args = []
     for name in names:
         value = getattr(node, name)
-        args.append(value if isinstance(value, _PLAIN) else
-                    clone(value, rename))
+        if isinstance(value, list):
+            # copied in this frame, so that a statement nesting level costs
+            # two frames (the statement and its body), as printing does
+            items = []
+            for item in value:
+                items.append(clone(item, rename))
+            value = items
+        elif not isinstance(value, _PLAIN):
+            value = clone(value, rename)
+        args.append(value)
     new = type(node)(*args)
     if isinstance(node, Stmt):
         new.line = node.line  # an init=False field
@@ -436,21 +445,10 @@ def clone(node, rename: dict[str, str] | None = None):
 # Pretty printing
 # ---------------------------------------------------------------------------
 
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
+# binary operator -> precedence level, loosest first; the parser's levels
+# and symbol tokens and the printer's parentheses all read it
+PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4,
+              ">=": 4, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
 
 _UNARY_PREC = 7
 
@@ -472,7 +470,7 @@ def format_expr(expr: Expr, parent_prec: int = 0) -> str:
         s = f"{expr.op}{inner}"
         return f"({s})" if parent_prec > _UNARY_PREC else s
     if isinstance(expr, Binary):
-        prec = _PRECEDENCE[expr.op]
+        prec = PRECEDENCE[expr.op]
         left = format_expr(expr.left, prec)
         right = format_expr(expr.right, prec + 1)
         s = f"{left} {expr.op} {right}"

@@ -60,6 +60,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple
 
+from .sequentializer import Schedule, Segment
 from .syntax import (
     ArrayDecl,
     Assert,
@@ -696,9 +697,11 @@ class _Machine:
         # set by the search when it reaches a path cut at the loop bound
         self.bound_hit = False
         # states the search expanded, and those it skipped as covered by
-        # finished subtrees
+        # finished subtrees; in the reduced search, the expansions it cut to
+        # one thread
         self.states = 0
         self.pruned = 0
+        self.reductions = 0
 
     # -- state construction ---------------------------------------------
 
@@ -1296,31 +1299,24 @@ class _Independence:
         return True
 
 
-class _Reduction:
-    """The reduced search (see _explore), which counts the expansions it
-    cut to one thread."""
-
-    def __init__(self, compiled: CompiledProgram):
-        self.compiled = compiled
-        self.reductions = 0
-
-    def alone(self, machine: _Machine, state: _State,
-              schedulable: list[int]) -> list | None:
-        """The outcomes of the last thread's step where that thread runs
-        alone, since others are schedulable and its step commutes and
-        kills no path; else None."""
-        last = state.control.last_thread
-        if len(schedulable) < 2 or last not in schedulable or \
-                not self.compiled.independence().commutes(state, last):
-            return None
-        own = machine.step(state, last)
-        if any(outcome[0] == "kill" for outcome in own):
-            return None
-        self.reductions += 1
-        if last != schedulable[0]:
-            own = [(*outcome[:-1], outcome[-1]._replace(reordered=True))
-                   for outcome in own]
-        return own
+def _alone(machine: _Machine, state: _State,
+           schedulable: list[int]) -> list | None:
+    """For the reduced search (see _explore): the outcomes of the last
+    thread's step where that thread runs alone, since others are
+    schedulable and its step commutes and kills no path; else None.
+    machine.reductions counts the expansions so cut to one thread."""
+    last = state.control.last_thread
+    if len(schedulable) < 2 or last not in schedulable or \
+            not machine.compiled.independence().commutes(state, last):
+        return None
+    own = machine.step(state, last)
+    if any(outcome[0] == "kill" for outcome in own):
+        return None
+    machine.reductions += 1
+    if last != schedulable[0]:
+        own = [(*outcome[:-1], outcome[-1]._replace(reordered=True))
+               for outcome in own]
+    return own
 
 
 # ---------------------------------------------------------------------------
@@ -1459,8 +1455,7 @@ class _SiteSearch:
 
 
 def _explore(machine: _Machine, first_leaf: bool = False,
-             sites: _SiteSearch | None = None,
-             reduction: _Reduction | None = None,
+             sites: _SiteSearch | None = None, reduce: bool = False,
              done: dict[tuple, int] | None = None):
     """DFS over interleavings and nondet values.
 
@@ -1474,8 +1469,8 @@ def _explore(machine: _Machine, first_leaf: bool = False,
     uncounted, to sites.goal, and the search ends once no pick is left or
     one of them ends it.
 
-    With reduction, the reduced search (see the module docstring): a
-    state's expansion is reduction.alone's where it gives one.
+    With reduce, the reduced search (see the module docstring): a state's
+    expansion is _alone's where it gives one.
 
     With done, the finished-state cache, which only verify passes. A state
     with two or more live threads, where interleavings meet again, is
@@ -1496,7 +1491,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
         kind = stack.pop()
         if kind[0] == "done":
             # a count stored for the key came from below, no lower
-            if reduction is None or kind[2] == cuts:
+            if not reduce or kind[2] == cuts:
                 done[kind[1]] = kind[3].switches
             continue
         if kind[0] == "violation":
@@ -1557,8 +1552,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if first_leaf:
                 return ("leaf", "budget", state)
             continue
-        own = None if reduction is None else \
-            reduction.alone(machine, state, schedulable)
+        own = _alone(machine, state, schedulable) if reduce else None
         if own is not None:
             stack.extend(reversed(own))
             continue
@@ -1606,15 +1600,14 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
         result = _explore(machine, sites=search)
         counts = {"records": search.records(result[0])}
     else:
-        reduction = _Reduction(compiled)
         machine = _Machine(compiled, config)
         done: dict[tuple, int] = {}
         try:
-            result = _explore(machine, reduction=reduction, done=done)
+            result = _explore(machine, reduce=True, done=done)
         except ModelError:
             result = ("error",)
         counts = {"reduced_states": machine.states,
-                  "reductions": reduction.reductions}
+                  "reductions": machine.reductions}
         final = result[0] in ("safe", "exhausted") or \
             result[0] == "violation" and not result[2].reordered
         if not final:
@@ -1694,14 +1687,13 @@ class UnsupportedScheduleError(Exception):
     """A thread is interrupted too often to be tagged (occurrence >= 10)."""
 
 
-def extract_schedule(counterexample: Counterexample):
+def extract_schedule(counterexample: Counterexample) -> Schedule:
     """Distills the ordered context-switch structure from a counterexample.
 
     Tag numbering: segment j of thread n (both counted from their first
-    occurrence) receives (n + 1) * 10 + j with j starting at 1.
+    occurrence) receives (n + 1) * 10 + j with j starting at 1. The
+    sequentializer reads every tag from the segments.
     """
-    from .sequentializer import Schedule, Segment
-
     steps = counterexample.steps
     if not steps:
         raise UnsupportedScheduleError("empty trace")

@@ -40,8 +40,8 @@ int main() {
 DEEP_PARENS = ("int x = 0;\nint main() { x = " + "(" * 100 + "1" + ")" * 100
                + "; assert(x != 1); }\n")
 
-# parses, verifies and localizes, but nested past the recursion limit of
-# the diagnosis model's copy, which instrument and --emit-intermediates make
+# nested 320 deep, which every stage handles, the diagnosis model's copy
+# included
 DEEP_IFS = ("int x = 0;\nint main() {\n" + "if (x == 0) {\n" * 320
             + "x = 1;\n" + "}\n" * 320 + "assert(x != 1);\n}\n")
 
@@ -215,11 +215,14 @@ int main() {
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "faults-found"
         assert len(doc["diagnoses"]) == doc["found_error_count"] == 321
-        for argv in (["instrument", str(ifs)],
-                     ["localize", str(ifs), "--emit-intermediates"]):
-            assert main(argv) == 4
-            assert capsys.readouterr().err.endswith(
-                "mcfl: input nests too deeply\n")
+        # the diagnosis model's copy spends two frames per level, as the
+        # parser and the printer do
+        model = tmp_path / "ifs.instrumented.mc"
+        for command in ("instrument", "localize"):
+            model.unlink(missing_ok=True)
+            assert main([command, str(ifs), "--emit-intermediates"]) == 1
+            assert "nests too deeply" not in capsys.readouterr().err
+            assert model.read_text().count("if (") >= 320
 
     def test_bench_on_a_file_is_four(self, fault_file, capsys):
         assert main(["bench", str(fault_file)]) == 4
@@ -345,6 +348,20 @@ class TestBench:
         assert main(["bench", str(d)]) == 0
         out = capsys.readouterr().out
         assert "error" in out and "good" in out
+
+    def test_non_decimal_digit_does_not_abort(self, tmp_path, capsys,
+                                              monkeypatch):
+        # '²' is a digit to str.isdigit but not to int()
+        monkeypatch.chdir(tmp_path)
+        d = tmp_path / "digits"
+        d.mkdir()
+        (d / "good.mc").write_text(SAFE)
+        (d / "square.mc").write_text("int x = 0;\nint main() { x = ²; }\n")
+        assert main(["bench", str(d)]) == 0
+        rows = (tmp_path / "mcfl_bench.csv").read_text().splitlines()
+        assert [row.split(",")[0] + "," + row.split(",")[5]
+                for row in rows[1:]] == \
+            ["good,no-counterexample", "square,error"]
 
     def test_deep_nesting_does_not_abort(self, tmp_path, capsys,
                                          monkeypatch):

@@ -131,8 +131,8 @@ def test_check_finds_a_planted_private_function():
 def test_check_finds_a_planted_attribute():
     source = (SRC / "sequentializer.py").read_text()
     planted = source.replace(
-        "        self.loops = loops  # original lines of enclosing loops\n",
-        "        self.loops = loops  # original lines of enclosing loops\n"
+        "        self.length = length\n",
+        "        self.length = length\n"
         "        self.unread = None\n")
     line = planted.splitlines().index("        self.unread = None") + 1
     assert unread_private_attributes(planted) == \

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfl.parser import ParseError, parse
+from mcfl.parser import _SYMBOLS, ParseError, _tokenize, parse
 from mcfl.sequentializer import sequentialize
 from mcfl.syntax import (
     HANDLE_DECLS,
+    PRECEDENCE,
     PTHREAD_CALLS,
+    Binary,
     CondAttrDecl,
     CondDecl,
     Expr,
@@ -18,6 +20,7 @@ from mcfl.syntax import (
     Stmt,
     ThreadAttrDecl,
     ThreadDecl,
+    Var,
     clone,
     line_table,
     pretty_print,
@@ -145,6 +148,60 @@ class TestParse:
         p = parse(src)
         assert [(t.ordinal, t.function) for t in p.threads] == [
             (1, "first"), (2, "second")]
+
+
+def _tokens(source: str) -> list[tuple]:
+    return [(t.kind, t.text, t.line, t.col) for t in _tokenize(source)]
+
+
+class TestLexer:
+    def test_unexpected_character_has_position(self):
+        with pytest.raises(ParseError) as err:
+            parse("int main() {\n\t@\n}")
+        assert str(err.value) == "2:2: unexpected character '@'"
+
+    @pytest.mark.parametrize("char", ["²", "½", "\x0b", "$"])
+    def test_non_token_character_is_a_parse_error(self, char):
+        # '²' and '½' are numerals but no decimal digits
+        with pytest.raises(ParseError) as err:
+            parse(f"int x = 0;\nint main() {{ x = {char}; }}")
+        assert str(err.value) == f"2:18: unexpected character {char!r}"
+
+    @pytest.mark.parametrize("sym", _SYMBOLS)
+    def test_symbol_is_one_token(self, sym):
+        assert _tokens(f"a {sym} b") == [
+            ("ident", "a", 1, 1), ("sym", sym, 1, 3),
+            ("ident", "b", 1, 4 + len(sym)), ("eof", "", 1, 5 + len(sym))]
+
+    def test_keyword_versus_identifier(self):
+        assert [t[:2] for t in _tokens("int integer _int int1 while x_2 2x")
+                ] == [("kw", "int"), ("ident", "integer"), ("ident", "_int"),
+                      ("ident", "int1"), ("kw", "while"), ("ident", "x_2"),
+                      ("int", "2"), ("ident", "x"), ("eof", "")]
+
+    def test_comments_are_skipped(self):
+        assert _tokens("a // b <= @ ²\n  // only\nc//d\n") == [
+            ("ident", "a", 1, 1), ("ident", "c", 3, 1), ("eof", "", 4, 1)]
+
+    def test_end_of_input_after_a_trailing_comment(self):
+        # a comment does not advance the column
+        assert _tokens("int main() { // x")[-1] == ("eof", "", 1, 14)
+        with pytest.raises(ParseError) as err:
+            parse("int main() { // x")
+        assert str(err.value) == "1:14: unexpected end of input, missing '}'"
+
+    def test_every_pair_of_binary_operators(self):
+        for op1 in PRECEDENCE:
+            for op2 in PRECEDENCE:
+                p = parse(f"int a = 1;\nint b = 2;\nint c = 3;\n"
+                          f"int main() {{ a = a {op1} b {op2} c; }}")
+                a, b, c = Var("a"), Var("b"), Var("c")
+                # equal levels associate to the left
+                expected = Binary(op2, Binary(op1, a, b), c) \
+                    if PRECEDENCE[op1] >= PRECEDENCE[op2] \
+                    else Binary(op1, a, Binary(op2, b, c))
+                assert p.main.body.stmts[0].expr == expected, (op1, op2)
+                assert parse(pretty_print(p)) == p, (op1, op2)
 
 
 class TestRoundTrip:

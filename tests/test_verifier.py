@@ -22,7 +22,6 @@ from mcfl.verifier import (
     _build_counterexample,
     _explore,
     _Machine,
-    _Reduction,
     _unlink,
     counterexample_from_json,
     counterexample_to_json,
@@ -1224,7 +1223,7 @@ class TestReduction:
         assert self._agree(p, VerifierConfig()).outcome == "violation"
         with pytest.raises(ModelError):
             _explore(_Machine(CompiledProgram(p), VerifierConfig()),
-                     reduction=_Reduction(CompiledProgram(p)))
+                     reduce=True)
 
     def test_user_loop_without_progress_runs_out(self):
         p = parse("""int x = 0;
