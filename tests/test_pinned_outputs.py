@@ -6,8 +6,9 @@ Each program id maps to the sha256 of four texts, all at CLI defaults:
 the counterexample JSON from `verify` (or its outcome when there is no
 violation), the timing-free `report_to_json(localize(...))`, and for each
 of the two commands its exit status and standard output. The programs are
-the bundled ports, randprog programs with division, and a program with
-nothing to instrument.
+the bundled ports, randprog programs with division, three-thread randprog
+programs, callee programs (their calls are unwound into copies) and a
+program with nothing to instrument.
 
 Regenerate only when an output change is intended, and say why:
 
@@ -39,6 +40,8 @@ import randprog
 BENCH_DIR = Path(__file__).parent.parent / "src" / "mcfl" / "benchmarks"
 PINNED = Path(__file__).parent / "pinned_outputs.json"
 RANDPROG_SEEDS = range(50)
+THREE_THREAD_SEEDS = range(20)
+CALLEE_SEEDS = range(20)
 # a failing program with no line eligible for diagnosis: `mcfl instrument`
 # exits 2 and `localize` is inconclusive
 NOTHING_ELIGIBLE = "int x = 0; int main() { assert(x == 1); }\n"
@@ -50,6 +53,11 @@ def _sources() -> dict[str, str]:
     for seed in RANDPROG_SEEDS:
         sources[f"randprog:{seed}"] = randprog.generate_source(
             seed, with_div=True)
+    for seed in THREE_THREAD_SEEDS:
+        sources[f"threads3:{seed}"] = randprog.generate_source(
+            seed, max_threads=3)
+    for seed in CALLEE_SEEDS:
+        sources[f"callee:{seed}"] = randprog.generate_callee_source(seed)
     sources["case:nothing-eligible"] = NOTHING_ELIGIBLE
     return sources
 
