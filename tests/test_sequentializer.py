@@ -5,6 +5,7 @@ import pytest
 from mcfl.localizer import localize
 from mcfl.parser import parse
 from mcfl.sequentializer import (
+    GuardPlacementError,
     RuleGapError,
     Schedule,
     Segment,
@@ -486,6 +487,113 @@ int main() {
         assert seq_result.counterexample.final_valuation["x"] == 2
         assert seq.original_line(
             seq_result.counterexample.violation.line) == 3
+
+
+# while statement 6 has an empty body, so the body holds only the images
+# the transformation adds
+EMPTY_LOOP = """int x = 0;
+pthread_t h;
+void w() {
+  x = 1;
+}
+int main() {
+  int i = 0;
+  pthread_create(h, w);
+  while (i < 2) {
+  }
+  assert(x == 0);
+}
+"""
+
+# w's if-else is statement 3; main's create and assert are 7 and 8
+IF_ELSE_THREAD = """int x = 0;
+pthread_t h;
+void w() {
+  if (x == 0) {
+    x = 1;
+  } else {
+    x = 2;
+  }
+  x = x + 3;
+}
+int main() {
+  pthread_create(h, w);
+  assert(x == 0);
+}
+"""
+
+# as EMPTY_LOOP, with statement 7 in the body
+COUNTED_LOOP = EMPTY_LOOP.replace("{\n  }", "{\n    i = i + 1;\n  }")
+
+
+def _placed(source: str, segments: list[Segment]):
+    program = parse(source)
+    schedule = Schedule(segments, [seg.tag for seg in segments])
+    return sequentialize(program, schedule, False)
+
+
+def _case_block(seq, ordinal: int) -> str:
+    """The printed body of thread ordinal's dispatch case, dedented."""
+    lines = pretty_print(seq.program).splitlines()
+    start = lines.index("      {", lines.index(f"      case {ordinal + 1}:"))
+    end = lines.index("      }", start)
+    return "\n".join(line[8:] for line in lines[start + 1:end])
+
+
+class TestPlacementRules:
+    """Where a hand-built schedule's guards and resume labels go."""
+
+    def test_resume_at_the_same_while(self):
+        # main's first segment ends at the while and resumes there: guard
+        # and label go to the top of the body, under the loop's own count
+        seq = _placed(EMPTY_LOOP, [Segment(0, 4, 6, {6: 1}, 11),
+                                   Segment(1, 3, 3, {}, 21),
+                                   Segment(0, 6, 7, {}, 12)])
+        assert _case_block(seq, 0) == """main_i = 0;
+while (main_i < 2) {
+  if (order[order_index] == 11 && loopcounter_1 == 1) {
+    break;
+  }
+  case 12:
+  loopcounter_1 = loopcounter_1 + 1;
+}
+assert(x == 0);"""
+
+    def test_last_segment_ending_at_an_if_else(self):
+        # w stops after the condition and never resumes: a guard tops each
+        # branch and one follows the if
+        seq = _placed(IF_ELSE_THREAD, [Segment(0, 7, 7, {}, 11),
+                                       Segment(1, 3, 3, {}, 21),
+                                       Segment(0, 8, 8, {}, 12)])
+        assert _case_block(seq, 1) == """if (x == 0) {
+  if (order[order_index] == 21) {
+    break;
+  }
+  x = 1;
+} else {
+  if (order[order_index] == 21) {
+    break;
+  }
+  x = 2;
+}
+if (order[order_index] == 21) {
+  break;
+}
+x = x + 3;"""
+
+    def test_segment_ending_at_a_line_without_image(self):
+        # statement 1 is a global declaration, outside every thread body
+        with pytest.raises(GuardPlacementError,
+                           match="^line 1 has no image$"):
+            _placed(IF_ELSE_THREAD, [Segment(0, 7, 1, {}, 11),
+                                     Segment(1, 3, 3, {}, 21)])
+
+    def test_switch_in_a_loop_without_iteration_count(self):
+        with pytest.raises(GuardPlacementError,
+                           match="^no recorded iteration count for the "
+                                 "loop at line 6$"):
+            _placed(COUNTED_LOOP, [Segment(0, 4, 7, {}, 11),
+                                   Segment(1, 3, 3, {}, 21)])
 
 
 HANDSHAKE = """int done = 0;

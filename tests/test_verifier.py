@@ -1,5 +1,6 @@
 """Bounded exploration, replay and schedule extraction."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -171,6 +172,128 @@ SITES = """int main() {
 }
 """
 SITE_PICKS = {3: Nondet(0, 2), 5: Nondet(0, 2)}
+
+
+# y is the first nondet draw (line 3 of each program), so each violation
+# names the value it needs
+IF_ELSE = """int x = 0;
+int y = 0;
+int main() {
+  y = nondet();
+  if (y == 1) {
+    x = 2;
+  } else {
+    x = 3;
+  }
+  assert(x != 3);
+}
+"""
+
+UNARY = """int x = 0;
+int y = 0;
+int main() {
+  y = nondet();
+  x = -y;
+  assert(!(x == -2));
+}
+"""
+
+SWITCH_DEFAULT = """int x = 0;
+int y = 0;
+int main() {
+  y = nondet();
+  switch (y) {
+    case 0:
+      x = 1;
+      break;
+    case 1:
+      x = 2;
+      break;
+    default:
+      x = 5;
+  }
+  assert(x != 5);
+}
+"""
+
+SWITCH_NO_MATCH = """int x = 0;
+int y = 0;
+int main() {
+  y = nondet();
+  switch (y) {
+    case 0:
+      x = 1;
+      break;
+    case 1:
+      x = 2;
+      break;
+  }
+  assert(x != 0);
+}
+"""
+
+# a thread that negates, branches on a ternary and calls a callee that
+# calls another, against main's if-else and switch
+MIXED_THREADS = """int x = 0;
+int y = 0;
+pthread_t h;
+int inc(int a) {
+  return a + 1;
+}
+int twice(int a) {
+  int b = 0;
+  b = inc(a);
+  b = inc(b);
+  return b;
+}
+void w() {
+  y = -x;
+  x = twice(y);
+  x = y < 0 ? x : !y;
+}
+int main() {
+  pthread_create(h, w);
+  x = nondet(0, 2);
+  if (x == 1) {
+    y = 2;
+  } else {
+    y = twice(y);
+  }
+  switch (x) {
+    case 0:
+      x = 3;
+      break;
+    default:
+      x = x + 1;
+  }
+  assert(x + y != 5);
+}
+"""
+
+
+class TestSemantics:
+    """Fixed outcomes, since the naive explorer shares the evaluator."""
+
+    @pytest.mark.parametrize("source,line,choice", [
+        (IF_ELSE, 7, 0), (UNARY, 5, 2), (SWITCH_DEFAULT, 13, 2),
+        (SWITCH_NO_MATCH, 11, 2)],
+        ids=["if-else", "unary", "switch-default", "switch-no-match"])
+    def test_first_violation(self, source, line, choice):
+        cex = verify(parse(source), VerifierConfig()).counterexample
+        assert cex.violation == Violation("assertion", line)
+        assert cex.nondet_choices == [(3, choice)]
+
+    @pytest.mark.parametrize("config", [
+        VerifierConfig(), VerifierConfig(context_bound=1),
+        VerifierConfig(deadlock_check=True, nondet_domain=(1, 2))],
+        ids=["defaults", "bound-1", "domain-1-2"])
+    def test_threads_match_the_uncached_search(self, config):
+        p = parse(MIXED_THREADS)
+        result = verify(p, config)
+        cex = result.counterexample
+        assert (result.outcome, counterexample_to_json(cex) if cex else None,
+                result.bound_hit) == uncached(p, config)[:3]
+        assert result.reductions > 0
 
 
 def _records(result):
@@ -401,6 +524,83 @@ class TestReplay:
                            match=r"^nondet at line 2 takes 0\.\.1, "
                                  r"choice recorded 7$"):
             replay(p, cex)
+
+
+# main draws y, passes the assume only with y = 1, and holds m across its
+# update; w takes m after main has let it go
+LOCKED_UPDATES = """int x = 0;
+pthread_mutex_t m;
+pthread_t h;
+void w() {
+  pthread_mutex_lock(m);
+  x = x + 1;
+  pthread_mutex_unlock(m);
+}
+int main() {
+  int y;
+  y = nondet();
+  assume(y == 1);
+  pthread_create(h, w);
+  pthread_mutex_lock(m);
+  x = x + 2;
+  pthread_mutex_unlock(m);
+  pthread_join(h);
+  assert(x != 3);
+}
+"""
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+class TestReplayRejections:
+    """replay rejects a counterexample document that no longer fits the
+    program, naming what does not fit. The recorded trace runs main's
+    steps 0..6 (lines 7..13), w's lines 4..6, then main's join and
+    assert."""
+
+    def test_recorded_trace(self):
+        cex = verify(parse(LOCKED_UPDATES), VerifierConfig()).counterexample
+        assert [(s.thread, s.line) for s in cex.steps] == \
+            [(0, line) for line in range(7, 14)] + \
+            [(1, 4), (1, 5), (1, 6), (0, 14), (0, 15)]
+        assert cex.nondet_choices == [(8, 1)]
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda doc: doc["steps"][0].__setitem__("thread", 1),
+         "step 0 schedules a dead thread 1"),
+        (lambda doc: doc["steps"].insert(5, doc["steps"].pop(7)),
+         "step 5: thread 1 is blocked"),
+        (_set("nondet_choices", [[8, 0]]),
+         "step 2 became infeasible on replay"),
+        (lambda doc: doc["steps"].append(doc["steps"][-1]),
+         "violation before the end of the trace"),
+        (_set("violation", {"kind": "deadlock", "blocked": [0]}),
+         "deadlock does not reproduce"),
+        (lambda doc: doc["steps"].pop(),
+         "trace ends without the recorded violation"),
+        (lambda doc: doc["violation"].__setitem__("line", 14),
+         "violation mismatch: Violation(kind='assertion', line=15, "
+         "blocked=None) != Violation(kind='assertion', line=14, "
+         "blocked=None)"),
+        (lambda doc: doc["steps"][1].__setitem__("step_index", 9),
+         "step 1 has step_index 9"),
+        (lambda doc: doc["switches"][0].__setitem__("at_line", 1),
+         "switches differ from the replayed trace"),
+    ], ids=["dead-thread", "blocked-thread", "infeasible-step",
+            "early-violation", "no-deadlock", "no-violation",
+            "other-violation", "step-index", "switches"])
+    def test_mismatch_message(self, mutate, message):
+        p = parse(LOCKED_UPDATES)
+        text = counterexample_to_json(verify(p, VerifierConfig())
+                                      .counterexample)
+        doc = json.loads(text)
+        mutate(doc)
+        loaded = counterexample_from_json(json.dumps(doc))
+        with pytest.raises(TraceMismatch) as info:
+            replay(p, loaded)
+        assert str(info.value) == message
 
 
 def _hand_trace(threads: list[int]) -> Counterexample:
