@@ -340,6 +340,9 @@ class _Builder:
         for line, value in schedule.nondet_pins:
             self.pins.setdefault(line, []).append(value)
         self.loop_count = 0
+        # loops around the statement being transformed; an inlined copy
+        # keeps its callee's lines, so the input's loop nesting cannot tell
+        self.loop_depth = 0
 
     def loopcounter(self, node: While) -> str:
         self.loop_count += 1
@@ -387,12 +390,12 @@ class _Builder:
              prov: MapEntry) -> None:
         orig = getattr(s, "_orig", None)
         if isinstance(s, Decl):
-            # declaration was hoisted; keep the initializer in place
+            # declaration was hoisted; keep the initializer in place, and
+            # in a loop the reset to 0 that each execution makes
             self.hoisted.append(_mark(Decl(rename[s.name]), prov, None))
-            if s.init is not None:
-                out.append(_mark(
-                    Assign(rename[s.name], clone(s.init, rename)),
-                    prov, orig))
+            if s.init is not None or self.loop_depth:
+                init = IntLit(0) if s.init is None else clone(s.init, rename)
+                out.append(_mark(Assign(rename[s.name], init), prov, orig))
             return
         if isinstance(s, (Assign, Assert, Assume)):
             img = _mark(clone(s, rename), prov, orig)
@@ -424,7 +427,9 @@ class _Builder:
                 self.if_bodies[orig] = (then_list, els_list)
             return
         if isinstance(s, While):
+            self.loop_depth += 1
             body_list = self._stmts(s.body.stmts, rename)
+            self.loop_depth -= 1
             lc = self.loopcounter(s)
             inc = _mark(Assign(lc, Binary("+", Var(lc), IntLit(1))),
                         synthetic_entry("loopcounter"), None)

@@ -1,8 +1,10 @@
 """Rewrite rules, unwinding, framework shape and order control."""
 
+from dataclasses import replace
+
 import pytest
 
-from mcfl.localizer import localize
+from mcfl.localizer import localize, report_to_json, sequential_replay
 from mcfl.parser import parse
 from mcfl.sequentializer import (
     GuardPlacementError,
@@ -10,6 +12,7 @@ from mcfl.sequentializer import (
     Schedule,
     Segment,
     apply_pthread_rules,
+    line_map_to_json,
     pthread_free,
     sequentialize,
     unwind_calls,
@@ -594,6 +597,62 @@ x = x + 3;"""
                                  "loop at line 6$"):
             _placed(COUNTED_LOOP, [Segment(0, 4, 7, {}, 11),
                                    Segment(1, 3, 3, {}, 21)])
+
+
+# each iteration declares t afresh, so x is 1 + 1 and the assert fails
+LOOP_LOCAL = """int x = 0;
+int main() {
+  int i = 0;
+  while (i < 2) {
+    int t;
+    t = t + 1;
+    x = x + t;
+    i = i + 1;
+  }
+  assert(x != 2);
+}
+"""
+
+# the same through a callee inlined into the loop
+CALLEE_LOOP_LOCAL = """int x = 0;
+int f(int a) {
+  int t;
+  t = t + a;
+  return t;
+}
+int main() {
+  int i = 0;
+  int r = 0;
+  while (i < 2) {
+    r = f(1);
+    x = x + r;
+    i = i + 1;
+  }
+  assert(x != 2);
+}
+"""
+
+
+class TestLoopLocals:
+    """A declaration resets its variable to 0 each time it runs, so a
+    local declared without an initializer inside a loop behaves as one
+    declared `= 0`."""
+
+    @staticmethod
+    def _outputs(source: str) -> tuple[str, str]:
+        program, config = parse(source), VerifierConfig()
+        seq = sequential_replay(program, config).sequential
+        report = localize(program, config)
+        return (pretty_print(seq.program) + line_map_to_json(seq.line_map),
+                report_to_json(replace(report, timings={})))
+
+    @pytest.mark.parametrize("source", [LOOP_LOCAL, CALLEE_LOOP_LOCAL],
+                             ids=["main", "callee"])
+    def test_reset_as_if_initialized(self, source):
+        outputs = self._outputs(source)
+        assert outputs == self._outputs(
+            source.replace("int t;", "int t = 0;"))
+        assert '"status": "faults-found"' in outputs[1]
 
 
 HANDSHAKE = """int done = 0;
