@@ -91,9 +91,12 @@ class Segment:
 @dataclass
 class Schedule:
     segments: list[Segment]
-    order_tags: list[int]
     # recorded nondet choices, used to pin input values during replay
     nondet_pins: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def order_tags(self) -> list[int]:
+        return [seg.tag for seg in self.segments]
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +174,8 @@ class NamePool:
         return name
 
 
-def _mark(stmt: Stmt, prov: MapEntry, orig: int | None = None) -> Stmt:
+def _mark(stmt: Stmt, prov: MapEntry) -> Stmt:
     stmt._prov = prov
-    stmt._orig = orig
     return stmt
 
 
@@ -209,10 +211,8 @@ def _unwind_stmts(stmts: list[Stmt], fns: dict[str, FunctionDef],
         return Block(_unwind_stmts(body, fns, pool, rename, copy_of))
 
     for s in stmts:
-        if copy_of is not None:
-            prov, orig = synthetic_entry("unwind-copy", s.line), None
-        else:
-            prov, orig = original_entry(s.line), s.line
+        prov = original_entry(s.line) if copy_of is None else \
+            synthetic_entry("unwind-copy", s.line)
         if isinstance(s, PTHREAD_KINDS) and copy_of is not None:
             raise RuleGapError(
                 "threading statement inside a callable function")
@@ -242,7 +242,7 @@ def _unwind_stmts(stmts: list[Stmt], fns: dict[str, FunctionDef],
                 "transformation rule")
         else:
             raise RuleGapError(f"no unwinding rule for {type(s).__name__}")
-        out.append(_mark(node, prov, orig))
+        out.append(_mark(node, prov))
     return out
 
 
@@ -312,13 +312,9 @@ def apply_pthread_rules(stmt: Stmt, deadlock: bool) -> list[Stmt]:
 # ---------------------------------------------------------------------------
 
 
-class _Anchor:
-    """Image slot of one original statement inside the sequential program."""
-
-    def __init__(self, container: list[Stmt], index: int, length: int):
-        self.container = container
-        self.index = index
-        self.length = length
+# the mark of a loop counter's declaration and of its increment, which
+# ends each body of a while
+_LOOP_STEP = synthetic_entry("loopcounter")
 
 
 class _Builder:
@@ -329,9 +325,10 @@ class _Builder:
         # `order_index`; named first, so no other fresh name shifts them
         self.dispatch = (self.pool.fresh("order"),
                          self.pool.fresh("order_index"))
-        self.anchors: dict[int, _Anchor] = {}
-        self.loop_bodies: dict[int, list[Stmt]] = {}
-        self.if_bodies: dict[int, tuple[list[Stmt], list[Stmt] | None]] = {}
+        # by original line: where its images sit (statement list, index,
+        # count), and the statement lists of an if's or a while's branches
+        self.images: dict[int, tuple[list[Stmt], int, int]] = {}
+        self.bodies: dict[int, list[list[Stmt]]] = {}
         self.loop_names: dict[int, str] = {}
         self.loop_decls: list[Stmt] = []
         self.hoisted: list[Stmt] = []
@@ -344,18 +341,17 @@ class _Builder:
         # keeps its callee's lines, so the input's loop nesting cannot tell
         self.loop_depth = 0
 
-    def loopcounter(self, node: While) -> str:
+    def loopcounter(self) -> str:
         self.loop_count += 1
         name = self.pool.fresh(f"loopcounter_{self.loop_count}")
-        decl = _mark(Decl(name, IntLit(0)), synthetic_entry("loopcounter"))
-        self.loop_decls.append(decl)
+        self.loop_decls.append(_mark(Decl(name, IntLit(0)), _LOOP_STEP))
         return name
 
     def transform_globals(self, stmts: list[Stmt]) -> None:
         for g in stmts:
             if isinstance(g, Decl):
-                self.model_globals.append(_mark(
-                    Decl(g.name, g.init), original_entry(g._orig), g._orig))
+                self.model_globals.append(_mark(Decl(g.name, g.init),
+                                                g._prov))
             elif isinstance(g, PTHREAD_KINDS):
                 self._pthread(g, [])
             else:
@@ -364,10 +360,10 @@ class _Builder:
                     "transformation rule; global arrays are supported by "
                     "verify only")
 
-    def transform_body(self, fn: FunctionDef, rename: dict[str, str],
-                       prefix: str) -> list[Stmt]:
+    def transform_body(self, fn: FunctionDef, prefix: str) -> list[Stmt]:
         # hoist every local to a renamed global so segments resumed in a
         # later dispatch still see their values
+        rename: dict[str, str] = {}
         for s in iter_stmts(fn.body.stmts):
             if isinstance(s, Decl):
                 rename[s.name] = self.pool.fresh(f"{prefix}_{s.name}")
@@ -376,70 +372,60 @@ class _Builder:
     def _stmts(self, stmts: list[Stmt], rename: dict[str, str]) -> list[Stmt]:
         out: list[Stmt] = []
         for s in stmts:
-            orig = getattr(s, "_orig", None)
-            prov = getattr(s, "_prov", None) or (
-                original_entry(s.line) if s.line else
-                synthetic_entry("framework"))
             start = len(out)
-            self._one(s, rename, out, prov)
-            if orig is not None:
-                self.anchors[orig] = _Anchor(out, start, len(out) - start)
+            self._one(s, rename, out)
+            if s._prov.kind == "original":
+                self.images[s._prov.value] = (out, start, len(out) - start)
         return out
 
-    def _one(self, s: Stmt, rename: dict[str, str], out: list[Stmt],
-             prov: MapEntry) -> None:
-        orig = getattr(s, "_orig", None)
+    def _one(self, s: Stmt, rename: dict[str, str], out: list[Stmt]) -> None:
+        prov = s._prov
+        # the original line s images; None in an unwound callee copy, whose
+        # lines no schedule or pin names, since a call is one step
+        orig = prov.value if prov.kind == "original" else None
         if isinstance(s, Decl):
             # declaration was hoisted; keep the initializer in place, and
             # in a loop the reset to 0 that each execution makes
-            self.hoisted.append(_mark(Decl(rename[s.name]), prov, None))
+            self.hoisted.append(_mark(Decl(rename[s.name]), prov))
             if s.init is not None or self.loop_depth:
                 init = IntLit(0) if s.init is None else clone(s.init, rename)
-                out.append(_mark(Assign(rename[s.name], init), prov, orig))
+                out.append(_mark(Assign(rename[s.name], init), prov))
             return
         if isinstance(s, (Assign, Assert, Assume)):
-            img = _mark(clone(s, rename), prov, orig)
+            img = _mark(clone(s, rename), prov)
             out.append(img)
+            values = self.pins.get(orig, [])
             if isinstance(s, Assign) and isinstance(s.expr, Nondet) \
-                    and orig is not None:
-                values = self.pins.get(orig, [])
-                if len(values) == 1:
-                    out.append(_mark(
-                        Assume(Binary("==", Var(img.name),
-                                      IntLit(values[0]))),
-                        synthetic_entry("nondet-pin"), None))
+                    and len(values) == 1:
+                out.append(_mark(
+                    Assume(Binary("==", Var(img.name), IntLit(values[0]))),
+                    synthetic_entry("nondet-pin")))
             return
         if isinstance(s, Return):
-            out.append(_mark(Break(), prov, orig))
+            out.append(_mark(Break(), prov))
             return
         if isinstance(s, Block):
-            node = Block(self._stmts(s.stmts, rename))
-            out.append(_mark(node, prov, orig))
+            out.append(_mark(Block(self._stmts(s.stmts, rename)), prov))
             return
         if isinstance(s, If):
-            then_list = self._stmts(s.then.stmts, rename)
-            els_list = self._stmts(s.els.stmts, rename) \
-                if s.els is not None else None
-            node = If(clone(s.cond, rename), Block(then_list),
-                      Block(els_list) if els_list is not None else None)
-            out.append(_mark(node, prov, orig))
+            branches = [self._stmts(s.then.stmts, rename)]
+            if s.els is not None:
+                branches.append(self._stmts(s.els.stmts, rename))
+            out.append(_mark(If(clone(s.cond, rename), *map(Block, branches)),
+                             prov))
             if orig is not None:
-                self.if_bodies[orig] = (then_list, els_list)
+                self.bodies[orig] = branches
             return
         if isinstance(s, While):
             self.loop_depth += 1
-            body_list = self._stmts(s.body.stmts, rename)
+            body = self._stmts(s.body.stmts, rename)
             self.loop_depth -= 1
-            lc = self.loopcounter(s)
-            inc = _mark(Assign(lc, Binary("+", Var(lc), IntLit(1))),
-                        synthetic_entry("loopcounter"), None)
-            inc._lc_inc = True
-            body_list.append(inc)
-            node = While(clone(s.cond, rename), Block(body_list))
-            out.append(_mark(node, prov, orig))
+            lc = self.loopcounter()
+            body.append(_mark(Assign(lc, Binary("+", Var(lc), IntLit(1))),
+                              _LOOP_STEP))
+            out.append(_mark(While(clone(s.cond, rename), Block(body)), prov))
             if orig is not None:
-                self.loop_names[orig] = lc
-                self.loop_bodies[orig] = body_list
+                self.bodies[orig], self.loop_names[orig] = [body], lc
             return
         if isinstance(s, PTHREAD_KINDS):
             self._pthread(s, out)
@@ -451,15 +437,11 @@ class _Builder:
         """The images of a threading statement (apply_pthread_rules): a
         modelled lock or condition variable declaration becomes a global,
         every other image goes to out."""
-        orig = getattr(s, "_orig", None)
         reason = "mutex-model" if isinstance(
             s, (MutexDecl, MutexLock, MutexUnlock)) else "cond-model"
         for img in apply_pthread_rules(s, self.deadlock):
-            if isinstance(img, Decl):
-                self.model_globals.append(_mark(
-                    img, synthetic_entry(reason), orig))
-            else:
-                out.append(_mark(img, synthetic_entry(reason), orig))
+            target = self.model_globals if isinstance(img, Decl) else out
+            target.append(_mark(img, synthetic_entry(reason)))
 
 
 def sequentialize(program: Program, schedule: Schedule,
@@ -471,12 +453,11 @@ def sequentialize(program: Program, schedule: Schedule,
     builder.transform_globals(unwound.globals)
 
     case_bodies: dict[int, list[Stmt]] = {}
-    case_bodies[0] = builder.transform_body(unwound.main, {}, "main")
+    case_bodies[0] = builder.transform_body(unwound.main, "main")
     fn_by_name = {fn.name: fn for fn in unwound.functions}
     for td in unwound.threads:
-        fn = fn_by_name[td.function]
         case_bodies[td.ordinal] = builder.transform_body(
-            fn, {}, td.function)
+            fn_by_name[td.function], td.function)
 
     # a scheduled thread's first segment enters at the top of its body
     first_tags = {seg.thread: seg.tag for seg in reversed(schedule.segments)}
@@ -495,12 +476,12 @@ def sequentialize(program: Program, schedule: Schedule,
     switch_body.append(_mark(DefaultLabel(), synthetic_entry("framework")))
     switch_body.append(_mark(Break(), synthetic_entry("framework")))
 
-    n = len(schedule.order_tags)
+    tags = schedule.order_tags
     order, index = builder.dispatch
     main_body: list[Stmt] = [
         _mark(Decl(index), synthetic_entry("framework")),
         _mark(For(index, IntLit(0),
-                  Binary("<", Var(index), IntLit(n)),
+                  Binary("<", Var(index), IntLit(len(tags))),
                   Binary("+", Var(index), IntLit(1)),
                   Block([_mark(Switch(Index(order, Var(index)),
                                       Block(switch_body)),
@@ -509,8 +490,7 @@ def sequentialize(program: Program, schedule: Schedule,
         _mark(Return(IntLit(1)), synthetic_entry("framework")),
     ]
 
-    order_decl = _mark(ArrayDecl(order, list(schedule.order_tags)),
-                       synthetic_entry("framework"))
+    order_decl = _mark(ArrayDecl(order, tags), synthetic_entry("framework"))
     globals_out = [order_decl] + builder.model_globals + builder.hoisted \
         + builder.loop_decls
 
@@ -522,15 +502,13 @@ def sequentialize(program: Program, schedule: Schedule,
     )
     _place_order_control(builder, schedule, enclosing_loops(program))
     renumber(seq_program)
-    line_map = {stmt.line: getattr(stmt, "_prov", None)
-                or synthetic_entry("framework")
-                for stmt in program_stmts(seq_program)}
+    line_map = {stmt.line: stmt._prov for stmt in program_stmts(seq_program)}
     return SequentialProgram(seq_program, line_map)
 
 
 def _unwind_annotated(program: Program) -> Program:
-    """unwind_calls without the renumbering, so that anchor keys stay in
-    the original numbering; statements carry provenance annotations."""
+    """unwind_calls without the renumbering, so that image keys stay in
+    the original numbering; every statement carries its provenance mark."""
     fns = {fn.name: fn for fn in program.functions}
     pool = NamePool(_taken_names(program, include_callable_locals=False))
     new_fns = []
@@ -544,7 +522,7 @@ def _unwind_annotated(program: Program) -> Program:
         "main", "int", [],
         Block(_unwind_stmts(program.main.body.stmts, fns, pool)))
     out = Program(
-        globals=[_mark(clone(g), original_entry(g.line), g.line)
+        globals=[_mark(clone(g), original_entry(g.line))
                  for g in program.globals],
         functions=new_fns,
         main=new_main,
@@ -576,96 +554,65 @@ def _place_order_control(builder: _Builder, schedule: Schedule,
     performs the schedule's segments in order. A guard's loop counters are
     those of the loops enclosing it in the original program (enclosing,
     from enclosing_loops, which also keys the recorded iteration counts)."""
-    anchors = builder.anchors
-    loop_bodies = builder.loop_bodies
-    if_bodies = builder.if_bodies
-    loop_names = builder.loop_names
-    dispatch = builder.dispatch
+
+    def image(line: int, after: bool) -> tuple[list[Stmt], int, list[int]]:
+        """The spot before or after line's images, and the loops around
+        it; after a loop body's last statement comes its increment."""
+        if line not in builder.images:
+            raise GuardPlacementError(f"line {line} has no image")
+        body, index, length = builder.images[line]
+        if after:
+            index += length
+            while index < len(body) and body[index]._prov == _LOOP_STEP:
+                index += 1
+        return body, index, enclosing[line]
+
+    def guard(seg: Segment, loops: list[int]) -> Stmt:
+        counters = []
+        for loop in loops:
+            if loop not in seg.loop_counters:
+                raise GuardPlacementError(
+                    f"no recorded iteration count for the loop at line {loop}")
+            counters.append((builder.loop_names[loop],
+                             seg.loop_counters[loop]))
+        return _guard(seg.tag, counters, builder.dispatch)
 
     jobs: list[tuple[list[Stmt], int, list[Stmt]]] = []
-
-    def conjuncts(loops: list[int], seg: Segment) -> list[tuple[str, int]]:
-        pairs = []
-        for loop_line in loops:
-            if loop_line in seg.loop_counters:
-                pairs.append((loop_names[loop_line],
-                              seg.loop_counters[loop_line]))
-            else:
-                raise GuardPlacementError(
-                    f"no recorded iteration count for the loop at line "
-                    f"{loop_line}")
-        return pairs
-
-    def after_image(line: int) -> tuple[list[Stmt], int, list[int]]:
-        anchor = anchors.get(line)
-        if anchor is None:
-            raise GuardPlacementError(f"line {line} has no image")
-        idx = anchor.index + anchor.length
-        while idx < len(anchor.container) and \
-                getattr(anchor.container[idx], "_lc_inc", False):
-            idx += 1
-        return anchor.container, idx, enclosing[line]
-
-    def before_image(line: int) -> tuple[list[Stmt], int, list[int]]:
-        anchor = anchors.get(line)
-        if anchor is None:
-            raise GuardPlacementError(f"line {line} has no image")
-        return anchor.container, anchor.index, enclosing[line]
-
     segments = schedule.segments
-    for i, seg in enumerate(segments):
-        if i == len(segments) - 1:
-            break  # the final segment runs to the violation, no exit guard
+    # the final segment runs to the violation, no exit guard
+    for i, seg in enumerate(segments[:-1]):
+        line = seg.to_line
         nxt = next((s for s in segments[i + 1:] if s.thread == seg.thread),
                    None)
-        is_branch = seg.to_line in loop_bodies or seg.to_line in if_bodies
-        if nxt is not None:
-            if not is_branch:
-                # the thread stopped right after this statement finished
-                container, idx, loops = after_image(seg.to_line)
-            elif nxt.from_line == seg.to_line and seg.to_line in loop_bodies:
-                container, idx = loop_bodies[seg.to_line], 0
-                loops = enclosing[seg.to_line] + [seg.to_line]
-            else:
-                # the thread stopped after evaluating a condition; resume
-                # right before the first statement it executed afterwards
-                container, idx, loops = before_image(nxt.from_line)
-            stmts: list[Stmt] = [_guard(seg.tag, conjuncts(loops, seg),
-                                        dispatch),
-                                 _mark(CaseLabel(nxt.tag),
-                                       synthetic_entry("order-control"))]
-            jobs.append((container, idx, stmts))
-            continue
-        # last segment of this thread: stop the overshoot wherever execution
-        # may sit after the final recorded step
-        positions: list[tuple[list[Stmt], int, list[int]]] = []
-        if seg.to_line in loop_bodies:
-            positions.append((loop_bodies[seg.to_line], 0,
-                              enclosing[seg.to_line] + [seg.to_line]))
-            positions.append(after_image(seg.to_line))
-        elif seg.to_line in if_bodies:
-            then_list, els_list = if_bodies[seg.to_line]
-            positions.append((then_list, 0, enclosing[seg.to_line]))
-            if els_list is not None:
-                positions.append((els_list, 0, enclosing[seg.to_line]))
-            positions.append(after_image(seg.to_line))
+        # the loops around the top of each of line's branch bodies
+        inner = enclosing.get(line, []) + (
+            [line] if line in builder.loop_names else [])
+        if nxt is None:
+            # the thread's last segment: stop the overshoot wherever
+            # execution may sit after the final recorded step
+            spots = [(body, 0, inner) for body in builder.bodies.get(line, [])]
+            spots.append(image(line, True))
+        elif line not in builder.bodies:
+            # the thread stopped right after this statement finished
+            spots = [image(line, True)]
+        elif nxt.from_line == line and line in builder.loop_names:
+            spots = [(builder.bodies[line][0], 0, inner)]
         else:
-            positions.append(after_image(seg.to_line))
-        for container, idx, loops in positions:
-            jobs.append((container, idx,
-                         [_guard(seg.tag, conjuncts(loops, seg), dispatch)]))
+            # the thread stopped after evaluating a condition; resume
+            # right before the first statement it executed afterwards
+            spots = [image(nxt.from_line, False)]
+        for body, index, loops in spots:
+            stmts = [guard(seg, loops)]
+            if nxt is not None:
+                stmts.append(_mark(CaseLabel(nxt.tag),
+                                   synthetic_entry("order-control")))
+            jobs.append((body, index, stmts))
 
-    by_container: dict[int, list[tuple[int, int, list[Stmt]]]] = {}
-    containers: dict[int, list[Stmt]] = {}
-    for order, (container, idx, stmts) in enumerate(jobs):
-        containers[id(container)] = container
-        by_container.setdefault(id(container), []).append(
-            (idx, order, stmts))
-    for key, entries in by_container.items():
-        container = containers[key]
-        for idx, _, stmts in sorted(entries, key=lambda e: (-e[0], -e[1])):
-            container[idx:idx] = stmts
-
+    # from the back, so no insertion moves a spot still to come; at one
+    # spot, the earlier job's statements go first
+    for _, (body, index, stmts) in sorted(
+            enumerate(jobs), key=lambda job: (-job[1][1], -job[0])):
+        body[index:index] = stmts
 
 def pthread_free(program: Program) -> bool:
     """True when no threading-category statement remains."""

@@ -1726,11 +1726,7 @@ def extract_schedule(counterexample: Counterexample) -> Schedule:
         if not is_last:
             boundary += 1
         start = i
-    return Schedule(
-        segments=segments,
-        order_tags=[seg.tag for seg in segments],
-        nondet_pins=list(counterexample.nondet_choices),
-    )
+    return Schedule(segments, list(counterexample.nondet_choices))
 
 
 # ---------------------------------------------------------------------------

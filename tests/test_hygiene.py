@@ -131,12 +131,12 @@ def test_check_finds_a_planted_private_function():
 def test_check_finds_a_planted_attribute():
     source = (SRC / "sequentializer.py").read_text()
     planted = source.replace(
-        "        self.length = length\n",
-        "        self.length = length\n"
+        "        self.loop_count = 0\n",
+        "        self.loop_count = 0\n"
         "        self.unread = None\n")
     line = planted.splitlines().index("        self.unread = None") + 1
     assert unread_private_attributes(planted) == \
-        [f"line {line}: _Anchor.unread"]
+        [f"line {line}: _Builder.unread"]
 
 
 def test_check_finds_a_planted_import():

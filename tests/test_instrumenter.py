@@ -122,7 +122,7 @@ int main() {
     def test_nothing_to_instrument(self):
         p = parse("int main(){ return 0; }")
         seq = sequentialize(
-            p, Schedule([Segment(0, 1, 1, {}, 11)], [11], {}), False)
+            p, Schedule([Segment(0, 1, 1, {}, 11)]), False)
         with pytest.raises(NothingToInstrument):
             instrument(seq)
 
@@ -207,7 +207,7 @@ class TestMinimalProgram:
         p = parse("int x = 0;\n"
                   "int main(){ x = 1; assert(x == 1); return 0; }")
         seq = sequentialize(
-            p, Schedule([Segment(0, 2, 4, {}, 11)], [11], {}), False)
+            p, Schedule([Segment(0, 2, 4, {}, 11)]), False)
         instr = instrument(seq)
         assert len(instr.diag_domain) == 1
         text = pretty_print(instr.program)

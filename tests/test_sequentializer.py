@@ -199,10 +199,7 @@ int main() {
 
 def _one_segment_schedule(program) -> Schedule:
     lines = sorted(line_table(program))
-    return Schedule(
-        segments=[Segment(0, lines[0], lines[-1], {}, 11)],
-        order_tags=[11],
-    )
+    return Schedule(segments=[Segment(0, lines[0], lines[-1], {}, 11)])
 
 
 # a plain race on the global cnt: main's update and the thread's are both
@@ -530,9 +527,7 @@ COUNTED_LOOP = EMPTY_LOOP.replace("{\n  }", "{\n    i = i + 1;\n  }")
 
 
 def _placed(source: str, segments: list[Segment]):
-    program = parse(source)
-    schedule = Schedule(segments, [seg.tag for seg in segments])
-    return sequentialize(program, schedule, False)
+    return sequentialize(parse(source), Schedule(segments), False)
 
 
 def _case_block(seq, ordinal: int) -> str:

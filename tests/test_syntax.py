@@ -300,8 +300,7 @@ class TestClone:
         copy = clone(seq.program)
         assert pretty_print(copy) == pretty_print(seq.program)
         for s in program_stmts(copy):
-            assert not hasattr(s, "_prov") and not hasattr(s, "_orig")
-            assert not hasattr(s, "_lc_inc")
+            assert not hasattr(s, "_prov")
 
     def test_rename_reads_and_writes_only(self):
         template = """
