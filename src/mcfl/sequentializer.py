@@ -557,7 +557,7 @@ def _place_order_control(builder: _Builder, schedule: Schedule,
 
     def image(line: int, after: bool) -> tuple[list[Stmt], int, list[int]]:
         """The spot before or after line's images, and the loops around
-        it; after a loop body's last statement comes its increment."""
+        it; the spot after also passes the increment ending a loop body."""
         if line not in builder.images:
             raise GuardPlacementError(f"line {line} has no image")
         body, index, length = builder.images[line]
@@ -609,10 +609,10 @@ def _place_order_control(builder: _Builder, schedule: Schedule,
             jobs.append((body, index, stmts))
 
     # from the back, so no insertion moves a spot still to come; at one
-    # spot, the earlier job's statements go first
-    for _, (body, index, stmts) in sorted(
-            enumerate(jobs), key=lambda job: (-job[1][1], -job[0])):
+    # spot the later job goes in first, so the earlier one's come first
+    for body, index, stmts in sorted(reversed(jobs), key=lambda job: -job[1]):
         body[index:index] = stmts
+
 
 def pthread_free(program: Program) -> bool:
     """True when no threading-category statement remains."""
