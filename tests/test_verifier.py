@@ -550,10 +550,6 @@ int main() {
 """
 
 
-def _set(key, value):
-    return lambda doc: doc.__setitem__(key, value)
-
-
 class TestReplayRejections:
     """replay rejects a counterexample document that no longer fits the
     program, naming what does not fit. The recorded trace runs main's
@@ -568,38 +564,37 @@ class TestReplayRejections:
         assert cex.nondet_choices == [(8, 1)]
 
     @pytest.mark.parametrize("mutate,message", [
-        (lambda doc: doc["steps"][0].__setitem__("thread", 1),
+        (lambda doc: doc["steps"][0].update(thread=1),
          "step 0 schedules a dead thread 1"),
         (lambda doc: doc["steps"].insert(5, doc["steps"].pop(7)),
          "step 5: thread 1 is blocked"),
-        (_set("nondet_choices", [[8, 0]]),
+        (lambda doc: doc.update(nondet_choices=[[8, 0]]),
          "step 2 became infeasible on replay"),
         (lambda doc: doc["steps"].append(doc["steps"][-1]),
          "violation before the end of the trace"),
-        (_set("violation", {"kind": "deadlock", "blocked": [0]}),
+        (lambda doc: doc.update(violation={"kind": "deadlock",
+                                          "blocked": [0]}),
          "deadlock does not reproduce"),
         (lambda doc: doc["steps"].pop(),
          "trace ends without the recorded violation"),
-        (lambda doc: doc["violation"].__setitem__("line", 14),
+        (lambda doc: doc["violation"].update(line=14),
          "violation mismatch: Violation(kind='assertion', line=15, "
          "blocked=None) != Violation(kind='assertion', line=14, "
          "blocked=None)"),
-        (lambda doc: doc["steps"][1].__setitem__("step_index", 9),
+        (lambda doc: doc["steps"][1].update(step_index=9),
          "step 1 has step_index 9"),
-        (lambda doc: doc["switches"][0].__setitem__("at_line", 1),
+        (lambda doc: doc["switches"][0].update(at_line=1),
          "switches differ from the replayed trace"),
     ], ids=["dead-thread", "blocked-thread", "infeasible-step",
             "early-violation", "no-deadlock", "no-violation",
             "other-violation", "step-index", "switches"])
     def test_mismatch_message(self, mutate, message):
         p = parse(LOCKED_UPDATES)
-        text = counterexample_to_json(verify(p, VerifierConfig())
-                                      .counterexample)
-        doc = json.loads(text)
+        doc = json.loads(counterexample_to_json(
+            verify(p, VerifierConfig()).counterexample))
         mutate(doc)
-        loaded = counterexample_from_json(json.dumps(doc))
         with pytest.raises(TraceMismatch) as info:
-            replay(p, loaded)
+            replay(p, counterexample_from_json(json.dumps(doc)))
         assert str(info.value) == message
 
 
