@@ -33,6 +33,8 @@ from .verifier import (
     VerifierConfig,
     extract_schedule,
     first_path,
+    record_from_obj,
+    record_to_obj,
     verify,
 )
 
@@ -186,16 +188,7 @@ def report_to_json(report: DiagnosisReport) -> str:
     doc = {
         "status": report.status,
         "found_error_count": report.found_error_count,
-        "diagnoses": [
-            {
-                "seq_line": d.seq_line,
-                "original_line": d.original_line,
-                "witness_value": d.witness_value,
-                "iteration": d.iteration,
-                "oracle_validated": d.oracle_validated,
-            }
-            for d in report.diagnoses
-        ],
+        "diagnoses": [record_to_obj(d) for d in report.diagnoses],
         "timings": {k: round(v, 6) for k, v in report.timings.items()},
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -205,10 +198,7 @@ def report_from_json(text: str) -> DiagnosisReport:
     doc = json.loads(text)
     return DiagnosisReport(
         status=doc["status"],
-        diagnoses=[Diagnosis(d["seq_line"], d["original_line"],
-                             d["witness_value"], d["iteration"],
-                             d["oracle_validated"])
-                   for d in doc["diagnoses"]],
+        diagnoses=[record_from_obj(Diagnosis, d) for d in doc["diagnoses"]],
         found_error_count=doc["found_error_count"],
         counterexample=None,
         timings=dict(doc["timings"]),

@@ -389,17 +389,10 @@ class _Builder:
             self.hoisted.append(_mark(Decl(rename[s.name]), prov))
             if s.init is not None or self.loop_depth:
                 init = IntLit(0) if s.init is None else clone(s.init, rename)
-                out.append(_mark(Assign(rename[s.name], init), prov))
+                self._write(Assign(rename[s.name], init), prov, orig, out)
             return
         if isinstance(s, (Assign, Assert, Assume)):
-            img = _mark(clone(s, rename), prov)
-            out.append(img)
-            values = self.pins.get(orig, [])
-            if isinstance(s, Assign) and isinstance(s.expr, Nondet) \
-                    and len(values) == 1:
-                out.append(_mark(
-                    Assume(Binary("==", Var(img.name), IntLit(values[0]))),
-                    synthetic_entry("nondet-pin")))
+            self._write(clone(s, rename), prov, orig, out)
             return
         if isinstance(s, Return):
             out.append(_mark(Break(), prov))
@@ -432,6 +425,19 @@ class _Builder:
             return
         raise RuleGapError(
             f"statement kind {type(s).__name__} has no transformation rule")
+
+    def _write(self, img: Stmt, prov: MapEntry, orig: int | None,
+               out: list[Stmt]) -> None:
+        """Appends img, marked prov, the image of original line orig. An
+        assignment of nondet() is pinned to the value recorded at orig,
+        where exactly one is."""
+        out.append(_mark(img, prov))
+        values = self.pins.get(orig, [])
+        if isinstance(img, Assign) and isinstance(img.expr, Nondet) \
+                and len(values) == 1:
+            out.append(_mark(
+                Assume(Binary("==", Var(img.name), IntLit(values[0]))),
+                synthetic_entry("nondet-pin")))
 
     def _pthread(self, s: Stmt, out: list[Stmt]) -> None:
         """The images of a threading statement (apply_pthread_rules): a

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Iterable, NamedTuple
 
 from .sequentializer import Schedule, Segment
@@ -244,8 +244,10 @@ class Instr:
     name: str = ""
     expr: Expr | None = None
     args: tuple = ()
-    target: int = -1  # jump/branch target
-    aux: dict | None = None  # switch label map
+    # the pc a jump or break goes to, a branch or loop head when its
+    # condition is 0, a switch when no case matches (default, else end)
+    target: int = -1
+    aux: dict | None = None  # a switch's case map: case value -> pc
     slot: int = -1  # mutex, handle or loop slot
 
 
@@ -267,6 +269,11 @@ class Code:
     def emit(self, instr: Instr) -> int:
         self.instrs.append(instr)
         return len(self.instrs) - 1
+
+
+# what a statement that only a switch may hold is called outside one
+_SWITCH_ONLY = {CaseLabel: "case label", DefaultLabel: "default label",
+                Break: "break"}
 
 
 class CompiledProgram:
@@ -365,17 +372,22 @@ class CompiledProgram:
 
     def _compile_fn(self, fn: FunctionDef) -> Code:
         code = Code(fn, self.global_scope)
-        self._compile_body(code, fn.body.stmts, [], [])
+        self._compile_body(code, fn.body.stmts, [])
         code.emit(Instr("thread_end", 0))
         return code
 
     def _compile_body(self, code: Code, stmts: list[Stmt],
-                      switch_ends: list[int], switch_frames: list[dict]):
+                      switches: list[list[Instr]]):
         for stmt in stmts:
-            self._compile_stmt(code, stmt, switch_ends, switch_frames)
+            self._compile_stmt(code, stmt, switches)
 
-    def _compile_stmt(self, code: Code, stmt: Stmt, switch_ends: list[int],
-                      switch_frames: list[dict]) -> None:
+    def _compile_stmt(self, code: Code, stmt: Stmt,
+                      switches: list[list[Instr]]) -> None:
+        """Emits stmt with every jump target resolved. switches holds each
+        open switch, innermost last: its instruction, then its breaks. A
+        label emits nothing and names the next pc: a case in the switch's
+        case map, a default as its target. The switch without a default
+        and every break then target the end of its body."""
         ln = stmt.line
         body = self._compile_body
         if isinstance(stmt, Decl):
@@ -392,14 +404,14 @@ class CompiledProgram:
         elif isinstance(stmt, Return):
             code.emit(Instr("return", ln, expr=stmt.expr))
         elif isinstance(stmt, Block):
-            body(code, stmt.stmts, switch_ends, switch_frames)
+            body(code, stmt.stmts, switches)
         elif isinstance(stmt, If):
             br = code.emit(Instr("branch", ln, expr=stmt.cond))
-            body(code, stmt.then.stmts, switch_ends, switch_frames)
+            body(code, stmt.then.stmts, switches)
             if stmt.els is not None:
                 jmp = code.emit(Instr("jump", ln))
                 code.instrs[br].target = len(code.instrs)
-                body(code, stmt.els.stmts, switch_ends, switch_frames)
+                body(code, stmt.els.stmts, switches)
                 code.instrs[jmp].target = len(code.instrs)
             else:
                 code.instrs[br].target = len(code.instrs)
@@ -408,39 +420,37 @@ class CompiledProgram:
             code.emit(Instr("loop_enter", ln, slot=loop))
             head = code.emit(Instr("loop_head", ln, expr=stmt.cond,
                                    slot=loop))
-            body(code, stmt.body.stmts, switch_ends, switch_frames)
+            body(code, stmt.body.stmts, switches)
             code.emit(Instr("loop_iter", ln, slot=loop))
             code.emit(Instr("jump", ln, target=head))
             code.instrs[head].target = len(code.instrs)
         elif isinstance(stmt, For):
             code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.init))
             head = code.emit(Instr("branch", ln, expr=stmt.cond))
-            body(code, stmt.body.stmts, switch_ends, switch_frames)
+            body(code, stmt.body.stmts, switches)
             code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.update))
             code.emit(Instr("jump", ln, target=head))
             code.instrs[head].target = len(code.instrs)
         elif isinstance(stmt, Switch):
-            frame: dict = {"labels": {}, "default": None}
-            sw = code.emit(Instr("switch", ln, expr=stmt.scrutinee,
-                                 aux=frame))
-            switch_ends.append(sw)
-            switch_frames.append(frame)
-            body(code, stmt.body.stmts, switch_ends, switch_frames)
-            switch_frames.pop()
-            switch_ends.pop()
-            frame["end"] = len(code.instrs)
-        elif isinstance(stmt, CaseLabel):
-            pc = code.emit(Instr("label", ln))
-            if not switch_frames:
-                raise ModelError("case label outside switch")
-            switch_frames[-1]["labels"][stmt.value] = pc
-        elif isinstance(stmt, DefaultLabel):
-            pc = code.emit(Instr("label", ln))
-            switch_frames[-1]["default"] = pc
-        elif isinstance(stmt, Break):
-            if not switch_ends:
-                raise ModelError("break outside switch")
-            code.emit(Instr("break", ln, target=switch_ends[-1]))
+            opened = [Instr("switch", ln, expr=stmt.scrutinee, aux={})]
+            code.emit(opened[0])
+            switches.append(opened)
+            body(code, stmt.body.stmts, switches)
+            switches.pop()
+            for instr in opened:
+                if instr.target < 0:
+                    instr.target = len(code.instrs)
+        elif type(stmt) in _SWITCH_ONLY:
+            if not switches:
+                raise ModelError(f"{_SWITCH_ONLY[type(stmt)]} outside switch")
+            if isinstance(stmt, CaseLabel):
+                switches[-1][0].aux[stmt.value] = len(code.instrs)
+            elif isinstance(stmt, DefaultLabel):
+                switches[-1][0].target = len(code.instrs)
+            else:
+                brk = Instr("break", ln)
+                code.emit(brk)
+                switches[-1].append(brk)
         elif isinstance(stmt, ThreadCreate):
             code.emit(Instr("create", ln, args=(stmt.func,),
                             slot=self.handle_slots[stmt.handle]))
@@ -761,8 +771,6 @@ class _Machine:
             op = instr.op
             if op == "jump":
                 pc = instr.target
-            elif op == "label":
-                pc += 1
             elif op == "loop_enter":
                 ctx.per_entry = _put(ctx.per_entry, instr.slot, 0)
                 pc += 1
@@ -851,15 +859,9 @@ class _Machine:
                                                  started)
                         pc += 1
                 elif op == "switch":
-                    table = instr.aux
-                    target = table["labels"].get(_eval(instr.expr, ctx))
-                    if target is None:
-                        target = table["default"]
-                    if target is None:
-                        target = table["end"]
-                    pc = target
+                    pc = instr.aux.get(_eval(instr.expr, ctx), instr.target)
                 elif op == "break":
-                    pc = code.instrs[instr.target].aux["end"]
+                    pc = instr.target
                 elif op == "call":
                     callee = self.compiled.callee_codes[instr.args[0]]
                     env = list(callee.locals)
@@ -1098,16 +1100,12 @@ def _successors(code: Code, pc: int) -> tuple[int, ...]:
     """The pcs that code may run right after its instruction at pc."""
     instr = code.instrs[pc]
     op = instr.op
-    if op == "jump":
+    if op in ("jump", "break"):
         return (instr.target,)
     if op in ("branch", "loop_head"):
         return (pc + 1, instr.target)
     if op == "switch":
-        table = instr.aux
-        last = table["end"] if table["default"] is None else table["default"]
-        return (*table["labels"].values(), last)
-    if op == "break":
-        return (code.instrs[instr.target].aux["end"],)
+        return (*instr.aux.values(), instr.target)
     if op in ("return", "exit", "thread_end"):
         return ()
     return (pc + 1,)
@@ -1734,27 +1732,23 @@ def extract_schedule(counterexample: Counterexample) -> Schedule:
 # ---------------------------------------------------------------------------
 
 
+def record_to_obj(record) -> dict:
+    """A dataclass record as a JSON object: its fields in declaration
+    order, a dict-valued one with its keys sorted."""
+    return {name: dict(sorted(value.items())) if isinstance(value, dict)
+            else value for name, value in asdict(record).items()}
+
+
+def record_from_obj(cls, obj: dict):
+    """The cls that a JSON object holds; keys that are no field of cls
+    are ignored."""
+    return cls(**{f.name: obj[f.name] for f in fields(cls)})
+
+
 def counterexample_to_json(cex: Counterexample) -> str:
     doc = {
-        "steps": [
-            {
-                "step_index": s.step_index,
-                "thread": s.thread,
-                "line": s.line,
-                "valuation": dict(sorted(s.valuation.items())),
-            }
-            for s in cex.steps
-        ],
-        "switches": [
-            {
-                "switch_index": s.switch_index,
-                "from_thread": s.from_thread,
-                "to_thread": s.to_thread,
-                "at_line": s.at_line,
-                "per_thread_index": s.per_thread_index,
-            }
-            for s in cex.switches
-        ],
+        "steps": [record_to_obj(s) for s in cex.steps],
+        "switches": [record_to_obj(s) for s in cex.switches],
         "violation": _violation_to_obj(cex.violation),
         "nondet_choices": [[line, value]
                            for line, value in cex.nondet_choices],
@@ -1782,12 +1776,8 @@ def counterexample_from_json(text: str) -> Counterexample:
     else:
         violation = Violation(violation_obj["kind"], violation_obj["line"])
     return Counterexample(
-        steps=[TraceStep(s["step_index"], s["thread"], s["line"],
-                         dict(s["valuation"]))
-               for s in doc["steps"]],
-        switches=[ContextSwitchRecord(s["switch_index"], s["from_thread"],
-                                      s["to_thread"], s["at_line"],
-                                      s["per_thread_index"])
+        steps=[record_from_obj(TraceStep, s) for s in doc["steps"]],
+        switches=[record_from_obj(ContextSwitchRecord, s)
                   for s in doc["switches"]],
         violation=violation,
         nondet_choices=[(line, value)

@@ -9,6 +9,7 @@ from mcfl.parser import parse
 from mcfl.verifier import VerifierConfig
 
 BENCH_DIR = Path(__file__).parent.parent / "src" / "mcfl" / "benchmarks"
+DOCS_DIR = Path(__file__).parent.parent / "docs"
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,12 @@ def single_fault_program(single_fault_source):
 
 def bench_source(name: str) -> str:
     return (BENCH_DIR / f"{name}.mc").read_text()
+
+
+def doc_example(name: str) -> str:
+    """The first JSON example of docs/<name>.md."""
+    text = (DOCS_DIR / f"{name}.md").read_text()
+    return text.split("```json\n", 1)[1].split("```", 1)[0]
 
 
 def bign_source(n: int) -> str:

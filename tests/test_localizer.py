@@ -1,5 +1,6 @@
 """Pipeline driver, validation oracle and diagnosis-loop discipline."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -17,8 +18,8 @@ from mcfl.localizer import (
 )
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize
-from mcfl.syntax import Assert, Assign, Decl, For, IntLit, line_table, \
-    pretty_print
+from mcfl.syntax import Assert, Assign, Decl, For, IntLit, format_expr, \
+    line_table, pretty_print
 from mcfl.verifier import (
     CompiledProgram,
     VerifierConfig,
@@ -26,7 +27,7 @@ from mcfl.verifier import (
     verify,
 )
 
-from conftest import BENCH_DIR, bench_source, bign_source
+from conftest import BENCH_DIR, bench_source, bign_source, doc_example
 from oracles import two_search_localize, uncached
 from randprog import generate_callee_source, generate_source
 
@@ -74,7 +75,38 @@ class TestLocalizeSingleFault:
                                         "diagnose", "validate"]
 
 
+# main's input y races the thread's increment: with y = 2, x reaches 4
+# whichever writes last, so each increment is a repair
+INPUT_PROBE = """int x = 0;
+pthread_t h;
+void w() {
+  x = x + 1;
+}
+int main() {
+  pthread_create(h, w);
+  DRAW
+  x = x + y;
+  assert(x != 4);
+}
+"""
+
+
 class TestLocalizeOutcomes:
+    @pytest.mark.parametrize("draw", ["int y = nondet();",
+                                      "int y;\n  y = nondet();"],
+                             ids=["declaration", "assignment"])
+    def test_recorded_input_is_pinned(self, draw, default_config):
+        # unpinned, the sequential program passes on another input, and the
+        # search ends inconclusive with the site-0 record alone
+        p = parse(INPUT_PROBE.replace("DRAW", draw))
+        report = localize(p, default_config)
+        assert report.status == "faults-found"
+        table = line_table(p)
+        assert [(f"{table[d.original_line].name} = "
+                 f"{format_expr(table[d.original_line].expr)};",
+                 d.oracle_validated) for d in report.diagnoses] == \
+            [("x = x + y;", True), ("x = x + 1;", True)]
+
     def test_safe_program_has_no_counterexample(self, default_config):
         p = parse("int main(){ assert(1 == 1); return 0; }")
         report = localize(p, default_config)
@@ -492,6 +524,17 @@ class TestReportJson:
         assert report_to_json(loaded) == text
         assert loaded.status == report.status
         assert loaded.diagnoses == report.diagnoses
+
+    def test_documented_example_round_trips(self):
+        text = doc_example("report")
+        assert json.loads(report_to_json(report_from_json(text))) == \
+            json.loads(text)
+
+    def test_reader_ignores_keys_that_are_no_fields(self):
+        text = doc_example("report")
+        doc = json.loads(text)
+        doc["diagnoses"][0]["comment"] = "extra"
+        assert report_from_json(json.dumps(doc)) == report_from_json(text)
 
 
 # a thread zeroes y between main's y = 1 and its division; y = 2 both

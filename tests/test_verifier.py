@@ -1,6 +1,7 @@
 """Bounded exploration, replay and schedule extraction."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from mcfl.verifier import (
     _build_counterexample,
     _explore,
     _Machine,
+    _successors,
     _unlink,
     counterexample_from_json,
     counterexample_to_json,
@@ -32,7 +34,7 @@ from mcfl.verifier import (
     verify,
 )
 
-from conftest import BENCH_DIR, bign_source
+from conftest import BENCH_DIR, bign_source, doc_example
 from oracles import naive_violates, uncached
 from randprog import generate_callee_source, generate_source
 
@@ -294,6 +296,96 @@ class TestSemantics:
         assert (result.outcome, counterexample_to_json(cex) if cex else None,
                 result.bound_hit) == uncached(p, config)[:3]
         assert result.reductions > 0
+
+
+class TestCompile:
+    @pytest.mark.parametrize("statement,message", [
+        ("case 0:", "case label outside switch"),
+        ("default:", "default label outside switch"),
+        ("break;", "break outside switch")], ids=["case", "default", "break"])
+    def test_switch_statement_outside_switch(self, statement, message):
+        # the parser keeps these inside a switch; a hand-built tree need not
+        p = parse(f"int x = 0;\nint main() {{ switch (x) {{ {statement} }} }}")
+        (switch,) = p.main.body.stmts
+        p.main.body.stmts = switch.body.stmts
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            CompiledProgram(p)
+
+
+def _passed(code, pcs) -> set[int]:
+    """pcs and the pcs reached from them through jump, loop_enter and
+    loop_iter, which a step passes without stopping."""
+    found, todo = set(pcs), list(pcs)
+    while todo:
+        pc = todo.pop()
+        if code.instrs[pc].op in ("jump", "loop_enter", "loop_iter"):
+            for nxt in _successors(code, pc):
+                if nxt not in found:
+                    found.add(nxt)
+                    todo.append(nxt)
+    return found
+
+
+class TestControlFlowGraph:
+    """The control-flow graph that the independence analysis walks covers
+    every move a step makes: a thread's new pc is one _successors edge
+    from its old one, then only instructions a step passes. It stays put
+    only where the step blocks on a wait, ends the thread by return or
+    pthread_exit, or violates; another thread moves only when created,
+    from its entry."""
+
+    FAMILIES = {
+        "ports": [path.read_text() for path in sorted(BENCH_DIR.glob("*.mc"))],
+        "randprog": [generate_source(seed, with_div=True)
+                     for seed in range(20)]
+        + [generate_source(seed, max_threads=3) for seed in range(20)]
+        + [generate_callee_source(seed) for seed in range(10)],
+        "switches": [SWITCH_DEFAULT, SWITCH_NO_MATCH, MIXED_THREADS],
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_steps_follow_successor_edges(self, family, monkeypatch):
+        step = _Machine.step
+        moves = Counter()
+
+        def checked(machine, state, tid):
+            outcomes = step(machine, state, tid)
+            code, old = machine.codes[tid], state.threads[tid]
+            instr = code.instrs[old.pc]
+            reachable = _passed(code, _successors(code, old.pc))
+            for outcome in outcomes:
+                if outcome[0] == "kill":
+                    continue
+                after = outcome[-1].threads
+                new = after[tid]
+                stays = outcome[0] == "violation" or \
+                    instr.op == "wait" and new.status == "cond" or \
+                    instr.op in ("return", "exit") and new.status == "exited"
+                assert new.pc == old.pc if stays else new.pc in reachable, \
+                    (code.fname, old.pc, instr.op, new.pc)
+                for other, (was, now) in enumerate(zip(state.threads, after)):
+                    if other != tid and now.pc != was.pc:
+                        assert was.status == "new" and \
+                            now.pc in _passed(machine.codes[other], [0])
+                if instr.op == "switch":
+                    moves["case" if new.pc in instr.aux.values()
+                          else "unmatched"] += 1
+                moves[instr.op] += 1
+            return outcomes
+
+        monkeypatch.setattr(_Machine, "step", checked)
+        for source in self.FAMILIES[family]:
+            if family == "switches":
+                # the sequentializer has no rule for a user's switch
+                verify(parse(source), VerifierConfig())
+            else:
+                # the first verify, then the site search of the sequential
+                # program, whose dispatcher is a switch with a case per tag
+                localize(parse(source), VerifierConfig())
+        assert moves["case"] and moves["break"]
+        if family == "switches":
+            # to a default, and to the end of a switch without one
+            assert moves["unmatched"] and moves["call"]
 
 
 def _records(result):
@@ -829,6 +921,19 @@ class TestCounterexampleJson:
         loaded = counterexample_from_json(text)
         assert loaded == cex
         assert counterexample_to_json(loaded) == text
+
+    def test_documented_example_round_trips(self):
+        text = doc_example("counterexample")
+        assert json.loads(counterexample_to_json(
+            counterexample_from_json(text))) == json.loads(text)
+
+    def test_reader_ignores_keys_that_are_no_fields(self):
+        text = doc_example("counterexample")
+        doc = json.loads(text)
+        doc["steps"][0]["comment"] = "extra"
+        doc["switches"][0]["comment"] = "extra"
+        assert counterexample_from_json(json.dumps(doc)) == \
+            counterexample_from_json(text)
 
 
 def _cached(program, config, sites=None):
