@@ -271,7 +271,7 @@ class _Parser:
             self.error("thread functions take no parameters", name_tok)
         self.fn_sigs[name] = (ret, len(params))
         self.calls[name] = set()
-        ctx = _FnCtx(name, ret, set(params))
+        ctx = _FnCtx(name, set(params))
         body = self.parse_block(ctx, in_switch=0)
         fn = FunctionDef(name, ret, params, body)
         self.check_returns(fn, name_tok)
@@ -633,7 +633,6 @@ class _Parser:
 @dataclass
 class _FnCtx:
     name: str
-    return_type: str
     locals: set[str]
 
 

@@ -618,9 +618,3 @@ def _place_order_control(builder: _Builder, schedule: Schedule,
     # spot the later job goes in first, so the earlier one's come first
     for body, index, stmts in sorted(reversed(jobs), key=lambda job: -job[1]):
         body[index:index] = stmts
-
-
-def pthread_free(program: Program) -> bool:
-    """True when no threading-category statement remains."""
-    return not any(isinstance(s, PTHREAD_KINDS)
-                   for s in program_stmts(program))

@@ -7,12 +7,17 @@ depth-first with a fixed order (ascending thread ordinal, ascending nondet
 value), so "first violation found" is deterministic and reproducible.
 
 A state holds its values in tuples, one slot per global, local, mutex,
-thread handle and loop; a step rebuilds only the tuples it changes.
-Expressions evaluate to plain integers, and a nondet() takes its value from
-one draw. A step runs its statement once per nondet path, the draws of each
-run stepping through their domains in order; a replay runs the same step
-code with every draw taking the recorded value, so search and replay cannot
-disagree on how a value is drawn.
+thread handle and loop; a step rebuilds only the tuples it changes. Each
+expression compiles once, with the instruction that holds it, to a closure
+from the step's context to a plain integer (Feeley and Lapalme, "Using
+closures for code generation", 1987). Every name it reads or writes is
+resolved to its slot then, and the same walk collects the global slots
+each instruction touches, from which the reduced search decides commuting
+steps. A nondet() takes its value from one draw. A step runs its statement
+once per nondet path, the draws of each run stepping through their domains
+in order; a replay runs the same step code with every draw taking the
+recorded value, so search and replay cannot disagree on how a value is
+drawn.
 
 A lazy-decision search (verify with sites) takes candidate sites, lines of
 main each with the expression a path runs there once it picks the line. A
@@ -221,15 +226,40 @@ def wrap64(v: int) -> int:
     return ((v + _HALF) % _FULL) - _HALF
 
 
+class _DivByZero(Exception):
+    """A division or remainder by zero; the step reports it as a
+    division-by-zero violation at the running instruction's line."""
+
+
 def c_div(a: int, b: int) -> int:
+    if b == 0:
+        raise _DivByZero
     q = abs(a) // abs(b)
     return wrap64(-q if (a < 0) != (b < 0) else q)
 
 
 def c_mod(a: int, b: int) -> int:
+    if b == 0:
+        raise _DivByZero
     q = abs(a) // abs(b)
     q = -q if (a < 0) != (b < 0) else q
     return wrap64(a - b * q)
+
+
+# the binary operators that evaluate both operands, by symbol
+_BINARY: dict[str, Callable[[int, int], int]] = {
+    "+": lambda a, b: wrap64(a + b),
+    "-": lambda a, b: wrap64(a - b),
+    "*": lambda a, b: wrap64(a * b),
+    "/": c_div,
+    "%": c_mod,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +271,24 @@ def c_mod(a: int, b: int) -> int:
 class Instr:
     op: str
     line: int = 0
-    name: str = ""
+    name: str = ""  # a wait's or signal's condition
+    # the value or condition as written, which with_constant and with_sites
+    # rewrite; a declaration's initializer is no site and is kept compiled
+    # only
     expr: Expr | None = None
+    # a call's callee code and argument evaluators, a create's function
     args: tuple = ()
     # the pc a jump or break goes to, a branch or loop head when its
     # condition is 0, a switch when no case matches (default, else end)
     target: int = -1
     aux: dict | None = None  # a switch's case map: case value -> pc
     slot: int = -1  # mutex, handle or loop slot
+    # the value or condition compiled: a function of the step's context
+    value: Callable[[_Ctx], int] | None = None
+    # (is a global, slot) of the variable an assign or call writes
+    var: tuple[bool, int] = (False, -1)
+    # the global slots the instruction reads or writes, a callee's aside
+    touched: frozenset[int] = frozenset()
 
 
 class Code:
@@ -261,7 +301,8 @@ class Code:
             s.name for s in iter_stmts(fn.body.stmts)
             if isinstance(s, Decl))]))
         self.locals = (0,) * len(self.names)
-        # name -> (is a global, slot): the locals, else the globals
+        # name -> (is a global, slot): the locals, else the globals; read
+        # while compiling only
         self.scope = {**global_scope, **{
             name: (False, i) for i, name in enumerate(self.names)}}
         self.param_slots = [self.scope[p][1] for p in fn.params]
@@ -279,7 +320,8 @@ _SWITCH_ONLY = {CaseLabel: "case label", DefaultLabel: "default label",
 class CompiledProgram:
     """The functions as instruction lists, and a slot for every global,
     mutex, thread handle and while loop: a state holds their values in
-    tuples, in slot order."""
+    tuples, in slot order. Each expression is compiled once, with the
+    instruction that holds it, its names resolved to slots."""
 
     def __init__(self, program: Program):
         self.arrays: dict[str, tuple[int, ...]] = {}
@@ -313,16 +355,22 @@ class CompiledProgram:
         # name -> (is a global, slot), in slot order
         self.global_scope = {name: (True, i) for i, name in enumerate(init)}
 
-        # thread table: ordinal 0 is main, then creation-statement order
+        # thread table: ordinal 0 is main, then creation-statement order;
+        # every code exists before a body compiles, so a call holds its
+        # callee's
         fn_by_name = {fn.name: fn for fn in program.functions}
-        self.thread_codes = [self._compile_fn(program.main)] + [
-            self._compile_fn(fn_by_name[td.function])
-            for td in program.threads]
+        fns = [program.main, *(fn_by_name[td.function]
+                               for td in program.threads)]
+        callees = [fn for fn in program.functions if fn.return_type == "int"]
+        self.thread_codes = [Code(fn, self.global_scope) for fn in fns]
         self.thread_of_fn = {td.function: td.ordinal
                              for td in program.threads}
-        self.callee_codes = {fn.name: self._compile_fn(fn)
-                             for fn in program.functions
-                             if fn.return_type == "int"}
+        self.callee_codes = {fn.name: Code(fn, self.global_scope)
+                             for fn in callees}
+        for code, fn in zip([*self.thread_codes, *self.callee_codes.values()],
+                            fns + callees):
+            self._compile_body(code, fn.body.stmts, [])
+            code.emit(Instr("thread_end", 0))
         self._independence: _Independence | None = None
 
     def independence(self) -> "_Independence":
@@ -349,7 +397,7 @@ class CompiledProgram:
     def _rewritten(self, lines: Iterable[int],
                    rewrite: Callable[[int, Expr], Expr]) -> "CompiledProgram":
         """A copy in which the value or condition of main's assignment, if or
-        while at each of lines is rewrite(line, expr)."""
+        while at each of lines is rewrite(line, expr), compiled."""
         main = self.thread_codes[0]
         carriers: dict[int, list[int]] = {line: [] for line in lines}
         for pc, instr in enumerate(main.instrs):
@@ -363,18 +411,12 @@ class CompiledProgram:
                 raise ValueError(
                     f"line {line} is no assignment, if or while of main")
             instr = main.instrs[pcs[0]]
-            code.instrs[pcs[0]] = replace(instr,
-                                          expr=rewrite(line, instr.expr))
+            code.instrs[pcs[0]] = self._valued(code, replace(
+                instr, expr=rewrite(line, instr.expr)))
         compiled = copy.copy(self)
         compiled.thread_codes = [code, *self.thread_codes[1:]]
         compiled._independence = None
         return compiled
-
-    def _compile_fn(self, fn: FunctionDef) -> Code:
-        code = Code(fn, self.global_scope)
-        self._compile_body(code, fn.body.stmts, [])
-        code.emit(Instr("thread_end", 0))
-        return code
 
     def _compile_body(self, code: Code, stmts: list[Stmt],
                       switches: list[list[Instr]]):
@@ -390,26 +432,42 @@ class CompiledProgram:
         and every break then target the end of its body."""
         ln = stmt.line
         body = self._compile_body
+
+        def emit(op: str, expr: Expr | None = None, **fields) -> int:
+            instr = Instr(op, ln, expr=expr, **fields)
+            return code.emit(instr if expr is None
+                             else self._valued(code, instr))
+
         if isinstance(stmt, Decl):
-            code.emit(Instr("decl", ln, name=stmt.name, expr=stmt.init))
+            code.emit(self._valued(code, Instr(
+                "assign", ln, var=_slot(code.scope, stmt.name, "write to")),
+                IntLit(0) if stmt.init is None else stmt.init))
         elif isinstance(stmt, Assign):
-            code.emit(Instr("assign", ln, name=stmt.name, expr=stmt.expr))
+            emit("assign", stmt.expr,
+                 var=_slot(code.scope, stmt.name, "write to"))
         elif isinstance(stmt, CallAssign):
-            code.emit(Instr("call", ln, name=stmt.name,
-                            args=(stmt.func, tuple(stmt.args))))
+            callee = self.callee_codes.get(stmt.func)
+            if callee is None:
+                raise ModelError(
+                    f"call to {stmt.func!r}, which is no int function")
+            var = _slot(code.scope, stmt.name, "write to")
+            found = {var[1]} if var[0] else set()
+            code.emit(Instr("call", ln, args=(callee, tuple(
+                self._expr(arg, code.scope, found) for arg in stmt.args)),
+                var=var, touched=frozenset(found)))
         elif isinstance(stmt, Assert):
-            code.emit(Instr("assert", ln, expr=stmt.expr))
+            emit("assert", stmt.expr)
         elif isinstance(stmt, Assume):
-            code.emit(Instr("assume", ln, expr=stmt.expr))
+            emit("assume", stmt.expr)
         elif isinstance(stmt, Return):
-            code.emit(Instr("return", ln, expr=stmt.expr))
+            emit("return", stmt.expr)
         elif isinstance(stmt, Block):
             body(code, stmt.stmts, switches)
         elif isinstance(stmt, If):
-            br = code.emit(Instr("branch", ln, expr=stmt.cond))
+            br = emit("branch", stmt.cond)
             body(code, stmt.then.stmts, switches)
             if stmt.els is not None:
-                jmp = code.emit(Instr("jump", ln))
+                jmp = emit("jump")
                 code.instrs[br].target = len(code.instrs)
                 body(code, stmt.els.stmts, switches)
                 code.instrs[jmp].target = len(code.instrs)
@@ -417,23 +475,22 @@ class CompiledProgram:
                 code.instrs[br].target = len(code.instrs)
         elif isinstance(stmt, While):
             loop = self.loop_slots[ln]
-            code.emit(Instr("loop_enter", ln, slot=loop))
-            head = code.emit(Instr("loop_head", ln, expr=stmt.cond,
-                                   slot=loop))
+            emit("loop_enter", slot=loop)
+            head = emit("loop_head", stmt.cond, slot=loop)
             body(code, stmt.body.stmts, switches)
-            code.emit(Instr("loop_iter", ln, slot=loop))
-            code.emit(Instr("jump", ln, target=head))
+            emit("loop_iter", slot=loop)
+            emit("jump", target=head)
             code.instrs[head].target = len(code.instrs)
         elif isinstance(stmt, For):
-            code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.init))
-            head = code.emit(Instr("branch", ln, expr=stmt.cond))
+            var = _slot(code.scope, stmt.var, "write to")
+            emit("assign", stmt.init, var=var)
+            head = emit("branch", stmt.cond)
             body(code, stmt.body.stmts, switches)
-            code.emit(Instr("assign", ln, name=stmt.var, expr=stmt.update))
-            code.emit(Instr("jump", ln, target=head))
+            emit("assign", stmt.update, var=var)
+            emit("jump", target=head)
             code.instrs[head].target = len(code.instrs)
         elif isinstance(stmt, Switch):
-            opened = [Instr("switch", ln, expr=stmt.scrutinee, aux={})]
-            code.emit(opened[0])
+            opened = [code.instrs[emit("switch", stmt.scrutinee, aux={})]]
             switches.append(opened)
             body(code, stmt.body.stmts, switches)
             switches.pop()
@@ -448,42 +505,116 @@ class CompiledProgram:
             elif isinstance(stmt, DefaultLabel):
                 switches[-1][0].target = len(code.instrs)
             else:
-                brk = Instr("break", ln)
-                code.emit(brk)
-                switches[-1].append(brk)
+                switches[-1].append(code.instrs[emit("break")])
         elif isinstance(stmt, ThreadCreate):
-            code.emit(Instr("create", ln, args=(stmt.func,),
-                            slot=self.handle_slots[stmt.handle]))
+            emit("create", args=(stmt.func,),
+                 slot=self.handle_slots[stmt.handle])
         elif isinstance(stmt, ThreadJoin):
-            code.emit(Instr("join", ln, slot=self.handle_slots[stmt.handle]))
+            emit("join", slot=self.handle_slots[stmt.handle])
         elif isinstance(stmt, ThreadExit):
-            code.emit(Instr("exit", ln))
+            emit("exit")
         elif isinstance(stmt, MutexLock):
-            code.emit(Instr("lock", ln, slot=self.mutex_slots[stmt.name]))
+            emit("lock", slot=self.mutex_slots[stmt.name])
         elif isinstance(stmt, MutexUnlock):
-            code.emit(Instr("unlock", ln, slot=self.mutex_slots[stmt.name]))
+            emit("unlock", slot=self.mutex_slots[stmt.name])
         elif isinstance(stmt, CondWait):
-            code.emit(Instr("wait", ln, name=stmt.cond,
-                            slot=self.mutex_slots[stmt.mutex]))
+            emit("wait", name=stmt.cond, slot=self.mutex_slots[stmt.mutex])
         elif isinstance(stmt, CondSignal):
-            code.emit(Instr("signal", ln, name=stmt.name))
+            emit("signal", name=stmt.name)
         elif isinstance(stmt, (ThreadDecl, ThreadAttrDecl, CondAttrDecl,
                                MutexDecl, CondDecl, CondInit)):
-            code.emit(Instr("nopstep", ln))
+            emit("nopstep")
         elif isinstance(stmt, ArrayDecl):
             raise ModelError("array declarations are global only")
         else:
             raise ModelError(f"cannot compile statement {stmt!r}")
 
+    def _valued(self, code: Code, instr: Instr,
+                expr: Expr | None = None) -> Instr:
+        """instr evaluating expr, else its own expr, compiled in code's
+        scope, and touching the global slots that expr reads and the
+        variable instr writes."""
+        found = {instr.var[1]} if instr.var[0] else set()
+        instr.value = self._expr(instr.expr if expr is None else expr,
+                                 code.scope, found)
+        instr.touched = frozenset(found)
+        return instr
+
+    def _expr(self, expr: Expr, scope: dict, found: set[int]
+              ) -> Callable[[_Ctx], int]:
+        """expr as a function from a step's context to its value on the
+        context's nondet path, its names resolved in scope; adds the global
+        slots it reads to found. Operands are evaluated left to right; && ||
+        ?: evaluate only what they need. Global arrays are never written,
+        so reading one touches no slot. Compiling, like evaluating, takes
+        one Python frame per level of expr."""
+        if isinstance(expr, IntLit):
+            value = wrap64(expr.value)
+            return lambda ctx: value
+        if isinstance(expr, Var):
+            is_global, slot = _slot(scope, expr.name, "read of")
+            if is_global:
+                found.add(slot)
+                return lambda ctx: ctx.globals[slot]
+            return lambda ctx: ctx.locals[slot]
+        if isinstance(expr, Binary):
+            left = self._expr(expr.left, scope, found)
+            right = self._expr(expr.right, scope, found)
+            if expr.op == "&&":
+                return lambda ctx: 1 if left(ctx) and right(ctx) else 0
+            if expr.op == "||":
+                return lambda ctx: 1 if left(ctx) or right(ctx) else 0
+            op = _BINARY.get(expr.op)
+            if op is None:
+                raise ModelError(f"unknown operator {expr.op!r}")
+            return lambda ctx: op(left(ctx), right(ctx))
+        if isinstance(expr, Nondet):
+            bounds = None if expr.lo is None else (expr.lo, expr.hi)
+            return lambda ctx: ctx.draw(bounds)
+        if isinstance(expr, Index):
+            name, array = expr.name, self.arrays.get(expr.name)
+            if array is None:
+                raise ModelError(f"unknown array {name!r}")
+            index = self._expr(expr.index, scope, found)
+
+            def read(ctx: _Ctx) -> int:
+                i = index(ctx)
+                if not 0 <= i < len(array):
+                    raise ModelError(
+                        f"array index {i} out of range for {name!r}")
+                return array[i]
+            return read
+        if isinstance(expr, Unary):
+            operand = self._expr(expr.operand, scope, found)
+            if expr.op == "-":
+                return lambda ctx: wrap64(-operand(ctx))
+            if expr.op == "!":
+                return lambda ctx: 0 if operand(ctx) else 1
+            raise ModelError(f"unknown operator {expr.op!r}")
+        if isinstance(expr, Ternary):
+            cond = self._expr(expr.cond, scope, found)
+            then = self._expr(expr.then_expr, scope, found)
+            els = self._expr(expr.else_expr, scope, found)
+            return lambda ctx: then(ctx) if cond(ctx) else els(ctx)
+        if isinstance(expr, _Site):
+            line = expr.line
+            default = self._expr(expr.default, scope, found)
+            pick = self._expr(expr.pick, scope, found)
+            return lambda ctx: ctx.site(line, default, pick)
+        raise ModelError(f"cannot compile expression {expr!r}")
+
+
+def _slot(scope: dict, name: str, access: str) -> tuple[bool, int]:
+    """(is a global, slot) of variable name in scope."""
+    where = scope.get(name)
+    if where is None:
+        raise ModelError(f"{access} unknown variable {name!r}")
+    return where
+
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Step context
 # ---------------------------------------------------------------------------
-
-
-class _DivByZero(Exception):
-    """A division or remainder by zero; the step reports it as a
-    division-by-zero violation at the running instruction's line."""
 
 
 class _Site(NamedTuple):
@@ -504,17 +635,17 @@ _UNDECIDED = (0, frozenset())
 
 class _Ctx:
     """One run of a step along one nondet path: the parts of the state it
-    has rebuilt so far, the running frame's scope, locals and instruction
-    line, and the values drawn.
+    has rebuilt so far, the running frame's locals and instruction line,
+    and the values drawn.
 
     Draw i takes prefix[i] where the prefix has one, else the lowest value
     of its domain; a replaying machine takes the next recorded choice
     instead. Each draw records (value, hi), so that the step can tell which
     draws have a next value, and appends (line, value) to the choices."""
 
-    __slots__ = ("machine", "line", "prefix", "drawn", "choices", "scope",
-                 "locals", "globals", "threads", "handles", "mutexes",
-                 "per_entry", "cum_iters", "decision")
+    __slots__ = ("machine", "line", "prefix", "drawn", "choices", "locals",
+                 "globals", "threads", "handles", "mutexes", "per_entry",
+                 "cum_iters", "decision")
 
     def __init__(self, machine: "_Machine", state: "_State",
                  prefix: list[int]):
@@ -527,15 +658,13 @@ class _Ctx:
         (self.handles, self.mutexes, self.per_entry, self.cum_iters,
          _, self.decision) = state.control
 
-    def store(self, name: str, value: int) -> None:
-        """Writes value to name in the running frame's scope."""
-        where = self.scope.get(name)
-        if where is None:
-            raise ModelError(f"write to unknown variable {name!r}")
-        if where[0]:
-            self.globals = _put(self.globals, where[1], value)
+    def store(self, var: tuple[bool, int], value: int) -> None:
+        """Writes value to var: (is a global, slot), a local of the running
+        frame where it is not a global."""
+        if var[0]:
+            self.globals = _put(self.globals, var[1], value)
         else:
-            self.locals = _put(self.locals, where[1], value)
+            self.locals = _put(self.locals, var[1], value)
 
     def draw(self, bounds: tuple[int, int] | None) -> int:
         lo, hi = bounds or self.machine.config.nondet_domain
@@ -562,18 +691,19 @@ class _Ctx:
         self.choices = (self.choices, (self.line, value))
         return value
 
-    def site(self, site: _Site) -> int:
-        """The value of a candidate site on this path. An undecided path
-        declines a site it runs for the rest of the path; the search runs
-        the pick later, from the state before the step. A path that picked
-        the site keeps the value of its first run there."""
+    def site(self, line: int, default: Callable[[_Ctx], int],
+             pick: Callable[[_Ctx], int]) -> int:
+        """The value of the candidate site at line on this path. An
+        undecided path declines a site it runs for the rest of the path;
+        the search runs the pick later, from the state before the step. A
+        path that picked the site keeps the value of its first run there."""
         picked, kept = self.decision
-        if picked != site.line:
-            if not picked and site.line not in kept:
-                self.decision = (0, kept | {site.line})
-            return _eval(site.default, self)
+        if picked != line:
+            if not picked and line not in kept:
+                self.decision = (0, kept | {line})
+            return default(self)
         if kept is None:
-            kept = _eval(site.pick, self)
+            kept = pick(self)
             self.decision = (picked, kept)
         return kept
 
@@ -583,73 +713,6 @@ def _put(items: tuple, i: int, value) -> tuple:
     copy = list(items)
     copy[i] = value
     return tuple(copy)
-
-
-def _eval(expr: Expr, ctx: _Ctx) -> int:
-    """The value of expr on ctx's nondet path. Operands are evaluated left
-    to right; && || ?: evaluate only what they need."""
-    if isinstance(expr, IntLit):
-        return wrap64(expr.value)
-    if isinstance(expr, Var):
-        where = ctx.scope.get(expr.name)
-        if where is None:
-            raise ModelError(f"read of unknown variable {expr.name!r}")
-        return (ctx.globals if where[0] else ctx.locals)[where[1]]
-    if isinstance(expr, Binary):
-        left = _eval(expr.left, ctx)
-        if expr.op == "&&":
-            return 1 if left != 0 and _eval(expr.right, ctx) != 0 else 0
-        if expr.op == "||":
-            return 1 if left != 0 or _eval(expr.right, ctx) != 0 else 0
-        return _apply(expr.op, left, _eval(expr.right, ctx))
-    if isinstance(expr, Nondet):
-        return ctx.draw(None if expr.lo is None else (expr.lo, expr.hi))
-    if isinstance(expr, Index):
-        array = ctx.machine.compiled.arrays.get(expr.name)
-        if array is None:
-            raise ModelError(f"unknown array {expr.name!r}")
-        i = _eval(expr.index, ctx)
-        if not (0 <= i < len(array)):
-            raise ModelError(
-                f"array index {i} out of range for {expr.name!r}")
-        return array[i]
-    if isinstance(expr, Unary):
-        v = _eval(expr.operand, ctx)
-        if expr.op == "-":
-            return wrap64(-v)
-        return 0 if v != 0 else 1
-    if isinstance(expr, Ternary):
-        cond = _eval(expr.cond, ctx)
-        return _eval(expr.then_expr if cond != 0 else expr.else_expr, ctx)
-    if isinstance(expr, _Site):
-        return ctx.site(expr)
-    raise ModelError(f"cannot evaluate {expr!r}")
-
-
-def _apply(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return wrap64(a + b)
-    if op == "-":
-        return wrap64(a - b)
-    if op == "*":
-        return wrap64(a * b)
-    if op in ("/", "%"):
-        if b == 0:
-            raise _DivByZero
-        return c_div(a, b) if op == "/" else c_mod(a, b)
-    if op == "==":
-        return 1 if a == b else 0
-    if op == "!=":
-        return 1 if a != b else 0
-    if op == "<":
-        return 1 if a < b else 0
-    if op == "<=":
-        return 1 if a <= b else 0
-    if op == ">":
-        return 1 if a > b else 0
-    if op == ">=":
-        return 1 if a >= b else 0
-    raise ModelError(f"unknown operator {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -829,26 +892,25 @@ class _Machine:
         outcome."""
         thread = state.threads[tid]
         code, pc = self.codes[tid], thread.pc
-        ctx.scope, ctx.locals = code.scope, thread.locals
+        ctx.locals = thread.locals
         callers: list[tuple] = []  # (code, pc, locals), innermost last
         try:
             while True:
                 instr = code.instrs[pc]
                 op = instr.op
                 line = ctx.line = instr.line
-                if op in ("assign", "decl"):
-                    ctx.store(instr.name, 0 if instr.expr is None
-                              else _eval(instr.expr, ctx))
+                if op == "assign":
+                    ctx.store(instr.var, instr.value(ctx))
                     pc += 1
                 elif op in ("assume", "assert"):
-                    if _eval(instr.expr, ctx) == 0:
+                    if instr.value(ctx) == 0:
                         if op == "assume":
                             return ("kill", "assume")
                         violation = Violation("assertion", line)
                         break
                     pc += 1
                 elif op in ("branch", "loop_head"):
-                    if _eval(instr.expr, ctx) == 0:
+                    if instr.value(ctx) == 0:
                         pc = instr.target
                     else:
                         if op == "loop_head":
@@ -859,29 +921,27 @@ class _Machine:
                                                  started)
                         pc += 1
                 elif op == "switch":
-                    pc = instr.aux.get(_eval(instr.expr, ctx), instr.target)
+                    pc = instr.aux.get(instr.value(ctx), instr.target)
                 elif op == "break":
                     pc = instr.target
                 elif op == "call":
-                    callee = self.compiled.callee_codes[instr.args[0]]
+                    callee, args = instr.args
                     env = list(callee.locals)
-                    for slot, value in zip(callee.param_slots, [
-                            _eval(arg, ctx) for arg in instr.args[1]]):
+                    for slot, value in zip(callee.param_slots,
+                                           [arg(ctx) for arg in args]):
                         env[slot] = value
                     callers.append((code, pc, ctx.locals))
                     code, pc, ctx.locals = callee, 0, tuple(env)
-                    ctx.scope = code.scope
                 elif op == "return":
-                    value = _eval(instr.expr, ctx)
+                    value = instr.value(ctx)
                     if not callers:
                         # a thread's return value is irrelevant; evaluated
                         # for effects only
                         return self._finish(ctx, state, tid, thread._replace(
                             locals=ctx.locals, status="exited"), line)
                     code, pc, ctx.locals = callers.pop()
-                    ctx.scope = code.scope
                     site = code.instrs[pc]
-                    ctx.store(site.name, value)
+                    ctx.store(site.var, value)
                     pc += 1
                     line = site.line
                 elif callers:
@@ -1086,14 +1146,11 @@ def _build_counterexample(compiled: CompiledProgram, schedule, choices,
 # Independence of steps
 # ---------------------------------------------------------------------------
 
-# the key of _Independence.reach for an access whose globals are not resolved
-_ANY = -1
-
 # the statements a thread may run ahead of the others where the globals they
 # touch allow it: none blocks, is blocked by another thread, or changes a
 # thread, handle, mutex or condition
-_LOCAL_OPS = frozenset(("assign", "decl", "branch", "loop_head", "assume",
-                        "assert", "switch", "break", "nopstep", "call"))
+_LOCAL_OPS = frozenset(("assign", "branch", "loop_head", "assume", "assert",
+                        "switch", "break", "nopstep", "call"))
 
 
 def _successors(code: Code, pc: int) -> tuple[int, ...]:
@@ -1111,63 +1168,14 @@ def _successors(code: Code, pc: int) -> tuple[int, ...]:
     return (pc + 1,)
 
 
-def _reads(expr: Expr, scope: dict, found: set[int]) -> bool:
-    """Adds the global slots expr reads under scope to found; False if expr
-    names a variable that scope does not hold, or is of a kind not known
-    here. Global arrays are never written, so reading one is no access."""
-    if isinstance(expr, Var):
-        where = scope.get(expr.name)
-        if where is not None and where[0]:
-            found.add(where[1])
-        return where is not None
-    if isinstance(expr, (IntLit, Nondet)):
-        return True
-    if isinstance(expr, Index):
-        return _reads(expr.index, scope, found)
-    if isinstance(expr, Unary):
-        return _reads(expr.operand, scope, found)
-    if isinstance(expr, Binary):
-        return _reads(expr.left, scope, found) and \
-            _reads(expr.right, scope, found)
-    if isinstance(expr, Ternary):
-        return all(_reads(part, scope, found) for part in (
-            expr.cond, expr.then_expr, expr.else_expr))
-    return False
-
-
-def _own_globals(code: Code, instr: Instr) -> frozenset[int] | None:
-    """The global slots instr of code reads or writes itself, a callee's
-    aside; None if it names a variable that code's scope does not hold."""
+def _callee_globals(callee: Code) -> frozenset[int]:
+    """The global slots that callee and the functions it calls read or
+    write."""
     found: set[int] = set()
-    if instr.op in ("assign", "decl", "call"):
-        where = code.scope.get(instr.name)
-        if where is None:
-            return None
-        if where[0]:
-            found.add(where[1])
-    exprs = instr.args[1] if instr.op == "call" else \
-        () if instr.expr is None else (instr.expr,)
-    if not all(_reads(expr, code.scope, found) for expr in exprs):
-        return None
-    return frozenset(found)
-
-
-def _callee_globals(compiled: CompiledProgram, name: str
-                    ) -> frozenset[int] | None:
-    """The global slots that function name and the functions it calls read
-    or write; None if one of them names a variable or function that is not
-    resolved."""
-    found: set[int] = set()
-    todo, seen = [name], {name}
+    todo, seen = [callee], {callee}
     while todo:
-        code = compiled.callee_codes.get(todo.pop())
-        if code is None:
-            return None
-        for instr in code.instrs:
-            own = _own_globals(code, instr)
-            if own is None:
-                return None
-            found |= own
+        for instr in todo.pop().instrs:
+            found |= instr.touched
             if instr.op == "call" and instr.args[0] not in seen:
                 seen.add(instr.args[0])
                 todo.append(instr.args[0])
@@ -1200,8 +1208,8 @@ def _must_hold(code: Code) -> list[frozenset[int] | None]:
 class _Independence:
     """What the reduced search decides commuting steps from, for one
     compiled program: the globals each instruction of each thread reads or
-    writes (a call with its callees', transitively; None where a name is
-    not resolved), and the mutexes each thread must hold at each pc.
+    writes (a call with its callees', transitively), and the mutexes each
+    thread must hold at each pc.
 
     A mutex counts as held only where no thread may unlock or wait on it
     without holding it, since unlock and wait free a mutex whoever owns it.
@@ -1210,18 +1218,12 @@ class _Independence:
 
     def __init__(self, compiled: CompiledProgram):
         self.codes = compiled.thread_codes
-        callees = {name: _callee_globals(compiled, name)
-                   for name in compiled.callee_codes}
-        self.globals: list[list[frozenset[int] | None]] = []
-        for code in self.codes:
-            row = []
-            for instr in code.instrs:
-                touched = _own_globals(code, instr)
-                if touched is not None and instr.op == "call":
-                    callee = callees.get(instr.args[0])
-                    touched = None if callee is None else touched | callee
-                row.append(touched)
-            self.globals.append(row)
+        callees = {code: _callee_globals(code)
+                   for code in compiled.callee_codes.values()}
+        self.globals: list[list[frozenset[int]]] = [[
+            instr.touched | callees[instr.args[0]] if instr.op == "call"
+            else instr.touched for instr in code.instrs]
+            for code in self.codes]
         self.held = [_must_hold(code) for code in self.codes]
         self.unsafe = frozenset(
             instr.slot for code, held in zip(self.codes, self.held)
@@ -1237,9 +1239,8 @@ class _Independence:
     def reach(self, tid: int, pc: int, stops: frozenset[int]
               ) -> dict[int, tuple[frozenset[int], ...]]:
         """For each global that thread tid may access from pc on, the
-        distinct sets of mutexes it must hold where it does (_ANY for an
-        access not resolved). The walk does not pass a join on a handle of
-        stops."""
+        distinct sets of mutexes it must hold where it does. The walk does
+        not pass a join on a handle of stops."""
         key = (tid, pc, stops)
         found = self._reach.get(key)
         if found is None:
@@ -1249,8 +1250,7 @@ class _Independence:
             seen, todo = {pc}, [pc]
             while todo:
                 at = todo.pop()
-                touched = touches[at]
-                for g in (_ANY,) if touched is None else touched:
+                for g in touches[at]:
                     sets.setdefault(g, set()).add(held[at])
                 instr = code.instrs[at]
                 if instr.op == "join" and instr.slot in stops:
@@ -1278,7 +1278,7 @@ class _Independence:
             return control.mutexes[instr.slot] == tid and \
                 instr.slot not in self.unsafe
         touched = self.globals[tid][pc]
-        if instr.op not in _LOCAL_OPS or touched is None:
+        if instr.op not in _LOCAL_OPS:
             return False
         if not touched:
             return True
@@ -1290,7 +1290,7 @@ class _Independence:
             if other == tid or thread.status == "exited":
                 continue
             reach = self.reach(other, thread.pc, stops)
-            for g in (*touched, _ANY):
+            for g in touched:
                 for must in reach.get(g, ()):
                     if must.isdisjoint(held):
                         return False

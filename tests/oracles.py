@@ -7,6 +7,9 @@ search is the verifier's depth-first loop as it was before the
 finished-state cache, the partial-order reduction and the lazy site
 decisions, kept as the reference for all three. The two-search localizer
 is the pipeline as it was before one search both diagnosed and validated.
+The reference evaluator walks an expression's tree on every evaluation,
+as the verifier did before it compiled each expression once; its
+arithmetic is written apart from the verifier's.
 """
 
 from __future__ import annotations
@@ -16,20 +19,114 @@ from dataclasses import replace
 
 from mcfl.instrumenter import NothingToInstrument, instrument, site_picks
 from mcfl.sequentializer import sequentialize
-from mcfl.syntax import Assign, IntLit, program_stmts
+from mcfl.syntax import (
+    Assign,
+    Binary,
+    Index,
+    IntLit,
+    Nondet,
+    Ternary,
+    Unary,
+    Var,
+    program_stmts,
+)
 from mcfl.verifier import (
     CompiledProgram,
+    ModelError,
     VerifierConfig,
     Violation,
     _build_counterexample,
+    _DivByZero,
     _entries,
     _Machine,
+    _Site,
     _SiteSearch,
     _unlink,
     counterexample_to_json,
     extract_schedule,
     verify,
 )
+
+
+def _wrap(v: int) -> int:
+    """v in 64-bit two's complement."""
+    return (v + 2 ** 63) % 2 ** 64 - 2 ** 63
+
+
+def _apply(op: str, a: int, b: int) -> int:
+    if op == "+":
+        return _wrap(a + b)
+    if op == "-":
+        return _wrap(a - b)
+    if op == "*":
+        return _wrap(a * b)
+    if op in ("/", "%"):
+        if b == 0:
+            raise _DivByZero
+        q = a // b
+        if q < 0 and q * b != a:
+            q += 1  # C rounds toward zero, Python's // down
+        return _wrap(q if op == "/" else a - b * q)
+    if op == "==":
+        return 1 if a == b else 0
+    if op == "!=":
+        return 1 if a != b else 0
+    if op == "<":
+        return 1 if a < b else 0
+    if op == "<=":
+        return 1 if a <= b else 0
+    if op == ">":
+        return 1 if a > b else 0
+    if op == ">=":
+        return 1 if a >= b else 0
+    raise ModelError(f"unknown operator {op!r}")
+
+
+def reference_eval(expr, ctx, scope: dict) -> int:
+    """The value of expr on ctx's nondet path, its names looked up in scope
+    (a Code's). Operands are evaluated left to right; && || ?: evaluate
+    only what they need."""
+    if isinstance(expr, IntLit):
+        return _wrap(expr.value)
+    if isinstance(expr, Var):
+        where = scope.get(expr.name)
+        if where is None:
+            raise ModelError(f"read of unknown variable {expr.name!r}")
+        return (ctx.globals if where[0] else ctx.locals)[where[1]]
+    if isinstance(expr, Binary):
+        left = reference_eval(expr.left, ctx, scope)
+        if expr.op == "&&":
+            return 1 if left != 0 and \
+                reference_eval(expr.right, ctx, scope) != 0 else 0
+        if expr.op == "||":
+            return 1 if left != 0 or \
+                reference_eval(expr.right, ctx, scope) != 0 else 0
+        return _apply(expr.op, left, reference_eval(expr.right, ctx, scope))
+    if isinstance(expr, Nondet):
+        return ctx.draw(None if expr.lo is None else (expr.lo, expr.hi))
+    if isinstance(expr, Index):
+        array = ctx.machine.compiled.arrays.get(expr.name)
+        if array is None:
+            raise ModelError(f"unknown array {expr.name!r}")
+        i = reference_eval(expr.index, ctx, scope)
+        if not (0 <= i < len(array)):
+            raise ModelError(
+                f"array index {i} out of range for {expr.name!r}")
+        return array[i]
+    if isinstance(expr, Unary):
+        v = reference_eval(expr.operand, ctx, scope)
+        if expr.op == "-":
+            return _wrap(-v)
+        return 0 if v != 0 else 1
+    if isinstance(expr, Ternary):
+        cond = reference_eval(expr.cond, ctx, scope)
+        return reference_eval(expr.then_expr if cond != 0
+                              else expr.else_expr, ctx, scope)
+    if isinstance(expr, _Site):
+        return ctx.site(
+            expr.line, lambda c: reference_eval(expr.default, c, scope),
+            lambda c: reference_eval(expr.pick, c, scope))
+    raise ModelError(f"cannot evaluate {expr!r}")
 
 
 def naive_violates(program, config: VerifierConfig) -> bool:

@@ -13,7 +13,6 @@ from mcfl.sequentializer import (
     Segment,
     apply_pthread_rules,
     line_map_to_json,
-    pthread_free,
     sequentialize,
     unwind_calls,
 )
@@ -32,6 +31,7 @@ from mcfl.syntax import (
     MutexDecl,
     MutexLock,
     MutexUnlock,
+    PTHREAD_KINDS,
     Switch,
     ThreadAttrDecl,
     ThreadCreate,
@@ -295,7 +295,8 @@ int main() {
         assert result.counterexample.violation.kind == "deadlock"
         sched = extract_schedule(result.counterexample)
         seq = sequentialize(p, sched, True)
-        assert pthread_free(seq.program)
+        assert not any(isinstance(s, PTHREAD_KINDS)
+                       for s in program_stmts(seq.program))
         names = {s.name for s in seq.program.globals
                  if isinstance(s, Decl)}
         assert {"m", "full"}.issubset(names)
@@ -315,7 +316,8 @@ int main() {
             deadlock = result.counterexample.violation.kind == "deadlock"
             seq = sequentialize(p, extract_schedule(result.counterexample),
                                 deadlock)
-            assert pthread_free(seq.program)
+            assert not any(isinstance(s, PTHREAD_KINDS)
+                           for s in program_stmts(seq.program))
             done += 1
         assert done >= 5
 

@@ -1,8 +1,9 @@
 """Bounded exploration, replay and schedule extraction."""
 
 import json
+import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,7 +11,18 @@ from mcfl.instrumenter import NothingToInstrument, instrument, site_picks
 from mcfl.localizer import localize
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize, unwind_calls
-from mcfl.syntax import Assign, IntLit, Nondet
+from mcfl.syntax import (
+    Assign,
+    Binary,
+    CallAssign,
+    Expr,
+    If,
+    Index,
+    IntLit,
+    Nondet,
+    Var,
+    iter_stmts,
+)
 from mcfl.verifier import (
     CompiledProgram,
     ContextSwitchRecord,
@@ -22,8 +34,11 @@ from mcfl.verifier import (
     VerifierConfig,
     Violation,
     _build_counterexample,
+    _Ctx,
+    _DivByZero,
     _explore,
     _Machine,
+    _Site,
     _successors,
     _unlink,
     counterexample_from_json,
@@ -35,7 +50,7 @@ from mcfl.verifier import (
 )
 
 from conftest import BENCH_DIR, bign_source, doc_example
-from oracles import naive_violates, uncached
+from oracles import naive_violates, reference_eval, uncached
 from randprog import generate_callee_source, generate_source
 
 ABBA = """pthread_mutex_t ma;
@@ -310,6 +325,209 @@ class TestCompile:
         p.main.body.stmts = switch.body.stmts
         with pytest.raises(ModelError, match=f"^{message}$"):
             CompiledProgram(p)
+
+    @pytest.mark.parametrize("stmt,message", [
+        (Assign("x", Var("ghost")), "read of unknown variable 'ghost'"),
+        (CallAssign("x", "f", [Var("ghost")]),
+         "read of unknown variable 'ghost'"),
+        (Assign("ghost", IntLit(0)), "write to unknown variable 'ghost'"),
+        (Assign("x", Index("ghost", IntLit(0))), "unknown array 'ghost'"),
+        (Assign("x", Binary("^", IntLit(1), IntLit(2))),
+         "unknown operator '\\^'"),
+        (CallAssign("x", "ghost"),
+         "call to 'ghost', which is no int function"),
+        (CallAssign("x", "w"), "call to 'w', which is no int function"),
+    ], ids=["read", "read-argument", "write", "array", "operator",
+            "undefined-callee", "void-callee"])
+    def test_unresolved_names_fail_to_compile(self, stmt, message):
+        # the parser rejects each of these; in a hand-built tree they fail
+        # when compiled, even on a branch no path takes
+        p = parse("""int x = 0;
+int a[1] = {0};
+pthread_t t;
+int f(int k) {
+  return k;
+}
+void w() {
+}
+int main() {
+  pthread_create(t, w);
+  if (0) {
+    x = f(1);
+  }
+}
+""")
+        unreachable = next(s for s in p.main.body.stmts if isinstance(s, If))
+        stmt.line = unreachable.then.stmts[0].line
+        unreachable.then.stmts[0] = stmt
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            CompiledProgram(p)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            verify(p, VerifierConfig())
+
+    def test_long_sum_verifies_and_localizes(self):
+        # compiling and evaluating each take one Python frame per level of
+        # the sum, so 900 terms stay under the default recursion limit
+        terms = " + ".join(["x"] + ["1"] * 899)
+        p = parse(f"""int x = 0;
+pthread_t t;
+void w() {{
+  x = x + 1;
+}}
+int main() {{
+  pthread_create(t, w);
+  x = {terms};
+  assert(x != 900);
+}}
+""")
+        assert verify(p, VerifierConfig()).outcome == "violation"
+        report = localize(p, VerifierConfig())
+        assert report.status == "faults-found"
+        assert {d.original_line for d in report.diagnoses} == {3, 5}
+
+
+def _stmt_exprs(program):
+    """(function name, line, expression) for each expression a statement of
+    program holds."""
+    for fn in [program.main, *program.functions]:
+        for stmt in iter_stmts(fn.body.stmts):
+            for f in fields(stmt):
+                value = getattr(stmt, f.name)
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, Expr):
+                        yield fn.name, stmt.line, item
+
+
+# values that reach the 64-bit wrap and the signs of / and %
+EDGE_VALUES = (0, 1, -1, 2, -3, 7, 2 ** 63 - 1, -2 ** 63)
+
+
+class TestCompiledEvaluation:
+    """A compiled expression gives the reference evaluator's value, or its
+    exception, and draws the same values, on every nondet path of the same
+    context."""
+
+    @staticmethod
+    def _paths(compiled, fname, expr, line, values, decision=None):
+        """Per nondet path, in the step's order: (outcome, drawn, decision)
+        of the compiled expression, each checked equal to the reference's
+        on a context with the same prefix. The globals and the locals of
+        fname's code take values in slot order."""
+        code = next(c for c in [*compiled.thread_codes,
+                                *compiled.callee_codes.values()]
+                    if c.fname == fname)
+        machine = _Machine(compiled, VerifierConfig(nondet_domain=(0, 2)))
+        state = machine.initial_state()
+        state = state._replace(
+            globals=values[:len(state.globals)],
+            control=state.control._replace(
+                decision=decision or state.control.decision))
+        evaluators = (compiled._expr(expr, code.scope, set()),
+                      lambda ctx: reference_eval(expr, ctx, code.scope))
+        paths, prefix = [], []
+        while True:
+            runs = []
+            for evaluate in evaluators:
+                ctx = _Ctx(machine, state, prefix)
+                ctx.line, ctx.locals = line, values[:len(code.names)]
+                try:
+                    outcome = evaluate(ctx)
+                except (ModelError, _DivByZero) as exc:
+                    outcome = type(exc)
+                runs.append((outcome, list(ctx.drawn), ctx.decision))
+            assert runs[0] == runs[1], (fname, line, expr, prefix)
+            paths.append(runs[0])
+            drawn = list(runs[0][1])
+            while drawn and drawn[-1][0] >= drawn[-1][1]:
+                drawn.pop()
+            if not drawn:
+                return paths
+            prefix = [value for value, _ in drawn]
+            prefix[-1] += 1
+
+    @pytest.mark.parametrize("family", ["division", "three-thread",
+                                        "callee"])
+    def test_generated_programs(self, family):
+        make = {"division": lambda seed: generate_source(seed, with_div=True),
+                "three-thread": lambda seed: generate_source(
+                    seed, max_threads=3),
+                "callee": generate_callee_source}[family]
+        outcomes = Counter()
+        for seed in range(50):
+            p = parse(make(seed))
+            compiled = CompiledProgram(p)
+            rng = random.Random(seed)
+            valuations = [(0,) * 16, tuple(rng.randint(-3, 3)
+                                           for _ in range(16)),
+                          tuple(rng.choice(EDGE_VALUES) for _ in range(16))]
+            for fname, line, expr in _stmt_exprs(p):
+                for values in valuations:
+                    for outcome, _, _ in self._paths(compiled, fname, expr,
+                                                     line, values):
+                        outcomes[outcome if isinstance(outcome, type)
+                                 else int] += 1
+        assert outcomes[int] > 0
+        if family != "three-thread":
+            assert outcomes[_DivByZero] > 0
+
+    HAND = """int a[2] = {4, 5};
+int y = 0;
+int z = 0;
+int main() {
+  int x = 0;
+  x = EXPR;
+}
+"""
+
+    @pytest.mark.parametrize("expr,y,z,paths", [
+        # short circuits before a draw
+        ("y && nondet(0,2)", 0, 0, [(0, [])]),
+        ("y || nondet(0,2)", 1, 0, [(1, [])]),
+        ("y && nondet(0,1)", 1, 0, [(0, [(0, 1)]), (1, [(1, 1)])]),
+        # ?: draws only in the branch taken
+        ("nondet(0,1) ? nondet(0,1) : nondet(3,3)", 0, 0,
+         [(3, [(0, 1), (3, 3)]), (0, [(1, 1), (0, 1)]),
+          (1, [(1, 1), (1, 1)])]),
+        # / and % by zero, and with negative operands
+        ("-7 / y", 0, 0, [(_DivByZero, [])]),
+        ("-7 % z + nondet(0,1)", 0, 0, [(_DivByZero, [])]),
+        ("y / z", -7, 2, [(-3, [])]),
+        ("y % z", -7, 2, [(-1, [])]),
+        ("y % z", 7, -2, [(1, [])]),
+        ("y % z", -7, -2, [(-1, [])]),
+        ("y / z", -2 ** 63, -1, [(-2 ** 63, [])]),
+        ("y % z", -2 ** 63, -1, [(0, [])]),
+        # unary minus at the 64-bit wrap
+        ("-y", -2 ** 63, 0, [(-2 ** 63, [])]),
+        ("-y + 1", -2 ** 63, 0, [(-2 ** 63 + 1, [])]),
+        # an array index out of range, either side
+        ("a[y]", 1, 0, [(5, [])]),
+        ("a[y]", 2, 0, [(ModelError, [])]),
+        ("a[y - 3]", 2, 0, [(ModelError, [])]),
+    ])
+    def test_hand_cases(self, expr, y, z, paths):
+        p = parse(self.HAND.replace("EXPR", expr))
+        assign = p.main.body.stmts[1]
+        got = self._paths(CompiledProgram(p), "main", assign.expr,
+                          assign.line, (y, z))
+        assert [(outcome, drawn) for outcome, drawn, _ in got] == paths
+
+    def test_site(self):
+        # undecided, picked, picked with a kept value, another site picked
+        p = parse(self.HAND.replace("EXPR", "a[0]"))
+        assign = p.main.body.stmts[1]
+        line = assign.line
+        site = _Site(line, assign.expr, Nondet())
+        compiled = CompiledProgram(p)
+        for decision, paths in [
+                ((0, frozenset()), [(4, [], (0, frozenset({line})))]),
+                ((line, None), [(0, [(0, 2)], (line, 0)),
+                                (1, [(1, 2)], (line, 1)),
+                                (2, [(2, 2)], (line, 2))]),
+                ((line, 1), [(1, [], (line, 1))]),
+                ((line + 1, None), [(4, [], (line + 1, None))])]:
+            assert self._paths(compiled, "main", site, line, (0, 0),
+                               decision) == paths, decision
 
 
 def _passed(code, pcs) -> set[int]:
