@@ -30,6 +30,7 @@ from .sequentializer import (
     Schedule,
     Segment,
     SequentialProgram,
+    UnsupportedScheduleError,
     apply_pthread_rules,
     sequentialize,
     unwind_calls,
@@ -42,7 +43,6 @@ from .verifier import (
     ModelError,
     TraceMismatch,
     TraceStep,
-    UnsupportedScheduleError,
     VerificationResult,
     VerifierConfig,
     Violation,

@@ -32,13 +32,12 @@ from .localizer import DiagnosisReport, localize, report_to_json, \
     sequential_replay
 from .parser import ParseError, parse
 from .sequentializer import GuardPlacementError, RuleGapError, \
-    line_map_to_json
+    UnsupportedScheduleError, line_map_to_json
 from .syntax import pretty_print
 from .verifier import (
     Counterexample,
     ModelError,
     TraceMismatch,
-    UnsupportedScheduleError,
     VerifierConfig,
     counterexample_to_json,
     verify,
@@ -219,8 +218,8 @@ def run(args: argparse.Namespace) -> int:
         print(f"mcfl: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # the later stages recurse once per nesting level, as the parser
-        # does, but need more stack per level
+        # the later stages recurse once per expression level, where the
+        # parser reads a chain of one precedence level in a loop
         print("mcfl: input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
 

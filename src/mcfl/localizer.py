@@ -117,8 +117,7 @@ def localize(program: Program, config: VerifierConfig) -> DiagnosisReport:
     # is a site, the end of main stands for the final assert(0), and a
     # failure ends a path as the assume it became does
     t0 = time.perf_counter()
-    search = verify(CompiledProgram(seq.program), _seq_config(config),
-                    sites=picks)
+    search = verify(seq.program, _seq_config(config), sites=picks)
     timings["diagnose"] = time.perf_counter() - t0
     # validation ran in the same search; this reads off its verdicts. One
     # record per site, by line, so iteration is the run in which

@@ -500,20 +500,17 @@ class _Parser:
             return Ternary(expr, then_expr, else_expr)
         return expr
 
-    # the binary operators of each precedence level, loosest first
-    _BIN_LEVELS = [[op for op, prec in PRECEDENCE.items() if prec == level]
-                   for level in sorted(set(PRECEDENCE.values()))]
-
-    def parse_binary(self, ctx: "_FnCtx", level: int) -> Expr:
-        if level > len(self._BIN_LEVELS):
-            return self.parse_unary(ctx)
-        ops = self._BIN_LEVELS[level - 1]
-        expr = self.parse_binary(ctx, level + 1)
-        while self.peek().kind == "sym" and self.peek().text in ops:
-            op = self.advance().text
-            right = self.parse_binary(ctx, level + 1)
-            expr = Binary(op, expr, right)
-        return expr
+    def parse_binary(self, ctx: "_FnCtx", lowest: int) -> Expr:
+        """Precedence climbing over operators of level lowest or tighter: a
+        right operand takes only tighter ones, so each level binds left."""
+        expr = self.parse_unary(ctx)
+        while True:
+            tok = self.peek()
+            prec = PRECEDENCE.get(tok.text, 0) if tok.kind == "sym" else 0
+            if prec < lowest:
+                return expr
+            self.advance()
+            expr = Binary(tok.text, expr, self.parse_binary(ctx, prec + 1))
 
     def parse_unary(self, ctx: "_FnCtx") -> Expr:
         tok = self.peek()

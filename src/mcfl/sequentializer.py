@@ -72,6 +72,11 @@ class GuardPlacementError(Exception):
     """A schedule position has no image in the sequential program."""
 
 
+class UnsupportedScheduleError(Exception):
+    """A schedule whose segments cannot all be tagged: a thread with 10 or
+    more segments, or 10 or more created threads."""
+
+
 # ---------------------------------------------------------------------------
 # Schedule
 # ---------------------------------------------------------------------------
@@ -453,7 +458,13 @@ class _Builder:
 def sequentialize(program: Program, schedule: Schedule,
                   deadlock: bool) -> SequentialProgram:
     """Full transformation: unwinding, rewrite rules, hoisting, framework
-    skeleton, and order control."""
+    skeleton, and order control. Thread n dispatches as case n + 1, so
+    no segment tag may equal such a label."""
+    clash = set(schedule.order_tags) & set(range(1, len(program.threads) + 2))
+    if clash:
+        raise UnsupportedScheduleError(
+            f"segment tag {min(clash)} is also a thread's case label; at "
+            "most 9 created threads are supported")
     unwound = _unwind_annotated(program)
     builder = _Builder(program, schedule, deadlock)
     builder.transform_globals(unwound.globals)

@@ -20,13 +20,14 @@ recorded value, so search and replay cannot disagree on how a value is
 drawn.
 
 A lazy-decision search (verify with sites) takes candidate sites, lines of
-main each with the expression a path runs there once it picks the line. A
-path decides a site only when it first runs it, declining it first and then
-picking it, and the picked paths run after the whole undecided tree, so all
-sites share the unchanged prefix. One such search over the sequential
-program both diagnoses and validates: a site's witness is the value of the
-first picked path that reaches the end of main, and the site validates when
-every path that runs it with that value passes.
+main each with the expression a path runs there once it picks the line;
+the program compiles once, each site's expression rewritten as main
+compiles. A path decides a site only when it first runs it, declining it
+first and then picking it, and the picked paths run after the whole
+undecided tree, so all sites share the unchanged prefix. One such search
+over the sequential program both diagnoses and validates: a site's witness
+is the value of the first picked path that reaches the end of main, and
+the site validates when every path that runs it with that value passes.
 
 Outside a lazy-decision search, verify caches finished states: once the
 whole subtree below a state with two or more live threads has been explored
@@ -60,12 +61,11 @@ ordered search sets the loop-bound flag as it would alone.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Iterable, NamedTuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, NamedTuple
 
-from .sequentializer import Schedule, Segment
+from .sequentializer import Schedule, Segment, UnsupportedScheduleError
 from .syntax import (
     ArrayDecl,
     Assert,
@@ -272,10 +272,6 @@ class Instr:
     op: str
     line: int = 0
     name: str = ""  # a wait's or signal's condition
-    # the value or condition as written, which with_constant and with_sites
-    # rewrite; a declaration's initializer is no site and is kept compiled
-    # only
-    expr: Expr | None = None
     # a call's callee code and argument evaluators, a create's function
     args: tuple = ()
     # the pc a jump or break goes to, a branch or loop head when its
@@ -321,9 +317,14 @@ class CompiledProgram:
     """The functions as instruction lists, and a slot for every global,
     mutex, thread handle and while loop: a state holds their values in
     tuples, in slot order. Each expression is compiled once, with the
-    instruction that holds it, its names resolved to slots."""
+    instruction that holds it, its names resolved to slots. rewrite maps
+    lines of main's assignments, ifs and whiles, and no other lines, to a
+    function of the value or condition, which compiles in its place."""
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Program,
+                 rewrite: dict[int, Callable[[Expr], Expr]] | None = None):
+        self.program = program
+        self.rewrite = rewrite or {}
         self.arrays: dict[str, tuple[int, ...]] = {}
         self.mutex_slots: dict[str, int] = {}
         self.handle_slots: dict[str, int] = {}
@@ -372,6 +373,12 @@ class CompiledProgram:
             self._compile_body(code, fn.body.stmts, [])
             code.emit(Instr("thread_end", 0))
         self._independence: _Independence | None = None
+        missed = self.rewrite.keys() - {
+            stmt.line for stmt in iter_stmts(program.main.body.stmts)
+            if isinstance(stmt, (Assign, If, While))}
+        if missed:
+            raise ValueError(
+                f"line {min(missed)} is no assignment, if or while of main")
 
     def independence(self) -> "_Independence":
         """The facts the reduced search decides commuting steps from, built
@@ -381,42 +388,26 @@ class CompiledProgram:
         return self._independence
 
     def with_constant(self, line: int, value: int) -> "CompiledProgram":
-        """A copy in which main's assignment, if or while at line evaluates
-        IntLit(value) as its value or condition. Only main's instruction
-        list is copied; everything else is shared with this program."""
-        return self._rewritten([line], lambda line, expr: IntLit(value))
+        """This program compiled again with main's assignment, if or while
+        at line evaluating IntLit(value) as its value or condition."""
+        return self._recompiled({line: lambda expr: IntLit(value)})
 
     def with_sites(self, sites: dict[int, Expr]) -> "CompiledProgram":
-        """A copy in which main's assignment, if or while at each line of
-        sites is a candidate site of a lazy-decision search: a path that
-        picked it evaluates sites[line] there, any other path the line's
-        own expression."""
-        return self._rewritten(sites, lambda line, expr: _Site(
-            line, expr, sites[line]))
+        """This program compiled again with main's assignment, if or while
+        at each line of sites a candidate site of a lazy-decision search: a
+        path that picked it evaluates sites[line] there, any other path the
+        line's own expression."""
+        return self._recompiled(_site_rewrite(sites))
 
-    def _rewritten(self, lines: Iterable[int],
-                   rewrite: Callable[[int, Expr], Expr]) -> "CompiledProgram":
-        """A copy in which the value or condition of main's assignment, if or
-        while at each of lines is rewrite(line, expr), compiled."""
-        main = self.thread_codes[0]
-        carriers: dict[int, list[int]] = {line: [] for line in lines}
-        for pc, instr in enumerate(main.instrs):
-            if instr.line in carriers and instr.expr is not None:
-                carriers[instr.line].append(pc)
-        code = copy.copy(main)
-        code.instrs = list(main.instrs)
-        for line, pcs in carriers.items():
-            if len(pcs) != 1 or main.instrs[pcs[0]].op not in (
-                    "assign", "branch", "loop_head"):
-                raise ValueError(
-                    f"line {line} is no assignment, if or while of main")
-            instr = main.instrs[pcs[0]]
-            code.instrs[pcs[0]] = self._valued(code, replace(
-                instr, expr=rewrite(line, instr.expr)))
-        compiled = copy.copy(self)
-        compiled.thread_codes = [code, *self.thread_codes[1:]]
-        compiled._independence = None
-        return compiled
+    def _recompiled(self, rewrite: dict[int, Callable[[Expr], Expr]]
+                    ) -> "CompiledProgram":
+        """This program compiled again, each line's rewrite applied to what
+        this program's own rewrite of the line gives."""
+        own = self.rewrite
+        return CompiledProgram(self.program, {**own, **{
+            line: f if line not in own else
+            lambda expr, f=f, g=own[line]: f(g(expr))
+            for line, f in rewrite.items()}})
 
     def _compile_body(self, code: Code, stmts: list[Stmt],
                       switches: list[list[Instr]]):
@@ -432,18 +423,24 @@ class CompiledProgram:
         and every break then target the end of its body."""
         ln = stmt.line
         body = self._compile_body
+        # the value or condition of main's line as its rewrite makes it
+        own = (self.rewrite if code is self.thread_codes[0] else {}).get(
+            ln, lambda expr: expr)
 
         def emit(op: str, expr: Expr | None = None, **fields) -> int:
-            instr = Instr(op, ln, expr=expr, **fields)
-            return code.emit(instr if expr is None
-                             else self._valued(code, instr))
+            instr = Instr(op, ln, **fields)
+            if expr is not None:
+                # it touches the globals expr reads and the variable it sets
+                found = {instr.var[1]} if instr.var[0] else set()
+                instr.value = self._expr(expr, code.scope, found)
+                instr.touched = frozenset(found)
+            return code.emit(instr)
 
         if isinstance(stmt, Decl):
-            code.emit(self._valued(code, Instr(
-                "assign", ln, var=_slot(code.scope, stmt.name, "write to")),
-                IntLit(0) if stmt.init is None else stmt.init))
+            emit("assign", IntLit(0) if stmt.init is None else stmt.init,
+                 var=_slot(code.scope, stmt.name, "write to"))
         elif isinstance(stmt, Assign):
-            emit("assign", stmt.expr,
+            emit("assign", own(stmt.expr),
                  var=_slot(code.scope, stmt.name, "write to"))
         elif isinstance(stmt, CallAssign):
             callee = self.callee_codes.get(stmt.func)
@@ -464,7 +461,7 @@ class CompiledProgram:
         elif isinstance(stmt, Block):
             body(code, stmt.stmts, switches)
         elif isinstance(stmt, If):
-            br = emit("branch", stmt.cond)
+            br = emit("branch", own(stmt.cond))
             body(code, stmt.then.stmts, switches)
             if stmt.els is not None:
                 jmp = emit("jump")
@@ -476,7 +473,7 @@ class CompiledProgram:
         elif isinstance(stmt, While):
             loop = self.loop_slots[ln]
             emit("loop_enter", slot=loop)
-            head = emit("loop_head", stmt.cond, slot=loop)
+            head = emit("loop_head", own(stmt.cond), slot=loop)
             body(code, stmt.body.stmts, switches)
             emit("loop_iter", slot=loop)
             emit("jump", target=head)
@@ -528,17 +525,6 @@ class CompiledProgram:
             raise ModelError("array declarations are global only")
         else:
             raise ModelError(f"cannot compile statement {stmt!r}")
-
-    def _valued(self, code: Code, instr: Instr,
-                expr: Expr | None = None) -> Instr:
-        """instr evaluating expr, else its own expr, compiled in code's
-        scope, and touching the global slots that expr reads and the
-        variable instr writes."""
-        found = {instr.var[1]} if instr.var[0] else set()
-        instr.value = self._expr(instr.expr if expr is None else expr,
-                                 code.scope, found)
-        instr.touched = frozenset(found)
-        return instr
 
     def _expr(self, expr: Expr, scope: dict, found: set[int]
               ) -> Callable[[_Ctx], int]:
@@ -624,6 +610,13 @@ class _Site(NamedTuple):
     line: int
     default: Expr
     pick: Expr
+
+
+def _site_rewrite(sites: dict[int, Expr]
+                  ) -> dict[int, Callable[[Expr], Expr]]:
+    """The rewrite that makes each line of sites a candidate site."""
+    return {line: lambda expr, line=line: _Site(line, expr, sites[line])
+            for line in sites}
 
 
 # the decision of a path outside a lazy-decision search, or before it has
@@ -1337,11 +1330,12 @@ def _entries(state: _State, outcomes: list) -> list[tuple]:
 
 class _SiteSearch:
     """The two books of a lazy-decision search over the candidate sites of
-    a program made by CompiledProgram.with_sites. Diagnosis: a site's
-    witness is its value on the first picked path that reaches the end of
-    main. Validation: the site passes when every path that runs it with
-    the witness passes. A site whose pick is a literal has that value as
-    its witness from the start, so the search only validates it.
+    a program compiled with them (see CompiledProgram.with_sites).
+    Diagnosis: a site's witness is its value on the first picked path that
+    reaches the end of main. Validation: the site passes when every path
+    that runs it with the witness passes. A site whose pick is a literal
+    has that value as its witness from the start, so the search only
+    validates it.
 
     A path starts undecided. A step of an undecided path that runs a site
     it has not declined declines it for the rest of the path and defers
@@ -1588,13 +1582,16 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     bounds the two together: the ordered search gets what the reduced one
     left, so none runs after a reduced search that ran out.
 
-    A program compiled already is searched as it is.
+    A program compiled already keeps its rewrites and is compiled again
+    only to add sites; a Program compiles once, with its sites.
     """
-    compiled = program if isinstance(program, CompiledProgram) \
-        else CompiledProgram(program)
+    if isinstance(program, CompiledProgram):
+        compiled = program if sites is None else program.with_sites(sites)
+    else:
+        compiled = CompiledProgram(program, _site_rewrite(sites or {}))
     if sites is not None:
         search = _SiteSearch(sites)
-        machine = _Machine(compiled.with_sites(sites), config)
+        machine = _Machine(compiled, config)
         result = _explore(machine, sites=search)
         counts = {"records": search.records(result[0])}
     else:
@@ -1679,10 +1676,6 @@ def replay(program: Program, counterexample: Counterexample
 # ---------------------------------------------------------------------------
 # Schedule extraction
 # ---------------------------------------------------------------------------
-
-
-class UnsupportedScheduleError(Exception):
-    """A thread is interrupted too often to be tagged (occurrence >= 10)."""
 
 
 def extract_schedule(counterexample: Counterexample) -> Schedule:

@@ -48,3 +48,16 @@ def bign_source(n: int) -> str:
     lines += ["  x = x + 1;"] * n
     lines += [f"  assert(x != {n + 1});", "}"]
     return "\n".join(lines) + "\n"
+
+
+def threads_source(n: int) -> str:
+    """n created threads, of which only the last adds 1 to x, and main
+    asserts x == 0: the failing schedule runs main, threads 1 and 2, the
+    last thread and main again."""
+    lines = ["int x = 0;", *(f"pthread_t h{k};" for k in range(1, n + 1))]
+    lines += [f"void w{k}() {{ x = x + {int(k == n)}; }}"
+              for k in range(1, n + 1)]
+    lines += ["int main() {",
+              *(f"  pthread_create(h{k}, w{k});" for k in range(1, n + 1)),
+              "  assert(x == 0);", "}"]
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from mcfl.verifier import (
     replay,
 )
 
-from conftest import BENCH_DIR, bench_source
+from conftest import BENCH_DIR, bench_source, threads_source
 
 SAFE = "int main(){ assert(1 == 1); return 0; }\n"
 
@@ -36,9 +36,19 @@ int main() {
 }
 """
 
+
+def parens(depth: int) -> str:
+    """x = 1 inside depth parentheses, then an assertion that fails."""
+    return ("int x = 0;\nint main() { x = " + "(" * depth + "1" + ")" * depth
+            + "; assert(x != 1); }\n")
+
+
 # nested past the parser's recursion limit
-DEEP_PARENS = ("int x = 0;\nint main() { x = " + "(" * 100 + "1" + ")" * 100
-               + "; assert(x != 1); }\n")
+DEEP_PARENS = parens(1000)
+
+# a sum past the compiler's recursion limit, which the parser reads in a loop
+LONG_SUM = ("int x = 0;\nint main() { x = " + " + ".join(["1"] * 1000)
+            + "; assert(x != 1000); }\n")
 
 # nested 320 deep, which every stage handles, the diagnosis model's copy
 # included
@@ -200,13 +210,31 @@ int main() {
         assert main(["localize", str(path)]) == 2
         assert "status: inconclusive" in capsys.readouterr().out
 
+    def test_ten_threads_is_two(self, tmp_path, capsys):
+        path = tmp_path / "threads.mc"
+        path.write_text(threads_source(10))
+        assert main(["localize", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("mcfl: segment tag 11 ")
+
+    @pytest.mark.parametrize("command", ["verify", "localize"])
+    def test_compile_depth_is_four(self, command, tmp_path, capsys):
+        path = tmp_path / "sum.mc"
+        path.write_text(LONG_SUM)
+        assert main([command, str(path)]) == 4
+        assert capsys.readouterr().err == "mcfl: input nests too deeply\n"
+
     def test_deep_nesting_is_four(self, tmp_path, capsys):
-        parens = tmp_path / "parens.mc"
-        parens.write_text(DEEP_PARENS)
-        assert main(["verify", str(parens)]) == 4
+        deep = tmp_path / "parens.mc"
+        deep.write_text(DEEP_PARENS)
+        assert main(["verify", str(deep)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("mcfl: 2:")
         assert err.endswith(": input nests too deeply\n")
+        # a parenthesis costs the parser four frames, not one per precedence
+        # level
+        deep.write_text(parens(100))
+        assert main(["verify", str(deep)]) == 1
+        capsys.readouterr()
         ifs = tmp_path / "ifs.mc"
         ifs.write_text(DEEP_IFS)
         assert main(["verify", str(ifs)]) == 1

@@ -1,6 +1,7 @@
 """Pipeline driver, validation oracle and diagnosis-loop discipline."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mcfl.instrumenter import NothingToInstrument, block_diag, instrument
 import mcfl.localizer
 import mcfl.verifier
-from mcfl.instrumenter import eligible_lines
+from mcfl.instrumenter import eligible_lines, site_picks
 from mcfl.localizer import (
     brute_force_diagnoses,
     localize,
@@ -18,11 +19,12 @@ from mcfl.localizer import (
 )
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize
-from mcfl.syntax import Assert, Assign, Decl, For, IntLit, format_expr, \
-    line_table, pretty_print
+from mcfl.syntax import Assert, Assign, Decl, Expr, For, IntLit, \
+    format_expr, iter_stmts, line_table, pretty_print
 from mcfl.verifier import (
     CompiledProgram,
     VerifierConfig,
+    _Site,
     extract_schedule,
     verify,
 )
@@ -446,16 +448,30 @@ class TestWithConstant:
         assert after == before
         assert after == verify(seq.program, default_config)
 
-    def test_shares_all_but_mains_instructions(self, seq, compiled):
+    def test_a_second_rewrite_applies_to_the_first(self, seq, compiled,
+                                                   default_config):
         line = min(eligible_lines(seq))
-        fixed = compiled.with_constant(line, 7)
-        main, fixed_main = compiled.thread_codes[0], fixed.thread_codes[0]
-        changed = [pc for pc, (a, b) in enumerate(
-            zip(main.instrs, fixed_main.instrs)) if a is not b]
-        assert len(changed) == 1
-        assert fixed_main.instrs[changed[0]].expr == IntLit(7)
-        assert fixed.thread_codes[1:] == compiled.thread_codes[1:]
-        assert fixed.global_scope is compiled.global_scope
+        twice = compiled.with_constant(line, 7).with_constant(line, 0)
+        assert verify(twice, default_config) == \
+            verify(compiled.with_constant(line, 0), default_config)
+        assert verify(twice, default_config) != \
+            verify(compiled.with_constant(line, 7), default_config)
+
+    def test_verify_keeps_a_compiled_programs_rewrites(
+            self, seq, compiled, default_config, monkeypatch):
+        fixed, site = sorted(eligible_lines(seq))[:2]
+        searched = []
+        real = mcfl.verifier._Machine.__init__
+
+        def recording(machine, program, *args, **kwargs):
+            searched.append(program)
+            real(machine, program, *args, **kwargs)
+
+        monkeypatch.setattr(mcfl.verifier._Machine, "__init__", recording)
+        verify(compiled.with_constant(fixed, 7), default_config,
+               sites={site: IntLit(1)})
+        assert [sorted(program.rewrite) for program in searched] == \
+            [[fixed, site]]
 
     def test_rejects_other_lines(self, seq, compiled):
         table = line_table(seq.program)
@@ -472,9 +488,9 @@ class TestWithConstant:
         built = []
 
         class Counting(CompiledProgram):
-            def __init__(self, program):
-                built.append(program)
-                super().__init__(program)
+            def __init__(self, program, rewrite=None):
+                built.append((program, rewrite))
+                super().__init__(program, rewrite)
 
         monkeypatch.setattr(mcfl.verifier, "CompiledProgram", Counting)
         monkeypatch.setattr(mcfl.localizer, "CompiledProgram", Counting)
@@ -485,7 +501,49 @@ class TestWithConstant:
         # printed
         expected = [program, report.sequential.program]
         assert len(built) == 2
-        assert all(a is b for a, b in zip(built, expected))
+        assert all(a is b for (a, _), b in zip(built, expected))
+        # the sequential program is compiled with its sites
+        assert not built[0][1]
+        assert sorted(built[1][1]) == sorted(site_picks(report.sequential))
+
+    def test_localize_compiles_each_expression_once(
+            self, monkeypatch, default_config):
+        compiled = []
+        real = CompiledProgram._expr
+
+        def counting(self, expr, scope, found):
+            compiled.append(expr)
+            return real(self, expr, scope, found)
+
+        monkeypatch.setattr(CompiledProgram, "_expr", counting)
+        program = parse(bign_source(12))
+        report = localize(program, default_config)
+        stmts = [stmt for p in (program, report.sequential.program)
+                 for fn in (p.main, *p.functions)
+                 for stmt in iter_stmts(fn.body.stmts)]
+        nodes = [node for stmt in stmts for node in _expr_nodes(stmt)]
+        sites = [expr for expr in compiled if isinstance(expr, _Site)]
+        assert sorted(site.line for site in sites) == \
+            sorted(site_picks(report.sequential))
+        want = [*nodes, *sites, *(site.pick for site in sites)]
+        # a declaration without initializer compiles a 0 of its own
+        known = set(map(id, want))
+        zeros = [expr for expr in compiled if id(expr) not in known]
+        assert zeros == [IntLit(0)] * sum(
+            isinstance(stmt, Decl) and stmt.init is None for stmt in stmts)
+        assert Counter(map(id, compiled)) == Counter(map(id, want + zeros))
+
+
+def _expr_nodes(stmt) -> list[Expr]:
+    """The expression nodes that stmt holds, operands included."""
+    todo = [value for value in vars(stmt).values() if isinstance(value, Expr)]
+    nodes = []
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        todo += [value for value in vars(node).values()
+                 if isinstance(value, Expr)]
+    return nodes
 
 
 PORTS = sorted(path.stem for path in BENCH_DIR.glob("*.mc"))

@@ -11,6 +11,7 @@ from mcfl.sequentializer import (
     RuleGapError,
     Schedule,
     Segment,
+    UnsupportedScheduleError,
     apply_pthread_rules,
     line_map_to_json,
     sequentialize,
@@ -50,6 +51,7 @@ from mcfl.verifier import (
     verify,
 )
 
+from conftest import threads_source
 from randprog import generate_source
 
 
@@ -732,3 +734,29 @@ int main() {
         assert replayed.outcome == "violation"
         # the statement after the erased exit must not run
         assert replayed.counterexample.final_valuation["x"] == 1
+
+
+class TestThreadLimit:
+    """Thread n dispatches as case n + 1 and segment j of thread n is tag
+    (n + 1) * 10 + j, so a tenth created thread's label is main's first
+    tag."""
+
+    def test_nine_threads_round_trip_and_localize(self, default_config):
+        report = localize(parse(threads_source(9)), default_config)
+        seq = report.sequential
+        assert seq.program.globals[0].values == [11, 21, 31, 101, 12]
+        text = pretty_print(seq.program)
+        assert pretty_print(parse(text)) == text
+        assert report.status == "faults-found"
+        assert [(d.original_line, d.witness_value, d.oracle_validated)
+                for d in report.diagnoses] == [(19, 0, True)]
+
+    def test_ten_threads_are_unsupported(self, default_config):
+        program = parse(threads_source(10))
+        cex = verify(program, default_config).counterexample
+        schedule = extract_schedule(cex)
+        assert schedule.order_tags == [11, 21, 31, 111, 12]
+        with pytest.raises(UnsupportedScheduleError, match="tag 11 "):
+            sequentialize(program, schedule, False)
+        with pytest.raises(UnsupportedScheduleError):
+            localize(program, default_config)
