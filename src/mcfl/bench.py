@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .localizer import brute_force_diagnoses, localize
 from .parser import ParseError, parse
-from .verifier import VerifierConfig
+from .verifier import ModelError, VerifierConfig
 
 _STAGES = ("verify", "sequentialize", "diagnose", "validate")
 
@@ -50,7 +50,10 @@ def run_bench(directory: str | Path,
             continue
         ae = None
         if report.sequential is not None:
-            ae = len(brute_force_diagnoses(report.sequential, config))
+            try:
+                ae = len(brute_force_diagnoses(report.sequential, config))
+            except ModelError:
+                pass  # the oracle ran out or failed: the row has no ae
         useful = 1 if (report.status == "faults-found"
                        and report.diagnoses
                        and all(d.oracle_validated

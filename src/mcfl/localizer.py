@@ -155,9 +155,13 @@ def brute_force_diagnoses(seq: SequentialProgram,
                           config: VerifierConfig) -> list[tuple[int, int]]:
     """Exhaustive localization oracle: every eligible line crossed with
     every candidate value; a line counts when some substitution makes the
-    program verify clean and the line lies on the failing path."""
+    program verify clean and the line runs on the path first_path
+    follows. That path is the search's first leaf: where the sequential
+    program leaves a recorded draw unpinned, it can be a completed or cut
+    path rather than the failing one. The program compiles once, every
+    eligible line a site, and each substitution fixes one site's value."""
     run_cfg = _seq_config(config)
-    compiled = CompiledProgram(seq.program)
+    compiled = CompiledProgram(seq.program, site_picks(seq))
     baseline = verify(compiled, run_cfg)
     if baseline.outcome == "safe-within-bounds" and not baseline.bound_hit:
         return []

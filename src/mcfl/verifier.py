@@ -21,13 +21,15 @@ drawn.
 
 A lazy-decision search (verify with sites) takes candidate sites, lines of
 main each with the expression a path runs there once it picks the line;
-the program compiles once, each site's expression rewritten as main
-compiles. A path decides a site only when it first runs it, declining it
-first and then picking it, and the picked paths run after the whole
-undecided tree, so all sites share the unchanged prefix. One such search
-over the sequential program both diagnoses and validates: a site's witness
-is the value of the first picked path that reaches the end of main, and
-the site validates when every path that runs it with that value passes.
+the program compiles once, its sites included. A path decides a site only
+when it first runs it, declining it first and then picking it, and the
+picked paths run after the whole undecided tree, so all sites share the
+unchanged prefix. One such search over the sequential program both
+diagnoses and validates: a site's witness is the value of the first picked
+path that reaches the end of main, and the site validates when every path
+that runs it with that value passes. A constant in place of a line's value
+is the same site, picked with that value before any search starts
+(CompiledProgram.with_constant).
 
 Outside a lazy-decision search, verify caches finished states: once the
 whole subtree below a state with two or more live threads has been explored
@@ -61,6 +63,7 @@ ordered search sets the loop-bound flag as it would alone.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
@@ -317,14 +320,17 @@ class CompiledProgram:
     """The functions as instruction lists, and a slot for every global,
     mutex, thread handle and while loop: a state holds their values in
     tuples, in slot order. Each expression is compiled once, with the
-    instruction that holds it, its names resolved to slots. rewrite maps
-    lines of main's assignments, ifs and whiles, and no other lines, to a
-    function of the value or condition, which compiles in its place."""
+    instruction that holds it, its names resolved to slots. sites maps
+    lines of main's assignments, ifs and whiles, and no other lines, to the
+    expression a path runs there once it picks the line: each compiles as
+    a _Site of the value or condition. Every search of the program starts
+    from decision, undecided unless with_constant fixed a site."""
 
     def __init__(self, program: Program,
-                 rewrite: dict[int, Callable[[Expr], Expr]] | None = None):
+                 sites: dict[int, Expr] | None = None):
         self.program = program
-        self.rewrite = rewrite or {}
+        self.sites = sites or {}
+        self.decision = _UNDECIDED
         self.arrays: dict[str, tuple[int, ...]] = {}
         self.mutex_slots: dict[str, int] = {}
         self.handle_slots: dict[str, int] = {}
@@ -373,7 +379,7 @@ class CompiledProgram:
             self._compile_body(code, fn.body.stmts, [])
             code.emit(Instr("thread_end", 0))
         self._independence: _Independence | None = None
-        missed = self.rewrite.keys() - {
+        missed = self.sites.keys() - {
             stmt.line for stmt in iter_stmts(program.main.body.stmts)
             if isinstance(stmt, (Assign, If, While))}
         if missed:
@@ -388,26 +394,14 @@ class CompiledProgram:
         return self._independence
 
     def with_constant(self, line: int, value: int) -> "CompiledProgram":
-        """This program compiled again with main's assignment, if or while
-        at line evaluating IntLit(value) as its value or condition."""
-        return self._recompiled({line: lambda expr: IntLit(value)})
-
-    def with_sites(self, sites: dict[int, Expr]) -> "CompiledProgram":
-        """This program compiled again with main's assignment, if or while
-        at each line of sites a candidate site of a lazy-decision search: a
-        path that picked it evaluates sites[line] there, any other path the
-        line's own expression."""
-        return self._recompiled(_site_rewrite(sites))
-
-    def _recompiled(self, rewrite: dict[int, Callable[[Expr], Expr]]
-                    ) -> "CompiledProgram":
-        """This program compiled again, each line's rewrite applied to what
-        this program's own rewrite of the line gives."""
-        own = self.rewrite
-        return CompiledProgram(self.program, {**own, **{
-            line: f if line not in own else
-            lambda expr, f=f, g=own[line]: f(g(expr))
-            for line, f in rewrite.items()}})
+        """This program with its site at line fixed to value, compiling
+        nothing: a copy whose every search starts with the site picked and
+        value kept, so every run of the line evaluates to value."""
+        if line not in self.sites:
+            raise ValueError(f"line {line} is no site of this program")
+        fixed = copy.copy(self)
+        fixed.decision = (line, wrap64(value))
+        return fixed
 
     def _compile_body(self, code: Code, stmts: list[Stmt],
                       switches: list[list[Instr]]):
@@ -423,9 +417,10 @@ class CompiledProgram:
         and every break then target the end of its body."""
         ln = stmt.line
         body = self._compile_body
-        # the value or condition of main's line as its rewrite makes it
-        own = (self.rewrite if code is self.thread_codes[0] else {}).get(
-            ln, lambda expr: expr)
+        # the value or condition of main's line, a site where sites names it
+        pick = self.sites.get(ln) if code is self.thread_codes[0] else None
+        own = (lambda expr: expr) if pick is None else \
+            (lambda expr: _Site(ln, expr, pick))
 
         def emit(op: str, expr: Expr | None = None, **fields) -> int:
             instr = Instr(op, ln, **fields)
@@ -612,13 +607,6 @@ class _Site(NamedTuple):
     pick: Expr
 
 
-def _site_rewrite(sites: dict[int, Expr]
-                  ) -> dict[int, Callable[[Expr], Expr]]:
-    """The rewrite that makes each line of sites a candidate site."""
-    return {line: lambda expr, line=line: _Site(line, expr, sites[line])
-            for line in sites}
-
-
 # the decision of a path outside a lazy-decision search, or before it has
 # picked or declined a site: (picked site, 0 while undecided; the sites
 # declined, or for a picked site the value it keeps, None before its first
@@ -777,7 +765,8 @@ class _Machine:
         state = _State(c.global_init, tuple(
             _Thread(0, code.locals, "new") for code in self.codes), _Control(
             (None,) * len(c.handle_slots), (None,) * len(c.mutex_slots),
-            (None,) * loops, (0,) * loops, None), 0, None, None)
+            (None,) * loops, (0,) * loops, None, c.decision), 0, None,
+            None)
         ctx = _Ctx(self, state, [])
         main = self._settle(ctx, 0, 0, state.threads[0].locals)
         return state._replace(threads=_put(state.threads, 0, main),
@@ -1330,7 +1319,7 @@ def _entries(state: _State, outcomes: list) -> list[tuple]:
 
 class _SiteSearch:
     """The two books of a lazy-decision search over the candidate sites of
-    a program compiled with them (see CompiledProgram.with_sites).
+    a program compiled with them (see CompiledProgram).
     Diagnosis: a site's witness is its value on the first picked path that
     reaches the end of main. Validation: the site passes when every path
     that runs it with the witness passes. A site whose pick is a literal
@@ -1564,7 +1553,7 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     in the fixed exploration order, or safe-within-bounds.
 
     With sites, a map from lines of main to expressions (see
-    CompiledProgram.with_sites), one lazy-decision search (see _SiteSearch)
+    CompiledProgram), one lazy-decision search (see _SiteSearch)
     collects into `records`, by line, each site whose pick lets a path
     reach the end of main, with its witness (the value it kept on the
     first such path) and whether every path that runs the site with the
@@ -1582,13 +1571,13 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     bounds the two together: the ordered search gets what the reduced one
     left, so none runs after a reduced search that ran out.
 
-    A program compiled already keeps its rewrites and is compiled again
-    only to add sites; a Program compiles once, with its sites.
+    A compiled program given sites compiles its program again with them,
+    not with its own; a Program compiles once, with its sites.
     """
-    if isinstance(program, CompiledProgram):
-        compiled = program if sites is None else program.with_sites(sites)
-    else:
-        compiled = CompiledProgram(program, _site_rewrite(sites or {}))
+    if isinstance(program, CompiledProgram) and sites is not None:
+        program = program.program
+    compiled = program if isinstance(program, CompiledProgram) \
+        else CompiledProgram(program, sites)
     if sites is not None:
         search = _SiteSearch(sites)
         machine = _Machine(compiled, config)

@@ -28,6 +28,7 @@ from mcfl.syntax import (
     Ternary,
     Unary,
     Var,
+    clone,
     program_stmts,
 )
 from mcfl.verifier import (
@@ -183,11 +184,12 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
     fixed: on a path with a nonzero value, a violation at a line other
     than goal ends the path, and the site fixed[value] keeps the value it
     draws first, so a path that draws another one there is dropped."""
-    compiled = program if isinstance(program, CompiledProgram) \
-        else CompiledProgram(program)
     if sites is not None:
-        compiled = compiled.with_sites(sites)
         search = search or _SiteSearch(sites)
+        if isinstance(program, CompiledProgram):
+            program = program.program
+    compiled = program if isinstance(program, CompiledProgram) \
+        else CompiledProgram(program, sites)
     machine = _Machine(compiled, config)
     groups = []
     stack = [("state", machine.initial_state())]
@@ -370,14 +372,14 @@ def two_search_localize(program, config):
     except NothingToInstrument:
         return "inconclusive", []
     seq_cfg = replace(config, context_bound=0, deadlock_check=False)
-    header = next(s.line for s in program_stmts(instr.program)
+    model = clone(instr.program)
+    header = next(s for s in program_stmts(model)
                   if isinstance(s, Assign) and s.name == instr.diag_var)
+    header.expr = IntLit(0)
     sites = {instr.wrap_sites[d]: pick
              for d, pick in site_picks(seq).items()}
     diagnosis = LazySites(sites, False, goal=instr.assert_false_line)
-    outcome = uncached(
-        CompiledProgram(instr.program).with_constant(header, 0), seq_cfg,
-        sites=sites, search=diagnosis)[0]
+    outcome = uncached(model, seq_cfg, sites=sites, search=diagnosis)[0]
     if 0 in diagnosis.found:
         return "inconclusive", [(0, None, None, 1, False)]
     # by line of the model, as its search recorded them

@@ -37,6 +37,21 @@ int main() {
 """
 
 
+# main's x = x + 2 races the thread's increment; with 8 states the search
+# and the substitution oracle's path both run out
+RACE = """int x = 0;
+pthread_t h;
+void t() {
+  x = x + 1;
+}
+int main() {
+  pthread_create(h, t);
+  x = x + 2;
+  assert(x != 3);
+}
+"""
+
+
 def parens(depth: int) -> str:
     """x = 1 inside depth parentheses, then an assertion that fails."""
     return ("int x = 0;\nint main() { x = " + "(" * depth + "1" + ")" * depth
@@ -404,6 +419,19 @@ class TestBench:
         assert [row.split(",")[0] + "," + row.split(",")[5]
                 for row in rows[1:]] == \
             ["good,no-counterexample", "ifs,faults-found", "parens,error"]
+
+    def test_oracle_out_of_budget_does_not_abort(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the diagnosis search runs out, and so does the oracle's path
+        monkeypatch.chdir(tmp_path)
+        d = tmp_path / "race"
+        d.mkdir()
+        (d / "race.mc").write_text(RACE)
+        assert main(["bench", str(d), "--max-states", "8"]) == 0
+        assert "0/-" in capsys.readouterr().out
+        rows = (tmp_path / "mcfl_bench.csv").read_text().splitlines()
+        assert [row.split(",")[:6] for row in rows[1:]] == \
+            [["race", "0", "0", "", "0", "resource-exhausted"]]
 
 
 class TestEnvironment:

@@ -51,6 +51,11 @@ def compiled(seq):
     return CompiledProgram(seq.program)
 
 
+@pytest.fixture(scope="module")
+def sited(seq):
+    return CompiledProgram(seq.program, site_picks(seq))
+
+
 class TestLocalizeSingleFault:
     def test_two_diagnoses_at_branch_and_operand_lines(self, report):
         assert report.status == "faults-found"
@@ -401,11 +406,14 @@ def _sequential_programs(config, sources=None):
 def _validate_against_reparse(programs, config):
     """Checks one validate_diag call per program and value, with every
     eligible line that takes the value, against _reparse_validates line
-    by line. Returns the (line, value) pairs checked and validated."""
+    by line, and so the oracle's substitution: the compiled program with
+    that line fixed to the value verifies clean. Returns the (line, value)
+    pairs checked, those validated and those clean."""
     lo, hi = config.nondet_domain
-    pairs = validated = 0
+    seq_cfg = replace(config, context_bound=0, deadlock_check=False)
+    pairs = validated = clean = 0
     for name, seq in programs:
-        compiled = CompiledProgram(seq.program)
+        compiled = CompiledProgram(seq.program, site_picks(seq))
         reparsed = parse(pretty_print(seq.program))
         lines = eligible_lines(seq)
         for value in range(lo, hi + 1):
@@ -415,11 +423,16 @@ def _validate_against_reparse(programs, config):
                 continue
             got = validate_diag(compiled, witnesses, config)
             for line in sorted(witnesses):
-                assert (line in got) == _reparse_validates(
-                    seq, line, value, config, reparsed), (name, line, value)
+                want = _reparse_validates(seq, line, value, config, reparsed)
+                assert (line in got) == want, (name, line, value)
+                fixed = verify(compiled.with_constant(line, value), seq_cfg)
+                passes = fixed.outcome == "safe-within-bounds" and \
+                    not fixed.bound_hit
+                assert passes == want, (name, line, value)
+                clean += passes
             pairs += len(witnesses)
             validated += len(got)
-    return pairs, validated
+    return pairs, validated, clean
 
 
 class TestWithConstant:
@@ -429,7 +442,7 @@ class TestWithConstant:
     def test_matches_reparse_on_every_line_and_value(self, default_config):
         assert _validate_against_reparse(
             _sequential_programs(default_config), default_config) == \
-            (1553, 248)
+            (1553, 248, 248)
 
     def test_threads_and_callees_match_reparse(self, default_config):
         programs = _sequential_programs(default_config, [
@@ -438,59 +451,59 @@ class TestWithConstant:
             (f"callee{seed}", generate_callee_source(seed))
             for seed in range(20)])
         assert _validate_against_reparse(programs, default_config) == \
-            (4871, 182)
+            (4871, 182, 182)
 
-    def test_base_program_unchanged(self, seq, compiled, default_config):
-        before = verify(compiled, default_config)
+    def test_base_program_unchanged(self, seq, sited, default_config):
+        before = verify(sited, default_config)
         for line in eligible_lines(seq):
-            compiled.with_constant(line, 7)
-        after = verify(compiled, default_config)
+            sited.with_constant(line, 7)
+        after = verify(sited, default_config)
         assert after == before
         assert after == verify(seq.program, default_config)
 
-    def test_a_second_rewrite_applies_to_the_first(self, seq, compiled,
-                                                   default_config):
-        line = min(eligible_lines(seq))
-        twice = compiled.with_constant(line, 7).with_constant(line, 0)
-        assert verify(twice, default_config) == \
-            verify(compiled.with_constant(line, 0), default_config)
-        assert verify(twice, default_config) != \
-            verify(compiled.with_constant(line, 7), default_config)
-
-    def test_verify_keeps_a_compiled_programs_rewrites(
-            self, seq, compiled, default_config, monkeypatch):
-        fixed, site = sorted(eligible_lines(seq))[:2]
-        searched = []
-        real = mcfl.verifier._Machine.__init__
-
-        def recording(machine, program, *args, **kwargs):
-            searched.append(program)
-            real(machine, program, *args, **kwargs)
-
-        monkeypatch.setattr(mcfl.verifier._Machine, "__init__", recording)
-        verify(compiled.with_constant(fixed, 7), default_config,
-               sites={site: IntLit(1)})
-        assert [sorted(program.rewrite) for program in searched] == \
-            [[fixed, site]]
-
-    def test_rejects_other_lines(self, seq, compiled):
+    def test_rejects_other_lines(self, seq, sited):
         table = line_table(seq.program)
         for kind in (Decl, For, Assert):
             line = next(line for line, stmt in table.items()
                         if isinstance(stmt, kind))
             with pytest.raises(ValueError, match=f"line {line} "):
-                compiled.with_constant(line, 0)
+                sited.with_constant(line, 0)
         with pytest.raises(ValueError):
-            compiled.with_constant(10**6, 0)
+            sited.with_constant(10**6, 0)
+
+    def test_compiles_nothing(self, seq, sited, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("with_constant compiled")
+
+        monkeypatch.setattr(CompiledProgram, "_compile_stmt", refuse)
+        monkeypatch.setattr(CompiledProgram, "_expr", refuse)
+        for line in eligible_lines(seq):
+            fixed = sited.with_constant(line, 3)
+            assert fixed.decision == (line, 3)
+            assert fixed.thread_codes is sited.thread_codes
+
+    def test_oracle_compiles_the_sequential_program_once(
+            self, seq, monkeypatch, default_config):
+        built = []
+
+        class Counting(CompiledProgram):
+            def __init__(self, program, sites=None):
+                built.append(program)
+                super().__init__(program, sites)
+
+        monkeypatch.setattr(mcfl.verifier, "CompiledProgram", Counting)
+        monkeypatch.setattr(mcfl.localizer, "CompiledProgram", Counting)
+        assert brute_force_diagnoses(seq, default_config)
+        assert len(built) == 1 and built[0] is seq.program
 
     def test_localize_compiles_the_sequential_program_once(
             self, monkeypatch, default_config):
         built = []
 
         class Counting(CompiledProgram):
-            def __init__(self, program, rewrite=None):
-                built.append((program, rewrite))
-                super().__init__(program, rewrite)
+            def __init__(self, program, sites=None):
+                built.append((program, sites))
+                super().__init__(program, sites)
 
         monkeypatch.setattr(mcfl.verifier, "CompiledProgram", Counting)
         monkeypatch.setattr(mcfl.localizer, "CompiledProgram", Counting)
