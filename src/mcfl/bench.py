@@ -32,14 +32,15 @@ class BenchRow:
 
 def run_bench(directory: str | Path,
               config: VerifierConfig) -> list[BenchRow]:
-    """One row per .mc file, ordered by name; failures never abort the
-    sweep."""
+    """One row per .mc entry, ordered by name; failures never abort the
+    sweep: an entry that cannot be read as UTF-8 text, such as a
+    directory, gives an error row, as a parse error does."""
     rows: list[BenchRow] = []
     for path in sorted(Path(directory).glob("*.mc")):
         name = path.stem
         try:
             program = parse(path.read_text())
-        except ParseError as exc:
+        except (OSError, UnicodeDecodeError, ParseError) as exc:
             rows.append(BenchRow(name, "error", error=str(exc)))
             continue
         try:

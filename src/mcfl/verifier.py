@@ -31,6 +31,21 @@ that runs it with that value passes. A constant in place of a line's value
 is the same site, picked with that value before any search starts
 (CompiledProgram.with_constant).
 
+A pick runs the lowest value of its domain alone first, and only where
+that reaches no end of main the rest of the domain together, as one value
+set (variational execution, Nguyen, Kastner and Nguyen, ICSE 2014, over
+one finite-domain variable). The value of an expression on such a path
+holds one integer per member of the set; each operator applies member by
+member, lifted once per operator in the closures of a program with sites,
+so a program without them evaluates plain integers only. A truth test,
+divisor, switch value or index whose members disagree splits the path:
+the step's nondet-path loop takes the partitions in order of their least
+member, as it takes a draw's values, and every value set in the state
+keeps the members of the partition taken. A witness is then the least
+member that reaches the end of main, the value that the search taking one
+value per path would find first, and a failure fails every member of its
+path.
+
 Outside a lazy-decision search, verify caches finished states: once the
 whole subtree below a state with two or more live threads has been explored
 without ending the search, a later state equal to it apart from its path
@@ -264,6 +279,32 @@ _BINARY: dict[str, Callable[[int, int], int]] = {
     ">=": lambda a, b: 1 if a >= b else 0,
 }
 
+_UNARY: dict[str, Callable[[int], int]] = {
+    "-": lambda v: wrap64(-v),
+    "!": lambda v: 0 if v else 1,
+}
+
+
+class _Vec(dict):
+    """The value of an expression on a path that runs a site's values as
+    one set: the value for each member of the set, by member."""
+
+    __slots__ = ()
+
+
+def _joined(members: tuple[int, ...], values: list[int]) -> int:
+    """The value set that gives each of members its value in values, or
+    the one value where they all agree."""
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return _Vec(zip(members, values))
+
+
+def _projected(values: tuple, members: tuple[int, ...]) -> tuple:
+    """values with each value set restricted to members."""
+    return tuple(_joined(members, [v[m] for m in members])
+                 if v.__class__ is _Vec else v for v in values)
+
 
 # ---------------------------------------------------------------------------
 # Compilation to flat instruction lists
@@ -428,6 +469,11 @@ class CompiledProgram:
                 # it touches the globals expr reads and the variable it sets
                 found = {instr.var[1]} if instr.var[0] else set()
                 instr.value = self._expr(expr, code.scope, found)
+                if op in ("assume", "assert", "branch", "loop_head"):
+                    instr.value = self._decided(instr.value, bool)
+                elif op == "switch":
+                    instr.value = self._decided(
+                        instr.value, lambda v: instr.aux.get(v, instr.target))
                 instr.touched = frozenset(found)
             return code.emit(instr)
 
@@ -528,7 +574,12 @@ class CompiledProgram:
         slots it reads to found. Operands are evaluated left to right; && ||
         ?: evaluate only what they need. Global arrays are never written,
         so reading one touches no slot. Compiling, like evaluating, takes
-        one Python frame per level of expr."""
+        one Python frame per level of expr.
+
+        In a program with sites, a value may be a value set (_Vec): each
+        operator then applies member by member, and a truth test or index
+        whose members disagree splits the path (_Ctx.split). Without
+        sites, the closures handle plain integers only."""
         if isinstance(expr, IntLit):
             value = wrap64(expr.value)
             return lambda ctx: value
@@ -541,14 +592,24 @@ class CompiledProgram:
         if isinstance(expr, Binary):
             left = self._expr(expr.left, scope, found)
             right = self._expr(expr.right, scope, found)
-            if expr.op == "&&":
-                return lambda ctx: 1 if left(ctx) and right(ctx) else 0
-            if expr.op == "||":
+            if expr.op in ("&&", "||"):
+                left, right = (self._decided(left, bool),
+                               self._decided(right, bool))
+                if expr.op == "&&":
+                    return lambda ctx: 1 if left(ctx) and right(ctx) else 0
                 return lambda ctx: 1 if left(ctx) or right(ctx) else 0
             op = _BINARY.get(expr.op)
             if op is None:
                 raise ModelError(f"unknown operator {expr.op!r}")
-            return lambda ctx: op(left(ctx), right(ctx))
+            if not self.sites:
+                return lambda ctx: op(left(ctx), right(ctx))
+
+            def binary(ctx: _Ctx) -> int:
+                a, b = left(ctx), right(ctx)
+                if a.__class__ is int is b.__class__:
+                    return op(a, b)
+                return ctx.lift(op, a, b)
+            return binary
         if isinstance(expr, Nondet):
             bounds = None if expr.lo is None else (expr.lo, expr.hi)
             return lambda ctx: ctx.draw(bounds)
@@ -556,7 +617,7 @@ class CompiledProgram:
             name, array = expr.name, self.arrays.get(expr.name)
             if array is None:
                 raise ModelError(f"unknown array {name!r}")
-            index = self._expr(expr.index, scope, found)
+            index = self._decided(self._expr(expr.index, scope, found))
 
             def read(ctx: _Ctx) -> int:
                 i = index(ctx)
@@ -567,13 +628,20 @@ class CompiledProgram:
             return read
         if isinstance(expr, Unary):
             operand = self._expr(expr.operand, scope, found)
-            if expr.op == "-":
-                return lambda ctx: wrap64(-operand(ctx))
-            if expr.op == "!":
+            if expr.op not in _UNARY:
+                raise ModelError(f"unknown operator {expr.op!r}")
+            if not self.sites:
+                if expr.op == "-":
+                    return lambda ctx: wrap64(-operand(ctx))
                 return lambda ctx: 0 if operand(ctx) else 1
-            raise ModelError(f"unknown operator {expr.op!r}")
+            op = _UNARY[expr.op]
+
+            def unary(ctx: _Ctx) -> int:
+                v = operand(ctx)
+                return op(v) if v.__class__ is int else ctx.lift(op, v)
+            return unary
         if isinstance(expr, Ternary):
-            cond = self._expr(expr.cond, scope, found)
+            cond = self._decided(self._expr(expr.cond, scope, found), bool)
             then = self._expr(expr.then_expr, scope, found)
             els = self._expr(expr.else_expr, scope, found)
             return lambda ctx: then(ctx) if cond(ctx) else els(ctx)
@@ -581,8 +649,30 @@ class CompiledProgram:
             line = expr.line
             default = self._expr(expr.default, scope, found)
             pick = self._expr(expr.pick, scope, found)
+            if isinstance(expr.pick, Nondet):
+                draw, bounds = pick, None if expr.pick.lo is None else (
+                    expr.pick.lo, expr.pick.hi)
+
+                def pick(ctx: _Ctx) -> int | tuple[int, ...]:
+                    if ctx.decision[1] is _SPREAD:
+                        return ctx.spread(bounds)
+                    return draw(ctx)
             return lambda ctx: ctx.site(line, default, pick)
         raise ModelError(f"cannot compile expression {expr!r}")
+
+    def _decided(self, value: Callable[[_Ctx], int],
+                 key: Callable[[int], object] | None = None
+                 ) -> Callable[[_Ctx], int]:
+        """value, which in a program with sites is made a plain integer: a
+        value set becomes its least member's value once the path has split
+        where its members disagree on key, the value itself by default."""
+        if not self.sites:
+            return value
+
+        def decided(ctx: _Ctx) -> int:
+            v = value(ctx)
+            return v if v.__class__ is int else ctx.split(v, key)
+        return decided
 
 
 def _slot(scope: dict, name: str, access: str) -> tuple[bool, int]:
@@ -610,8 +700,10 @@ class _Site(NamedTuple):
 # the decision of a path outside a lazy-decision search, or before it has
 # picked or declined a site: (picked site, 0 while undecided; the sites
 # declined, or for a picked site the value it keeps, None before its first
-# run)
+# run). A path of _SiteSearch that picked a site keeps _SPREAD before its
+# first run there, and an ascending tuple for a value set
 _UNDECIDED = (0, frozenset())
+_SPREAD = object()
 
 
 class _Ctx:
@@ -622,11 +714,16 @@ class _Ctx:
     Draw i takes prefix[i] where the prefix has one, else the lowest value
     of its domain; a replaying machine takes the next recorded choice
     instead. Each draw records (value, hi), so that the step can tell which
-    draws have a next value, and appends (line, value) to the choices."""
+    draws have a next value, and appends (line, value) to the choices. A
+    split of a value set is a choice of the same kind, over the indices of
+    its partitions.
+
+    members is the value set of a path that keeps one for its site, else
+    None; narrowed tells that this run has split it."""
 
     __slots__ = ("machine", "line", "prefix", "drawn", "choices", "locals",
                  "globals", "threads", "handles", "mutexes", "per_entry",
-                 "cum_iters", "decision")
+                 "cum_iters", "decision", "members", "narrowed")
 
     def __init__(self, machine: "_Machine", state: "_State",
                  prefix: list[int]):
@@ -638,6 +735,9 @@ class _Ctx:
         self.threads = state.threads
         (self.handles, self.mutexes, self.per_entry, self.cum_iters,
          _, self.decision) = state.control
+        kept = self.decision[1]
+        self.members = kept if kept.__class__ is tuple else None
+        self.narrowed = False
 
     def store(self, var: tuple[bool, int], value: int) -> None:
         """Writes value to var: (is a global, slot), a local of the running
@@ -647,10 +747,20 @@ class _Ctx:
         else:
             self.locals = _put(self.locals, var[1], value)
 
+    def _choice(self, lo: int, hi: int) -> int:
+        """The next choice of the run among lo..hi: the prefix's, else
+        lo."""
+        n = len(self.drawn)
+        value = self.prefix[n] if n < len(self.prefix) else lo
+        self.drawn.append((value, hi))
+        return value
+
     def draw(self, bounds: tuple[int, int] | None) -> int:
         lo, hi = bounds or self.machine.config.nondet_domain
         replay = self.machine.replay
-        if replay is not None:
+        if replay is None:
+            value = self._choice(lo, hi)
+        else:
             if not replay:
                 raise TraceMismatch("nondet choice list exhausted")
             line, value = replay.pop()
@@ -663,29 +773,75 @@ class _Ctx:
                     f"nondet at line {line} takes {lo}..{hi}, "
                     f"choice recorded {value}")
             # a replayed draw has no next value: the step has one path
-            value = hi = wrap64(value)
-        elif len(self.drawn) < len(self.prefix):
-            value = self.prefix[len(self.drawn)]
-        else:
-            value = lo
-        self.drawn.append((value, hi))
+            value = wrap64(value)
+            self.drawn.append((value, value))
         self.choices = (self.choices, (self.line, value))
         return value
+
+    def spread(self, bounds: tuple[int, int] | None
+               ) -> int | tuple[int, ...]:
+        """The first run of a site that _SiteSearch picked, whose pick
+        draws from bounds: a choice of two, the lowest value of the domain
+        alone, then the rest of it together, as a value set where it has
+        two or more values."""
+        lo, hi = bounds or self.machine.config.nondet_domain
+        if not self._choice(0, min(hi - lo, 1)):
+            kept = lo
+        elif hi == lo + 1:
+            kept = hi
+        else:
+            kept = self.members = tuple(range(lo + 1, hi + 1))
+        self.choices = (self.choices, (self.line, kept))
+        return kept
+
+    def split(self, values: _Vec, key: Callable[[int], object] | None
+              ) -> int:
+        """The value of the least member of the path's value set, once the
+        path holds only members that agree with it on key (on the value
+        itself without one). Where they disagree, the path splits like a
+        draw: the partitions of equal key, in order of their least member,
+        are the choices, and this run narrows the set to the one it
+        takes."""
+        parts: dict[object, list[int]] = {}
+        for m in self.members:
+            parts.setdefault(values[m] if key is None else key(values[m]),
+                             []).append(m)
+        if len(parts) > 1:
+            taken = tuple(list(parts.values())[
+                self._choice(0, len(parts) - 1)])
+            self.members, self.narrowed = taken, True
+            self.decision = (self.decision[0],
+                             taken if len(taken) > 1 else taken[0])
+        return values[self.members[0]]
+
+    def lift(self, op: Callable[..., int], *args) -> int:
+        """op applied member by member to args, one of them a value set: a
+        value set, or the one value where the members agree. A divisor
+        that is zero for some members splits the path first."""
+        if (op is c_div or op is c_mod) and args[1].__class__ is _Vec and \
+                self.split(args[1], bool) == 0:
+            raise _DivByZero
+        return _joined(self.members, [
+            op(*[a[m] if a.__class__ is _Vec else a for a in args])
+            for m in self.members])
 
     def site(self, line: int, default: Callable[[_Ctx], int],
              pick: Callable[[_Ctx], int]) -> int:
         """The value of the candidate site at line on this path. An
         undecided path declines a site it runs for the rest of the path;
         the search runs the pick later, from the state before the step. A
-        path that picked the site keeps the value of its first run there."""
+        path that picked the site keeps the value of its first run there,
+        or the value set of its members."""
         picked, kept = self.decision
         if picked != line:
             if not picked and line not in kept:
                 self.decision = (0, kept | {line})
             return default(self)
-        if kept is None:
+        if kept is None or kept is _SPREAD:
             kept = pick(self)
             self.decision = (picked, kept)
+        if kept.__class__ is tuple:
+            return _Vec(zip(self.members, self.members))
         return kept
 
 
@@ -848,7 +1004,8 @@ class _Machine:
         last draw below its highest value, and draws that one's successor.
         So the paths come in ascending order of their values in drawing
         order, and a short circuit, failed check or division by zero before
-        a nondet ends the path without a draw there. A replaying machine
+        a nondet ends the path without a draw there. A split of a value set
+        (_Ctx.split) is such a draw over its partitions. A replaying machine
         draws the recorded values, so a replayed step has one path.
 
         Returns a list of outcomes in that order: ('state', s) |
@@ -1005,7 +1162,14 @@ class _Machine:
                  ctx.decision)
         if parts != control:
             control = _Control(*parts)
-        new = _State(ctx.globals, _put(ctx.threads, tid, thread), control,
+        values, threads = ctx.globals, _put(ctx.threads, tid, thread)
+        if ctx.narrowed:
+            # the run split the path's value set: every value set in the
+            # state keeps the members of the partition taken
+            values = _projected(values, ctx.members)
+            threads = tuple(t._replace(locals=_projected(
+                t.locals, ctx.members)) for t in threads)
+        new = _State(values, threads, control,
                      switches, (state.trace, (tid, line)), ctx.choices,
                      state.reordered)
         return ("state", new) if violation is None else \
@@ -1317,29 +1481,40 @@ def _entries(state: _State, outcomes: list) -> list[tuple]:
     return entries
 
 
+def _least(decision: tuple) -> int:
+    """The least value that a path with that decision, picked, holds."""
+    kept = decision[1]
+    return kept[0] if kept.__class__ is tuple else kept
+
+
 class _SiteSearch:
     """The two books of a lazy-decision search over the candidate sites of
     a program compiled with them (see CompiledProgram).
-    Diagnosis: a site's witness is its value on the first picked path that
-    reaches the end of main. Validation: the site passes when every path
-    that runs it with the witness passes. A site whose pick is a literal
-    has that value as its witness from the start, so the search only
-    validates it.
+    Diagnosis: a site's witness is the least value whose picked path
+    reaches the end of main, in the first pick of the site that has one.
+    Validation: the site passes when every path that runs it with the
+    witness passes. A site whose pick is a literal has that value as its
+    witness from the start, so the search only validates it.
 
     A path starts undecided. A step of an undecided path that runs a site
     it has not declined declines it for the rest of the path and defers
     the pick: the search first finishes the whole undecided tree, then
     runs the deferred picks one at a time, in the order they were made,
     each by stepping the state before the site again with the site picked.
-    A picked path keeps the value of its first run of the site.
+    A picked path keeps the value of its first run of the site. A pick
+    that draws runs the lowest value of its domain alone, then the rest
+    of the domain as one value set (_Ctx.spread), whose members a path
+    holds together until they disagree (_Ctx.split).
 
     A failure is a violation or a loop-bound cut, and ends its path. On a
-    picked path it fails that value of the site; on an undecided path it
-    fails every site the path has not declined. While some site has no
+    picked path it fails every value the path holds; on an undecided path
+    it fails every site the path has not declined. While some site has no
     witness, an undecided path that reaches the end of main or divides by
-    zero instead ends the search, as site 0. Once a site has its witness,
-    the rest of its pick's subtree and its pending picks run with the
-    witness alone, and once the witness has failed, they are dropped."""
+    zero instead ends the search, as site 0. Once a picked path reaches the
+    end of main, the pick keeps only the paths that hold a value below the
+    witness so far, or the witness while no path holding it has failed.
+    The site's pending picks run with the witness alone, and once it has
+    failed, they are dropped."""
 
     def __init__(self, sites: dict[int, Expr]):
         self.lines = frozenset(sites)
@@ -1352,6 +1527,9 @@ class _SiteSearch:
         # thread), in the order made
         self.picks: list[tuple[int, _State, int]] = []
         self.ran = 0  # picks[:ran] have run or been dropped
+        # the running pick, if it runs without a witness: its site, state
+        # and thread, and the site's failed values before it
+        self.spreading: tuple[int, _State, int, set[int]] | None = None
 
     def invalid(self, line: int) -> bool:
         """Whether the witness of site line has failed."""
@@ -1363,7 +1541,7 @@ class _SiteSearch:
         undecided state runs, if it is one the path has not declined."""
         line = machine.codes[tid].instrs[state.threads[tid].pc].line
         if line in self.lines and line not in state.control.decision[1]:
-            picked = state.control._replace(decision=(line, None))
+            picked = state.control._replace(decision=(line, _SPREAD))
             self.picks.append((line, state._replace(control=picked), tid))
 
     def next_pick(self, machine: _Machine, stack: list) -> bool:
@@ -1373,14 +1551,35 @@ class _SiteSearch:
         while self.ran < len(self.picks):
             line, state, tid = self.picks[self.ran]
             self.ran += 1
+            self.spreading = None
             if line in self.witness:
                 if self.invalid(line):
                     continue
                 state = state._replace(control=state.control._replace(
                     decision=(line, self.witness[line])))
+            else:
+                self.spreading = (line, state, tid,
+                                  set(self.failed.get(line, ())))
             stack.extend(reversed(_entries(state, machine.step(state, tid))))
             return True
         return False
+
+    def redo(self, machine: _Machine, stack: list) -> bool:
+        """After a ModelError in the running pick: where it may run a value
+        set, undoes what the pick booked and runs it again, the pick taking
+        one value per path, so the error is raised exactly where the
+        search with one value per path raises it. False where it runs the
+        witness alone."""
+        if self.spreading is None:
+            return False
+        line, state, tid, failed = self.spreading
+        self.spreading = None
+        self.witness.pop(line, None)
+        self.failed[line] = failed
+        stack[:] = reversed(_entries(state, machine.step(
+            state._replace(control=state.control._replace(
+                decision=(line, None))), tid)))
+        return True
 
     def fail(self, violation: Violation | None, decision: tuple,
              stack: list) -> bool:
@@ -1388,9 +1587,10 @@ class _SiteSearch:
         True if it ends the search."""
         picked, kept = decision
         if picked:
-            self.failed.setdefault(picked, set()).add(kept)
-            if self.witness.get(picked) == kept:
-                stack.clear()  # the rest of this pick's subtree
+            held = kept if kept.__class__ is tuple else (kept,)
+            self.failed.setdefault(picked, set()).update(held)
+            if self.witness.get(picked) in held:
+                self._prune(picked, stack)
             return False
         if violation is not None and violation.kind == "division-by-zero" \
                 and self.diagnosing():
@@ -1404,15 +1604,19 @@ class _SiteSearch:
         picked, kept = decision
         if not picked:
             return self.diagnosing()
-        if picked not in self.witness:
-            self.witness[picked] = kept
-            if self.invalid(picked):
-                stack.clear()
-            else:
-                stack[:] = [entry for entry in stack if (
-                    entry[1] if entry[0] == "cut"
-                    else entry[-1].control.decision)[1] == kept]
+        least = _least(decision)
+        if least < self.witness.get(picked, least + 1):
+            self.witness[picked] = least
+            self._prune(picked, stack)
         return False
+
+    def _prune(self, line: int, stack: list) -> None:
+        """Keeps the entries of the running pick of site line that hold a
+        value below its witness, or the witness while it has not failed."""
+        bound = self.witness[line] + (not self.invalid(line))
+        stack[:] = [entry for entry in stack if _least(
+            entry[1] if entry[0] == "cut" else entry[-1].control.decision
+        ) < bound]
 
     def diagnosing(self) -> bool:
         """Whether some site has no witness yet."""
@@ -1539,10 +1743,15 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             continue
         deferring = sites is not None and not state.control.decision[0]
         pushes = []
-        for tid in schedulable:
-            if deferring:
-                sites.defer(machine, state, tid)
-            pushes += _entries(state, machine.step(state, tid))
+        try:
+            for tid in schedulable:
+                if deferring:
+                    sites.defer(machine, state, tid)
+                pushes += _entries(state, machine.step(state, tid))
+        except ModelError:
+            if sites is None or not sites.redo(machine, stack):
+                raise
+            continue
         stack.extend(reversed(pushes))
     return ("safe",)
 
@@ -1555,9 +1764,10 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     With sites, a map from lines of main to expressions (see
     CompiledProgram), one lazy-decision search (see _SiteSearch)
     collects into `records`, by line, each site whose pick lets a path
-    reach the end of main, with its witness (the value it kept on the
-    first such path) and whether every path that runs the site with the
-    witness passes: no violation and no loop-bound cut. An undecided path
+    reach the end of main, with its witness (the least value that does,
+    in the first pick of the site where one does) and whether every path
+    that runs the site with the witness passes: no violation and no
+    loop-bound cut. An undecided path
     that reaches the end of main or divides by zero, while some site has
     no witness, ends the search as outcome 'violation' with the only
     record, site 0. The search otherwise ends 'safe-within-bounds' or,

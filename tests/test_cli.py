@@ -406,6 +406,24 @@ class TestBench:
                 for row in rows[1:]] == \
             ["good,no-counterexample", "square,error"]
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda path: path.write_bytes(b"\xff"), "can't decode byte 0xff"),
+        (lambda path: path.mkdir(), "Is a directory")],
+        ids=["not-utf8", "directory"])
+    def test_unreadable_entry_does_not_abort(self, tmp_path, capsys,
+                                             monkeypatch, make, message):
+        monkeypatch.chdir(tmp_path)
+        d = tmp_path / "unreadable"
+        d.mkdir()
+        (d / "a.mc").write_text(SAFE)
+        make(d / "c.mc")
+        assert main(["bench", str(d)]) == 0
+        out = capsys.readouterr().out
+        assert "error: " in out and message in out
+        rows = (tmp_path / "mcfl_bench.csv").read_text().splitlines()
+        assert [row.split(",")[0] + "," + row.split(",")[5]
+                for row in rows[1:]] == ["a,no-counterexample", "c,error"]
+
     def test_deep_nesting_does_not_abort(self, tmp_path, capsys,
                                          monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+import mcfl.localizer
 from mcfl.instrumenter import NothingToInstrument, instrument, site_picks
 from mcfl.localizer import localize
 from mcfl.parser import parse
@@ -21,6 +22,7 @@ from mcfl.syntax import (
     IntLit,
     Nondet,
     Var,
+    While,
     iter_stmts,
 )
 from mcfl.verifier import (
@@ -50,7 +52,7 @@ from mcfl.verifier import (
 )
 
 from conftest import BENCH_DIR, bign_source, doc_example
-from oracles import naive_violates, reference_eval, uncached
+from oracles import LazySites, naive_violates, reference_eval, uncached
 from randprog import generate_callee_source, generate_source
 
 ABBA = """pthread_mutex_t ma;
@@ -728,6 +730,380 @@ class TestSiteSearch:
         result = verify(p, default_config, sites={2: Nondet(0, 1)})
         assert (result.outcome, result.bound_hit, result.records) == \
             ("safe-within-bounds", True, [])
+
+
+def _main_sites(program):
+    """Every assignment of main a site that takes any value, every if and
+    while one that takes 0 or 1, as site_picks makes them."""
+    return {stmt.line: Nondet() if isinstance(stmt, Assign) else Nondet(0, 1)
+            for stmt in iter_stmts(program.main.body.stmts)
+            if isinstance(stmt, (Assign, If, While))}
+
+
+def _assigned(program, name):
+    """The line of main's first assignment to name."""
+    return next(stmt.line for stmt in iter_stmts(program.main.body.stmts)
+                if isinstance(stmt, Assign) and stmt.name == name)
+
+
+def _one_value_per_path(source, sites, config):
+    """The records of the site search, from the two searches that run one
+    value of a pick per path (oracles.LazySites): the diagnosis over the
+    model of source, its asserts made assumes and an assert(0) added at
+    the end of main, which comes last; then the validation of each
+    witness over source."""
+    end = source.rstrip().rfind("}")
+    model = parse(source[:end].replace("assert(", "assume(") +
+                  "  assert(0);\n}\n")
+    goal = model.main.body.stmts[-1].line
+    diagnosis = LazySites(sites, False, goal=goal)
+    uncached(model, config, sites=sites, search=diagnosis)
+    if 0 in diagnosis.found:
+        return [(0, None, False)]
+    witnesses = {line: diagnosis.found[line][1]
+                 for line in sorted(diagnosis.found)}
+    validation = LazySites(witnesses, True)
+    outcome = uncached(parse(source), config, sites={
+        line: IntLit(w) for line, w in witnesses.items()},
+        search=validation)[0]
+    passing = validation.passing(outcome == "resource-exhausted")
+    return [(line, w, line in passing) for line, w in witnesses.items()]
+
+
+# main-only programs whose picked value flows into a test where the
+# members of a value set disagree; each names the operator it splits at
+VALUE_SET_SPLITS = {
+    "and": """int main() {
+  int v;
+  int r;
+  v = 0;
+  r = 0;
+  if (v > 2 && v < 6) {
+    r = 1;
+  }
+  assert(r == 1);
+}
+""",
+    "or": """int main() {
+  int v;
+  int r;
+  v = 0;
+  r = 0;
+  if (v < 2 || v > 6) {
+    r = v;
+  }
+  assert(r == 7);
+}
+""",
+    "ternary": """int main() {
+  int v;
+  int r;
+  v = 0;
+  r = v > 4 ? v - 4 : 4 - v;
+  assert(r == 2);
+}
+""",
+    "not": """int main() {
+  int v;
+  int r;
+  v = 0;
+  r = 1;
+  if (!(v - 5)) {
+    r = 0;
+  }
+  assert(r == 0);
+}
+""",
+    "assume": """int main() {
+  int v;
+  v = 0;
+  assume(v != 3);
+  assume(v % 2 == 1);
+  assert(v > 2);
+}
+""",
+    "assert": """int main() {
+  int v;
+  v = 0;
+  assert(v < 7);
+  assert(v > 4);
+}
+""",
+    "switch": """int main() {
+  int v;
+  int r;
+  v = 0;
+  r = 0;
+  switch (v) {
+    case 2:
+      r = 1;
+      break;
+    case 5:
+      r = 2;
+      break;
+    case 6:
+      r = 2;
+    default:
+      r = r + 3;
+  }
+  assert(r == 5);
+}
+""",
+    "division": """int main() {
+  int v;
+  int r;
+  v = 0;
+  r = 12 / (v - 3);
+  assert(r == 6);
+}
+""",
+    "loop-runs-the-site-again": """int main() {
+  int i;
+  int s;
+  i = 0;
+  s = 0;
+  while (i < 2) {
+    s = s + 1;
+    i = i + 1;
+  }
+  assert(s == 5);
+}
+""",
+    "loop-bound": """int main() {
+  int i;
+  int n;
+  i = 0;
+  n = 0;
+  while (i < n) {
+    i = i + 1;
+  }
+  assert(i == 2);
+}
+""",
+    "callee": """int f(int a) {
+  int t;
+  t = 0;
+  if (a > 3) {
+    t = a * 2;
+  }
+  return t;
+}
+int main() {
+  int v;
+  int r;
+  v = 0;
+  r = f(v);
+  assert(r == 10);
+}
+""",
+    # 0 fails; 1 fails alone; then 2..8 reach the end of main with c = 0,
+    # and the path with c = 1 holds only values from the witness 2 up
+    "witness-fails-later": """int main() {
+  int v;
+  int c;
+  v = 0;
+  assert(v != 1);
+  c = nondet(0, 1);
+  if (c == 1) {
+    assert(v != 2);
+  }
+  assert(v > 0);
+}
+""",
+    # with c = 0, 1 and 2 fail as one; with c = 1, 2 is the witness and
+    # 0 and 1 fail
+    "witness-failed-with-others": """int main() {
+  int v;
+  int c;
+  v = 0;
+  c = nondet(0, 1);
+  if (c == 0) {
+    assert(v > 2);
+  }
+  assert(v * (v - 1) != 0);
+}
+""",
+    "index": """int a[4] = {3, 1, 4, 1};
+int main() {
+  int v;
+  int r;
+  v = 0;
+  r = a[v % 4];
+  assert(r == 4);
+}
+""",
+}
+
+
+class TestValueSets:
+    """The site search runs a pick's lowest value alone and the rest of
+    its domain as one value set, which splits where its members disagree.
+    Its records are those of the searches that run one value per path."""
+
+    @staticmethod
+    def _split_lines(monkeypatch):
+        """The lines at which a run splits a value set, as they happen."""
+        lines = []
+        real = _Ctx.split
+
+        def split(ctx, values, key):
+            before = ctx.members
+            value = real(ctx, values, key)
+            if ctx.members != before:
+                lines.append(ctx.line)
+            return value
+        monkeypatch.setattr(_Ctx, "split", split)
+        return lines
+
+    @pytest.mark.parametrize("case", sorted(VALUE_SET_SPLITS))
+    def test_splits_keep_the_records(self, case, default_config,
+                                     monkeypatch):
+        source = VALUE_SET_SPLITS[case]
+        program = parse(source)
+        sites = _main_sites(program)
+        theirs = _one_value_per_path(source, sites, default_config)
+        split = self._split_lines(monkeypatch)
+        result = verify(program, default_config, sites=sites)
+        assert _records(result) == theirs
+        assert split, "no value set split"
+        # some assignment's witness is a member of the set 1..8
+        assert any(witness and sites[line].lo is None
+                   for line, witness, _ in theirs), theirs
+
+    @pytest.mark.parametrize("case", sorted(VALUE_SET_SPLITS))
+    def test_narrow_domain(self, case, monkeypatch):
+        # -2 alone, then -1..3 as one set; the index case reads a[-2 % 4]
+        # out of range on the lowest value, in both searches
+        config = VerifierConfig(nondet_domain=(-2, 3))
+        source = VALUE_SET_SPLITS[case]
+        sites = _main_sites(parse(source))
+
+        def outcome(search):
+            try:
+                return search()
+            except ModelError as exc:
+                return str(exc)
+        theirs = outcome(lambda: _one_value_per_path(source, sites, config))
+        mine = outcome(lambda: _records(verify(parse(source), config,
+                                               sites=sites)))
+        assert mine == theirs
+
+    def test_narrow_domain_splits(self, monkeypatch):
+        config = VerifierConfig(nondet_domain=(-2, 3))
+        source = """int main() {
+  int v;
+  v = 0;
+  assume(v * v == 4 || v == 0);
+  assert(v > 0);
+}
+"""
+        split = self._split_lines(monkeypatch)
+        sites = {_assigned(parse(source), "v"): Nondet()}
+        result = verify(parse(source), config, sites=sites)
+        assert _records(result) == [(2, 2, True)] == \
+            _one_value_per_path(source, sites, config)
+        assert split
+
+    def test_partitions_go_in_order_of_their_least_member(
+            self, default_config, monkeypatch):
+        members = []
+        real = _Ctx.split
+
+        def split(ctx, values, key):
+            value = real(ctx, values, key)
+            members.append(ctx.members)
+            return value
+        monkeypatch.setattr(_Ctx, "split", split)
+        p = parse("""int main() {
+  int v;
+  v = 0;
+  assert(v * (v - 5) * (v - 7) != 0 && v % 3 != 1);
+}
+""")
+        result = verify(p, default_config, sites={2: Nondet()})
+        assert _records(result) == [(2, 2, True)]
+        # the set 1..8 splits into 1..4, 6, 8 and 5, 7, and 1..4, 6, 8
+        # into 1, 4 and 2, 3, 6, 8: each run of the step splits the set
+        # again and takes the next partition, the least member's first
+        assert [m for m in members if len(m) < 8] == [
+            (1, 2, 3, 4, 6, 8), (1, 4), (1, 2, 3, 4, 6, 8), (2, 3, 6, 8),
+            (5, 7)]
+
+    def test_a_failure_books_every_member(self, default_config):
+        # the set 1..8 fails as one at the assert: no member reaches the
+        # end of main, so no record; v = 9 would
+        p = parse("""int main() {
+  int v;
+  v = 0;
+  assert(v == 9);
+}
+""")
+        result = verify(p, default_config, sites={2: Nondet()})
+        assert (result.outcome, result.records) == ("safe-within-bounds", [])
+        # three undecided states, then the lowest value alone and the rest
+        # as one set, where the search per value expands nine picked states
+        assert result.states == 5
+
+    def test_witness_is_the_least_member_across_partitions(
+            self, default_config):
+        # {1, 8} splits off first, as the partition with the least
+        # member; 8 reaches the end of main before 2 does, and 2 is
+        # still the witness
+        source = """int main() {
+  int v;
+  int r;
+  v = 0;
+  r = 0;
+  if ((v - 1) * (v - 8) == 0) {
+    r = v;
+  }
+  assert(r != 1);
+  assert(v > 1);
+}
+"""
+        sites = {_assigned(parse(source), "v"): Nondet()}
+        result = verify(parse(source), default_config, sites=sites)
+        assert _records(result) == [(3, 2, True)] == \
+            _one_value_per_path(source, sites, default_config)
+
+    def test_model_error_is_raised_where_one_value_per_path_raises_it(
+            self, default_config):
+        # the set splits into {1, 8} and {2..7}; 8 indexes out of range
+        # before 2 reaches the end of main, which the search per value
+        # never gets to: the pick runs again, one value per path
+        source = """int a[2] = {0, 0};
+int main() {
+  int v;
+  int k;
+  v = 0;
+  k = 0;
+  if ((v - 1) * (v - 8) == 0) {
+    k = a[v - 1];
+  }
+  assert(v == 2);
+}
+"""
+        result = verify(parse(source), default_config, sites={4: Nondet()})
+        assert _records(result) == [(4, 2, True)]
+        # with 2 failing as well, 8 is reached: the error stands
+        with pytest.raises(ModelError, match="index 7 out of range"):
+            verify(parse(source.replace("v == 2", "v == 9")),
+                   default_config, sites={4: Nondet()})
+
+    def test_constants_and_references_stay_scalar(self, default_config,
+                                                  monkeypatch):
+        # a witness given from the start, with_constant and the per-value
+        # reference never carry a value set
+        program = parse(VALUE_SET_SPLITS["and"])
+        sites = _main_sites(program)
+        split = self._split_lines(monkeypatch)
+        verify(program, default_config, sites={
+            line: IntLit(3) for line in sites})
+        compiled = CompiledProgram(program, sites)
+        verify(compiled.with_constant(min(sites), 4), default_config)
+        uncached(program, default_config, sites=sites,
+                 search=LazySites(sites, True))
+        assert split == []
 
 
 def _replays_byte_for_byte(program, cex: Counterexample) -> bool:
@@ -1576,6 +1952,27 @@ class TestLazyDiagnosis:
             config, context_bound=0, deadlock_check=False),
             sites=site_picks(seq))
         assert result.states == 6676 <= 7000
+
+    def test_corpus_counts_are_pinned(self, monkeypatch):
+        # exact states of the site searches over the benchmark's corpus
+        # workload (309 programs, seed 1) at CLI defaults; with one value
+        # of a pick per path they expanded 47,999
+        monkeypatch.syspath_prepend(str(BENCH_DIR.parents[2] / "perfbench"))
+        from workloads import corpus
+        states = []
+
+        def counted(program, config, sites=None):
+            result = verify(program, config, sites=sites)
+            if sites is not None:
+                states.append(result.states)
+            return result
+
+        monkeypatch.setattr(mcfl.localizer, "verify", counted)
+        programs = corpus(1)
+        for _, source in programs:
+            localize(parse(source), VerifierConfig())
+        assert len(programs) == 309
+        assert sum(states) == 20877 <= 24000
 
 
 def _reduction_cases(step):
