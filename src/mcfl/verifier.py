@@ -9,10 +9,10 @@ value), so "first violation found" is deterministic and reproducible.
 A state holds its values in tuples, one slot per global, local, mutex,
 thread handle and loop; a step rebuilds only the tuples it changes. Each
 expression compiles once, with the instruction that holds it, to a closure
-from the step's context to a plain integer (Feeley and Lapalme, "Using
-closures for code generation", 1987). Every name it reads or writes is
-resolved to its slot then, and the same walk collects the global slots
-each instruction touches, from which the reduced search decides commuting
+from the step's context to its value (Feeley and Lapalme, "Using closures
+for code generation", 1987). Every name it reads or writes is resolved to
+its slot then, and the same walk collects the global slots each
+instruction touches, from which the reduced search decides commuting
 steps. A nondet() takes its value from one draw. A step runs its statement
 once per nondet path, the draws of each run stepping through their domains
 in order; a replay runs the same step code with every draw taking the
@@ -36,12 +36,13 @@ that reaches no end of main the rest of the domain together, as one value
 set (variational execution, Nguyen, Kastner and Nguyen, ICSE 2014, over
 one finite-domain variable). The value of an expression on such a path
 holds one integer per member of the set; each operator applies member by
-member, lifted once per operator in the closures of a program with sites,
-so a program without them evaluates plain integers only. A truth test,
-divisor, switch value or index whose members disagree splits the path:
-the step's nondet-path loop takes the partitions in order of their least
-member, as it takes a draw's values, and every value set in the state
-keeps the members of the partition taken. A witness is then the least
+member, lifted once per operator in the one closure every program
+compiles it to, which applies the operator directly to plain integers, so
+a program without sites never lifts one. A truth test, divisor, switch
+value or index whose members disagree splits the path: the step's
+nondet-path loop takes the partitions in order of their least member, as
+it takes a draw's values, and every value set in the state keeps the
+members of the partition taken. A witness is then the least
 member that reaches the end of main, the value that the search taking one
 value per path would find first, and a failure fails every member of its
 path.
@@ -376,7 +377,6 @@ class CompiledProgram:
         self.mutex_slots: dict[str, int] = {}
         self.handle_slots: dict[str, int] = {}
         self.loop_slots: dict[int, int] = {}  # by the loop's line
-        self.enclosing = enclosing_loops(program)
 
         for stmt in program_stmts(program):
             if isinstance(stmt, MutexDecl):
@@ -576,10 +576,10 @@ class CompiledProgram:
         so reading one touches no slot. Compiling, like evaluating, takes
         one Python frame per level of expr.
 
-        In a program with sites, a value may be a value set (_Vec): each
-        operator then applies member by member, and a truth test or index
-        whose members disagree splits the path (_Ctx.split). Without
-        sites, the closures handle plain integers only."""
+        A value may be a value set (_Vec): each operator then applies
+        member by member, and a truth test or index whose members disagree
+        splits the path (_Ctx.split). Plain integers, the only values of a
+        path without a value set, take the operator directly."""
         if isinstance(expr, IntLit):
             value = wrap64(expr.value)
             return lambda ctx: value
@@ -601,8 +601,6 @@ class CompiledProgram:
             op = _BINARY.get(expr.op)
             if op is None:
                 raise ModelError(f"unknown operator {expr.op!r}")
-            if not self.sites:
-                return lambda ctx: op(left(ctx), right(ctx))
 
             def binary(ctx: _Ctx) -> int:
                 a, b = left(ctx), right(ctx)
@@ -628,13 +626,9 @@ class CompiledProgram:
             return read
         if isinstance(expr, Unary):
             operand = self._expr(expr.operand, scope, found)
-            if expr.op not in _UNARY:
+            op = _UNARY.get(expr.op)
+            if op is None:
                 raise ModelError(f"unknown operator {expr.op!r}")
-            if not self.sites:
-                if expr.op == "-":
-                    return lambda ctx: wrap64(-operand(ctx))
-                return lambda ctx: 0 if operand(ctx) else 1
-            op = _UNARY[expr.op]
 
             def unary(ctx: _Ctx) -> int:
                 v = operand(ctx)
@@ -663,11 +657,9 @@ class CompiledProgram:
     def _decided(self, value: Callable[[_Ctx], int],
                  key: Callable[[int], object] | None = None
                  ) -> Callable[[_Ctx], int]:
-        """value, which in a program with sites is made a plain integer: a
-        value set becomes its least member's value once the path has split
-        where its members disagree on key, the value itself by default."""
-        if not self.sites:
-            return value
+        """value made a plain integer: a value set becomes its least
+        member's value once the path has split where its members disagree
+        on key, the value itself by default."""
 
         def decided(ctx: _Ctx) -> int:
             v = value(ctx)
@@ -1260,6 +1252,7 @@ def _build_counterexample(compiled: CompiledProgram, schedule, choices,
     switches: list[ContextSwitchRecord] = []
     switch_counters: list[dict[int, int]] = []
     per_thread: dict[int, int] = {}
+    loops = enclosing_loops(compiled.program)
     for prev, nxt, after in zip(steps, steps[1:], counters):
         if prev.thread == nxt.thread:
             continue
@@ -1271,7 +1264,7 @@ def _build_counterexample(compiled: CompiledProgram, schedule, choices,
             at_line=prev.line,
             per_thread_index=per_thread[prev.thread],
         ))
-        enclosing = list(compiled.enclosing.get(prev.line, []))
+        enclosing = list(loops.get(prev.line, []))
         if prev.line in compiled.loop_slots:
             # a switch after a loop-header evaluation may resume inside the
             # loop body, so the loop's own count is needed for the guard
@@ -1660,14 +1653,15 @@ def _explore(machine: _Machine, first_leaf: bool = False,
     With done, the finished-state cache, which only verify passes. A state
     with two or more live threads, where interleavings meet again, is
     keyed by state[:3], and expanding it pushes a ('done', key, cuts,
-    state) marker under its children. When the marker is popped, its
-    subtree is finished, and done maps the key to the state's switch count
-    unless the reduced search reached a loop-bound cut below it. A popped
-    state whose key maps to at most its own switch count is skipped and
-    not counted toward max_states (machine.pruned counts it): its subtree
-    is part of the finished one, so it reaches no violation, and any cut in
-    it has set bound_hit already. A state equal to one of its own ancestors
-    is never skipped, since that subtree is not finished.
+    switches) marker under its children, switches the state's switch
+    count. When the marker is popped, its subtree is finished, and done
+    maps the key to that count unless the reduced search reached a
+    loop-bound cut below it. A popped state whose key maps to at most its
+    own switch count is skipped and not counted toward max_states
+    (machine.pruned counts it): its subtree is part of the finished one,
+    so it reaches no violation, and any cut in it has set bound_hit
+    already. A state equal to one of its own ancestors is never skipped,
+    since that subtree is not finished.
     """
     config = machine.config
     stack: list[tuple] = [("state", machine.initial_state())]
@@ -1677,7 +1671,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
         if kind[0] == "done":
             # a count stored for the key came from below, no lower
             if not reduce or kind[2] == cuts:
-                done[kind[1]] = kind[3].switches
+                done[kind[1]] = kind[3]
             continue
         if kind[0] == "violation":
             if sites is None or sites.fail(
@@ -1709,7 +1703,7 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             if done.get(key, state.switches + 1) <= state.switches:
                 machine.pruned += 1
                 continue
-            stack.append(("done", key, cuts, state))
+            stack.append(("done", key, cuts, state.switches))
         machine.states += 1
         if machine.states > config.max_states:
             return ("exhausted",)

@@ -267,19 +267,27 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
                     Violation("deadlock", None, tuple(sorted(live))), state)
             continue
         pushes = []
-        for tid in eligible:
-            if state.last_thread not in (None, tid) and \
-                    state.switches >= config.context_bound:
-                continue
-            if search is not None and not state.control.decision[0]:
-                search.defer(machine, state, tid)
-            for outcome in machine.step(state, tid):
-                if outcome[0] == "kill":
-                    if outcome[1] == "bound":
-                        pushes.append(("cut", outcome[2], state))
+        try:
+            for tid in eligible:
+                if state.last_thread not in (None, tid) and \
+                        state.switches >= config.context_bound:
                     continue
-                if not dropped(outcome[-1]):
-                    pushes.append(outcome)
+                if search is not None and not state.control.decision[0]:
+                    search.defer(machine, state, tid)
+                for outcome in machine.step(state, tid):
+                    if outcome[0] == "kill":
+                        if outcome[1] == "bound":
+                            pushes.append(("cut", outcome[2], state))
+                        continue
+                    if not dropped(outcome[-1]):
+                        pushes.append(outcome)
+        except ModelError:
+            # as in _explore: a pick that may run a value set runs again,
+            # one value per path
+            if not isinstance(search, _SiteSearch) or \
+                    not search.redo(machine, stack):
+                raise
+            continue
         stack.extend(reversed(pushes))
     return ("safe-within-bounds", None, machine.bound_hit,
             records("safe"), visited)

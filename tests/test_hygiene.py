@@ -9,8 +9,9 @@ methods and module constants that nothing in their module reads, and a
 check for attributes that a private class assigns on self and nothing in
 its module reads. For imports, `__init__.py` is skipped because it
 re-exports, `__future__` imports are directives, and an import marked
-`# noqa: F401` is kept on purpose (the benchmark's tracer wraps such
-module attributes).
+`# noqa: F401` is kept on purpose: the benchmark's tracer wraps such
+module attributes, so each one must name an attribute that
+`perfbench/tracer.py` lists for its module in `TARGETS`.
 """
 
 import ast
@@ -21,6 +22,7 @@ import pytest
 import mcfl
 
 SRC = Path(__file__).parent.parent / "src" / "mcfl"
+TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -46,8 +48,10 @@ def _names_read(tree: ast.AST) -> set[str]:
     return used
 
 
-def unused_imports(source: str) -> list[str]:
-    """`line N: name` for every imported name the module never reads."""
+def _imports(source: str, marked: bool) -> list[tuple[int, str]]:
+    """(line, name) for every name the module imports outside
+    `__future__`, only those of imports marked `# noqa: F401` if marked,
+    else only the others."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported: list[tuple[int, str]] = []
@@ -57,14 +61,42 @@ def unused_imports(source: str) -> list[str]:
                     node.module == "__future__":
                 continue
             text = lines[node.lineno - 1:node.end_lineno]
-            if any("# noqa: F401" in line for line in text):
+            if any("# noqa: F401" in line for line in text) != marked:
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported.append((node.lineno, name))
-    used = _names_read(tree)
-    return [f"line {line}: {name}" for line, name in imported
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """`line N: name` for every imported name the module never reads."""
+    used = _names_read(ast.parse(source))
+    return [f"line {line}: {name}"
+            for line, name in _imports(source, marked=False)
             if name not in used]
+
+
+def tracer_targets(source: str) -> dict[str, tuple[str, ...]]:
+    """The TARGETS mapping of the tracer's source: module -> the names of
+    its attributes the tracer wraps."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TARGETS assignment")
+
+
+def untraced_marked_imports(source: str, module: str,
+                            targets: dict[str, tuple[str, ...]]
+                            ) -> list[str]:
+    """`line N: name` for every import marked `# noqa: F401` that names no
+    attribute the tracer wraps on module."""
+    traced = targets.get(module, ())
+    return [f"line {line}: {name}"
+            for line, name in _imports(source, marked=True)
+            if name not in traced]
 
 
 def unread_private_names(source: str) -> list[str]:
@@ -108,6 +140,14 @@ def unread_private_attributes(source: str) -> list[str]:
     path.name for path in SRC.glob("*.py") if path.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in SRC.glob("*.py")))
+def test_marked_imports_are_traced(module):
+    assert untraced_marked_imports(
+        (SRC / module).read_text(), f"mcfl.{module[:-3]}",
+        tracer_targets(TRACER.read_text())) == []
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -159,6 +199,17 @@ def f(x: "Iterable[int]") -> "Any":
     return json.dumps(list(x))
 """
     assert unused_imports(source) == ["line 8: dataclass"]
+
+
+def test_check_finds_an_untraced_marked_import():
+    source = (SRC / "instrumenter.py").read_text()
+    targets = tracer_targets(TRACER.read_text())
+    assert untraced_marked_imports(
+        "import os  # noqa: F401\n" + source, "mcfl.instrumenter",
+        targets) == ["line 1: os"]
+    # without the tracer's list, the module's own marked imports show
+    assert [entry.split(": ")[1] for entry in untraced_marked_imports(
+        source, "mcfl.instrumenter", {})] == ["parse", "pretty_print"]
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -502,6 +502,12 @@ int main() {
         # unary minus at the 64-bit wrap
         ("-y", -2 ** 63, 0, [(-2 ** 63, [])]),
         ("-y + 1", -2 ** 63, 0, [(-2 ** 63 + 1, [])]),
+        # logical not of zero, one, the 64-bit minimum and a difference
+        ("!y", 0, 0, [(1, [])]),
+        ("!y", 1, 0, [(0, [])]),
+        ("!y", -2 ** 63, 0, [(0, [])]),
+        ("!(y - z)", 3, 3, [(1, [])]),
+        ("!(y - z)", 3, 2, [(0, [])]),
         # an array index out of range, either side
         ("a[y]", 1, 0, [(5, [])]),
         ("a[y]", 2, 0, [(ModelError, [])]),
@@ -1066,12 +1072,10 @@ class TestValueSets:
         assert _records(result) == [(3, 2, True)] == \
             _one_value_per_path(source, sites, default_config)
 
-    def test_model_error_is_raised_where_one_value_per_path_raises_it(
-            self, default_config):
-        # the set splits into {1, 8} and {2..7}; 8 indexes out of range
-        # before 2 reaches the end of main, which the search per value
-        # never gets to: the pick runs again, one value per path
-        source = """int a[2] = {0, 0};
+    # the set splits into {1, 8} and {2..7}; 8 indexes out of range
+    # before 2 reaches the end of main, which the search per value never
+    # gets to: the pick runs again, one value per path
+    OUT_OF_RANGE = """int a[2] = {0, 0};
 int main() {
   int v;
   int k;
@@ -1083,12 +1087,27 @@ int main() {
   assert(v == 2);
 }
 """
+
+    def test_model_error_is_raised_where_one_value_per_path_raises_it(
+            self, default_config):
+        source = self.OUT_OF_RANGE
         result = verify(parse(source), default_config, sites={4: Nondet()})
         assert _records(result) == [(4, 2, True)]
         # with 2 failing as well, 8 is reached: the error stands
         with pytest.raises(ModelError, match="index 7 out of range"):
             verify(parse(source.replace("v == 2", "v == 9")),
                    default_config, sites={4: Nondet()})
+
+    def test_uncached_runs_a_pick_again_after_a_model_error(
+            self, default_config):
+        # the reference search without the cache reruns the pick as
+        # verify does, and raises the error where verify raises it
+        source = self.OUT_OF_RANGE
+        assert uncached(parse(source), default_config,
+                        sites={4: Nondet()})[3] == [(4, 2, True)]
+        with pytest.raises(ModelError, match="index 7 out of range"):
+            uncached(parse(source.replace("v == 2", "v == 9")),
+                     default_config, sites={4: Nondet()})
 
     def test_constants_and_references_stay_scalar(self, default_config,
                                                   monkeypatch):
