@@ -280,6 +280,12 @@ def _run_bench(args: argparse.Namespace, vcfg: VerifierConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_cli()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -2..3 for an option unless joined
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--nondet" and argv[i][:1] == "-" and \
+                argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"--nondet={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -45,7 +45,9 @@ it takes a draw's values, and every value set in the state keeps the
 members of the partition taken. A witness is then the least
 member that reaches the end of main, the value that the search taking one
 value per path would find first, and a failure fails every member of its
-path.
+path. Only an operation outside the model can tell the two apart: a
+member may reach it before a lower one reaches the end of main, where
+the search per value stops first.
 
 Outside a lazy-decision search, verify caches finished states: once the
 whole subtree below a state with two or more live threads has been explored
@@ -67,14 +69,21 @@ that the running thread holds now. Critical sections and thread-local steps
 so run without preemption points. Running on the last thread never adds a
 context switch (Coons, Musuvathi and McKinley 2013), so the reduced search
 finds a violation, and a loop-bound cut, exactly when the ordered one does.
-Its result is final when it is safe, when it ran out (the two share
-max_states, so none is left), or when its violation lies on a path that
-never ran a thread ahead of a lower-numbered one: the ordered search finds
-that violation first. Otherwise (a reordered violation or a ModelError) the
-ordered search runs with what is left of max_states, skipping the states
-the reduced one finished. Both share one cache, and the reduced search records a
-finished subtree only if it reached no loop-bound cut below it, so the
-ordered search sets the loop-bound flag as it would alone.
+The two share one cache, and the reduced search records a finished subtree
+only if it reached no loop-bound cut below it, so the ordered search sets
+the loop-bound flag as it would alone.
+
+So verify, with sites or without, runs a fast search first, whose result
+can differ from the exact search's only where it raised a ModelError or
+its violation lies on a reordered path, one that ran a thread ahead of a
+lower-numbered one. One rule covers both: the fast result is final
+unless it is one of those, and then the exact search runs with what is
+left of max_states (the two share it, so none runs after a fast search
+that ran out). Without sites the fast search is the reduced one and the
+exact one the ordered search, which skips the states the reduced one
+finished; with sites the fast search runs value sets and the exact one
+takes one value of a pick per path. A ModelError in the exact search is
+raised.
 """
 
 from __future__ import annotations
@@ -226,10 +235,12 @@ class VerificationResult:
     pruned: int = 0
     # lazy-decision search only, by site line
     records: list[SiteRecord] = field(default_factory=list)
-    # without sites: states the reduced search expanded, its expansions
-    # cut to one thread, and whether the ordered search ran after it
+    # without sites: states the reduced search expanded and its
+    # expansions cut to one thread
     reduced_states: int = 0
     reductions: int = 0
+    # whether the exact search ran after the fast one, with or without
+    # sites (see verify)
     ordered_rerun: bool = False
 
 
@@ -1497,7 +1508,9 @@ class _SiteSearch:
     A picked path keeps the value of its first run of the site. A pick
     that draws runs the lowest value of its domain alone, then the rest
     of the domain as one value set (_Ctx.spread), whose members a path
-    holds together until they disagree (_Ctx.split).
+    holds together until they disagree (_Ctx.split). Given start None, the
+    exact search that verify runs after a ModelError, a deferred pick
+    draws as any nondet() does, one value per path.
 
     A failure is a violation or a loop-bound cut, and ends its path. On a
     picked path it fails every value the path holds; on an undecided path
@@ -1509,8 +1522,9 @@ class _SiteSearch:
     The site's pending picks run with the witness alone, and once it has
     failed, they are dropped."""
 
-    def __init__(self, sites: dict[int, Expr]):
+    def __init__(self, sites: dict[int, Expr], start: object = _SPREAD):
         self.lines = frozenset(sites)
+        self.start = start  # a deferred pick's kept value before it runs
         self.witness = {line: wrap64(pick.value)
                         for line, pick in sites.items()
                         if isinstance(pick, IntLit)}
@@ -1520,9 +1534,6 @@ class _SiteSearch:
         # thread), in the order made
         self.picks: list[tuple[int, _State, int]] = []
         self.ran = 0  # picks[:ran] have run or been dropped
-        # the running pick, if it runs without a witness: its site, state
-        # and thread, and the site's failed values before it
-        self.spreading: tuple[int, _State, int, set[int]] | None = None
 
     def invalid(self, line: int) -> bool:
         """Whether the witness of site line has failed."""
@@ -1534,7 +1545,7 @@ class _SiteSearch:
         undecided state runs, if it is one the path has not declined."""
         line = machine.codes[tid].instrs[state.threads[tid].pc].line
         if line in self.lines and line not in state.control.decision[1]:
-            picked = state.control._replace(decision=(line, _SPREAD))
+            picked = state.control._replace(decision=(line, self.start))
             self.picks.append((line, state._replace(control=picked), tid))
 
     def next_pick(self, machine: _Machine, stack: list) -> bool:
@@ -1544,35 +1555,14 @@ class _SiteSearch:
         while self.ran < len(self.picks):
             line, state, tid = self.picks[self.ran]
             self.ran += 1
-            self.spreading = None
             if line in self.witness:
                 if self.invalid(line):
                     continue
                 state = state._replace(control=state.control._replace(
                     decision=(line, self.witness[line])))
-            else:
-                self.spreading = (line, state, tid,
-                                  set(self.failed.get(line, ())))
             stack.extend(reversed(_entries(state, machine.step(state, tid))))
             return True
         return False
-
-    def redo(self, machine: _Machine, stack: list) -> bool:
-        """After a ModelError in the running pick: where it may run a value
-        set, undoes what the pick booked and runs it again, the pick taking
-        one value per path, so the error is raised exactly where the
-        search with one value per path raises it. False where it runs the
-        witness alone."""
-        if self.spreading is None:
-            return False
-        line, state, tid, failed = self.spreading
-        self.spreading = None
-        self.witness.pop(line, None)
-        self.failed[line] = failed
-        stack[:] = reversed(_entries(state, machine.step(
-            state._replace(control=state.control._replace(
-                decision=(line, None))), tid)))
-        return True
 
     def fail(self, violation: Violation | None, decision: tuple,
              stack: list) -> bool:
@@ -1737,15 +1727,10 @@ def _explore(machine: _Machine, first_leaf: bool = False,
             continue
         deferring = sites is not None and not state.control.decision[0]
         pushes = []
-        try:
-            for tid in schedulable:
-                if deferring:
-                    sites.defer(machine, state, tid)
-                pushes += _entries(state, machine.step(state, tid))
-        except ModelError:
-            if sites is None or not sites.redo(machine, stack):
-                raise
-            continue
+        for tid in schedulable:
+            if deferring:
+                sites.defer(machine, state, tid)
+            pushes += _entries(state, machine.step(state, tid))
         stack.extend(reversed(pushes))
     return ("safe",)
 
@@ -1768,12 +1753,14 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
     past max_states in total, 'resource-exhausted'. No counterexample is
     built in this mode.
 
-    Without sites, the reduced search runs first (see the module
-    docstring); the ordered search runs after it only where its result
-    could differ: a violation on a reordered path or a ModelError, seeded
-    with the finished states the reduced search recorded. max_states
-    bounds the two together: the ordered search gets what the reduced one
-    left, so none runs after a reduced search that ran out.
+    Either way a fast search runs first, and the exact one after it only
+    where their results could differ: a ModelError, or a violation on a
+    reordered path (see the module docstring). Without sites they are the
+    reduced and the ordered search, the second seeded with the finished
+    states the first recorded; with sites, the search with value sets and
+    the one that takes one value of a pick per path. max_states bounds
+    the two together: the exact search gets what the fast one left, so
+    none runs after a fast search that ran out.
 
     A compiled program given sites compiles its program again with them,
     not with its own; a Program compiles once, with its sites.
@@ -1782,31 +1769,30 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
         program = program.program
     compiled = program if isinstance(program, CompiledProgram) \
         else CompiledProgram(program, sites)
-    if sites is not None:
-        search = _SiteSearch(sites)
-        machine = _Machine(compiled, config)
-        result = _explore(machine, sites=search)
-        counts = {"records": search.records(result[0])}
-    else:
-        machine = _Machine(compiled, config)
+    if sites is None:
         done: dict[tuple, int] = {}
-        try:
-            result = _explore(machine, reduce=True, done=done)
-        except ModelError:
-            result = ("error",)
-        counts = {"reduced_states": machine.states,
-                  "reductions": machine.reductions}
-        final = result[0] in ("safe", "exhausted") or \
-            result[0] == "violation" and not result[2].reordered
-        if not final:
-            reduced = machine
-            machine = _Machine(compiled, config)
-            # counted on, so the two share max_states
-            machine.states, machine.pruned = reduced.states, reduced.pruned
-            result = _explore(machine, done=done)
-            counts["ordered_rerun"] = True
+        search, exact = {"reduce": True, "done": done}, {"done": done}
+    else:
+        search = {"sites": _SiteSearch(sites)}
+        exact = {"sites": _SiteSearch(sites, start=None)}
+    machine = _Machine(compiled, config)
+    try:
+        result = _explore(machine, **search)
+    except ModelError:
+        result = ("error",)
+    counts = {"reduced_states": machine.states,
+              "reductions": machine.reductions} if sites is None else {}
+    if result[0] == "error" or \
+            result[0] == "violation" and result[2].reordered:
+        fast, machine, search = machine, _Machine(compiled, config), exact
+        # counted on, so the two share max_states
+        machine.states, machine.pruned = fast.states, fast.pruned
+        result = _explore(machine, **search)
+        counts["ordered_rerun"] = True
     cex = None
-    if result[0] == "violation" and sites is None:
+    if sites is not None:
+        counts["records"] = search["sites"].records(result[0])
+    elif result[0] == "violation":
         state = result[2]
         cex = _build_counterexample(compiled, _unlink(state.trace),
                                     _unlink(state.choices), result[1])

@@ -5,7 +5,10 @@ search: breadth-first, descending thread order, no first-violation
 discipline — only the safe/violating verdict is compared. The uncached
 search is the verifier's depth-first loop as it was before the
 finished-state cache, the partial-order reduction and the lazy site
-decisions, kept as the reference for all three. The two-search localizer
+decisions, kept as the reference for all three; its site search takes
+one value of a pick per path, the exact search that verify runs after
+its search with value sets meets a model error, so the differentials
+against it check the value sets too. The two-search localizer
 is the pipeline as it was before one search both diagnosed and validated.
 The reference evaluator walks an expression's tree on every evaluation,
 as the verifier did before it compiled each expression once; its
@@ -175,9 +178,10 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
     verifier ran before it had one. With group_by, the grouped search that
     draws the value of that local of main at the root and records the
     first violation of each nonzero value, in discovery order (with first,
-    it stops at the first record); with sites, the verifier's
-    lazy-decision search, its records as (site, witness, validated), or
-    the bookkeeping given as search, its results read by the caller.
+    it stops at the first record); with sites, the verifier's exact
+    lazy-decision search, one value of a pick per path, its records as
+    (site, witness, validated), or the bookkeeping given as search, its
+    results read by the caller.
     Returns (outcome, counterexample JSON, bound_hit, records, states).
 
     The grouped search takes the diagnosis model's two rules from goal and
@@ -185,7 +189,7 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
     than goal ends the path, and the site fixed[value] keeps the value it
     draws first, so a path that draws another one there is dropped."""
     if sites is not None:
-        search = search or _SiteSearch(sites)
+        search = search or _SiteSearch(sites, start=None)
         if isinstance(program, CompiledProgram):
             program = program.program
     compiled = program if isinstance(program, CompiledProgram) \
@@ -267,27 +271,19 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
                     Violation("deadlock", None, tuple(sorted(live))), state)
             continue
         pushes = []
-        try:
-            for tid in eligible:
-                if state.last_thread not in (None, tid) and \
-                        state.switches >= config.context_bound:
+        for tid in eligible:
+            if state.last_thread not in (None, tid) and \
+                    state.switches >= config.context_bound:
+                continue
+            if search is not None and not state.control.decision[0]:
+                search.defer(machine, state, tid)
+            for outcome in machine.step(state, tid):
+                if outcome[0] == "kill":
+                    if outcome[1] == "bound":
+                        pushes.append(("cut", outcome[2], state))
                     continue
-                if search is not None and not state.control.decision[0]:
-                    search.defer(machine, state, tid)
-                for outcome in machine.step(state, tid):
-                    if outcome[0] == "kill":
-                        if outcome[1] == "bound":
-                            pushes.append(("cut", outcome[2], state))
-                        continue
-                    if not dropped(outcome[-1]):
-                        pushes.append(outcome)
-        except ModelError:
-            # as in _explore: a pick that may run a value set runs again,
-            # one value per path
-            if not isinstance(search, _SiteSearch) or \
-                    not search.redo(machine, stack):
-                raise
-            continue
+                if not dropped(outcome[-1]):
+                    pushes.append(outcome)
         stack.extend(reversed(pushes))
     return ("safe-within-bounds", None, machine.bound_hit,
             records("safe"), visited)

@@ -143,6 +143,23 @@ class TestExitStatuses:
         assert main([command, str(BENCH_DIR / target)] + flags) == 4
         assert capsys.readouterr().err.startswith("mcfl: ")
 
+    def test_negative_nondet_domain_takes_either_spelling(self, fault_file,
+                                                          capsys):
+        # argparse reads a lone -2..3 as an option unless it is joined
+        runs = []
+        for flags in (["--nondet", "-2..3"], ["--nondet=-2..3"]):
+            code = main(["localize", str(fault_file), "--json"] + flags)
+            report = json.loads(capsys.readouterr().out)
+            assert report.pop("timings")
+            runs.append((code, report))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and runs[0][1]["status"] == "faults-found"
+
+    def test_malformed_negative_nondet_is_four(self, fault_file, capsys):
+        assert main(["verify", str(fault_file), "--nondet", "-2"]) == 4
+        assert "nondet domain must look like LO..HI" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("command, flag", [
         ("sequentialize", "--deadlock-check"),
         ("instrument", "--deadlock-check"),

@@ -12,6 +12,10 @@ re-exports, `__future__` imports are directives, and an import marked
 `# noqa: F401` is kept on purpose: the benchmark's tracer wraps such
 module attributes, so each one must name an attribute that
 `perfbench/tracer.py` lists for its module in `TARGETS`.
+
+The project supports Python 3.10, so every source file of the package,
+the tests and the benchmark harness must also parse as 3.10 syntax,
+whichever interpreter runs the suite.
 """
 
 import ast
@@ -23,6 +27,11 @@ import mcfl
 
 SRC = Path(__file__).parent.parent / "src" / "mcfl"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+PY310 = (3, 10)
+# read as text only: the benchmark harness is not imported
+CHECKED_SOURCES = sorted(
+    path for root in (SRC, Path(__file__).parent, TRACER.parent)
+    for path in root.rglob("*.py"))
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -99,6 +108,15 @@ def untraced_marked_imports(source: str, module: str,
             if name not in traced]
 
 
+def py310_syntax_error(source: str) -> str | None:
+    """Why Python 3.10's grammar rejects source, or None if it parses."""
+    try:
+        ast.parse(source, feature_version=PY310)
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
 def unread_private_names(source: str) -> list[str]:
     """`line N: name` for every private function, class, method or module
     constant (a name with one leading underscore) that the module defines
@@ -160,6 +178,24 @@ def test_no_unread_private_names(module):
     path.name for path in SRC.glob("*.py")))
 def test_no_unread_private_attributes(module):
     assert unread_private_attributes((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("path", CHECKED_SOURCES, ids=lambda path: str(
+    path.relative_to(SRC.parent.parent)))
+def test_parses_as_python_310(path):
+    assert py310_syntax_error(path.read_text()) is None
+
+
+def test_check_finds_planted_311_syntax():
+    source = (SRC / "cli.py").read_text()
+    planted = source + """
+try:
+    pass
+except* ValueError:
+    pass
+"""
+    assert py310_syntax_error(planted) is not None
+    assert py310_syntax_error(source) is None
 
 
 def test_check_finds_a_planted_private_function():

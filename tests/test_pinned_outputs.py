@@ -2,10 +2,13 @@
 `mcfl instrument` commands must keep producing the exact texts recorded in
 pinned_outputs.json, so a refactor can show that it changes no result.
 
-Each program id maps to the sha256 of four texts, all at CLI defaults:
-the counterexample JSON from `verify` (or its outcome when there is no
-violation), the timing-free `report_to_json(localize(...))`, and for each
-of the two commands its exit status and standard output. The programs are
+Each program id maps to the sha256 of five texts. Four are at CLI
+defaults: the counterexample JSON from `verify` (or its outcome when there
+is no violation), the timing-free `report_to_json(localize(...))`, and for
+each of the two commands its exit status and standard output. The fifth is
+the timing-free `localize` report at SECOND_CONFIG, the configuration
+`--nondet -2..3 --context-bound 2`: a narrow domain that starts below
+zero, and fewer context switches than the default four. The programs are
 the bundled ports, randprog programs with division, three-thread randprog
 programs, callee programs (their calls are unwound into copies) and a
 program with nothing to instrument.
@@ -45,6 +48,7 @@ CALLEE_SEEDS = range(20)
 # a failing program with no line eligible for diagnosis: `mcfl instrument`
 # exits 2 and `localize` is inconclusive
 NOTHING_ELIGIBLE = "int x = 0; int main() { assert(x == 1); }\n"
+SECOND_CONFIG = VerifierConfig(context_bound=2, nondet_domain=(-2, 3))
 
 
 def _sources() -> dict[str, str]:
@@ -66,15 +70,21 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _localized(program, config: VerifierConfig) -> str:
+    """The sha256 of localize's timing-free report at config."""
+    return _sha(report_to_json(replace(localize(program, config),
+                                       timings={})))
+
+
 def digests(source: str) -> dict[str, str]:
     program = parse(source)
     config = VerifierConfig()
     result = verify(program, config)
     verified = counterexample_to_json(result.counterexample) \
         if result.counterexample is not None else result.outcome
-    report = localize(program, config)
-    localized = report_to_json(replace(report, timings={}))
-    found = {"verify": _sha(verified), "localize": _sha(localized)}
+    found = {"verify": _sha(verified),
+             "localize": _localized(program, config),
+             "localize_second_config": _localized(program, SECOND_CONFIG)}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.mc"
         path.write_text(source)

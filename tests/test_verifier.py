@@ -41,6 +41,7 @@ from mcfl.verifier import (
     _explore,
     _Machine,
     _Site,
+    _SiteSearch,
     _successors,
     _unlink,
     counterexample_from_json,
@@ -1074,7 +1075,7 @@ class TestValueSets:
 
     # the set splits into {1, 8} and {2..7}; 8 indexes out of range
     # before 2 reaches the end of main, which the search per value never
-    # gets to: the pick runs again, one value per path
+    # gets to: the search runs again, one value per path
     OUT_OF_RANGE = """int a[2] = {0, 0};
 int main() {
   int v;
@@ -1098,10 +1099,29 @@ int main() {
             verify(parse(source.replace("v == 2", "v == 9")),
                    default_config, sites={4: Nondet()})
 
+    def test_exact_search_after_a_model_error_is_counted_on(
+            self, default_config):
+        program, sites = parse(self.OUT_OF_RANGE), {4: Nondet()}
+        machine = _Machine(CompiledProgram(program, sites), default_config)
+        with pytest.raises(ModelError, match="index 7 out of range"):
+            _explore(machine, sites=_SiteSearch(sites))
+        exact = uncached(program, default_config, sites=sites)
+        assert exact[3] == [(4, 2, True)]
+        result = verify(program, default_config, sites=sites)
+        # the search with value sets, then the one per value
+        assert result.ordered_rerun
+        assert result.states == machine.states + exact[4] == 28
+        short = verify(program, replace(default_config,
+                                        max_states=result.states - 1),
+                       sites=sites)
+        assert (short.outcome, short.ordered_rerun) == (
+            "resource-exhausted", True)
+
     def test_uncached_runs_a_pick_again_after_a_model_error(
             self, default_config):
-        # the reference search without the cache reruns the pick as
-        # verify does, and raises the error where verify raises it
+        # the reference search without the cache runs one value per path
+        # from the start, so it never meets the error that makes verify
+        # search again, and raises it where verify raises it
         source = self.OUT_OF_RANGE
         assert uncached(parse(source), default_config,
                         sites={4: Nondet()})[3] == [(4, 2, True)]
