@@ -33,7 +33,6 @@ from .syntax import (
     PRECEDENCE,
     Program,
     PTHREAD_CALLS,
-    PTHREAD_KINDS,
     Return,
     Stmt,
     Switch,
@@ -135,7 +134,8 @@ class _Parser:
         self.functions: list[FunctionDef] = []
         self.fn_sigs: dict[str, tuple[str, int]] = {}  # name -> (ret, arity)
         self.creates: list[Token] = []  # created functions, in order
-        self.calls: dict[str, set[str]] = {}  # caller -> callees
+        # caller -> callee -> the name token of its first call there
+        self.calls: dict[str, dict[str, Token]] = {}
         self.call_sites: list[tuple[CallAssign, Token]] = []
 
     # -- token plumbing ------------------------------------------------
@@ -270,7 +270,7 @@ class _Parser:
         if ret == "void" and params:
             self.error("thread functions take no parameters", name_tok)
         self.fn_sigs[name] = (ret, len(params))
-        self.calls[name] = set()
+        self.calls[name] = {}
         ctx = _FnCtx(name, set(params))
         body = self.parse_block(ctx, in_switch=0)
         fn = FunctionDef(name, ret, params, body)
@@ -408,10 +408,14 @@ class _Parser:
             self.expect(";")
             return Return(expr)
 
-        if text in _PTHREAD_CALLS:
-            return self.parse_pthread_call()
-
-        if text in _HANDLE_DECLS:
+        if text in _PTHREAD_CALLS or text in _HANDLE_DECLS:
+            # a call runs its callee inside one step, so a callee may not
+            # synchronize
+            if ctx.name != "main" and self.fn_sigs[ctx.name][0] == "int":
+                self.error("threading statement inside callable function "
+                           f"{ctx.name!r}", tok)
+            if text in _PTHREAD_CALLS:
+                return self.parse_pthread_call()
             return self.parse_handle_decl(ctx)
 
         if tok.kind == "ident":
@@ -429,7 +433,7 @@ class _Parser:
                             break
                     self.expect(")")
                 self.expect(";")
-                self.calls[ctx.name].add(fn_tok.text)
+                self.calls[ctx.name].setdefault(fn_tok.text, fn_tok)
                 stmt = CallAssign(name_tok.text, fn_tok.text, args)
                 self.call_sites.append((stmt, fn_tok))
                 return stmt
@@ -576,23 +580,23 @@ class _Parser:
                     "called", tok)
             if arity != len(stmt.args):
                 self.error(f"{stmt.func!r} expects {arity} argument(s)", tok)
-        # recursion
+        # recursion, reported at the call that closes the cycle
         state: dict[str, int] = {}
 
-        def visit(fn: str, tok: Token) -> None:
+        def visit(fn: str) -> None:
             state[fn] = 1
-            for callee in sorted(self.calls.get(fn, ())):
+            for callee, tok in sorted(self.calls[fn].items()):
                 if callee not in self.fn_sigs:
                     continue
                 if state.get(callee) == 1:
                     self.error(f"recursive call involving {callee!r}", tok)
                 if callee not in state:
-                    visit(callee, tok)
+                    visit(callee)
             state[fn] = 2
 
         for fn in self.fn_sigs:
             if fn not in state:
-                visit(fn, self.tokens[0])
+                visit(fn)
         # thread creates: defined void functions, one create per function
         seen_fns: set[str] = set()
         ordinal = 0
@@ -615,16 +619,6 @@ class _Parser:
             seen_fns.add(fname)
             ordinal += 1
             program.threads.append(ThreadDef(ordinal, fname))
-        # sync statements inside callable (int) functions break call
-        # atomicity, reject them
-        for fn in program.functions:
-            if fn.return_type != "int":
-                continue
-            for s in iter_stmts(fn.body.stmts):
-                if isinstance(s, PTHREAD_KINDS):
-                    self.error(
-                        f"threading statement inside callable function "
-                        f"{fn.name!r}", self.tokens[0])
 
 
 @dataclass

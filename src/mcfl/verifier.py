@@ -31,23 +31,27 @@ that runs it with that value passes. A constant in place of a line's value
 is the same site, picked with that value before any search starts
 (CompiledProgram.with_constant).
 
-A pick runs the lowest value of its domain alone first, and only where
-that reaches no end of main the rest of the domain together, as one value
-set (variational execution, Nguyen, Kastner and Nguyen, ICSE 2014, over
-one finite-domain variable). The value of an expression on such a path
-holds one integer per member of the set; each operator applies member by
-member, lifted once per operator in the one closure every program
-compiles it to, which applies the operator directly to plain integers, so
-a program without sites never lifts one. A truth test, divisor, switch
-value or index whose members disagree splits the path: the step's
+A picked path's decision holds the values that it runs the site with, as
+one ascending tuple, its members: one value, or a value set (variational
+execution, Nguyen, Kastner and Nguyen, ICSE 2014, over one finite-domain
+variable). In the search with value sets, a pick that draws puts its
+whole domain there on its first run and splits it at once: the lowest
+value alone first, then the rest together. The value of an expression on
+such a path holds one integer per member; each operator applies member
+by member, lifted once per operator in the one closure every program
+compiles it to, which applies the operator directly to plain integers,
+so a program without sites never lifts one. A truth test, divisor,
+switch value or index whose members disagree splits the path: the step's
 nondet-path loop takes the partitions in order of their least member, as
-it takes a draw's values, and every value set in the state keeps the
-members of the partition taken. A witness is then the least
-member that reaches the end of main, the value that the search taking one
-value per path would find first, and a failure fails every member of its
-path. Only an operation outside the model can tell the two apart: a
-member may reach it before a lower one reaches the end of main, where
-the search per value stops first.
+it takes a draw's values, and the path's decision keeps the members of
+the partition taken. A value set is read only at the path's members, so
+what it holds for a member that a split dropped stays unread, and no
+pass removes it. A witness is then the least member that reaches the end
+of main, the value that the search taking one value per path would find
+first, and a failure fails every member of its path. Only an operation
+outside the model can tell the two apart: a member may reach it before a
+lower one reaches the end of main, where the search per value stops
+first.
 
 Outside a lazy-decision search, verify caches finished states: once the
 whole subtree below a state with two or more live threads has been explored
@@ -312,12 +316,6 @@ def _joined(members: tuple[int, ...], values: list[int]) -> int:
     return _Vec(zip(members, values))
 
 
-def _projected(values: tuple, members: tuple[int, ...]) -> tuple:
-    """values with each value set restricted to members."""
-    return tuple(_joined(members, [v[m] for m in members])
-                 if v.__class__ is _Vec else v for v in values)
-
-
 # ---------------------------------------------------------------------------
 # Compilation to flat instruction lists
 # ---------------------------------------------------------------------------
@@ -452,7 +450,7 @@ class CompiledProgram:
         if line not in self.sites:
             raise ValueError(f"line {line} is no site of this program")
         fixed = copy.copy(self)
-        fixed.decision = (line, wrap64(value))
+        fixed.decision = (line, (wrap64(value),))
         return fixed
 
     def _compile_body(self, code: Code, stmts: list[Stmt],
@@ -651,18 +649,9 @@ class CompiledProgram:
             els = self._expr(expr.else_expr, scope, found)
             return lambda ctx: then(ctx) if cond(ctx) else els(ctx)
         if isinstance(expr, _Site):
-            line = expr.line
             default = self._expr(expr.default, scope, found)
             pick = self._expr(expr.pick, scope, found)
-            if isinstance(expr.pick, Nondet):
-                draw, bounds = pick, None if expr.pick.lo is None else (
-                    expr.pick.lo, expr.pick.hi)
-
-                def pick(ctx: _Ctx) -> int | tuple[int, ...]:
-                    if ctx.decision[1] is _SPREAD:
-                        return ctx.spread(bounds)
-                    return draw(ctx)
-            return lambda ctx: ctx.site(line, default, pick)
+            return lambda ctx: ctx.site(expr, default, pick)
         raise ModelError(f"cannot compile expression {expr!r}")
 
     def _decided(self, value: Callable[[_Ctx], int],
@@ -702,11 +691,20 @@ class _Site(NamedTuple):
 
 # the decision of a path outside a lazy-decision search, or before it has
 # picked or declined a site: (picked site, 0 while undecided; the sites
-# declined, or for a picked site the value it keeps, None before its first
-# run). A path of _SiteSearch that picked a site keeps _SPREAD before its
-# first run there, and an ascending tuple for a value set
+# declined, or for a picked site its members, the ascending tuple of the
+# values it holds). Before its first run of the site a picked path holds
+# none: () in the exact search, _SPREAD in the value-set search
 _UNDECIDED = (0, frozenset())
-_SPREAD = object()
+
+
+class _Unrun(tuple):
+    """An empty tuple that is not (): it tells the value-set search's
+    unrun pick apart from the exact search's."""
+
+    __slots__ = ()
+
+
+_SPREAD = _Unrun()
 
 
 class _Ctx:
@@ -719,14 +717,11 @@ class _Ctx:
     instead. Each draw records (value, hi), so that the step can tell which
     draws have a next value, and appends (line, value) to the choices. A
     split of a value set is a choice of the same kind, over the indices of
-    its partitions.
-
-    members is the value set of a path that keeps one for its site, else
-    None; narrowed tells that this run has split it."""
+    its partitions, and narrows the members that decision holds."""
 
     __slots__ = ("machine", "line", "prefix", "drawn", "choices", "locals",
                  "globals", "threads", "handles", "mutexes", "per_entry",
-                 "cum_iters", "decision", "members", "narrowed")
+                 "cum_iters", "decision")
 
     def __init__(self, machine: "_Machine", state: "_State",
                  prefix: list[int]):
@@ -738,9 +733,6 @@ class _Ctx:
         self.threads = state.threads
         (self.handles, self.mutexes, self.per_entry, self.cum_iters,
          _, self.decision) = state.control
-        kept = self.decision[1]
-        self.members = kept if kept.__class__ is tuple else None
-        self.narrowed = False
 
     def store(self, var: tuple[bool, int], value: int) -> None:
         """Writes value to var: (is a global, slot), a local of the running
@@ -781,41 +773,23 @@ class _Ctx:
         self.choices = (self.choices, (self.line, value))
         return value
 
-    def spread(self, bounds: tuple[int, int] | None
-               ) -> int | tuple[int, ...]:
-        """The first run of a site that _SiteSearch picked, whose pick
-        draws from bounds: a choice of two, the lowest value of the domain
-        alone, then the rest of it together, as a value set where it has
-        two or more values."""
-        lo, hi = bounds or self.machine.config.nondet_domain
-        if not self._choice(0, min(hi - lo, 1)):
-            kept = lo
-        elif hi == lo + 1:
-            kept = hi
-        else:
-            kept = self.members = tuple(range(lo + 1, hi + 1))
-        self.choices = (self.choices, (self.line, kept))
-        return kept
-
     def split(self, values: _Vec, key: Callable[[int], object] | None
               ) -> int:
-        """The value of the least member of the path's value set, once the
-        path holds only members that agree with it on key (on the value
-        itself without one). Where they disagree, the path splits like a
-        draw: the partitions of equal key, in order of their least member,
-        are the choices, and this run narrows the set to the one it
-        takes."""
+        """The value of the path's least member, once the path holds only
+        members that agree with it on key (on the value itself without
+        one). Where they disagree, the path splits like a draw: the
+        partitions of equal key, in order of their least member, are the
+        choices, and the run's decision keeps the one it takes."""
+        picked, held = self.decision
         parts: dict[object, list[int]] = {}
-        for m in self.members:
+        for m in held:
             parts.setdefault(values[m] if key is None else key(values[m]),
                              []).append(m)
         if len(parts) > 1:
-            taken = tuple(list(parts.values())[
+            held = tuple(list(parts.values())[
                 self._choice(0, len(parts) - 1)])
-            self.members, self.narrowed = taken, True
-            self.decision = (self.decision[0],
-                             taken if len(taken) > 1 else taken[0])
-        return values[self.members[0]]
+            self.decision = (picked, held)
+        return values[held[0]]
 
     def lift(self, op: Callable[..., int], *args) -> int:
         """op applied member by member to args, one of them a value set: a
@@ -824,28 +798,38 @@ class _Ctx:
         if (op is c_div or op is c_mod) and args[1].__class__ is _Vec and \
                 self.split(args[1], bool) == 0:
             raise _DivByZero
-        return _joined(self.members, [
+        held = self.decision[1]
+        return _joined(held, [
             op(*[a[m] if a.__class__ is _Vec else a for a in args])
-            for m in self.members])
+            for m in held])
 
-    def site(self, line: int, default: Callable[[_Ctx], int],
+    def site(self, expr: _Site, default: Callable[[_Ctx], int],
              pick: Callable[[_Ctx], int]) -> int:
-        """The value of the candidate site at line on this path. An
-        undecided path declines a site it runs for the rest of the path;
-        the search runs the pick later, from the state before the step. A
-        path that picked the site keeps the value of its first run there,
-        or the value set of its members."""
+        """The value of the candidate site expr on this path, default and
+        pick its compiled expressions. An undecided path declines a site it
+        runs for the rest of the path; the search runs the pick later,
+        from the state before the step. A path that picked the site runs
+        it with its members. Its first run there makes them the pick's
+        value or, in the value-set search where the pick draws, its whole
+        domain, split at once into its lowest value alone, then the rest
+        together."""
         picked, kept = self.decision
-        if picked != line:
-            if not picked and line not in kept:
-                self.decision = (0, kept | {line})
+        if picked != expr.line:
+            if not picked and expr.line not in kept:
+                self.decision = (0, kept | {expr.line})
             return default(self)
-        if kept is None or kept is _SPREAD:
-            kept = pick(self)
-            self.decision = (picked, kept)
-        if kept.__class__ is tuple:
-            return _Vec(zip(self.members, self.members))
-        return kept
+        nondet = expr.pick
+        if kept is _SPREAD and isinstance(nondet, Nondet):
+            lo, hi = self.machine.config.nondet_domain if nondet.lo is None \
+                else (nondet.lo, nondet.hi)
+            self.decision = (picked, tuple(range(lo, hi + 1)))
+            rest = _Vec.fromkeys(self.decision[1], 1)
+            rest[lo] = 0
+            self.split(rest, None)
+        elif not kept:
+            self.decision = (picked, (pick(self),))
+        kept = self.decision[1]
+        return kept[0] if len(kept) == 1 else _Vec(zip(kept, kept))
 
 
 def _put(items: tuple, i: int, value) -> tuple:
@@ -875,7 +859,7 @@ class _Control(NamedTuple):
     per_entry: tuple[int | None, ...]
     cum_iters: tuple[int, ...]  # completed iterations, in total
     last_thread: int | None
-    decision: tuple[int, frozenset[int] | int | None] = _UNDECIDED
+    decision: tuple[int, frozenset[int] | tuple[int, ...]] = _UNDECIDED
 
 
 class _State(NamedTuple):
@@ -1165,14 +1149,7 @@ class _Machine:
                  ctx.decision)
         if parts != control:
             control = _Control(*parts)
-        values, threads = ctx.globals, _put(ctx.threads, tid, thread)
-        if ctx.narrowed:
-            # the run split the path's value set: every value set in the
-            # state keeps the members of the partition taken
-            values = _projected(values, ctx.members)
-            threads = tuple(t._replace(locals=_projected(
-                t.locals, ctx.members)) for t in threads)
-        new = _State(values, threads, control,
+        new = _State(ctx.globals, _put(ctx.threads, tid, thread), control,
                      switches, (state.trace, (tid, line)), ctx.choices,
                      state.reordered)
         return ("state", new) if violation is None else \
@@ -1485,12 +1462,6 @@ def _entries(state: _State, outcomes: list) -> list[tuple]:
     return entries
 
 
-def _least(decision: tuple) -> int:
-    """The least value that a path with that decision, picked, holds."""
-    kept = decision[1]
-    return kept[0] if kept.__class__ is tuple else kept
-
-
 class _SiteSearch:
     """The two books of a lazy-decision search over the candidate sites of
     a program compiled with them (see CompiledProgram).
@@ -1505,12 +1476,13 @@ class _SiteSearch:
     the pick: the search first finishes the whole undecided tree, then
     runs the deferred picks one at a time, in the order they were made,
     each by stepping the state before the site again with the site picked.
-    A picked path keeps the value of its first run of the site. A pick
-    that draws runs the lowest value of its domain alone, then the rest
-    of the domain as one value set (_Ctx.spread), whose members a path
-    holds together until they disagree (_Ctx.split). Given start None, the
-    exact search that verify runs after a ModelError, a deferred pick
-    draws as any nondet() does, one value per path.
+    A picked path holds the values of its first run of the site, its
+    members, in its decision. A pick that draws holds its whole domain,
+    split at once like any value set (_Ctx.split) into the lowest value
+    alone, then the rest together, whose members stay on one path until
+    they disagree. Given start (), the exact search that verify runs
+    after a ModelError, a deferred pick draws as any nondet() does, one
+    value per path.
 
     A failure is a violation or a loop-bound cut, and ends its path. On a
     picked path it fails every value the path holds; on an undecided path
@@ -1522,9 +1494,10 @@ class _SiteSearch:
     The site's pending picks run with the witness alone, and once it has
     failed, they are dropped."""
 
-    def __init__(self, sites: dict[int, Expr], start: object = _SPREAD):
+    def __init__(self, sites: dict[int, Expr], start: tuple = _SPREAD):
         self.lines = frozenset(sites)
-        self.start = start  # a deferred pick's kept value before it runs
+        # what a deferred pick holds before its first run of the site
+        self.start = start
         self.witness = {line: wrap64(pick.value)
                         for line, pick in sites.items()
                         if isinstance(pick, IntLit)}
@@ -1559,7 +1532,7 @@ class _SiteSearch:
                 if self.invalid(line):
                     continue
                 state = state._replace(control=state.control._replace(
-                    decision=(line, self.witness[line])))
+                    decision=(line, (self.witness[line],))))
             stack.extend(reversed(_entries(state, machine.step(state, tid))))
             return True
         return False
@@ -1570,9 +1543,8 @@ class _SiteSearch:
         True if it ends the search."""
         picked, kept = decision
         if picked:
-            held = kept if kept.__class__ is tuple else (kept,)
-            self.failed.setdefault(picked, set()).update(held)
-            if self.witness.get(picked) in held:
+            self.failed.setdefault(picked, set()).update(kept)
+            if self.witness.get(picked) in kept:
                 self._prune(picked, stack)
             return False
         if violation is not None and violation.kind == "division-by-zero" \
@@ -1587,19 +1559,20 @@ class _SiteSearch:
         picked, kept = decision
         if not picked:
             return self.diagnosing()
-        least = _least(decision)
-        if least < self.witness.get(picked, least + 1):
-            self.witness[picked] = least
+        if kept[0] < self.witness.get(picked, kept[0] + 1):
+            self.witness[picked] = kept[0]
             self._prune(picked, stack)
         return False
 
     def _prune(self, line: int, stack: list) -> None:
         """Keeps the entries of the running pick of site line that hold a
-        value below its witness, or the witness while it has not failed."""
+        value below its witness, or the witness while it has not failed.
+        An entry that holds no value failed before the pick gave one, and
+        since it fails none, it goes too."""
         bound = self.witness[line] + (not self.invalid(line))
-        stack[:] = [entry for entry in stack if _least(
+        stack[:] = [entry for entry in stack if min((
             entry[1] if entry[0] == "cut" else entry[-1].control.decision
-        ) < bound]
+        )[1], default=bound) < bound]
 
     def diagnosing(self) -> bool:
         """Whether some site has no witness yet."""
@@ -1774,7 +1747,7 @@ def verify(program: Program | CompiledProgram, config: VerifierConfig, *,
         search, exact = {"reduce": True, "done": done}, {"done": done}
     else:
         search = {"sites": _SiteSearch(sites)}
-        exact = {"sites": _SiteSearch(sites, start=None)}
+        exact = {"sites": _SiteSearch(sites, start=())}
     machine = _Machine(compiled, config)
     try:
         result = _explore(machine, **search)

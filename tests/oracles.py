@@ -128,7 +128,7 @@ def reference_eval(expr, ctx, scope: dict) -> int:
                               else expr.else_expr, ctx, scope)
     if isinstance(expr, _Site):
         return ctx.site(
-            expr.line, lambda c: reference_eval(expr.default, c, scope),
+            expr, lambda c: reference_eval(expr.default, c, scope),
             lambda c: reference_eval(expr.pick, c, scope))
     raise ModelError(f"cannot evaluate {expr!r}")
 
@@ -189,7 +189,7 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
     than goal ends the path, and the site fixed[value] keeps the value it
     draws first, so a path that draws another one there is dropped."""
     if sites is not None:
-        search = search or _SiteSearch(sites, start=None)
+        search = search or _SiteSearch(sites, start=())
         if isinstance(program, CompiledProgram):
             program = program.program
     compiled = program if isinstance(program, CompiledProgram) \
@@ -313,7 +313,7 @@ class LazySites:
     def defer(self, machine, state, tid):
         line = machine.codes[tid].instrs[state.threads[tid].pc].line
         if line in self.lines and line not in state.control.decision[1]:
-            picked = state.control._replace(decision=(line, None))
+            picked = state.control._replace(decision=(line, ()))
             self.picks.append((line, state._replace(control=picked), tid))
 
     def next_pick(self, machine, stack):
@@ -333,7 +333,7 @@ class LazySites:
         if picked and self.goal_line and violation.line != self.goal_line:
             return False
         if picked:
-            self.found[picked] = (violation, kept)
+            self.found[picked] = (violation, kept[0])
             self.open.discard(picked)
             stack.clear()
             return False

@@ -1,17 +1,18 @@
 """Source hygiene: no module of the package imports a name it never uses,
-defines a private name it never reads or gives a private class an
-attribute it never reads, and the package exports exactly what its
-`__init__.py` imports.
+defines a private name it never reads, gives a private class an attribute
+it never reads or a `__slots__` entry it never uses, and the package
+exports exactly what its `__init__.py` imports.
 
 No linter ships with the project, so these are written with `ast`: the
 unused-import check (F401), a check for private functions, classes,
-methods and module constants that nothing in their module reads, and a
-check for attributes that a private class assigns on self and nothing in
-its module reads. For imports, `__init__.py` is skipped because it
-re-exports, `__future__` imports are directives, and an import marked
-`# noqa: F401` is kept on purpose: the benchmark's tracer wraps such
-module attributes, so each one must name an attribute that
-`perfbench/tracer.py` lists for its module in `TARGETS`.
+methods and module constants that nothing in their module reads, a check
+for attributes that a private class assigns on self and nothing in its
+module reads, and a check for `__slots__` entries of a private class that
+its module never reads or assigns as an attribute. For imports,
+`__init__.py` is skipped because it re-exports, `__future__` imports are
+directives, and an import marked `# noqa: F401` is kept on purpose: the
+benchmark's tracer wraps such module attributes, so each one must name an
+attribute that `perfbench/tracer.py` lists for its module in `TARGETS`.
 
 The project supports Python 3.10, so every source file of the package,
 the tests and the benchmark harness must also parse as 3.10 syntax,
@@ -154,6 +155,24 @@ def unread_private_attributes(source: str) -> list[str]:
             and node.attr not in read]
 
 
+def unused_private_slots(source: str) -> list[str]:
+    """`line N: Class.name` for every `__slots__` entry of a private class
+    that its module never reads or assigns as an attribute."""
+    tree = ast.parse(source)
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return [f"line {entry.lineno}: {cls.name}.{entry.value}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in node.targets)
+            for entry in ast.walk(node.value)
+            if isinstance(entry, ast.Constant)
+            and isinstance(entry.value, str) and entry.value not in used]
+
+
 @pytest.mark.parametrize("module", sorted(
     path.name for path in SRC.glob("*.py") if path.name != "__init__.py"))
 def test_no_unused_imports(module):
@@ -178,6 +197,12 @@ def test_no_unread_private_names(module):
     path.name for path in SRC.glob("*.py")))
 def test_no_unread_private_attributes(module):
     assert unread_private_attributes((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in SRC.glob("*.py")))
+def test_no_unused_private_slots(module):
+    assert unused_private_slots((SRC / module).read_text()) == []
 
 
 @pytest.mark.parametrize("path", CHECKED_SOURCES, ids=lambda path: str(
@@ -213,6 +238,20 @@ def test_check_finds_a_planted_attribute():
     line = planted.splitlines().index("        self.unread = None") + 1
     assert unread_private_attributes(planted) == \
         [f"line {line}: _Builder.unread"]
+
+
+def test_check_finds_a_planted_slot():
+    source = (SRC / "verifier.py").read_text()
+    planted = source.replace('"cum_iters", "decision")',
+                             '"cum_iters", "decision", "narrowed")')
+    assert planted != source
+    line = next(i for i, text in enumerate(planted.splitlines(), start=1)
+                if '"narrowed")' in text)
+    assert unused_private_slots(planted) == [f"line {line}: _Ctx.narrowed"]
+    # an entry read only as an attribute of another object counts as used
+    assert unused_private_slots(
+        "class _P:\n    __slots__ = ('x', 'y')\n\n"
+        "def f(p):\n    return p.x\n") == ["line 2: _P.y"]
 
 
 def test_check_finds_a_planted_import():

@@ -479,7 +479,7 @@ class TestWithConstant:
         monkeypatch.setattr(CompiledProgram, "_expr", refuse)
         for line in eligible_lines(seq):
             fixed = sited.with_constant(line, 3)
-            assert fixed.decision == (line, 3)
+            assert fixed.decision == (line, (3,))
             assert fixed.thread_codes is sited.thread_codes
 
     def test_oracle_compiles_the_sequential_program_once(

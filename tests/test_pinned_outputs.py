@@ -8,10 +8,17 @@ is no violation), the timing-free `report_to_json(localize(...))`, and for
 each of the two commands its exit status and standard output. The fifth is
 the timing-free `localize` report at SECOND_CONFIG, the configuration
 `--nondet -2..3 --context-bound 2`: a narrow domain that starts below
-zero, and fewer context switches than the default four. The programs are
-the bundled ports, randprog programs with division, three-thread randprog
-programs, callee programs (their calls are unwound into copies) and a
-program with nothing to instrument.
+zero, and fewer context switches than the default four.
+
+Each id also maps to the search counts of the `localize` call at CLI
+defaults, read from the searches it runs: the states and pruned states of
+its first verify (deadlock check on), and the states of its diagnosis
+search, null where it runs none. A refactor that keeps every text can
+still change how much the searches do, and these pins show it.
+
+The programs are the bundled ports, randprog programs with division,
+three-thread randprog programs, callee programs (their calls are unwound
+into copies) and a program with nothing to instrument.
 
 Regenerate only when an output change is intended, and say why:
 
@@ -33,6 +40,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from mcfl import localizer
 from mcfl.cli import main
 from mcfl.localizer import localize, report_to_json
 from mcfl.parser import parse
@@ -70,21 +78,38 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _localized(program, config: VerifierConfig) -> str:
-    """The sha256 of localize's timing-free report at config."""
-    return _sha(report_to_json(replace(localize(program, config),
-                                       timings={})))
+def _localized(program, config: VerifierConfig, searches=None) -> str:
+    """The sha256 of localize's timing-free report at config; localize's
+    verify results, in the order it runs them, are appended to searches
+    when given."""
+    real = localizer.verify
+
+    def recording(*args, **kwargs):
+        searches.append(real(*args, **kwargs))
+        return searches[-1]
+    if searches is not None:
+        localizer.verify = recording
+    try:
+        return _sha(report_to_json(replace(localize(program, config),
+                                           timings={})))
+    finally:
+        localizer.verify = real
 
 
-def digests(source: str) -> dict[str, str]:
+def digests(source: str) -> dict[str, str | int | None]:
     program = parse(source)
     config = VerifierConfig()
     result = verify(program, config)
     verified = counterexample_to_json(result.counterexample) \
         if result.counterexample is not None else result.outcome
+    searches: list = []
     found = {"verify": _sha(verified),
-             "localize": _localized(program, config),
+             "localize": _localized(program, config, searches),
              "localize_second_config": _localized(program, SECOND_CONFIG)}
+    first, *diagnosis = searches
+    found["first_verify_states"] = first.states
+    found["first_verify_pruned"] = first.pruned
+    found["diagnose_states"] = diagnosis[0].states if diagnosis else None
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.mc"
         path.write_text(source)

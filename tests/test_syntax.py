@@ -80,6 +80,39 @@ class TestParse:
             parse(src)
         assert "recursive" in str(err.value)
 
+    def test_recursion_is_reported_at_the_call_closing_the_cycle(self):
+        src = ("int f(int n) {\n"
+               "  int r;\n"
+               "  r = g(n);\n"
+               "  return r;\n"
+               "}\n"
+               "int g(int n) {\n"
+               "  int r;\n"
+               "  r = f(n);\n"
+               "  return r;\n"
+               "}\n"
+               "int main() { int x; x = f(1); return 0; }\n")
+        with pytest.raises(ParseError,
+                           match="recursive call involving 'f'") as err:
+            parse(src)
+        # g's call of f, the first call back onto the open f
+        assert (err.value.line, err.value.col) == (8, 7)
+
+    @pytest.mark.parametrize("stmt", ["pthread_mutex_lock(m);",
+                                      "pthread_mutex_t k;"])
+    def test_threading_in_a_callee_is_reported_at_its_keyword(self, stmt):
+        src = ("pthread_mutex_t m;\n"
+               "int f(int n) {\n"
+               f"  int r; {stmt}\n"
+               "  return n;\n"
+               "}\n"
+               "int main() { int x; x = f(1); return 0; }\n")
+        with pytest.raises(
+                ParseError, match="threading statement inside callable "
+                "function 'f'") as err:
+            parse(src)
+        assert (err.value.line, err.value.col) == (3, 10)
+
     def test_break_outside_switch_rejected(self):
         with pytest.raises(ParseError):
             parse("int main(){ break; }")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -13,6 +14,7 @@ from mcfl.localizer import localize
 from mcfl.parser import parse
 from mcfl.sequentializer import sequentialize, unwind_calls
 from mcfl.syntax import (
+    ArrayDecl,
     Assign,
     Binary,
     CallAssign,
@@ -20,10 +22,13 @@ from mcfl.syntax import (
     If,
     Index,
     IntLit,
+    MutexLock,
     Nondet,
+    Stmt,
     Var,
     While,
     iter_stmts,
+    renumber,
 )
 from mcfl.verifier import (
     CompiledProgram,
@@ -368,6 +373,36 @@ int main() {
         with pytest.raises(ModelError, match=f"^{message}$"):
             verify(p, VerifierConfig())
 
+    @pytest.mark.parametrize("where,stmt,message", [
+        ("f", None, "function 'f' finished without return"),
+        ("f", MutexLock("m"),
+         "unsupported statement inside callable function: 'lock'"),
+        ("main", ArrayDecl("b", [1]), "array declarations are global only"),
+        ("main", Stmt(), "cannot compile statement Stmt\\(line=5\\)"),
+    ], ids=["no-return", "callee-lock", "local-array", "unknown"])
+    def test_trees_the_parser_rejects_raise_in_verify(self, where, stmt,
+                                                      message):
+        # the parser rejects each of these; a hand-built tree meets the
+        # verifier's own check, when compiled or when a callee runs
+        p = parse("""int x = 0;
+pthread_mutex_t m;
+int f(int k) {
+  x = k;
+  return k;
+}
+int main() {
+  x = f(1);
+}
+""")
+        body = (p.main if where == "main" else p.functions[0]).body.stmts
+        if stmt is None:
+            body.pop()  # f's return
+        else:
+            body.insert(0, stmt)
+        renumber(p)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            verify(p, VerifierConfig())
+
     def test_long_sum_verifies_and_localizes(self):
         # compiling and evaluating each take one Python frame per level of
         # the sum, so 900 terms stay under the default recursion limit
@@ -530,11 +565,11 @@ int main() {
         compiled = CompiledProgram(p)
         for decision, paths in [
                 ((0, frozenset()), [(4, [], (0, frozenset({line})))]),
-                ((line, None), [(0, [(0, 2)], (line, 0)),
-                                (1, [(1, 2)], (line, 1)),
-                                (2, [(2, 2)], (line, 2))]),
-                ((line, 1), [(1, [], (line, 1))]),
-                ((line + 1, None), [(4, [], (line + 1, None))])]:
+                ((line, ()), [(0, [(0, 2)], (line, (0,))),
+                                (1, [(1, 2)], (line, (1,))),
+                                (2, [(2, 2)], (line, (2,)))]),
+                ((line, (1,)), [(1, [], (line, (1,)))]),
+                ((line + 1, ()), [(4, [], (line + 1, ()))])]:
             assert self._paths(compiled, "main", site, line, (0, 0),
                                decision) == paths, decision
 
@@ -674,6 +709,23 @@ class TestSiteSearch:
         result = verify(p, default_config, sites={3: IntLit(1)})
         assert (result.outcome, _records(result)) == \
             ("safe-within-bounds", [(3, 1, True)])
+
+    @pytest.mark.parametrize("pick,records", [
+        (Binary("/", IntLit(1), IntLit(0)), []),
+        (Binary("/", IntLit(1), Nondet(0, 1)), [(2, 1, True)]),
+        (Binary("/", IntLit(1), Binary("-", IntLit(1), Nondet(0, 1))),
+         [(2, 1, True)]),
+    ], ids=["always", "before-the-witness", "after-the-witness"])
+    def test_a_pick_dividing_by_zero_fails_no_value(self, pick, records,
+                                                     default_config):
+        # a path that divides by zero in the pick holds no value yet, so
+        # its failure fails none, whether it runs before the path that
+        # finds the witness or is still on the stack when that one prunes
+        p = parse("int main() {\n  int v;\n  v = 0;\n  assert(v == 1);\n}\n")
+        result = verify(p, default_config, sites={2: pick})
+        assert (result.outcome, _records(result)) == \
+            ("safe-within-bounds", records)
+        assert uncached(p, default_config, sites={2: pick})[3] == records
 
     def test_pthread_exit_is_not_the_end_of_main(self, default_config):
         # v = 1 leaves main early, without failing; v = 2 reaches the
@@ -949,14 +1001,16 @@ class TestValueSets:
 
     @staticmethod
     def _split_lines(monkeypatch):
-        """The lines at which a run splits a value set, as they happen."""
+        """The lines at which a run splits a value set, as they happen,
+        other than a pick's first run splitting its domain."""
         lines = []
         real = _Ctx.split
 
         def split(ctx, values, key):
-            before = ctx.members
+            before = ctx.decision[1]
             value = real(ctx, values, key)
-            if ctx.members != before:
+            if ctx.decision[1] != before and \
+                    sys._getframe(1).f_code is not _Ctx.site.__code__:
                 lines.append(ctx.line)
             return value
         monkeypatch.setattr(_Ctx, "split", split)
@@ -1018,7 +1072,7 @@ class TestValueSets:
 
         def split(ctx, values, key):
             value = real(ctx, values, key)
-            members.append(ctx.members)
+            members.append(ctx.decision[1])
             return value
         monkeypatch.setattr(_Ctx, "split", split)
         p = parse("""int main() {
@@ -1029,12 +1083,13 @@ class TestValueSets:
 """)
         result = verify(p, default_config, sites={2: Nondet()})
         assert _records(result) == [(2, 2, True)]
-        # the set 1..8 splits into 1..4, 6, 8 and 5, 7, and 1..4, 6, 8
-        # into 1, 4 and 2, 3, 6, 8: each run of the step splits the set
-        # again and takes the next partition, the least member's first
+        # the pick's domain 0..8 splits into 0 and 1..8; the set 1..8
+        # splits into 1..4, 6, 8 and 5, 7, and 1..4, 6, 8 into 1, 4 and 2,
+        # 3, 6, 8: each run of the step splits the set again and takes the
+        # next partition, the least member's first
         assert [m for m in members if len(m) < 8] == [
-            (1, 2, 3, 4, 6, 8), (1, 4), (1, 2, 3, 4, 6, 8), (2, 3, 6, 8),
-            (5, 7)]
+            (0,), (1, 2, 3, 4, 6, 8), (1, 4), (1, 2, 3, 4, 6, 8),
+            (2, 3, 6, 8), (5, 7)]
 
     def test_a_failure_books_every_member(self, default_config):
         # the set 1..8 fails as one at the assert: no member reaches the
