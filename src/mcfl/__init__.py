@@ -32,6 +32,7 @@ from .sequentializer import (
     SequentialProgram,
     UnsupportedScheduleError,
     apply_pthread_rules,
+    extract_schedule,
     sequentialize,
     unwind_calls,
 )
@@ -46,7 +47,6 @@ from .verifier import (
     VerificationResult,
     VerifierConfig,
     Violation,
-    extract_schedule,
     first_path,
     replay,
     verify,

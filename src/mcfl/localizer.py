@@ -25,13 +25,12 @@ from .instrumenter import (
     instrument,
     site_picks,
 )
-from .sequentializer import SequentialProgram, sequentialize
+from .sequentializer import SequentialProgram, extract_schedule, sequentialize
 from .syntax import IntLit, Program
 from .verifier import (
     CompiledProgram,
     Counterexample,
     VerifierConfig,
-    extract_schedule,
     first_path,
     record_from_obj,
     record_to_obj,

@@ -1,5 +1,7 @@
 """Turns a concurrent program plus one failing schedule into a sequential
-program that replays exactly that schedule.
+program that replays exactly that schedule. The schedule is read off the
+verifier's counterexample (extract_schedule), and this module alone
+numbers its segment tags and rejects a schedule they cannot tag.
 
 Output shape: a global `order` array holding the segment tags, a main whose
 for-loop dispatches `switch (order[order_index])`, one outer case per thread
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .syntax import (
     ArrayDecl,
@@ -62,6 +65,7 @@ from .syntax import (
     program_stmts,
     renumber,
 )
+from .verifier import Counterexample
 
 
 class RuleGapError(Exception):
@@ -102,6 +106,36 @@ class Schedule:
     @property
     def order_tags(self) -> list[int]:
         return [seg.tag for seg in self.segments]
+
+
+def extract_schedule(counterexample: Counterexample) -> Schedule:
+    """The ordered context-switch structure of a counterexample: one
+    segment per run of steps of one thread.
+
+    Tag numbering: segment j of thread n (both counted from their first
+    occurrence) receives (n + 1) * 10 + j with j starting at 1. Run k ends
+    at switch k and takes a copy of its loop counters; the last run, or
+    one the counterexample records no counters for, takes none.
+    """
+    if not counterexample.steps:
+        raise UnsupportedScheduleError("empty trace")
+    runs = [list(run) for _, run in
+            groupby(counterexample.steps, key=lambda step: step.thread)]
+    counters = counterexample.switch_loop_counters[:len(runs) - 1]
+    occurrence: dict[int, int] = {}
+    segments: list[Segment] = []
+    for k, run in enumerate(runs):
+        thread = run[0].thread
+        j = occurrence[thread] = occurrence.get(thread, 0) + 1
+        if j >= 10:
+            raise UnsupportedScheduleError(
+                f"thread {thread} has {j} execution segments; at most 9 "
+                "are supported")
+        segments.append(Segment(
+            thread, run[0].line, run[-1].line,
+            dict(counters[k]) if k < len(counters) else {},
+            (thread + 1) * 10 + j))
+    return Schedule(segments, list(counterexample.nondet_choices))
 
 
 # ---------------------------------------------------------------------------

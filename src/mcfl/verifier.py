@@ -97,7 +97,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
-from .sequentializer import Schedule, Segment, UnsupportedScheduleError
 from .syntax import (
     ArrayDecl,
     Assert,
@@ -876,10 +875,6 @@ class _State(NamedTuple):
     # the reduced search ran a thread on this path ahead of a lower-numbered
     # one that the ordered search would have run first
     reordered: bool = False
-
-    @property
-    def last_thread(self) -> int | None:
-        return self.control.last_thread
 
 
 class _Machine:
@@ -1823,53 +1818,6 @@ def replay(program: Program, counterexample: Counterexample
         if getattr(cex, name) != getattr(counterexample, name):
             raise TraceMismatch(f"{name} differ from the replayed trace")
     return VerificationResult("violation", cex)
-
-
-# ---------------------------------------------------------------------------
-# Schedule extraction
-# ---------------------------------------------------------------------------
-
-
-def extract_schedule(counterexample: Counterexample) -> Schedule:
-    """Distills the ordered context-switch structure from a counterexample.
-
-    Tag numbering: segment j of thread n (both counted from their first
-    occurrence) receives (n + 1) * 10 + j with j starting at 1. The
-    sequentializer reads every tag from the segments.
-    """
-    steps = counterexample.steps
-    if not steps:
-        raise UnsupportedScheduleError("empty trace")
-    segments: list[Segment] = []
-    occurrence: dict[int, int] = {}
-    start = 0
-    boundary = 0  # index into switches
-    for i in range(1, len(steps) + 1):
-        if i < len(steps) and steps[i].thread == steps[start].thread:
-            continue
-        thread = steps[start].thread
-        occurrence[thread] = occurrence.get(thread, 0) + 1
-        if occurrence[thread] >= 10:
-            raise UnsupportedScheduleError(
-                f"thread {thread} has {occurrence[thread]} execution "
-                "segments; at most 9 are supported")
-        tag = (thread + 1) * 10 + occurrence[thread]
-        is_last = i == len(steps)
-        counters: dict[int, int] = {}
-        if not is_last and boundary < len(
-                counterexample.switch_loop_counters):
-            counters = dict(counterexample.switch_loop_counters[boundary])
-        segments.append(Segment(
-            thread=thread,
-            from_line=steps[start].line,
-            to_line=steps[i - 1].line,
-            loop_counters=counters,
-            tag=tag,
-        ))
-        if not is_last:
-            boundary += 1
-        start = i
-    return Schedule(segments, list(counterexample.nondet_choices))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import replace
 
 from mcfl.instrumenter import NothingToInstrument, instrument, site_picks
-from mcfl.sequentializer import sequentialize
+from mcfl.sequentializer import extract_schedule, sequentialize
 from mcfl.syntax import (
     Assign,
     Binary,
@@ -47,7 +47,6 @@ from mcfl.verifier import (
     _SiteSearch,
     _unlink,
     counterexample_to_json,
-    extract_schedule,
     verify,
 )
 
@@ -155,7 +154,8 @@ def naive_violates(program, config: VerifierConfig) -> bool:
                 return True
             continue
         for tid in sorted(eligible, reverse=True):
-            if state.last_thread is not None and tid != state.last_thread \
+            if state.control.last_thread is not None and \
+                    tid != state.control.last_thread \
                     and state.switches >= config.context_bound:
                 continue
             for outcome in machine.step(state, tid):
@@ -272,7 +272,7 @@ def uncached(program, config, group_by=None, sites=None, goal=None,
             continue
         pushes = []
         for tid in eligible:
-            if state.last_thread not in (None, tid) and \
+            if state.control.last_thread not in (None, tid) and \
                     state.switches >= config.context_bound:
                 continue
             if search is not None and not state.control.decision[0]:

@@ -7,6 +7,7 @@ from mcfl.localizer import brute_force_diagnoses, localize
 from mcfl.parser import parse
 from mcfl.sequentializer import (
     apply_pthread_rules,
+    extract_schedule,
     sequentialize,
     unwind_calls,
 )
@@ -29,7 +30,6 @@ from mcfl.syntax import (
 )
 from mcfl.verifier import (
     VerifierConfig,
-    extract_schedule,
     first_path,
     verify,
 )

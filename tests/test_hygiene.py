@@ -1,7 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-defines a private name it never reads, gives a private class an attribute
-it never reads or a `__slots__` entry it never uses, and the package
-exports exactly what its `__init__.py` imports.
+"""Source hygiene: no module of the package imports a name it never uses
+or a module that comes later in the pipeline, defines a private name it
+never reads, gives a private class an attribute it never reads or a
+`__slots__` entry it never uses, and the package exports exactly what its
+`__init__.py` imports.
 
 No linter ships with the project, so these are written with `ast`: the
 unused-import check (F401), a check for private functions, classes,
@@ -13,6 +14,8 @@ its module never reads or assigns as an attribute. For imports,
 directives, and an import marked `# noqa: F401` is kept on purpose: the
 benchmark's tracer wraps such module attributes, so each one must name an
 attribute that `perfbench/tracer.py` lists for its module in `TARGETS`.
+The layering check reads every `from .x import` of a module: x must come
+before the module in `LAYERS`, the order in which the pipeline runs.
 
 The project supports Python 3.10, so every source file of the package,
 the tests and the benchmark harness must also parse as 3.10 syntax,
@@ -29,6 +32,9 @@ import mcfl
 SRC = Path(__file__).parent.parent / "src" / "mcfl"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 PY310 = (3, 10)
+# the package's modules in pipeline order; each imports only earlier ones
+LAYERS = ("syntax", "parser", "verifier", "sequentializer", "instrumenter",
+          "localizer", "bench", "cli", "__init__")
 # read as text only: the benchmark harness is not imported
 CHECKED_SOURCES = sorted(
     path for root in (SRC, Path(__file__).parent, TRACER.parent)
@@ -85,6 +91,16 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}"
             for line, name in _imports(source, marked=False)
             if name not in used]
+
+
+def layering_violations(source: str, module: str) -> list[str]:
+    """`line N: from .x` for every import of a package module x that
+    does not come before module in LAYERS."""
+    earlier = LAYERS[:LAYERS.index(module)]
+    return [f"line {node.lineno}: from .{node.module}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module not in earlier]
 
 
 def tracer_targets(source: str) -> dict[str, tuple[str, ...]]:
@@ -179,6 +195,16 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(path.stem for path in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_follow_the_layers(module):
+    assert layering_violations(
+        (SRC / f"{module}.py").read_text(), module) == []
+
+
 @pytest.mark.parametrize("module", sorted(
     path.name for path in SRC.glob("*.py")))
 def test_marked_imports_are_traced(module):
@@ -257,6 +283,17 @@ def test_check_finds_a_planted_slot():
 def test_check_finds_a_planted_import():
     source = (SRC / "verifier.py").read_text()
     assert unused_imports("import os\n" + source) == ["line 1: os"]
+
+
+def test_check_finds_a_planted_layer_import():
+    source = (SRC / "verifier.py").read_text()
+    assert layering_violations(
+        "from .sequentializer import Schedule\n" + source, "verifier") == \
+        ["line 1: from .sequentializer"]
+    # a module may not import itself, and imports outside the package pass
+    assert layering_violations(
+        "import json\nfrom .syntax import Program\nfrom .parser import parse"
+        "\n", "parser") == ["line 3: from .parser"]
 
 
 def test_check_spares_used_future_and_marked_imports():

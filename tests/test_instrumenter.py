@@ -11,7 +11,8 @@ from mcfl.instrumenter import (
 )
 from mcfl.localizer import localize
 from mcfl.parser import parse
-from mcfl.sequentializer import Schedule, Segment, sequentialize
+from mcfl.sequentializer import Schedule, Segment, extract_schedule, \
+    sequentialize
 from mcfl.syntax import (
     Assert,
     Assign,
@@ -24,7 +25,6 @@ from mcfl.syntax import (
 )
 from mcfl.verifier import (
     VerifierConfig,
-    extract_schedule,
     first_path,
     verify,
 )

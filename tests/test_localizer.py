@@ -18,14 +18,13 @@ from mcfl.localizer import (
     validate_diag,
 )
 from mcfl.parser import parse
-from mcfl.sequentializer import sequentialize
+from mcfl.sequentializer import extract_schedule, sequentialize
 from mcfl.syntax import Assert, Assign, Decl, Expr, For, IntLit, \
     format_expr, iter_stmts, line_table, pretty_print
 from mcfl.verifier import (
     CompiledProgram,
     VerifierConfig,
     _Site,
-    extract_schedule,
     verify,
 )
 

@@ -13,6 +13,7 @@ from mcfl.sequentializer import (
     Segment,
     UnsupportedScheduleError,
     apply_pthread_rules,
+    extract_schedule,
     line_map_to_json,
     sequentialize,
     unwind_calls,
@@ -46,7 +47,6 @@ from mcfl.syntax import (
 from mcfl.verifier import (
     VerifierConfig,
     Violation,
-    extract_schedule,
     first_path,
     verify,
 )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfl.parser import _SYMBOLS, ParseError, _tokenize, parse
-from mcfl.sequentializer import sequentialize
+from mcfl.sequentializer import extract_schedule, sequentialize
 from mcfl.syntax import (
     HANDLE_DECLS,
     PRECEDENCE,
@@ -26,7 +26,7 @@ from mcfl.syntax import (
     pretty_print,
     program_stmts,
 )
-from mcfl.verifier import VerifierConfig, extract_schedule, verify
+from mcfl.verifier import VerifierConfig, verify
 
 from conftest import BENCH_DIR
 from randprog import generate_source
@@ -248,8 +248,8 @@ class TestRoundTrip:
 
     def test_framework_skeleton(self, single_fault_program,
                                 default_config):
-        from mcfl.sequentializer import sequentialize
-        from mcfl.verifier import extract_schedule, verify
+        from mcfl.sequentializer import extract_schedule, sequentialize
+        from mcfl.verifier import verify
 
         result = verify(single_fault_program, default_config)
         schedule = extract_schedule(result.counterexample)

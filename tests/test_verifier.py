@@ -12,7 +12,13 @@ import mcfl.localizer
 from mcfl.instrumenter import NothingToInstrument, instrument, site_picks
 from mcfl.localizer import localize
 from mcfl.parser import parse
-from mcfl.sequentializer import sequentialize, unwind_calls
+from mcfl.sequentializer import (
+    Segment,
+    UnsupportedScheduleError,
+    extract_schedule,
+    sequentialize,
+    unwind_calls,
+)
 from mcfl.syntax import (
     ArrayDecl,
     Assign,
@@ -37,7 +43,6 @@ from mcfl.verifier import (
     ModelError,
     TraceMismatch,
     TraceStep,
-    UnsupportedScheduleError,
     VerifierConfig,
     Violation,
     _build_counterexample,
@@ -51,7 +56,6 @@ from mcfl.verifier import (
     _unlink,
     counterexample_from_json,
     counterexample_to_json,
-    extract_schedule,
     first_path,
     replay,
     verify,
@@ -1418,6 +1422,33 @@ class TestExtractSchedule:
             threads += [1, 0]
         with pytest.raises(UnsupportedScheduleError):
             extract_schedule(_hand_trace(threads))
+
+    def test_segment_fields(self):
+        cex = _hand_trace([0, 1, 1, 0, 2])
+        cex.switch_loop_counters = [{7: 1}, {8: 2, 9: 0}, {5: 3}]
+        sched = extract_schedule(cex)
+        assert sched.segments == [
+            Segment(0, 100, 100, {7: 1}, 11),
+            Segment(1, 101, 102, {8: 2, 9: 0}, 21),
+            Segment(0, 103, 103, {5: 3}, 12),
+            Segment(2, 104, 104, {}, 31),
+        ]
+        # each segment holds a copy, not the counterexample's own dict
+        sched.segments[0].loop_counters[7] = 99
+        assert cex.switch_loop_counters[0] == {7: 1}
+
+    def test_segment_fields_without_loop_counters(self):
+        cex = _hand_trace([0, 1, 1, 0, 2])
+        cex.switch_loop_counters = [{7: 1}, {8: 2, 9: 0}, {5: 3}]
+        doc = json.loads(counterexample_to_json(cex))
+        del doc["switch_loop_counters"]
+        sched = extract_schedule(counterexample_from_json(json.dumps(doc)))
+        assert sched.segments == [
+            Segment(0, 100, 100, {}, 11),
+            Segment(1, 101, 102, {}, 21),
+            Segment(0, 103, 103, {}, 12),
+            Segment(2, 104, 104, {}, 31),
+        ]
 
     def test_segment_boundaries(self, default_config):
         src = """int x = 0;
